@@ -16,7 +16,6 @@ from .clustering import (
     iterfilter_2cluster,
     mismetrics,
     run_lloyd_variant,
-    trimmed_kmeans_step,
     warm_start_init,
 )
 from .components import threshold_components
@@ -28,10 +27,8 @@ from .datagen import (
     generate_fleet,
     generate_symmetric_mixture,
     ingest_threshold_graph,
-    load_fleet,
     percentile_gamma,
     read_points_csv,
-    save_fleet,
 )
 from .distopt import AttackSpec, OptConfig, fed_avg_robust, pooled_auto_step, robust_gd
 from .errors import (
@@ -44,10 +41,10 @@ from .errors import (
 from .localsolve import (
     LossSpec,
     batch_objective,
-    gd_erm,
     local_erm,
     local_gradient,
     online_to_batch,
+    shard_stats,
 )
 from .numerics import RngStream, derive_seed, least_squares, top_eigenpair
 from .pipeline import (
@@ -60,7 +57,6 @@ from .pipeline import (
     config_from_dict,
     config_to_dict,
     run_grid,
-    run_id_for,
     run_pipeline,
     stage1_erms,
 )
@@ -99,8 +95,6 @@ __all__ = [
     "ingest_threshold_graph",
     "percentile_gamma",
     "read_points_csv",
-    "save_fleet",
-    "load_fleet",
     # robust statistics
     "AggregatorSpec",
     "aggregate",
@@ -111,8 +105,8 @@ __all__ = [
     # local solving
     "LossSpec",
     "local_erm",
-    "gd_erm",
     "online_to_batch",
+    "shard_stats",
     "local_gradient",
     "batch_objective",
     # clustering
@@ -120,7 +114,6 @@ __all__ = [
     "MisclusterReport",
     "LloydVariant",
     "edge_cut_cluster",
-    "trimmed_kmeans_step",
     "run_lloyd_variant",
     "iterfilter_2cluster",
     "warm_start_init",
@@ -143,5 +136,4 @@ __all__ = [
     "stage1_erms",
     "config_to_dict",
     "config_from_dict",
-    "run_id_for",
 ]

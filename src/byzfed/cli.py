@@ -27,13 +27,14 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .datagen import percentile_gamma, read_points_csv
-from .distopt import OptConfig
 from .errors import ByzfedError, ConfigError, DataError
 from .pipeline import (
     ClusterSpec,
     PipelineConfig,
     config_from_dict,
     config_to_dict,
+    opt_from_dict,
+    opt_to_dict,
     run_grid,
 )
 from .reporting import (
@@ -44,7 +45,6 @@ from .reporting import (
     load_manifest,
     write_manifest,
 )
-from .robust_stats import AggregatorSpec
 
 __all__ = ["main"]
 
@@ -205,20 +205,6 @@ def _resolve_threads(requested: int | None) -> int:
     return threads
 
 
-def _opt_to_dict(opt: OptConfig) -> dict:
-    d = asdict(opt)
-    d["init"] = None if opt.init is None else [float(v) for v in opt.init]
-    d["aggregator"] = asdict(opt.aggregator)
-    return d
-
-
-def _opt_from_dict(data: dict) -> OptConfig:
-    d = dict(data)
-    if isinstance(d.get("aggregator"), dict):
-        d["aggregator"] = AggregatorSpec(**d["aggregator"])
-    return OptConfig(**d)
-
-
 def _grid_specs(data: dict, base_cfg: PipelineConfig):
     """(clusterers, optimizers, trials) from the config's grid section, or
     a 1x1 grid around the base config."""
@@ -230,26 +216,29 @@ def _grid_specs(data: dict, base_cfg: PipelineConfig):
                 for g in grid["clusterers"]
             ]
             optimizers = [
-                (str(g["name"]), _opt_from_dict({k: v for k, v in g.items() if k != "name"}))
+                (str(g["name"]), opt_from_dict({k: v for k, v in g.items() if k != "name"}))
                 for g in grid["optimizers"]
             ]
-        except (KeyError, TypeError) as exc:
+            trials = int(grid.get("trials", data.get("trials", 1)))
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad grid section: {exc}") from exc
-        trials = int(grid.get("trials", data.get("trials", 1)))
         return clusterers, optimizers, trials
     cname = _CLUSTERER_DISPLAY[base_cfg.cluster.method]
     if base_cfg.opt.local_steps > 1:
         oname = "FA"
     else:
         oname = _AGGREGATOR_DISPLAY[base_cfg.opt.aggregator.kind]
-    trials = int(data.get("trials", 1))
+    try:
+        trials = int(data.get("trials", 1))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"trials must be an integer: {exc}") from exc
     return [(cname, base_cfg.cluster)], [(oname, base_cfg.opt)], trials
 
 
 def _grid_manifest_dict(clusterers, optimizers, trials) -> dict:
     return {
         "clusterers": [[name, asdict(spec)] for name, spec in clusterers],
-        "optimizers": [[name, _opt_to_dict(opt)] for name, opt in optimizers],
+        "optimizers": [[name, opt_to_dict(opt)] for name, opt in optimizers],
         "trials": trials,
     }
 
@@ -348,10 +337,14 @@ def cmd_ingest(args) -> int:
         gamma = percentile_gamma(points)
         print(f"[byzfed] gamma defaulted to {gamma:.6g} "
               "(10th percentile of sampled pairwise distances)", flush=True)
+    try:
+        gamma = float(gamma)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"gamma must be a number, got {gamma!r}") from exc
     data["fleet"] = {
         "type": "ingest",
         "path": str(args.csv),
-        "gamma": float(gamma),
+        "gamma": gamma,
         "shard_size": args.shard_size,
         "n_adv": args.n_adv,
         "min_cluster": args.min_cluster,
@@ -371,9 +364,9 @@ def cmd_replay(args) -> int:
     base_cfg = config_from_dict(manifest.config)
     try:
         clusterers = [(name, ClusterSpec(**spec)) for name, spec in manifest.grid["clusterers"]]
-        optimizers = [(name, _opt_from_dict(spec)) for name, spec in manifest.grid["optimizers"]]
+        optimizers = [(name, opt_from_dict(spec)) for name, spec in manifest.grid["optimizers"]]
         trials = int(manifest.grid["trials"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"manifest grid section is unusable: {exc}") from exc
     threads = _resolve_threads(args.threads if args.threads is not None else manifest.threads)
 

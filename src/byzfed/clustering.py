@@ -35,7 +35,6 @@ __all__ = [
     "MisclusterReport",
     "LloydVariant",
     "edge_cut_cluster",
-    "trimmed_kmeans_step",
     "run_lloyd_variant",
     "iterfilter_2cluster",
     "warm_start_init",
@@ -211,27 +210,16 @@ def _center_step(points, state, variant):
 
 
 def _step(points, state, variant):
+    """One Lloyd iteration: per-bucket centers by the variant's rule (a
+    fully-trimmed bucket keeps its previous center, a member-less bucket
+    re-seeds at the point farthest from its own assigned center), then
+    every point relabeled to the nearest new center, ties to the lowest
+    index."""
     new_centers, trimmed = _center_step(points, state, variant)
     labels = _assign(points, new_centers)
     return ClusteringState(
         labels=labels, centers=new_centers, trimmed=trimmed, iteration=state.iteration + 1
     )
-
-
-def trimmed_kmeans_step(
-    points, state: ClusteringState, sigma_hat: float | None = None, C: float = 2.0
-) -> ClusteringState:
-    """One trimmed Lloyd iteration.
-
-    Per bucket: geometric median, trim members outside the ball of radius
-    C*sigma_hat*sqrt(d), new center = sample mean of the survivors (a
-    fully-trimmed bucket keeps its previous center, a member-less bucket
-    re-seeds at the point farthest from its own assigned center). Then all
-    points are relabeled to the nearest new center, ties to the lowest
-    cluster index.
-    """
-    points = np.asarray(points, dtype=float)
-    return _step(points, state, LloydVariant.trimmed(C=C, sigma_hat=sigma_hat))
 
 
 def run_lloyd_variant(
@@ -416,21 +404,10 @@ def warm_start_init(
 
 def _match_labels(confusion: np.ndarray) -> np.ndarray:
     """Permutation perm[g] = estimated bucket matched to true cluster g,
-    maximizing the matched honest count. Hungarian for small K, greedy
-    beyond."""
-    K = confusion.shape[0]
-    if K <= 20:
-        rows, cols = linear_sum_assignment(-confusion)
-        perm = np.empty(K, dtype=int)
-        perm[rows] = cols
-        return perm
-    perm = np.full(K, -1, dtype=int)
-    work = confusion.astype(float).copy()
-    for _ in range(K):
-        g, h = np.unravel_index(np.argmax(work), work.shape)
-        perm[g] = h
-        work[g, :] = -1.0
-        work[:, h] = -1.0
+    maximizing the matched honest count."""
+    rows, cols = linear_sum_assignment(-confusion)
+    perm = np.empty(confusion.shape[0], dtype=int)
+    perm[rows] = cols
     return perm
 
 

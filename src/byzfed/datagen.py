@@ -15,7 +15,6 @@ adversarial behavior by design.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -37,8 +36,6 @@ __all__ = [
     "ingest_threshold_graph",
     "percentile_gamma",
     "read_points_csv",
-    "save_fleet",
-    "load_fleet",
 ]
 
 logger = logging.getLogger(__name__)
@@ -369,50 +366,3 @@ def read_points_csv(path, delimiter: str = ",", header: str | bool = "auto", lab
     if data.size == 0:
         raise DataError(f"no data rows in {path}")
     return data
-
-
-# ---------------------------------------------------------------------------
-# fleet serialization: JSON manifest + one binary shard archive
-
-
-def save_fleet(directory, shards: list[WorkerShard], truth: GroundTruth, config: dict | None = None) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    arrays = {}
-    for s in shards:
-        arrays[f"X{s.machine_id}"] = s.X
-        arrays[f"y{s.machine_id}"] = s.y
-    arrays["centers"] = truth.centers
-    arrays["labels"] = truth.labels
-    np.savez_compressed(directory / "fleet.npz", **arrays)
-    manifest = {
-        "format": 1,
-        "machine_ids": [s.machine_id for s in shards],
-        "true_clusters": [s.true_cluster for s in shards],
-        "shard_file": "fleet.npz",
-        "config": config or {},
-    }
-    with (directory / "fleet.json").open("w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-
-
-def load_fleet(directory) -> tuple[list[WorkerShard], GroundTruth]:
-    directory = Path(directory)
-    try:
-        with (directory / "fleet.json").open("r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        data = np.load(directory / manifest["shard_file"])
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot load fleet from {directory}: {exc}") from exc
-    shards = []
-    for mid, cluster in zip(manifest["machine_ids"], manifest["true_clusters"]):
-        shards.append(
-            WorkerShard(
-                machine_id=int(mid),
-                X=data[f"X{mid}"],
-                y=data[f"y{mid}"],
-                true_cluster=None if cluster is None else int(cluster),
-            )
-        )
-    truth = GroundTruth(centers=data["centers"], labels=data["labels"])
-    return shards, truth

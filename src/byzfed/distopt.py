@@ -6,6 +6,11 @@ aggregates the reports with a pluggable robust estimator and takes a
 descent step. fed_avg_robust is the federated-averaging variant: machines
 run several local descent steps and the center aggregates the returned
 models instead of gradients.
+
+Both optimizers build the cluster's stacked shard statistics once per
+call (localsolve.shard_stats) and compute every machine's report of a
+round with batched calls of localsolve.local_gradient; Byzantine rows are
+then overwritten with the attacked report.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .datagen import WorkerShard
 from .errors import ConfigError
-from .localsolve import _DIVERGENCE_NORM, LossSpec, local_gradient
+from .localsolve import _DIVERGENCE_NORM, LossSpec, ShardStats, local_gradient, shard_stats
 from .numerics import RngStream, derive_seed, top_eigenpair
 from .robust_stats import AggregatorSpec, aggregate
 
@@ -110,28 +115,28 @@ class OptConfig:
             object.__setattr__(self, "init", np.asarray(self.init, dtype=float))
 
 
-def pooled_auto_step(shards: list[WorkerShard], loss: LossSpec) -> float:
-    """1 / lambda_max of the pooled second-moment matrix over the cluster
-    (the location-loss Hessian is the identity)."""
+def pooled_auto_step(stats: ShardStats, loss: LossSpec) -> float:
+    """1 / lambda_max of the pooled second-moment matrix over the cluster,
+    the n-weighted mean of the shards' A_i (the location-loss Hessian is
+    the identity)."""
     if loss.kind == "location":
         return 1.0
-    d = shards[0].X.shape[1]
-    H = np.zeros((d, d))
-    total = 0
-    for s in shards:
-        H += s.X.T @ s.X
-        total += s.n
-    H /= total
+    # accumulate n_i A_i in machine order, then divide once, as the pooled
+    # sum X'X / N would; no (m, d, d) temporary
+    H = np.zeros(stats.A.shape[1:])
+    for n_i, A_i in zip(stats.n, stats.A):
+        H += n_i * A_i
+    H /= stats.n.sum()
     lam, _ = top_eigenpair(H)
     return 1.0 / lam if lam > 0 else 1.0
 
 
-def _attacked_report(honest_value, shard, attack, round_idx, d):
-    """Vector a Byzantine machine sends in place of honest_value()."""
+def _attacked_report(row, shard, attack, round_idx, d):
+    """Vector a Byzantine machine sends in place of its honest row."""
     if attack.kind in ("none", "own_corrupt_data"):
-        return honest_value()
+        return row
     if attack.kind == "sign_flip":
-        return -attack.scale * honest_value()
+        return -attack.scale * row
     if attack.kind == "random_gauss":
         rng = RngStream(
             derive_seed(attack.seed, shard.machine_id, round_idx), 0
@@ -140,14 +145,40 @@ def _attacked_report(honest_value, shard, attack, round_idx, d):
     return attack.vector.copy()
 
 
-def _check_shards(shards):
-    if not shards:
-        raise ConfigError("need at least one shard")
-    d = shards[0].X.shape[1]
-    for s in shards:
-        if s.X.shape[1] != d:
-            raise ConfigError("shards disagree on dimension")
-    return d
+def _descend(shards, loss, cfg, attack, local_steps):
+    """Shared round loop; local_steps=None is robust_gd (aggregate
+    gradients, then step), an int is fed_avg_robust (aggregate models)."""
+    attack = attack or AttackSpec.own_corrupt_data()
+    stats = shard_stats(shards, loss)
+    d = stats.b.shape[1]
+    step = cfg.step_size if cfg.step_size is not None else pooled_auto_step(stats, loss)
+    w = np.zeros(d) if cfg.init is None else cfg.init.copy()
+    if w.shape != (d,):
+        raise ConfigError(f"init has shape {w.shape}, expected ({d},)")
+    byzantine = [i for i, s in enumerate(shards) if s.is_byzantine]
+    traj = [w.copy()]
+    for t in range(cfg.max_rounds):
+        if local_steps is None:
+            reports = local_gradient(stats, w)
+        else:
+            reports = w
+            for _ in range(local_steps):
+                reports = reports - step * local_gradient(stats, reports)
+        for i in byzantine:
+            reports[i] = _attacked_report(reports[i], shards[i], attack, t, d)
+        agg = aggregate(reports, cfg.aggregator)
+        w_next = w - step * agg if local_steps is None else agg
+        traj.append(w_next.copy())
+        delta = float(np.linalg.norm(w_next - w))
+        w = w_next
+        if delta < cfg.stop_tol:
+            break
+        # Halt diverging runs at a bounded iterate rather than compounding
+        # for the full round budget; the caller sees the blow-up in the
+        # returned model and trajectory.
+        if not np.all(np.isfinite(w)) or np.linalg.norm(w) > _DIVERGENCE_NORM:
+            break
+    return w, np.asarray(traj)
 
 
 def robust_gd(
@@ -163,41 +194,7 @@ def robust_gd(
     Robust aggregators assume fewer than half the shards are Byzantine;
     this is the caller's contract, not enforced here.
     """
-    attack = attack or AttackSpec.own_corrupt_data()
-    d = _check_shards(shards)
-    step = cfg.step_size if cfg.step_size is not None else pooled_auto_step(shards, loss)
-    w = np.zeros(d) if cfg.init is None else cfg.init.copy()
-    if w.shape != (d,):
-        raise ConfigError(f"init has shape {w.shape}, expected ({d},)")
-    traj = [w.copy()]
-    for t in range(cfg.max_rounds):
-        reports = np.empty((len(shards), d))
-        for i, s in enumerate(shards):
-            if s.is_byzantine:
-                reports[i] = _attacked_report(
-                    lambda: local_gradient(s, loss, w), s, attack, t, d
-                )
-            else:
-                reports[i] = local_gradient(s, loss, w)
-        w_next = w - step * aggregate(reports, cfg.aggregator)
-        traj.append(w_next.copy())
-        delta = float(np.linalg.norm(w_next - w))
-        w = w_next
-        if delta < cfg.stop_tol:
-            break
-        # Halt diverging runs at a bounded iterate rather than compounding
-        # for the full round budget; the caller sees the blow-up in the
-        # returned model and trajectory.
-        if not np.all(np.isfinite(w)) or np.linalg.norm(w) > _DIVERGENCE_NORM:
-            break
-    return w, np.asarray(traj)
-
-
-def _local_descent(shard, loss, w0, step, n_steps):
-    w = w0.copy()
-    for _ in range(n_steps):
-        w = w - step * local_gradient(shard, loss, w)
-    return w
+    return _descend(shards, loss, cfg, attack, None)
 
 
 def fed_avg_robust(
@@ -213,27 +210,4 @@ def fed_avg_robust(
     returned local models. With local_steps=1 and an affine-equivariant
     aggregator this coincides with robust_gd round for round.
     """
-    attack = attack or AttackSpec.own_corrupt_data()
-    d = _check_shards(shards)
-    step = cfg.step_size if cfg.step_size is not None else pooled_auto_step(shards, loss)
-    E = cfg.local_steps
-    w = np.zeros(d) if cfg.init is None else cfg.init.copy()
-    traj = [w.copy()]
-    for t in range(cfg.max_rounds):
-        models = np.empty((len(shards), d))
-        for i, s in enumerate(shards):
-            if s.is_byzantine:
-                models[i] = _attacked_report(
-                    lambda: _local_descent(s, loss, w, step, E), s, attack, t, d
-                )
-            else:
-                models[i] = _local_descent(s, loss, w, step, E)
-        w_next = aggregate(models, cfg.aggregator)
-        traj.append(w_next.copy())
-        delta = float(np.linalg.norm(w_next - w))
-        w = w_next
-        if delta < cfg.stop_tol:
-            break
-        if not np.all(np.isfinite(w)) or np.linalg.norm(w) > _DIVERGENCE_NORM:
-            break
-    return w, np.asarray(traj)
+    return _descend(shards, loss, cfg, attack, cfg.local_steps)

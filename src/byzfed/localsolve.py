@@ -7,29 +7,38 @@ Two loss families cover the pipeline:
 * ``location``: f(w; p) = (1/2) ||w - p||^2 over raw points p, whose ERM
   is the shard mean. Ingested fleets use this loss.
 
-Besides the exact solver there are two inexact ones: plain batch gradient
-descent (gd_erm) and projected online gradient descent with iterate
-averaging (online_to_batch), which reads every sample exactly once.
+Both local risks are quadratic, F_i(w) = (1/2) w'A_i w - b_i'w + const,
+so a shard enters gradient descent only through its sufficient
+statistics: A_i = X'X/n and b_i = X'y/n for the regression loss, A_i = I
+and b_i = the shard mean for the location loss. shard_stats stacks them
+for a list of shards, and local_gradient evaluates A_i w_i - b_i for all
+machines in one batched matmul; it is the only shard-gradient kernel,
+shared by Stage-I gradient descent and Stage-III distributed descent.
+
+Raw rows are read only where a solver needs them: the exact solver
+(local_erm), the one-pass online solver with iterate averaging
+(online_to_batch), and the objective value (batch_objective).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .datagen import WorkerShard
-from .errors import ConfigError, NumericError
-from .numerics import least_squares, top_eigenpair
+from .errors import ConfigError
+from .numerics import least_squares
 
 __all__ = [
     "LossSpec",
-    "loss_value",
+    "ShardStats",
+    "shard_stats",
     "loss_grad",
     "batch_objective",
     "local_gradient",
     "local_erm",
-    "gd_erm",
     "online_to_batch",
 ]
 
@@ -54,15 +63,6 @@ class LossSpec:
         return self.kind == "squared_error"
 
 
-def loss_value(loss: LossSpec, w: np.ndarray, x: np.ndarray, y: float | None = None) -> float:
-    """Single-sample loss f(w; point)."""
-    if loss.kind == "squared_error":
-        if y is None:
-            raise ConfigError("squared_error loss needs a target value")
-        return 0.5 * float(x @ w - y) ** 2
-    return 0.5 * float(np.sum((w - x) ** 2))
-
-
 def loss_grad(loss: LossSpec, w: np.ndarray, x: np.ndarray, y: float | None = None) -> np.ndarray:
     """Single-sample gradient of f(w; point) in w."""
     if loss.kind == "squared_error":
@@ -82,14 +82,52 @@ def batch_objective(shard: WorkerShard, loss: LossSpec, w: np.ndarray) -> float:
     return 0.5 * float(np.sum(diffs * diffs)) / shard.n
 
 
-def local_gradient(shard: WorkerShard, loss: LossSpec, w: np.ndarray) -> np.ndarray:
-    """Gradient of the local empirical risk at w."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (shard.X.shape[1],):
-        raise ConfigError(f"w has shape {w.shape}, expected ({shard.X.shape[1]},)")
-    if loss.kind == "squared_error":
-        return shard.X.T @ (shard.X @ w - shard.y) / shard.n
-    return w - shard.X.mean(axis=0)
+class ShardStats(NamedTuple):
+    """Stacked sufficient statistics of m shards: A (m, d, d), b (m, d)
+    and the sample counts n (m,)."""
+
+    A: np.ndarray
+    b: np.ndarray
+    n: np.ndarray
+
+
+def shard_stats(shards: list[WorkerShard], loss: LossSpec) -> ShardStats:
+    """Sufficient statistics of every shard's local risk, stacked.
+
+    For the location loss A is a read-only broadcast view of the identity,
+    so A_i w - b_i equals w - mean exactly.
+    """
+    if not shards:
+        raise ConfigError("need at least one shard")
+    d = shards[0].X.shape[1]
+    if any(s.X.shape[1] != d for s in shards):
+        raise ConfigError("shards disagree on dimension")
+    m = len(shards)
+    n = np.array([s.n for s in shards])
+    b = np.empty((m, d))
+    if loss.kind == "location":
+        for i, s in enumerate(shards):
+            b[i] = s.X.mean(axis=0)
+        return ShardStats(np.broadcast_to(np.eye(d), (m, d, d)), b, n)
+    A = np.empty((m, d, d))
+    for i, s in enumerate(shards):
+        np.matmul(s.X.T, s.X, out=A[i])
+        A[i] /= s.n
+        b[i] = s.X.T @ s.y / s.n
+    return ShardStats(A, b, n)
+
+
+def local_gradient(stats: ShardStats, W: np.ndarray) -> np.ndarray:
+    """Gradients A_i w_i - b_i of every machine's local risk, stacked (m, d).
+
+    W is either (m, d), one model per machine, or a single (d,) model
+    evaluated on every machine.
+    """
+    W = np.asarray(W, dtype=float)
+    m, d = stats.b.shape
+    if W.shape not in ((d,), (m, d)):
+        raise ConfigError(f"W has shape {W.shape}, expected ({d},) or ({m}, {d})")
+    return (stats.A @ W[..., None])[..., 0] - stats.b
 
 
 def local_erm(shard: WorkerShard, loss: LossSpec) -> np.ndarray:
@@ -103,46 +141,6 @@ def local_erm(shard: WorkerShard, loss: LossSpec) -> np.ndarray:
     if loss.kind == "squared_error":
         return least_squares(shard.X, shard.y)
     return shard.X.mean(axis=0)
-
-
-def _auto_step(shard: WorkerShard, loss: LossSpec) -> float:
-    # 1 / lambda_max of the local Hessian; the location Hessian is I
-    if loss.kind == "location":
-        return 1.0
-    H = shard.X.T @ shard.X / shard.n
-    lam, _ = top_eigenpair(H)
-    if lam <= 0:
-        return 1.0
-    return 1.0 / lam
-
-
-def gd_erm(
-    shard: WorkerShard,
-    loss: LossSpec,
-    step: float | None = None,
-    iters: int = 100,
-) -> np.ndarray:
-    """Approximate ERM by batch gradient descent from the origin.
-
-    step=None picks 1/lambda_max of the local Hessian. Raises
-    NumericError if an iterate's norm exceeds 1e12 (diverging recursion,
-    typically a too-large step).
-    """
-    if iters < 1:
-        raise ConfigError("iters must be >= 1")
-    if step is None:
-        step = _auto_step(shard, loss)
-    if not step > 0:
-        raise ConfigError(f"step must be > 0, got {step}")
-    d = shard.X.shape[1]
-    w = np.zeros(d)
-    for t in range(iters):
-        w = w - step * local_gradient(shard, loss, w)
-        if not np.all(np.isfinite(w)) or np.linalg.norm(w) > _DIVERGENCE_NORM:
-            raise NumericError(
-                f"gradient descent diverged at iteration {t + 1} (step={step})"
-            )
-    return w
 
 
 def online_to_batch(

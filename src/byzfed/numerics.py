@@ -19,18 +19,7 @@ __all__ = [
     "top_eigenpair",
     "RngStream",
     "derive_seed",
-    "as_model_vector",
 ]
-
-
-def as_model_vector(x) -> np.ndarray:
-    """Coerce to a finite 1-D float64 array."""
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        raise ConfigError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ConfigError("vector contains NaN or Inf")
-    return v
 
 
 def least_squares(X, y) -> np.ndarray:
@@ -115,6 +104,3 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=int(self.master_seed), spawn_key=(int(self.stream_id),))
         return np.random.Generator(np.random.PCG64(ss))
-
-    def child(self, offset: int) -> "RngStream":
-        return RngStream(derive_seed(self.master_seed, self.stream_id), offset)

@@ -12,10 +12,9 @@ dispatch, so results are independent of scheduling and thread count.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -39,9 +38,16 @@ from .datagen import (
     ingest_threshold_graph,
     read_points_csv,
 )
-from .distopt import AttackSpec, OptConfig, fed_avg_robust, pooled_auto_step, robust_gd
+from .distopt import AttackSpec, OptConfig, fed_avg_robust, robust_gd
 from .errors import ByzfedError, ConfigError, NumericError
-from .localsolve import LossSpec, gd_erm, local_erm, online_to_batch
+from .localsolve import (
+    _DIVERGENCE_NORM,
+    LossSpec,
+    local_erm,
+    local_gradient,
+    online_to_batch,
+    shard_stats,
+)
 from .numerics import derive_seed, top_eigenpair
 from .robust_stats import AggregatorSpec
 
@@ -57,7 +63,8 @@ __all__ = [
     "stage1_erms",
     "config_to_dict",
     "config_from_dict",
-    "run_id_for",
+    "opt_to_dict",
+    "opt_from_dict",
 ]
 
 _SOLVER_KINDS = ("erm", "gd", "ogd")
@@ -216,48 +223,38 @@ class TrialOutcome:
 # stage I
 
 
-def _batched_gd_erms(shards, solver: SolverSpec) -> np.ndarray:
-    """Vectorized batch GD across machines with identical shard shapes.
+def stage1_erms(shards: list[WorkerShard], solver: SolverSpec) -> np.ndarray:
+    """Local model estimates for every machine, stacked (m, d).
 
-    Same recursion as gd_erm per machine, evaluated with batched matmuls.
+    GD runs every machine's recursion w <- w - step_i (A_i w - b_i) from
+    the origin in one batched loop, with step_i = solver.step or
+    1/lambda_max(A_i) (exactly 1 for the location loss). Raises
+    NumericError if an iterate's norm exceeds 1e12.
     """
-    X = np.stack([s.X for s in shards])
-    Y = np.stack([s.y for s in shards])
-    m, n, d = X.shape
-    XT = np.ascontiguousarray(X.transpose(0, 2, 1))
-    if solver.step is None:
-        steps = np.empty(m)
-        for i in range(m):
-            lam, _ = top_eigenpair(XT[i] @ X[i] / n)
-            steps[i] = 1.0 / lam if lam > 0 else 1.0
-    else:
+    loss = solver.loss_spec
+    if solver.kind == "erm":
+        return np.stack([local_erm(s, loss) for s in shards])
+    if solver.kind == "ogd":
+        return np.stack(
+            [online_to_batch(s, loss, lam=solver.lam, radius=solver.radius) for s in shards]
+        )
+    stats = shard_stats(shards, loss)
+    m, d = stats.b.shape
+    if solver.step is not None:
         steps = np.full(m, solver.step)
+    elif loss.kind == "location":
+        steps = np.ones(m)
+    else:
+        steps = np.empty(m)
+        for i, a in enumerate(stats.A):
+            lam, _ = top_eigenpair(a)
+            steps[i] = 1.0 / lam if lam > 0 else 1.0
     W = np.zeros((m, d))
     for t in range(solver.iters):
-        R = (X @ W[:, :, None])[:, :, 0] - Y
-        G = (XT @ R[:, :, None])[:, :, 0] / n
-        W -= steps[:, None] * G
-        if not np.all(np.isfinite(W)) or np.linalg.norm(W, axis=1).max() > 1e12:
+        W -= steps[:, None] * local_gradient(stats, W)
+        if not np.all(np.isfinite(W)) or np.linalg.norm(W, axis=1).max() > _DIVERGENCE_NORM:
             raise NumericError(f"stage-I gradient descent diverged at iteration {t + 1}")
     return W
-
-
-def stage1_erms(shards: list[WorkerShard], solver: SolverSpec) -> np.ndarray:
-    """Local model estimates for every machine, stacked (m, d)."""
-    loss = solver.loss_spec
-    if solver.kind == "gd" and loss.kind == "squared_error":
-        shapes = {s.X.shape for s in shards}
-        if len(shapes) == 1:
-            return _batched_gd_erms(shards, solver)
-    out = []
-    for s in shards:
-        if solver.kind == "erm":
-            out.append(local_erm(s, loss))
-        elif solver.kind == "gd":
-            out.append(gd_erm(s, loss, step=solver.step, iters=solver.iters))
-        else:
-            out.append(online_to_batch(s, loss, lam=solver.lam, radius=solver.radius))
-    return np.stack(out)
 
 
 # ---------------------------------------------------------------------------
@@ -345,33 +342,21 @@ def _stage3(cfg: PipelineConfig, shards, state: ClusteringState, loss: LossSpec)
 
 
 def _match_centers(w_hats: np.ndarray, centers_true: np.ndarray) -> list[tuple[int, int]]:
-    """Pair estimated clusters with true centers by distance: optimal
-    assignment when the counts agree, greedy nearest-pair otherwise."""
+    """Pair estimated clusters with true centers by the assignment of least
+    total distance; with unequal counts, min(counts) pairs are made."""
     dist = np.linalg.norm(w_hats[:, None, :] - centers_true[None, :, :], axis=2)
-    if w_hats.shape[0] == centers_true.shape[0]:
-        rows, cols = linear_sum_assignment(dist)
-        return list(zip(rows.tolist(), cols.tolist()))
-    pairs = []
-    work = dist.copy()
-    for _ in range(min(work.shape)):
-        i, j = np.unravel_index(np.argmin(work), work.shape)
-        pairs.append((int(i), int(j)))
-        work[i, :] = np.inf
-        work[:, j] = np.inf
-    return pairs
+    rows, cols = linear_sum_assignment(dist)
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
+@contextmanager
 def _tag_stage(stage: str):
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, ByzfedError):
-                exc.args = (f"{stage}: {exc}",)
-            return False
-
-    return _Ctx()
+    """Prefix the message of a ByzfedError raised inside with the stage."""
+    try:
+        yield
+    except ByzfedError as exc:
+        exc.args = (f"{stage}: {exc}",)
+        raise
 
 
 def run_pipeline(
@@ -559,7 +544,22 @@ def summarize_grid(outcomes: list[TrialOutcome]) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# config (de)serialization and run identity
+# config (de)serialization
+
+
+def opt_to_dict(opt: OptConfig) -> dict:
+    """JSON-safe snapshot of an optimizer config; round-trips through
+    opt_from_dict."""
+    d = asdict(opt)
+    d["init"] = None if opt.init is None else [float(v) for v in opt.init]
+    return d
+
+
+def opt_from_dict(data: dict) -> OptConfig:
+    d = dict(data)
+    if isinstance(d.get("aggregator"), dict):
+        d["aggregator"] = AggregatorSpec(**d["aggregator"])
+    return OptConfig(**d)
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
@@ -568,8 +568,6 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
         fleet = {"type": "synthetic", **asdict(cfg.fleet)}
     else:
         fleet = {"type": "ingest", **asdict(cfg.fleet)}
-    opt = asdict(cfg.opt)
-    opt["init"] = None if cfg.opt.init is None else [float(v) for v in cfg.opt.init]
     attack = asdict(cfg.attack)
     attack["vector"] = (
         None if cfg.attack.vector is None else [float(v) for v in cfg.attack.vector]
@@ -578,7 +576,7 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
         "fleet": fleet,
         "solver": asdict(cfg.solver),
         "cluster": asdict(cfg.cluster),
-        "opt": opt,
+        "opt": opt_to_dict(cfg.opt),
         "attack": attack,
         "seed": cfg.seed,
     }
@@ -594,23 +592,14 @@ def config_from_dict(data: dict) -> PipelineConfig:
             fleet = IngestSpec(**fleet_data)
         else:
             raise ConfigError(f"unknown fleet type {kind!r}")
-        opt_data = dict(data.get("opt", {}))
-        if "aggregator" in opt_data and isinstance(opt_data["aggregator"], dict):
-            opt_data["aggregator"] = AggregatorSpec(**opt_data["aggregator"])
         attack_data = dict(data.get("attack", {}))
         return PipelineConfig(
             fleet=fleet,
             solver=SolverSpec(**data.get("solver", {})),
             cluster=ClusterSpec(**data.get("cluster", {})),
-            opt=OptConfig(**opt_data),
+            opt=opt_from_dict(data.get("opt", {})),
             attack=AttackSpec(**attack_data),
             seed=int(data.get("seed", 0)),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
-
-
-def run_id_for(cfg: PipelineConfig) -> str:
-    """Deterministic 12-hex identifier of the config snapshot."""
-    blob = json.dumps(config_to_dict(cfg), sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:12]

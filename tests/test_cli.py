@@ -113,6 +113,29 @@ def test_missing_config_file_exits_1(tmp_path):
     assert code == 1
 
 
+def test_non_numeric_config_values_exit_1(tmp_path, rng, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"trials": "many"}))
+    code, _ = _synth(tmp_path, "--config", str(cfg))
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+    # the same in a replayed manifest's grid section
+    _, out = _synth(tmp_path / "ok", "--seed", "1")
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["grid"]["trials"] = "many"
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["replay", "--manifest", str(out), "--out-dir", str(tmp_path / "re")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+    # and an ingest gamma taken from the config file
+    cfg.write_text(json.dumps({"fleet": {"gamma": "wide"}}))
+    csv = _blob_csv(tmp_path, rng)
+    code = main(["ingest", "--csv", str(csv), "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_bad_usage_exits_1():
     assert main(["trample"]) == 1
 

@@ -11,7 +11,6 @@ from byzfed.clustering import (
     iterfilter_2cluster,
     mismetrics,
     run_lloyd_variant,
-    trimmed_kmeans_step,
     warm_start_init,
 )
 from byzfed.datagen import BYZANTINE, GroundTruth
@@ -21,6 +20,13 @@ from byzfed.robust_stats import geometric_median
 
 def _truth(labels, centers):
     return GroundTruth(centers=np.asarray(centers, float), labels=np.asarray(labels, int))
+
+
+def _trimmed_step(points, state, sigma_hat=None, C=2.0):
+    nxt, _ = run_lloyd_variant(
+        points, state, LloydVariant.trimmed(C=C, sigma_hat=sigma_hat), max_iter=1
+    )
+    return nxt
 
 
 def _blobs(rng, sizes, centers, spread=0.1):
@@ -72,7 +78,7 @@ def test_trimmed_step_drops_far_point_keeps_mean_of_rest():
     # C*sigma*sqrt(d) = 4 keeps {0,1}, center = 0.5
     points = np.array([[0.0], [1.0], [100.0]])
     state = ClusteringState(labels=np.zeros(3, int), centers=np.array([[50.0]]))
-    nxt = trimmed_kmeans_step(points, state, sigma_hat=2.0, C=2.0)
+    nxt = _trimmed_step(points, state, sigma_hat=2.0, C=2.0)
     np.testing.assert_allclose(nxt.centers, [[0.5]])
     np.testing.assert_array_equal(nxt.trimmed, [False, False, True])
     assert nxt.iteration == 1
@@ -85,7 +91,7 @@ def test_trimmed_step_matches_recompute_oracle(rng):
     labels[20:] = 1
     state = ClusteringState(labels=labels, centers=rng.standard_normal((2, 5)))
     C, sig = 2.5, 1.0
-    nxt = trimmed_kmeans_step(points, state, sigma_hat=sig, C=C)
+    nxt = _trimmed_step(points, state, sigma_hat=sig, C=C)
     for g in range(2):
         pts = points[labels == g]
         gm = geometric_median(pts)
@@ -97,7 +103,7 @@ def test_trimmed_step_matches_recompute_oracle(rng):
 def test_trimmed_step_all_trimmed_keeps_previous_center():
     points = np.array([[0.0], [2.0]])
     state = ClusteringState(labels=np.zeros(2, int), centers=np.array([[5.0]]))
-    nxt = trimmed_kmeans_step(points, state, sigma_hat=0.0, C=2.0)
+    nxt = _trimmed_step(points, state, sigma_hat=0.0, C=2.0)
     np.testing.assert_array_equal(nxt.centers, [[5.0]])
     assert nxt.trimmed.all()
 
@@ -106,7 +112,7 @@ def test_trimmed_step_infinite_radius_is_plain_lloyd(rng):
     points = rng.standard_normal((30, 3))
     labels = rng.integers(0, 3, size=30)
     state = ClusteringState(labels=labels, centers=rng.standard_normal((3, 3)))
-    trimmed = trimmed_kmeans_step(points, state, C=math.inf)
+    trimmed = _trimmed_step(points, state, C=math.inf)
     lloyd, _ = run_lloyd_variant(points, state, LloydVariant.lloyd(), max_iter=1)
     np.testing.assert_array_equal(trimmed.labels, lloyd.labels)
     np.testing.assert_array_equal(trimmed.centers, lloyd.centers)

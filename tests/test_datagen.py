@@ -11,10 +11,8 @@ from byzfed.datagen import (
     generate_fleet,
     generate_symmetric_mixture,
     ingest_threshold_graph,
-    load_fleet,
     percentile_gamma,
     read_points_csv,
-    save_fleet,
 )
 from byzfed.errors import ConfigError, DataError
 
@@ -297,27 +295,3 @@ def test_read_points_csv_missing_and_empty(tmp_path):
     f.write_text("")
     with pytest.raises(DataError):
         read_points_csv(f)
-
-
-# ---------------------------------------------------------------------------
-# serialization round trip
-
-
-def test_save_load_fleet_round_trip(tmp_path):
-    cfg = FleetConfig(m=8, n=5, d=3, K=2, alpha=0.25, sigma=0.3, seed=6)
-    shards, truth = generate_fleet(cfg)
-    save_fleet(tmp_path / "fleet", shards, truth, config={"note": "test"})
-    shards2, truth2 = load_fleet(tmp_path / "fleet")
-    assert len(shards2) == len(shards)
-    np.testing.assert_array_equal(truth2.centers, truth.centers)
-    np.testing.assert_array_equal(truth2.labels, truth.labels)
-    for a, b in zip(shards, shards2):
-        assert a.machine_id == b.machine_id
-        assert a.true_cluster == b.true_cluster
-        np.testing.assert_array_equal(a.X, b.X)
-        np.testing.assert_array_equal(a.y, b.y)
-
-
-def test_load_fleet_missing_directory(tmp_path):
-    with pytest.raises(DataError):
-        load_fleet(tmp_path / "absent")

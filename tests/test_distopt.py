@@ -4,10 +4,18 @@ import pytest
 from byzfed.datagen import FleetConfig, WorkerShard, generate_fleet
 from byzfed.distopt import AttackSpec, OptConfig, fed_avg_robust, pooled_auto_step, robust_gd
 from byzfed.errors import ConfigError
-from byzfed.localsolve import LossSpec, batch_objective, local_erm, local_gradient
+from byzfed.localsolve import LossSpec, batch_objective, local_erm, shard_stats
 from byzfed.robust_stats import AggregatorSpec
 
 SQ = LossSpec("squared_error")
+
+
+def _raw_gradient(shard, w):
+    return shard.X.T @ (shard.X @ w - shard.y) / shard.n
+
+
+def _auto_step(shards):
+    return pooled_auto_step(shard_stats(shards, SQ), SQ)
 
 
 def _honest_cluster(rng, m=6, n=25, d=4, sigma=0.0, theta=None):
@@ -61,12 +69,12 @@ def test_noiseless_cluster_recovers_truth_under_any_aggregator(rng, agg):
 
 def test_mean_aggregation_equals_pooled_gradient_descent(rng):
     shards, _ = _honest_cluster(rng, m=5, n=20, d=3, sigma=0.5)
-    step = pooled_auto_step(shards, SQ)
+    step = _auto_step(shards)
     _, traj = robust_gd(shards, SQ, OptConfig(step_size=step, max_rounds=40, stop_tol=0.0))
     # reference: plain descent on the average of per-machine gradients
     w = np.zeros(3)
     for t in range(40):
-        g = np.mean([local_gradient(s, SQ, w) for s in shards], axis=0)
+        g = np.mean([_raw_gradient(s, w) for s in shards], axis=0)
         w = w - step * g
         np.testing.assert_allclose(traj[t + 1], w, atol=1e-9)
 
@@ -82,8 +90,9 @@ def test_pooled_auto_step_matches_eigenvalue(rng):
     shards, _ = _honest_cluster(rng, m=3, n=30, d=4)
     H = sum(s.X.T @ s.X for s in shards) / sum(s.n for s in shards)
     lam = np.linalg.eigvalsh(H)[-1]
-    assert pooled_auto_step(shards, SQ) == pytest.approx(1.0 / lam, rel=1e-5)
-    assert pooled_auto_step(shards, LossSpec("location")) == 1.0
+    assert _auto_step(shards) == pytest.approx(1.0 / lam, rel=1e-5)
+    loc = LossSpec("location")
+    assert pooled_auto_step(shard_stats(shards, loc), loc) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +139,26 @@ def test_fed_avg_one_local_step_matches_robust_gd(rng):
         np.testing.assert_allclose(t_fa, t_gd, atol=1e-9)
 
 
+def test_fed_avg_local_steps_match_per_machine_recursion(rng):
+    shards, _ = _honest_cluster(rng, m=4, n=12, d=3, sigma=0.5)
+    shards = _with_byzantine(rng, shards, n_byz=1)
+    step = _auto_step(shards)
+    _, traj = fed_avg_robust(
+        shards, SQ, OptConfig(max_rounds=10, local_steps=3, stop_tol=0.0),
+        attack=AttackSpec.sign_flip(scale=2.0),
+    )
+    w = np.zeros(3)
+    for t in range(10):
+        models = []
+        for s in shards:
+            v = w.copy()
+            for _ in range(3):
+                v = v - step * _raw_gradient(s, v)
+            models.append(-2.0 * v if s.is_byzantine else v)
+        w = np.mean(models, axis=0)
+        np.testing.assert_allclose(traj[t + 1], w, atol=1e-9)
+
+
 def test_fed_avg_multiple_local_steps_still_converges_clean(rng):
     shards, theta = _honest_cluster(rng, m=5, n=40, d=3, sigma=0.0)
     w, _ = fed_avg_robust(
@@ -150,23 +179,23 @@ def _one_byz_setup(rng):
 
 def test_sign_flip_report_enters_the_mean(rng):
     shards = _one_byz_setup(rng)
-    step = pooled_auto_step(shards, SQ)
+    step = _auto_step(shards)
     w, _ = robust_gd(
         shards, SQ, OptConfig(max_rounds=1), attack=AttackSpec.sign_flip(scale=3.0)
     )
     z = np.zeros(3)
-    grads = [local_gradient(s, SQ, z) for s in shards]
+    grads = [_raw_gradient(s, z) for s in shards]
     expected = -step * np.mean([grads[0], grads[1], -3.0 * grads[2]], axis=0)
     np.testing.assert_allclose(w, expected, atol=1e-12)
 
 
 def test_constant_attack_sends_fixed_vector(rng):
     shards = _one_byz_setup(rng)
-    step = pooled_auto_step(shards, SQ)
+    step = _auto_step(shards)
     v = np.array([5.0, -5.0, 5.0])
     w, _ = robust_gd(shards, SQ, OptConfig(max_rounds=1), attack=AttackSpec.constant(v))
     z = np.zeros(3)
-    grads = [local_gradient(s, SQ, z) for s in shards]
+    grads = [_raw_gradient(s, z) for s in shards]
     expected = -step * np.mean([grads[0], grads[1], v], axis=0)
     np.testing.assert_allclose(w, expected, atol=1e-12)
 
@@ -210,7 +239,7 @@ def test_stop_tol_ends_early(rng):
 
 def test_divergent_step_halts_at_bounded_iterate(rng):
     shards, _ = _honest_cluster(rng, m=3, n=10, d=3, sigma=0.5)
-    big = 50.0 * pooled_auto_step(shards, SQ)
+    big = 50.0 * _auto_step(shards)
     w, traj = robust_gd(shards, SQ, OptConfig(step_size=big, max_rounds=400, stop_tol=0.0))
     assert traj.shape[0] - 1 < 400
     assert not np.all(np.isfinite(w)) or np.linalg.norm(w) > 1e12
@@ -218,7 +247,7 @@ def test_divergent_step_halts_at_bounded_iterate(rng):
 
 def test_fed_avg_divergence_also_halts(rng):
     shards, _ = _honest_cluster(rng, m=3, n=10, d=3, sigma=0.5)
-    big = 50.0 * pooled_auto_step(shards, SQ)
+    big = 50.0 * _auto_step(shards)
     w, traj = fed_avg_robust(
         shards, SQ, OptConfig(step_size=big, max_rounds=400, local_steps=3, stop_tol=0.0)
     )

@@ -1,22 +1,32 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from byzfed.datagen import WorkerShard
 from byzfed.errors import ConfigError, NumericError
 from byzfed.localsolve import (
     LossSpec,
     batch_objective,
-    gd_erm,
     local_erm,
     local_gradient,
     loss_grad,
-    loss_value,
     online_to_batch,
+    shard_stats,
 )
 from byzfed.numerics import least_squares
+from byzfed.pipeline import SolverSpec, stage1_erms
 
 SQ = LossSpec("squared_error")
 LOC = LossSpec("location")
+
+
+def _sq_loss(w, x, y):
+    return 0.5 * float(x @ w - y) ** 2
+
+
+def _loc_loss(w, x):
+    return 0.5 * float(np.sum((w - x) ** 2))
 
 
 def _shard(rng, n=30, d=4, sigma=0.1, w=None):
@@ -36,12 +46,10 @@ def test_single_sample_value_and_grad(rng):
     w = rng.standard_normal(3)
     x = rng.standard_normal(3)
     y = 0.7
-    assert loss_value(SQ, w, x, y) == pytest.approx(0.5 * (x @ w - y) ** 2)
     np.testing.assert_allclose(loss_grad(SQ, w, x, y), x * (x @ w - y))
-    assert loss_value(LOC, w, x) == pytest.approx(0.5 * np.sum((w - x) ** 2))
     np.testing.assert_allclose(loss_grad(LOC, w, x), w - x)
     with pytest.raises(ConfigError):
-        loss_value(SQ, w, x)  # missing target
+        loss_grad(SQ, w, x)  # missing target
 
 
 def test_gradients_match_finite_differences(rng):
@@ -49,13 +57,13 @@ def test_gradients_match_finite_differences(rng):
     x = rng.standard_normal(4)
     y = -1.2
     eps = 1e-6
-    for loss, args in ((SQ, (x, y)), (LOC, (x,))):
+    for loss, f, args in ((SQ, _sq_loss, (x, y)), (LOC, _loc_loss, (x,))):
         g = loss_grad(loss, w, *args)
         num = np.empty(4)
         for j in range(4):
             e = np.zeros(4)
             e[j] = eps
-            num[j] = (loss_value(loss, w + e, *args) - loss_value(loss, w - e, *args)) / (2 * eps)
+            num[j] = (f(w + e, *args) - f(w - e, *args)) / (2 * eps)
         np.testing.assert_allclose(g, num, atol=1e-5)
 
 
@@ -63,17 +71,17 @@ def test_batch_objective_and_gradient_consistent(rng):
     shard, _ = _shard(rng)
     w = rng.standard_normal(4)
     # objective equals the average single-sample loss
-    manual = np.mean([loss_value(SQ, w, shard.X[i], shard.y[i]) for i in range(shard.n)])
+    manual = np.mean([_sq_loss(w, shard.X[i], shard.y[i]) for i in range(shard.n)])
     assert batch_objective(shard, SQ, w) == pytest.approx(manual)
     # gradient equals the average single-sample gradient
     manual_g = np.mean([loss_grad(SQ, w, shard.X[i], shard.y[i]) for i in range(shard.n)], axis=0)
-    np.testing.assert_allclose(local_gradient(shard, SQ, w), manual_g, atol=1e-12)
+    np.testing.assert_allclose(local_gradient(shard_stats([shard], SQ), w)[0], manual_g, atol=1e-12)
 
 
 def test_location_objective_minimized_at_mean(rng):
     shard, _ = _shard(rng)
     mu = shard.X.mean(axis=0)
-    np.testing.assert_allclose(local_gradient(shard, LOC, mu), 0, atol=1e-12)
+    np.testing.assert_allclose(local_gradient(shard_stats([shard], LOC), mu), 0, atol=1e-12)
     assert batch_objective(shard, LOC, mu) <= batch_objective(shard, LOC, mu + 0.1)
 
 
@@ -89,44 +97,103 @@ def test_local_erm_location_is_mean(rng):
 
 def test_gradient_shape_validation(rng):
     shard, _ = _shard(rng)
+    stats = shard_stats([shard], SQ)
     with pytest.raises(ConfigError):
-        local_gradient(shard, SQ, np.zeros(5))
+        local_gradient(stats, np.zeros(5))
+    with pytest.raises(ConfigError):
+        local_gradient(stats, np.zeros((2, 4)))
 
 
 # ---------------------------------------------------------------------------
-# gradient descent solver
+# the sufficient-statistics kernel
+
+
+def _ragged_shards(gen, sizes, d):
+    shards = []
+    for i, n in enumerate(sizes):
+        X = gen.standard_normal((n, d))
+        shards.append(WorkerShard(machine_id=i, X=X, y=gen.standard_normal(n), true_cluster=0))
+    return shards
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=6),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_kernel_matches_raw_row_gradients(sizes, d, seed):
+    gen = np.random.default_rng(seed)
+    shards = _ragged_shards(gen, sizes, d)
+    W = gen.standard_normal((len(shards), d))
+    got = local_gradient(shard_stats(shards, SQ), W)
+    for i, s in enumerate(shards):
+        raw = s.X.T @ (s.X @ W[i] - s.y) / s.n
+        np.testing.assert_allclose(got[i], raw, rtol=1e-12, atol=1e-12 * (1 + np.abs(raw).max()))
+    # location loss: A is a read-only identity view, and the gradient is
+    # exactly w - mean, also for one model shared by all machines
+    loc = shard_stats(shards, LOC)
+    assert not loc.A.flags.writeable
+    np.testing.assert_array_equal(loc.n, sizes)
+    got = local_gradient(loc, W)
+    shared = local_gradient(loc, W[0])
+    for i, s in enumerate(shards):
+        np.testing.assert_array_equal(got[i], W[i] - s.X.mean(axis=0))
+        np.testing.assert_array_equal(shared[i], W[0] - s.X.mean(axis=0))
+
+
+# ---------------------------------------------------------------------------
+# gradient descent solver (Stage I)
 
 
 def test_gd_erm_converges_to_exact_solution(rng):
     shard, _ = _shard(rng, n=50, d=5)
-    w_gd = gd_erm(shard, SQ, iters=4000)
+    w_gd = stage1_erms([shard], SolverSpec(kind="gd", iters=4000))[0]
     w_exact = local_erm(shard, SQ)
     assert np.linalg.norm(w_gd - w_exact) < 1e-6
 
 
 def test_gd_erm_location_converges_to_mean(rng):
     shard, _ = _shard(rng)
-    w = gd_erm(shard, LOC, iters=60)
+    w = stage1_erms([shard], SolverSpec(kind="gd", loss="location", iters=60))[0]
     np.testing.assert_allclose(w, shard.X.mean(axis=0), atol=1e-9)
 
 
 def test_gd_erm_diverges_with_large_step(rng):
     shard, _ = _shard(rng, n=40, d=4)
     with pytest.raises(NumericError):
-        gd_erm(shard, SQ, step=10.0, iters=500)
+        stage1_erms([shard], SolverSpec(kind="gd", step=10.0, iters=500))
 
 
 def test_gd_erm_validation(rng):
-    shard, _ = _shard(rng)
     with pytest.raises(ConfigError):
-        gd_erm(shard, SQ, iters=0)
+        SolverSpec(kind="gd", iters=0)
     with pytest.raises(ConfigError):
-        gd_erm(shard, SQ, step=0.0)
+        SolverSpec(kind="gd", step=0.0)
 
 
 def test_gd_erm_deterministic(rng):
     shard, _ = _shard(rng)
-    np.testing.assert_array_equal(gd_erm(shard, SQ, iters=100), gd_erm(shard, SQ, iters=100))
+    solver = SolverSpec(kind="gd", iters=100)
+    np.testing.assert_array_equal(stage1_erms([shard], solver), stage1_erms([shard], solver))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.lists(st.integers(min_value=2, max_value=30), min_size=2, max_size=6),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(["squared_error", "location"]),
+)
+def test_stage1_gd_machine_independent_of_its_stack(sizes, seed, loss):
+    gen = np.random.default_rng(seed)
+    shards = _ragged_shards(gen, sizes, 3)
+    solver = SolverSpec(kind="gd", loss=loss, iters=30)
+    stacked = stage1_erms(shards, solver)
+    reversed_stack = stage1_erms(shards[::-1], solver)[::-1]
+    for i, s in enumerate(shards):
+        alone = stage1_erms([s], solver)[0]
+        np.testing.assert_array_equal(stacked[i], alone)
+        np.testing.assert_array_equal(reversed_stack[i], alone)
 
 
 # ---------------------------------------------------------------------------

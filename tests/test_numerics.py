@@ -6,30 +6,10 @@ from hypothesis import strategies as st
 from byzfed.errors import ConfigError
 from byzfed.numerics import (
     RngStream,
-    as_model_vector,
     derive_seed,
     least_squares,
     top_eigenpair,
 )
-
-
-# ---------------------------------------------------------------------------
-# as_model_vector
-
-
-def test_as_model_vector_coerces_lists():
-    v = as_model_vector([1, 2, 3])
-    assert v.dtype == np.float64
-    np.testing.assert_array_equal(v, [1.0, 2.0, 3.0])
-
-
-def test_as_model_vector_rejects_matrix_and_nonfinite():
-    with pytest.raises(ConfigError):
-        as_model_vector(np.zeros((2, 2)))
-    with pytest.raises(ConfigError):
-        as_model_vector([1.0, np.nan])
-    with pytest.raises(ConfigError):
-        as_model_vector([np.inf])
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +146,6 @@ def test_rng_stream_distinct_ids_differ():
     a = RngStream(123, 0).generator().standard_normal(8)
     b = RngStream(123, 1).generator().standard_normal(8)
     assert not np.array_equal(a, b)
-
-
-def test_rng_stream_child_deterministic():
-    c1 = RngStream(9, 2).child(3)
-    c2 = RngStream(9, 2).child(3)
-    assert c1 == c2
-    np.testing.assert_array_equal(
-        c1.generator().standard_normal(4), c2.generator().standard_normal(4)
-    )
 
 
 # ---------------------------------------------------------------------------

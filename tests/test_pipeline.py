@@ -5,20 +5,20 @@ from byzfed.clustering import run_lloyd_variant, warm_start_init
 from byzfed.datagen import FleetConfig, generate_fleet
 from byzfed.distopt import AttackSpec, OptConfig, robust_gd
 from byzfed.errors import ConfigError
-from byzfed.localsolve import gd_erm
-from byzfed.numerics import derive_seed
+from byzfed.numerics import derive_seed, top_eigenpair
 from byzfed.pipeline import (
     ClusterSpec,
     IngestSpec,
     PipelineConfig,
     SolverSpec,
+    _match_centers,
     config_from_dict,
     config_to_dict,
     run_grid,
-    run_id_for,
     run_pipeline,
     stage1_erms,
 )
+from byzfed.reporting import compute_run_id
 from byzfed.robust_stats import AggregatorSpec
 
 from dataclasses import replace
@@ -142,7 +142,20 @@ def test_stage1_batched_gd_matches_per_machine(rng):
     solver = SolverSpec(kind="gd", iters=80)
     batched = stage1_erms(fleet, solver)
     for i, s in enumerate(fleet):
-        np.testing.assert_allclose(batched[i], gd_erm(s, solver.loss_spec, iters=80), atol=1e-9)
+        # raw-row recursion from the origin at step 1/lambda_max(X'X/n)
+        lam, _ = top_eigenpair(s.X.T @ s.X / s.n)
+        w = np.zeros(5)
+        for _ in range(80):
+            w = w - (1.0 / lam) * (s.X.T @ (s.X @ w - s.y) / s.n)
+        np.testing.assert_allclose(batched[i], w, atol=1e-9)
+
+
+def test_match_centers_is_optimal_when_counts_differ():
+    # greedy nearest-pair would take (0, 1) at distance 0.1 first and then
+    # be left with (1, 0) at 2.1; the optimal pairing costs 1.0 + 1.0
+    w_hats = np.array([[1.0], [2.1]])
+    centers = np.array([[0.0], [1.1], [100.0]])
+    assert _match_centers(w_hats, centers) == [(0, 0), (1, 1)]
 
 
 def test_stage1_online_solver_runs(rng):
@@ -288,6 +301,7 @@ def test_config_from_dict_rejects_garbage():
 
 def test_run_id_identity(tmp_path):
     cfg = _fancy_config(tmp_path)
-    assert run_id_for(cfg) == run_id_for(cfg)
-    assert len(run_id_for(cfg)) == 12
-    assert run_id_for(cfg) != run_id_for(replace(cfg, seed=32))
+    run_id = lambda c: compute_run_id(config_to_dict(c))
+    assert run_id(cfg) == run_id(cfg)
+    assert len(run_id(cfg)) == 12
+    assert run_id(cfg) != run_id(replace(cfg, seed=32))
