@@ -23,6 +23,7 @@ import logging
 import os
 import sys
 import tempfile
+import traceback
 from dataclasses import asdict
 from pathlib import Path
 
@@ -411,6 +412,11 @@ def main(argv=None) -> int:
         return 1
     except (ByzfedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # an unexpected failure is still a runtime error, not a usage error
+        traceback.print_exc()
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

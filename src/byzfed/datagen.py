@@ -335,7 +335,7 @@ def percentile_gamma(points, q: float = 10.0, max_pairs: int = 200_000, seed: in
 
 
 def read_points_csv(path, delimiter: str = ",", header: str | bool = "auto", label_column: int | None = None) -> np.ndarray:
-    """Read a points matrix: one row per point, plain floats.
+    """Read a points matrix: one row per point, plain finite floats.
 
     header='auto' skips the first line when any of its fields fails float
     parsing. label_column (if given) is dropped; the data are treated as
@@ -365,4 +365,7 @@ def read_points_csv(path, delimiter: str = ",", header: str | bool = "auto", lab
         data = np.delete(data, label_column, axis=1)
     if data.size == 0:
         raise DataError(f"no data rows in {path}")
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise DataError(f"data row {bad[0] + 1} of {path} is not finite: {data[bad[0]]}")
     return data

@@ -146,10 +146,33 @@ def test_grid_command_requires_grid_section(tmp_path):
     assert code == 1
 
 
+def test_unexpected_exception_exits_2(tmp_path, monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("byzfed.cli.cmd_synth", boom)
+    assert main(["synth", "--out-dir", str(tmp_path / "out")]) == 2
+    assert "error: RuntimeError: boom" in capsys.readouterr().err
+
+
 def test_ingest_missing_csv_exits_2(tmp_path):
     out = tmp_path / "out"
     code = main(["ingest", "--csv", str(tmp_path / "nope.csv"), "--out-dir", str(out)])
     assert code == 2
+
+
+@pytest.mark.parametrize("gamma_flag", [[], ["--gamma", "10"]])
+def test_ingest_non_finite_csv_exits_2(tmp_path, rng, capsys, gamma_flag):
+    csv = _blob_csv(tmp_path, rng)
+    lines = csv.read_text().splitlines()
+    lines[4] = "nan,0.0,0.0"
+    csv.write_text("\n".join(lines) + "\n")
+    code = main(["ingest", "--csv", str(csv), "--shard-size", "5", *gamma_flag,
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "gamma defaulted" not in captured.out
+    assert "data row 5" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -202,14 +202,14 @@ def test_run_lloyd_validation(rng):
 
 def test_edge_cut_two_blobs_with_leftover(rng):
     points, _ = _blobs(rng, [8, 8], [[0, 0], [20, 0]], spread=0.3)
-    points = np.vstack([points, [[10.0, 0.1]]])  # isolated point
-    state = edge_cut_cluster(points, gamma=5.0, min_cluster=2)
+    # below min_cluster: a singleton nearer blob 0 and a pair nearer blob 1
+    points = np.vstack([points, [[5.0, 0.0], [13.0, 0.0], [13.5, 0.0]]])
+    state = edge_cut_cluster(points, gamma=2.0, min_cluster=3)
     assert state.K == 2
-    assert state.labels[:8].tolist() == [0] * 8
-    assert state.labels[8:16].tolist() == [1] * 8
-    # the singleton is attached to its nearest surviving center
-    assert state.labels[16] in (0, 1)
+    assert state.labels.tolist() == [0] * 8 + [1] * 8 + [0, 1, 1]
+    # centers are the means of the surviving components only
     np.testing.assert_allclose(state.centers[0], points[:8].mean(axis=0))
+    np.testing.assert_allclose(state.centers[1], points[8:16].mean(axis=0))
 
 
 def test_edge_cut_no_survivor_raises(rng):

@@ -2,15 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from byzfed.components import threshold_components
 from byzfed.errors import ConfigError
 
 
-def _bfs_oracle(points, gamma):
+def _bfs_oracle(adj):
     """Adjacency-matrix breadth-first search; quadratic and obviously right."""
-    n = len(points)
-    adj = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2) < gamma
+    n = len(adj)
     seen = np.zeros(n, dtype=bool)
     comps = []
     for start in range(n):
@@ -40,7 +41,29 @@ def test_matches_bfs_oracle_on_random_sets(rng):
         pts = rng.standard_normal((n, d)) * rng.uniform(0.5, 3.0)
         gamma = float(rng.uniform(0.2, 2.5))
         got = threshold_components(pts, gamma)
-        assert _as_partition(got) == _bfs_oracle(pts, gamma), f"trial {trial}"
+        adj = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2) < gamma
+        assert _as_partition(got) == _bfs_oracle(adj), f"trial {trial}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda d: st.lists(
+            st.lists(st.integers(min_value=-4, max_value=4), min_size=d, max_size=d),
+            min_size=1,
+            max_size=30,
+        )
+    ),
+    st.integers(min_value=1, max_value=5),
+)
+def test_matches_exact_integer_oracle_on_lattice(rows, gamma):
+    # small lattices put many pairs at exactly gamma (axis steps, 3-4-5
+    # triangles); integer squared distances decide those ties exactly
+    ints = np.array(rows, dtype=np.int64)
+    d2 = ((ints[:, None, :] - ints[None, :, :]) ** 2).sum(axis=2)
+    got = threshold_components(ints.astype(float), float(gamma))
+    assert _as_partition(got) == _bfs_oracle(d2 < gamma**2)
+    assert [c[0] for c in got] == sorted(c[0] for c in got)
 
 
 def test_threshold_is_strict():
@@ -48,6 +71,17 @@ def test_threshold_is_strict():
     # exactly at the threshold: not connected
     assert len(threshold_components(pts, 1.0)) == 2
     assert len(threshold_components(pts, 1.0000001)) == 1
+    # a 3-4-5 pair: 5.0 is exact, the next float up connects it
+    pts = np.array([[0.0, 0.0], [3.0, 4.0]])
+    assert len(threshold_components(pts, 5.0)) == 2
+    assert len(threshold_components(pts, np.nextafter(5.0, np.inf))) == 1
+
+
+def test_no_cancellation_far_from_origin():
+    # |a|^2 + |b|^2 - 2ab loses the 0.25 squared distance at this offset
+    pts = np.array([[1e8, 1e8], [1e8 + 0.5, 1e8]])
+    assert len(threshold_components(pts, 0.4)) == 2
+    assert len(threshold_components(pts, 0.6)) == 1
 
 
 def test_two_well_separated_blobs():
@@ -85,13 +119,6 @@ def test_chain_connectivity():
     assert len(comps) == 1
 
 
-def test_blocked_computation_matches_unblocked(rng):
-    pts = rng.standard_normal((50, 4))
-    a = _as_partition(threshold_components(pts, 1.2, block_size=7))
-    b = _as_partition(threshold_components(pts, 1.2, block_size=4096))
-    assert a == b
-
-
 def test_input_validation():
     with pytest.raises(ConfigError):
         threshold_components(np.zeros((3, 2)), 0.0)
@@ -99,3 +126,14 @@ def test_input_validation():
         threshold_components(np.zeros((3, 2)), -1.0)
     with pytest.raises(ConfigError):
         threshold_components(np.zeros(3), 1.0)
+    with pytest.raises(ConfigError):
+        threshold_components(np.zeros((3, 2)), float("nan"))
+    for bad in (np.nan, np.inf, -np.inf):
+        pts = np.zeros((3, 2))
+        pts[1, 0] = bad
+        with pytest.raises(ConfigError, match="row 1"):
+            threshold_components(pts, 1.0)
+
+
+def test_empty_point_set_has_no_components():
+    assert threshold_components(np.zeros((0, 2)), 1.0) == []

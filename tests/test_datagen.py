@@ -295,3 +295,11 @@ def test_read_points_csv_missing_and_empty(tmp_path):
     f.write_text("")
     with pytest.raises(DataError):
         read_points_csv(f)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_read_points_csv_rejects_non_finite_rows(tmp_path, token):
+    f = tmp_path / "pts.csv"
+    f.write_text(f"x,y\n1.0,2.0\n3.0,{token}\n5.0,6.0\n")
+    with pytest.raises(DataError, match="data row 2"):
+        read_points_csv(f)
