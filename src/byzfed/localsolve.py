@@ -148,16 +148,14 @@ def online_to_batch(
     loss: LossSpec,
     lam: float = 1.0,
     radius: float | None = None,
-    step_schedule=None,
 ) -> np.ndarray:
     """Projected online gradient descent with iterate averaging.
 
     Starting from w_1 = 0, each sample is visited exactly once in shard
     order: w_{l+1} = Proj_B(R) [ w_l - eta_l grad f(w_l; point_l) ], and
     the returned estimate is the average of w_1 .. w_n. The default
-    schedule is eta_l = 1/(lam*l) and the default ball radius is
-    2*sqrt(d). A custom step_schedule(l) overrides the schedule (l is
-    1-based).
+    schedule is eta_l = 1/(lam*l) (l is 1-based) and the default ball
+    radius is 2*sqrt(d).
     """
     if shard.n < 1:
         raise ConfigError("cannot solve an empty shard")
@@ -167,8 +165,6 @@ def online_to_batch(
     R = 2.0 * np.sqrt(d) if radius is None else float(radius)
     if R <= 0:
         raise ConfigError("radius must be > 0")
-    if step_schedule is None:
-        step_schedule = lambda l: 1.0 / (lam * l)
 
     w = np.zeros(d)
     total = np.zeros(d)
@@ -177,7 +173,8 @@ def online_to_batch(
         # one read of sample l, never revisited
         x = shard.X[l]
         yl = float(shard.y[l]) if loss.uses_targets else None
-        w = w - step_schedule(l + 1) * loss_grad(loss, w, x, yl)
+        eta = 1.0 / (lam * (l + 1))
+        w = w - eta * loss_grad(loss, w, x, yl)
         nw = np.linalg.norm(w)
         if nw > R:
             w = w * (R / nw)

@@ -1,5 +1,10 @@
 """Dense linear algebra and reproducible random streams.
 
+least_squares wraps numpy's lstsq; top_eigenpair is one LAPACK call
+(scipy.linalg.eigh restricted to the largest eigenvalue), so every step
+size 1/lambda_max and every spectral-filter test uses the top eigenvalue
+to LAPACK accuracy.
+
 Model vectors are plain 1-D float64 numpy arrays; a fixed dimension d is
 shared by every vector in a run. All functions here are pure and
 thread-safe. Random streams are single-owner: a stream is never drawn
@@ -11,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .errors import ConfigError
 
@@ -42,13 +48,11 @@ def least_squares(X, y) -> np.ndarray:
     return w
 
 
-def top_eigenpair(M, max_iter: int = 200, tol: float = 1e-10):
-    """Largest eigenpair of a symmetric PSD matrix by power iteration.
+def top_eigenpair(M):
+    """Largest eigenpair of a symmetric matrix, exact to LAPACK accuracy.
 
-    Returns (eigenvalue, unit eigenvector). Iterates until the relative
-    residual ||Mv - lambda v|| <= tol * max(1, lambda) or max_iter is hit;
-    with a tiny top eigengap the returned Rayleigh quotient is still within
-    residual accuracy of the maximum, which is all the filtering code needs.
+    Returns (eigenvalue, unit eigenvector); the eigenvector's sign is
+    whatever LAPACK returns. Only the top eigenpair is computed.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -57,23 +61,8 @@ def top_eigenpair(M, max_iter: int = 200, tol: float = 1e-10):
     if np.max(np.abs(M - M.T)) > 1e-10 * scale:
         raise ConfigError("matrix is not symmetric within 1e-10")
     d = M.shape[0]
-    # Deterministic start; a seeded random direction avoids pathological
-    # orthogonality to the top eigenvector that e.g. the ones vector can hit.
-    v = np.random.Generator(np.random.PCG64(0x5EED)).standard_normal(d)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        Mv = M @ v
-        norm = np.linalg.norm(Mv)
-        if norm <= 1e-300:
-            # zero (or numerically zero) matrix: any unit vector qualifies
-            return 0.0, v
-        v_new = Mv / norm
-        lam = float(v_new @ (M @ v_new))
-        if np.linalg.norm(M @ v_new - lam * v_new) <= tol * max(1.0, lam):
-            return lam, v_new
-        v = v_new
-    return lam, v
+    lam, V = eigh(M, subset_by_index=[d - 1, d - 1])
+    return float(lam[0]), V[:, 0]
 
 
 def derive_seed(master_seed: int, *path: int) -> int:

@@ -228,7 +228,8 @@ def stage1_erms(shards: list[WorkerShard], solver: SolverSpec) -> np.ndarray:
 
     GD runs every machine's recursion w <- w - step_i (A_i w - b_i) from
     the origin in one batched loop, with step_i = solver.step or
-    1/lambda_max(A_i) (exactly 1 for the location loss). Raises
+    1/lambda_max(A_i) (exactly 1 for the location loss), lambda_max the
+    exact top eigenvalue from one LAPACK call per machine. Raises
     NumericError if an iterate's norm exceeds 1e12.
     """
     loss = solver.loss_spec
@@ -261,26 +262,8 @@ def stage1_erms(shards: list[WorkerShard], solver: SolverSpec) -> np.ndarray:
 # stage II
 
 
-def _oracle_state(erms, truth: GroundTruth) -> ClusteringState:
-    """Ground-truth clustering of honest machines; Byzantine machines fall
-    to the nearest true center so they still contaminate Stage III."""
-    labels = np.asarray(truth.labels).copy()
-    byz = np.flatnonzero(~truth.honest_mask)
-    if byz.size:
-        d2 = ((erms[byz][:, None, :] - truth.centers[None, :, :]) ** 2).sum(axis=2)
-        labels[byz] = np.argmin(d2, axis=1)
-    return ClusteringState(labels=labels, centers=truth.centers.astype(float), iteration=0)
-
-
-def _stage2(cfg: PipelineConfig, erms, truth, oracle_clusters):
+def _stage2(cfg: PipelineConfig, erms, truth):
     history: list[MisclusterReport] = []
-    if oracle_clusters:
-        if truth is None:
-            raise ConfigError("oracle clustering requires ground truth")
-        state = _oracle_state(erms, truth)
-        history.append(mismetrics(state, truth))
-        return state, history
-
     spec = cfg.cluster
     if spec.method == "edge_cut":
         state = edge_cut_cluster(erms, spec.gamma, spec.min_cluster)
@@ -365,7 +348,6 @@ def run_pipeline(
     fleet: list[WorkerShard] | None = None,
     ground_truth: GroundTruth | None = None,
     erms: np.ndarray | None = None,
-    oracle_clusters: bool = False,
 ) -> RunResult:
     """Run the three stages for one config and seed.
 
@@ -392,7 +374,7 @@ def run_pipeline(
 
     t0 = time.perf_counter()
     with _tag_stage("stage2"):
-        state, history = _stage2(cfg, erms, ground_truth, oracle_clusters)
+        state, history = _stage2(cfg, erms, ground_truth)
     times["stage2"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -452,7 +434,6 @@ def run_grid(
     n_trials: int,
     seed: int | None = None,
     threads: int = 1,
-    oracle_clusters: bool = False,
 ) -> tuple[list[TrialOutcome], list[dict]]:
     """Cartesian product of clusterers x optimizers over seeded trials.
 
@@ -498,13 +479,7 @@ def run_grid(
                 )
             fleet, truth, erms = prepared[t]
             try:
-                result = run_pipeline(
-                    cfg,
-                    fleet=fleet,
-                    ground_truth=truth,
-                    erms=erms,
-                    oracle_clusters=oracle_clusters,
-                )
+                result = run_pipeline(cfg, fleet=fleet, ground_truth=truth, erms=erms)
                 return TrialOutcome(cell, cname, oname, t, trial_seeds[t], result)
             except Exception as exc:  # record and continue per grid contract
                 return TrialOutcome(cell, cname, oname, t, trial_seeds[t], None, repr(exc))

@@ -108,8 +108,9 @@ def _mad_scale(values: np.ndarray) -> float:
 def iter_filter_mean(points, variance_bound: float | None = None, max_rounds: int = 20) -> np.ndarray:
     """Spectral filtering mean.
 
-    Repeat up to max_rounds: compute the survivors' mean and the top
-    eigenpair (lam, v) of their sample covariance; if lam is within the
+    Repeat up to max_rounds: compute the survivors' mean and the exact
+    top eigenpair (lam, v) of their d x d sample covariance (one LAPACK
+    call per round, numerics.top_eigenpair); if lam is within the
     variance bound, return the mean; otherwise remove the ceil(0.05*t)
     surviving points with the largest squared projection onto v, never
     letting survivors drop below t/2. If variance_bound is None it is set

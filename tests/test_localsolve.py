@@ -200,7 +200,7 @@ def test_stage1_gd_machine_independent_of_its_stack(sizes, seed, loss):
 # online-to-batch
 
 
-def _otb_reference(shard, loss, lam, radius, schedule=None):
+def _otb_reference(shard, loss, lam, radius):
     """Documented recursion, written independently: single ordered pass,
     projection onto the radius ball, average of iterates w_1..w_n."""
     d = shard.X.shape[1]
@@ -208,7 +208,7 @@ def _otb_reference(shard, loss, lam, radius, schedule=None):
     iterates = []
     for l in range(shard.n):
         iterates.append(w.copy())
-        eta = (1.0 / (lam * (l + 1))) if schedule is None else schedule(l + 1)
+        eta = 1.0 / (lam * (l + 1))
         if loss.uses_targets:
             g = shard.X[l] * (shard.X[l] @ w - shard.y[l])
         else:
@@ -231,14 +231,6 @@ def test_online_to_batch_default_radius_and_schedule(rng):
     shard, _ = _shard(rng, n=20, d=4)
     got = online_to_batch(shard, SQ)
     ref = _otb_reference(shard, SQ, 1.0, 2.0 * np.sqrt(4))
-    np.testing.assert_allclose(got, ref, atol=1e-12)
-
-
-def test_online_to_batch_custom_schedule_used(rng):
-    shard, _ = _shard(rng, n=15, d=3)
-    sched = lambda l: 0.01
-    got = online_to_batch(shard, SQ, step_schedule=sched)
-    ref = _otb_reference(shard, SQ, 1.0, 2.0 * np.sqrt(3), schedule=sched)
     np.testing.assert_allclose(got, ref, atol=1e-12)
 
 

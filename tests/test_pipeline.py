@@ -5,7 +5,7 @@ from byzfed.clustering import run_lloyd_variant, warm_start_init
 from byzfed.datagen import FleetConfig, generate_fleet
 from byzfed.distopt import AttackSpec, OptConfig, robust_gd
 from byzfed.errors import ConfigError
-from byzfed.numerics import derive_seed, top_eigenpair
+from byzfed.numerics import derive_seed
 from byzfed.pipeline import (
     ClusterSpec,
     IngestSpec,
@@ -78,13 +78,6 @@ def test_pipeline_composes_documented_stages():
     np.testing.assert_array_equal(got.cluster_state.labels, state.labels)
 
 
-def test_oracle_clusters_bypass_stage2():
-    cfg = _adversarial_config(seed=5)
-    result = run_pipeline(cfg, oracle_clusters=True)
-    assert result.clustering_history[0].miscluster_rate == 0.0
-    assert np.isfinite(result.est_error)
-
-
 def test_injected_fleet_matches_internal_build():
     cfg = _adversarial_config(seed=9)
     from byzfed.pipeline import materialize_fleet
@@ -143,7 +136,7 @@ def test_stage1_batched_gd_matches_per_machine(rng):
     batched = stage1_erms(fleet, solver)
     for i, s in enumerate(fleet):
         # raw-row recursion from the origin at step 1/lambda_max(X'X/n)
-        lam, _ = top_eigenpair(s.X.T @ s.X / s.n)
+        lam = np.linalg.eigvalsh(s.X.T @ s.X / s.n)[-1]
         w = np.zeros(5)
         for _ in range(80):
             w = w - (1.0 / lam) * (s.X.T @ (s.X @ w - s.y) / s.n)
