@@ -10,6 +10,7 @@ eigenvector. All estimators are pure functions of their input set.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +79,8 @@ def geometric_median(points, tol: float = 1e-7, max_iter: int = 500) -> np.ndarr
     y = P.mean(axis=0)
     for _ in range(max_iter):
         diff = P - y
-        dist = np.linalg.norm(diff, axis=1)
+        # np.linalg.norm(diff, axis=1) without its dispatch
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
         coincident = dist <= 1e-12
         if coincident.all():
             return P[0].copy()
@@ -89,12 +91,13 @@ def geometric_median(points, tol: float = 1e-7, max_iter: int = 500) -> np.ndarr
             y_new = T
         else:
             R = (diff[~coincident] * w[:, None]).sum(axis=0)
-            r = np.linalg.norm(R)
+            r = np.sqrt(R @ R)
             if r <= 1e-12:
                 return y  # the current iterate is the median
             gamma = min(1.0, eta / r)
             y_new = (1.0 - gamma) * T + gamma * y
-        if np.linalg.norm(y_new - y) <= tol * max(1.0, np.linalg.norm(y)):
+        step = y_new - y
+        if np.sqrt(step @ step) <= tol * max(1.0, np.sqrt(y @ y)):
             return y_new
         y = y_new
     return y
@@ -109,16 +112,23 @@ def iter_filter_mean(points, variance_bound: float | None = None, max_rounds: in
     """Spectral filtering mean.
 
     Repeat up to max_rounds: compute the survivors' mean and the exact
-    top eigenpair (lam, v) of their d x d sample covariance (one LAPACK
-    call per round, numerics.top_eigenpair); if lam is within the
-    variance bound, return the mean; otherwise remove the ceil(0.05*t)
-    surviving points with the largest squared projection onto v, never
-    letting survivors drop below t/2. If variance_bound is None it is set
-    per round to 4 * sigma_hat^2 with sigma_hat a median-absolute-deviation
-    estimate of the projection spread along v.
+    top eigenpair (lam, v) of their sample covariance (one LAPACK call per
+    round, numerics.top_eigenpair); if lam is within the variance bound,
+    return the mean; otherwise remove the ceil(0.05*t) surviving points
+    with the largest squared projection onto v, never letting survivors
+    drop below t/2. If variance_bound is None it is set per round to
+    4 * sigma_hat^2 with sigma_hat a median-absolute-deviation estimate of
+    the projection spread along v.
+
+    With s survivors in d dimensions and centered survivors C (s x d), a
+    round with s >= d decomposes the d x d covariance C'C/s. A round with
+    s < d decomposes the s x s Gram matrix CC'/s instead: it has the same
+    top eigenvalue, and its unit eigenvector u gives v = C'u / ||C'u||.
+    When the survivors coincide (lam = 0) v is left zero, so every
+    projection is 0 and the round returns the mean.
     """
     P = _as_points(points)
-    t = P.shape[0]
+    t, d = P.shape
     if t < 2:
         raise ConfigError("iterative filtering needs at least 2 points")
     if max_rounds < 1:
@@ -128,10 +138,17 @@ def iter_filter_mean(points, variance_bound: float | None = None, max_rounds: in
     alive = np.arange(t)
     for _ in range(max_rounds):
         surv = P[alive]
+        n = len(alive)
         mu = surv.mean(axis=0)
         centered = surv - mu
-        cov = centered.T @ centered / len(alive)
-        lam, v = top_eigenpair(cov)
+        if n < d:
+            lam, u = top_eigenpair(centered @ centered.T / n)
+            v = centered.T @ u
+            norm = np.sqrt(v @ v)
+            if norm > 0.0:
+                v /= norm
+        else:
+            lam, v = top_eigenpair(centered.T @ centered / n)
         proj = centered @ v
         if variance_bound is None:
             bound = 4.0 * _mad_scale(proj) ** 2
@@ -174,6 +191,15 @@ class AggregatorSpec:
             raise ConfigError(f"unknown aggregator kind {self.kind!r}; expected one of {self._KINDS}")
         if self.kind == "trimmed_mean" and not 0.0 <= self.beta < 0.5:
             raise ConfigError(f"trim fraction must be in [0, 0.5), got {self.beta}")
+        for name in ("max_iter", "max_rounds"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {n!r}")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ConfigError(f"tol must be finite and >= 0, got {self.tol}")
+        vb = self.variance_bound
+        if vb is not None and not (math.isfinite(vb) and vb >= 0.0):
+            raise ConfigError(f"variance_bound must be finite and >= 0, got {vb}")
 
     @classmethod
     def sample_mean(cls) -> "AggregatorSpec":

@@ -136,6 +136,26 @@ def test_non_numeric_config_values_exit_1(tmp_path, rng, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "aggregator",
+    [
+        {"kind": "geo_median", "max_iter": 0},
+        {"kind": "geo_median", "tol": -1.0},
+        {"kind": "iter_filter", "max_rounds": 0},
+        {"kind": "iter_filter", "variance_bound": -2.0},
+        {"kind": "geo_median", "max_iter": 2.5},
+        {"kind": "iter_filter", "max_rounds": 2.5},
+    ],
+)
+def test_bad_aggregator_parameters_exit_1(tmp_path, capsys, aggregator):
+    cfg = tmp_path / "agg.json"
+    cfg.write_text(json.dumps({"opt": {"aggregator": aggregator}}))
+    code, out = _synth(tmp_path, "--config", str(cfg))
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_bad_usage_exits_1():
     assert main(["trample"]) == 1
 

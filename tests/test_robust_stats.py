@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from byzfed.errors import ConfigError
+from byzfed.numerics import top_eigenpair
 from byzfed.robust_stats import (
     AggregatorSpec,
     aggregate,
@@ -38,6 +42,62 @@ def _grid_geomedian_oracle(P, lo, hi, steps=200, refinements=3):
         span = (hi - lo) / steps * 4
         lo, hi = best - span, best + span
     return best
+
+
+def _weiszfeld_oracle(P, tol, max_iter):
+    """The Weiszfeld loop as written before its per-iteration overhead
+    was cut: norms through np.linalg.norm, row selections always copied."""
+    y = P.mean(axis=0)
+    for _ in range(max_iter):
+        diff = P - y
+        dist = np.linalg.norm(diff, axis=1)
+        coincident = dist <= 1e-12
+        if coincident.all():
+            return P[0].copy()
+        w = 1.0 / dist[~coincident]
+        T = (P[~coincident] * w[:, None]).sum(axis=0) / w.sum()
+        eta = int(coincident.sum())
+        if eta == 0:
+            y_new = T
+        else:
+            R = (diff[~coincident] * w[:, None]).sum(axis=0)
+            r = np.linalg.norm(R)
+            if r <= 1e-12:
+                return y
+            gamma = min(1.0, eta / r)
+            y_new = (1.0 - gamma) * T + gamma * y
+        if np.linalg.norm(y_new - y) <= tol * max(1.0, np.linalg.norm(y)):
+            return y_new
+        y = y_new
+    return y
+
+
+def _covariance_filter_oracle(P, variance_bound=None, max_rounds=20):
+    """The spectral filter as written before the Gram-side rounds: every
+    round decomposes the d x d covariance of the survivors."""
+    t = P.shape[0]
+    drop_per_round = math.ceil(0.05 * t)
+    min_survivors = math.ceil(t / 2)
+    alive = np.arange(t)
+    for _ in range(max_rounds):
+        surv = P[alive]
+        mu = surv.mean(axis=0)
+        centered = surv - mu
+        lam, v = top_eigenpair(centered.T @ centered / len(alive))
+        proj = centered @ v
+        if variance_bound is None:
+            med = np.median(proj)
+            bound = 4.0 * (1.4826 * float(np.median(np.abs(proj - med)))) ** 2
+        else:
+            bound = variance_bound
+        if lam <= bound:
+            return mu
+        n_drop = min(drop_per_round, len(alive) - min_survivors)
+        if n_drop <= 0:
+            return mu
+        order = np.argsort(proj**2, kind="stable")
+        alive = np.sort(alive[order[: len(alive) - n_drop]])
+    return P[alive].mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +236,27 @@ def test_geomedian_iterate_on_data_point():
     np.testing.assert_allclose(g, [0.0, 0.0], atol=1e-6)
 
 
+# the point set of test_geomedian_iterate_on_data_point and small integer
+# lattices: the mean is a data point, so the coincident branch runs
+_ON_DATA_POINT = [
+    np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 3.0], [0.0, -3.0]]),
+    np.array(list(itertools.product(range(-1, 2), repeat=2)), dtype=float),
+    np.array(list(itertools.product(range(3), repeat=3)), dtype=float),
+    np.array(list(itertools.product(range(-2, 3), [-1.0, 0.0, 1.0])), dtype=float),
+]
+
+
+@pytest.mark.parametrize("tol, max_iter", [(1e-7, 500), (1e-10, 1000), (0.0, 40), (1e-3, 3), (1e-7, 1)])
+def test_geomedian_matches_weiszfeld_oracle(rng, tol, max_iter):
+    assert all(any((P == P.mean(axis=0)).all(axis=1)) for P in _ON_DATA_POINT)
+    sets = [rng.standard_normal((t, d)) * rng.uniform(0.1, 10.0) for t, d in [(2, 1), (7, 2), (20, 100), (45, 10)]]
+    heavy = rng.standard_normal((30, 5))
+    heavy[:9] += 50.0
+    sets.append(heavy)
+    for P in sets + _ON_DATA_POINT:
+        assert np.array_equal(geometric_median(P, tol=tol, max_iter=max_iter), _weiszfeld_oracle(P, tol, max_iter))
+
+
 # ---------------------------------------------------------------------------
 # iterative filtering
 
@@ -218,6 +299,79 @@ def test_iter_filter_adaptive_bound(rng):
     assert np.linalg.norm(got) < np.linalg.norm(P.mean(axis=0))
 
 
+def _planted(rng, t, d):
+    """Gaussian reports with a fifth of them shifted along one direction."""
+    P = rng.standard_normal((t, d))
+    P[: t // 5] += 6.0 * rng.standard_normal(d) / math.sqrt(d) + 3.0
+    return P
+
+
+@pytest.mark.parametrize("variance_bound", [None, 3.0])
+@pytest.mark.parametrize("t, d", [(12, 100), (20, 100), (40, 30), (100, 100)])
+def test_iter_filter_matches_covariance_oracle(rng, t, d, variance_bound):
+    # the Gram-side v can differ from the covariance-side v in the last
+    # bits, so equality holds on these inputs (no near-ties), not in general
+    filtered = 0
+    for _ in range(4):
+        P = _planted(rng, t, d)
+        got = iter_filter_mean(P, variance_bound=variance_bound)
+        assert np.array_equal(got, _covariance_filter_oracle(P, variance_bound))
+        filtered += not np.array_equal(got, P.mean(axis=0))
+    assert filtered  # the filter dropped points, not just returned the mean
+
+
+def _first_round_proj(P):
+    C = P - P.mean(axis=0)
+    _, u = top_eigenpair(C @ C.T / len(P))
+    v = C.T @ u
+    return C @ (v / np.sqrt(v @ v))
+
+
+def _mirrored_single_support(rng, pairs, d=100):
+    """Mirrored pairs +-x of reports that each move one coordinate:
+    x = 10 e_0 first, then a_k e_k with quarter-integer a_k in [0.25, 2],
+    rows shuffled. The mean is exactly 0 and every centered row has one
+    nonzero entry, so its projection onto any v is one rounded product,
+    whatever order BLAS sums in, and partners' squared projections tie."""
+    X = np.zeros((pairs, d))
+    X[0, 0] = 10.0
+    k = np.arange(1, pairs)
+    X[k, k] = rng.integers(1, 9, size=pairs - 1) / 4.0
+    P = np.vstack([X, -X])
+    return P[rng.permutation(len(P))]
+
+
+@pytest.mark.parametrize("variance_bound", [None, 0.5, 2.0])
+@pytest.mark.parametrize("copies", [1, 2])
+def test_iter_filter_gram_side_ties_match_oracle(rng, variance_bound, copies):
+    # copies=1: t=20 mirrored reports; copies=2: each of them sent twice
+    # (t=40). The reports +-10 e_0 tie on top, and one round must drop the
+    # ceil(0.05 t) of them with the largest indices, as the old filter did.
+    # Only the first round is checked: later rounds have dense centered
+    # rows, where equal reports can round differently by row position in
+    # BLAS, so equality with the old filter there is measured, not built in.
+    P = np.repeat(_mirrored_single_support(rng, 10), copies, axis=0)
+    tied = np.flatnonzero(P[:, 0])
+    proj = _first_round_proj(P)
+    assert len(np.unique(proj[tied] ** 2)) == 1
+    keep = np.setdiff1d(np.arange(len(P)), tied[-math.ceil(0.05 * len(P)) :])
+    got = iter_filter_mean(P, variance_bound, max_rounds=1)
+    assert np.array_equal(got, P[keep].mean(axis=0))
+    assert np.array_equal(got, _covariance_filter_oracle(P, variance_bound, max_rounds=1))
+
+
+@pytest.mark.parametrize("variance_bound", [None, 0.0, 1.0])
+def test_iter_filter_identical_points_gram_side(variance_bound):
+    # zero spread at t < d: quarter-integer rows have an exact mean, so the
+    # centered rows are 0, lam = 0, there is no direction, and the mean
+    # comes back without dividing 0 by 0
+    P = np.tile(np.arange(-20, 20) / 4.0, (6, 1))
+    with np.errstate(all="raise"):
+        got = iter_filter_mean(P, variance_bound=variance_bound)
+    assert np.array_equal(got, P[0])
+    assert np.array_equal(got, _covariance_filter_oracle(P, variance_bound))
+
+
 def test_iter_filter_needs_two_points():
     with pytest.raises(ConfigError):
         iter_filter_mean(np.zeros((1, 2)))
@@ -248,6 +402,37 @@ def test_aggregator_spec_validation():
         AggregatorSpec.trimmed(0.7)
 
 
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("geo_median", "max_iter", 0),
+        ("geo_median", "max_iter", -3),
+        ("geo_median", "max_iter", 2.5),
+        ("geo_median", "max_iter", True),
+        ("geo_median", "tol", -1e-9),
+        ("geo_median", "tol", float("nan")),
+        ("geo_median", "tol", float("inf")),
+        ("iter_filter", "max_rounds", 0),
+        ("iter_filter", "max_rounds", -1),
+        ("iter_filter", "max_rounds", 2.5),
+        ("iter_filter", "max_rounds", 20.0),
+        ("iter_filter", "variance_bound", -0.5),
+        ("iter_filter", "variance_bound", float("nan")),
+        ("iter_filter", "variance_bound", float("inf")),
+    ],
+)
+def test_aggregator_spec_rejects_bad_parameter(kind, field, value):
+    with pytest.raises(ConfigError, match=field):
+        AggregatorSpec(kind, **{field: value})
+
+
+def test_aggregator_spec_accepts_edge_parameters():
+    AggregatorSpec.geomedian(tol=0.0, max_iter=1)
+    AggregatorSpec.filtering(variance_bound=None, max_rounds=1)
+    AggregatorSpec.filtering(variance_bound=0.0)
+    AggregatorSpec.filtering(max_rounds=np.int64(3))
+
+
 def test_aggregate_accepts_1d_input():
     out = aggregate(np.array([1.0, 2.0, 9.0]), AggregatorSpec.median())
     np.testing.assert_array_equal(out, [2.0])
@@ -260,6 +445,7 @@ def test_estimators_reject_nonfinite():
         AggregatorSpec.trimmed(0.1),
         AggregatorSpec.median(),
         AggregatorSpec.geomedian(),
+        AggregatorSpec.filtering(),
     ):
         with pytest.raises(ConfigError):
             aggregate(bad, spec)
