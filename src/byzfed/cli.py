@@ -3,7 +3,11 @@
 Commands:
   synth   run a synthetic-fleet experiment (single cell or config grid)
   grid    like synth, but requires an explicit grid section in the config
-  ingest  build a fleet from a points CSV, then run the experiment grid
+  ingest  build a fleet from a points CSV, then run the experiment grid;
+          the points are read and their threshold-graph components
+          computed once per run, before manifest.json is written, so a
+          bad points file exits 2 with no manifest; each trial only
+          draws its own shards
   replay  rerun a finished experiment from its manifest and compare files
 
 Configs are JSON; flags override file values. Every run writes a
@@ -28,12 +32,13 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .datagen import percentile_gamma, read_points_csv
-from .errors import ByzfedError, ConfigError, DataError
+from .errors import ByzfedError, ConfigError
 from .pipeline import (
     ClusterSpec,
     PipelineConfig,
     config_from_dict,
     config_to_dict,
+    ingest_layout,
     opt_from_dict,
     opt_to_dict,
     run_grid,
@@ -253,11 +258,15 @@ def _version() -> str:
         return "unknown"
 
 
-def _execute(data: dict, args, command: str) -> int:
+def _execute(data: dict, args, command: str, points=None) -> int:
+    """Run the grid the config describes. points (ingest only) are the
+    array already read from the fleet's CSV; their component layout is
+    built here, so a bad points file fails before manifest.json exists."""
     base_cfg = config_from_dict(data)
     clusterers, optimizers, trials = _grid_specs(data, base_cfg)
     threads = _resolve_threads(args.threads)
     out_dir = Path(args.out_dir)
+    layout = None if points is None else ingest_layout(base_cfg.fleet, points)
 
     grid_dict = _grid_manifest_dict(clusterers, optimizers, trials)
     config_dict = config_to_dict(base_cfg)
@@ -276,7 +285,7 @@ def _execute(data: dict, args, command: str) -> int:
           f"({threads} threads)", flush=True)
 
     outcomes, summary = run_grid(
-        base_cfg, clusterers, optimizers, trials, threads=threads
+        base_cfg, clusterers, optimizers, trials, threads=threads, layout=layout
     )
     files = emit_grid_outputs(out_dir, run_id, outcomes, summary)
     if all(o.result is None for o in outcomes):
@@ -289,13 +298,8 @@ def _execute(data: dict, args, command: str) -> int:
             f"sd={row['est_error_sd']:.6g} failed={row['n_failed']}/{row['n_trials']}",
             flush=True,
         )
-    n_found = next(
-        (len(o.result.true_centers) for o in outcomes if o.result is not None
-         and o.result.true_centers is not None),
-        None,
-    )
-    if command == "ingest" and n_found is not None:
-        print(f"[byzfed] ingest produced {n_found} clusters", flush=True)
+    if layout is not None:
+        print(f"[byzfed] ingest produced {layout.K} clusters", flush=True)
     print(f"[byzfed] wrote {', '.join(files)} to {out_dir}", flush=True)
     return 0
 
@@ -328,13 +332,11 @@ def cmd_ingest(args) -> int:
     }
     if args.config:
         _deep_merge(data, _load_config_file(args.config))
-    if not Path(args.csv).exists():
-        raise DataError(f"points file not found: {args.csv}")
+    points = read_points_csv(args.csv, label_column=args.label_column)
     gamma = args.gamma
     if gamma is None:
         gamma = data.get("fleet", {}).get("gamma")
     if gamma is None:
-        points = read_points_csv(args.csv, label_column=args.label_column)
         gamma = percentile_gamma(points)
         print(f"[byzfed] gamma defaulted to {gamma:.6g} "
               "(10th percentile of sampled pairwise distances)", flush=True)
@@ -353,7 +355,7 @@ def cmd_ingest(args) -> int:
     }
     data.setdefault("solver", {})["loss"] = "location"
     _apply_overrides(data, args)
-    return _execute(data, args, "ingest")
+    return _execute(data, args, "ingest", points)
 
 
 def cmd_replay(args) -> int:

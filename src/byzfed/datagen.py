@@ -6,7 +6,9 @@ uniformly onto the K clusters, and a ceil(alpha*m) fraction of Byzantine
 machines whose data comes from corrupt coefficient vectors drawn from
 3*Bernoulli(1/2). Ingestion turns an unlabeled feature matrix into a fleet
 by threshold-graph connected components, per-component sharding, and
-synthetic adversarial shards.
+synthetic adversarial shards; the components draw nothing, so
+layout_components computes them once and shard_components draws each
+seed's shards from that layout.
 
 Roles (true_cluster / Byzantine) are ground-truth metadata: clustering and
 optimization code never reads them, except where the fleet layer injects
@@ -28,14 +30,17 @@ from .numerics import RngStream
 
 __all__ = [
     "BYZANTINE",
+    "ComponentLayout",
     "FleetConfig",
     "WorkerShard",
     "GroundTruth",
     "generate_fleet",
     "generate_symmetric_mixture",
     "ingest_threshold_graph",
+    "layout_components",
     "percentile_gamma",
     "read_points_csv",
+    "shard_components",
 ]
 
 logger = logging.getLogger(__name__)
@@ -221,6 +226,125 @@ def _bernoulli_centered(rng: np.random.Generator, d: int) -> np.ndarray:
     return rng.integers(0, 2, size=d).astype(float) - 0.5
 
 
+@dataclass(frozen=True)
+class ComponentLayout:
+    """The seed-free half of an ingested fleet.
+
+    surviving holds the point indices of each component that becomes a
+    cluster (at least max(min_cluster, shard_size) points), in component
+    order; dropped holds the smaller components, whose points feed the
+    unused-point pool. centers are the surviving components' means.
+    source records what the points came from, so a caller handed a layout
+    can check it against its own spec. Trials share one layout and only
+    read it.
+    """
+
+    points: np.ndarray
+    shard_size: int
+    surviving: tuple[np.ndarray, ...]
+    dropped: tuple[np.ndarray, ...]
+    centers: np.ndarray
+    source: object = None
+
+    @property
+    def K(self) -> int:
+        return len(self.surviving)
+
+
+def layout_components(
+    points,
+    gamma: float,
+    min_cluster: int = 1,
+    shard_size: int = 1,
+    source=None,
+) -> ComponentLayout:
+    """Threshold-graph components of a point set, filtered to those that
+    can fill a shard, with their means. Draws nothing, so one layout
+    serves every seed."""
+    P = np.asarray(points, dtype=float)
+    if P.ndim != 2:
+        raise ConfigError(f"expected points of shape (N, d), got {P.shape}")
+    if shard_size < 1 or min_cluster < 1:
+        raise ConfigError("shard_size and min_cluster must be >= 1")
+    comps = threshold_components(P, gamma)
+    # a surviving component must also fill at least one shard, else its
+    # cluster would exist with zero machines
+    keep_size = max(min_cluster, shard_size)
+    surviving = tuple(c for c in comps if len(c) >= keep_size)
+    if not surviving:
+        raise DataError(
+            f"no connected component reaches min_cluster={min_cluster} at gamma={gamma}"
+        )
+    dropped = tuple(c for c in comps if len(c) < keep_size)
+    n_remainder = sum(len(c) % shard_size for c in surviving)
+    if n_remainder or dropped:
+        logger.info(
+            "ingest: dropped %d remainder points and %d undersized components",
+            n_remainder,
+            len(dropped),
+        )
+    centers = np.stack([P[c].mean(axis=0) for c in surviving])
+    return ComponentLayout(P, shard_size, surviving, dropped, centers, source)
+
+
+def shard_components(
+    layout: ComponentLayout,
+    n_adv: int = 0,
+    adv_noise=None,
+    seed: int = 0,
+) -> tuple[list[WorkerShard], GroundTruth]:
+    """The seeded half of an ingested fleet: random shards of each
+    surviving component, then n_adv adversarial shards from the unused
+    points, all drawn from RngStream(seed, 0)."""
+    if n_adv < 0:
+        raise ConfigError("n_adv must be >= 0")
+    if adv_noise is None:
+        adv_noise = _bernoulli_centered
+    P, shard_size = layout.points, layout.shard_size
+    rng = RngStream(seed, 0).generator()
+    shards: list[WorkerShard] = []
+    label_list: list[int] = []
+    unused: list[np.ndarray] = list(layout.dropped)
+    for k, comp in enumerate(layout.surviving):
+        order = rng.permutation(comp)
+        n_full = len(comp) // shard_size
+        for s in range(n_full):
+            idx = np.sort(order[s * shard_size : (s + 1) * shard_size])
+            shards.append(
+                WorkerShard(
+                    machine_id=len(shards),
+                    X=P[idx].copy(),
+                    y=np.zeros(len(idx)),
+                    true_cluster=k,
+                )
+            )
+            label_list.append(k)
+        rem = order[n_full * shard_size :]
+        if len(rem):
+            unused.append(rem)
+
+    pool = np.concatenate(unused) if unused else np.empty(0, dtype=int)
+    if n_adv > 0 and len(pool) == 0:
+        logger.warning("ingest: unused-point pool is empty; adversarial shards sample all points")
+        pool = np.arange(P.shape[0])
+    for _ in range(n_adv):
+        replace = len(pool) < shard_size
+        idx = rng.choice(pool, size=shard_size, replace=replace)
+        shift = np.asarray(adv_noise(rng, P.shape[1]), dtype=float)
+        shards.append(
+            WorkerShard(
+                machine_id=len(shards),
+                X=P[idx] + shift[None, :],
+                y=np.zeros(shard_size),
+                true_cluster=None,
+            )
+        )
+        label_list.append(BYZANTINE)
+
+    truth = GroundTruth(centers=layout.centers.copy(), labels=np.asarray(label_list, dtype=int))
+    return shards, truth
+
+
 def ingest_threshold_graph(
     points,
     gamma: float,
@@ -241,77 +365,11 @@ def ingest_threshold_graph(
 
     Shards produced here carry raw feature points in X (y is zero); pair
     them with the location loss, under which a shard's local minimizer is
-    its mean.
+    its mean. This is layout_components followed by shard_components;
+    call the two apart to shard one layout under many seeds.
     """
-    P = np.asarray(points, dtype=float)
-    if P.ndim != 2:
-        raise ConfigError(f"expected points of shape (N, d), got {P.shape}")
-    if shard_size < 1 or min_cluster < 1 or n_adv < 0:
-        raise ConfigError("shard_size and min_cluster must be >= 1, n_adv >= 0")
-    if adv_noise is None:
-        adv_noise = _bernoulli_centered
-    comps = threshold_components(P, gamma)
-    # a surviving component must also fill at least one shard, else its
-    # cluster would exist with zero machines
-    keep_size = max(min_cluster, shard_size)
-    surviving = [c for c in comps if len(c) >= keep_size]
-    if not surviving:
-        raise DataError(
-            f"no connected component reaches min_cluster={min_cluster} at gamma={gamma}"
-        )
-    dropped_comps = [c for c in comps if len(c) < keep_size]
-    centers = np.stack([P[c].mean(axis=0) for c in surviving])
-
-    rng = RngStream(seed, 0).generator()
-    shards: list[WorkerShard] = []
-    label_list: list[int] = []
-    unused: list[np.ndarray] = [c for c in dropped_comps]
-    n_remainder = 0
-    for k, comp in enumerate(surviving):
-        order = rng.permutation(comp)
-        n_full = len(comp) // shard_size
-        for s in range(n_full):
-            idx = np.sort(order[s * shard_size : (s + 1) * shard_size])
-            shards.append(
-                WorkerShard(
-                    machine_id=len(shards),
-                    X=P[idx].copy(),
-                    y=np.zeros(len(idx)),
-                    true_cluster=k,
-                )
-            )
-            label_list.append(k)
-        rem = order[n_full * shard_size :]
-        n_remainder += len(rem)
-        if len(rem):
-            unused.append(np.asarray(rem))
-    if n_remainder or dropped_comps:
-        logger.info(
-            "ingest: dropped %d remainder points and %d undersized components",
-            n_remainder,
-            len(dropped_comps),
-        )
-
-    pool = np.concatenate(unused) if unused else np.empty(0, dtype=int)
-    if n_adv > 0 and len(pool) == 0:
-        logger.warning("ingest: unused-point pool is empty; adversarial shards sample all points")
-        pool = np.arange(P.shape[0])
-    for _ in range(n_adv):
-        replace = len(pool) < shard_size
-        idx = rng.choice(pool, size=shard_size, replace=replace)
-        shift = np.asarray(adv_noise(rng, P.shape[1]), dtype=float)
-        shards.append(
-            WorkerShard(
-                machine_id=len(shards),
-                X=P[idx] + shift[None, :],
-                y=np.zeros(shard_size),
-                true_cluster=None,
-            )
-        )
-        label_list.append(BYZANTINE)
-
-    truth = GroundTruth(centers=centers, labels=np.asarray(label_list, dtype=int))
-    return shards, truth
+    layout = layout_components(points, gamma, min_cluster, shard_size)
+    return shard_components(layout, n_adv, adv_noise, seed)
 
 
 def percentile_gamma(points, q: float = 10.0, max_pairs: int = 200_000, seed: int = 0) -> float:

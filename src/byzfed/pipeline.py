@@ -31,12 +31,15 @@ from .clustering import (
     warm_start_init,
 )
 from .datagen import (
+    ComponentLayout,
     FleetConfig,
     GroundTruth,
     WorkerShard,
     generate_fleet,
-    ingest_threshold_graph,
+    ingest_threshold_graph,  # noqa: F401  (not called here; bench/tracer.py wraps this name)
+    layout_components,
     read_points_csv,
+    shard_components,
 )
 from .distopt import AttackSpec, OptConfig, fed_avg_robust, robust_gd
 from .errors import ByzfedError, ConfigError, NumericError
@@ -60,6 +63,7 @@ __all__ = [
     "TrialOutcome",
     "run_pipeline",
     "run_grid",
+    "ingest_layout",
     "stage1_erms",
     "config_to_dict",
     "config_from_dict",
@@ -406,21 +410,48 @@ def run_pipeline(
     )
 
 
-def materialize_fleet(cfg: PipelineConfig) -> tuple[list[WorkerShard], GroundTruth]:
-    """Build the fleet named by the config, seeded from cfg.seed."""
-    fleet_seed = derive_seed(cfg.seed, 0)
-    if isinstance(cfg.fleet, FleetConfig):
-        return generate_fleet(replace(cfg.fleet, seed=fleet_seed))
-    spec = cfg.fleet
-    points = read_points_csv(spec.path, label_column=spec.label_column)
-    return ingest_threshold_graph(
-        points,
-        gamma=spec.gamma,
-        min_cluster=spec.min_cluster,
-        shard_size=spec.shard_size,
-        n_adv=spec.n_adv,
-        seed=fleet_seed,
+def ingest_layout(spec: IngestSpec, points=None) -> ComponentLayout:
+    """The seed-free half of an ingest fleet: the points of spec.path
+    (read here unless the caller already holds them) grouped into
+    threshold-graph components. Build it once per run; every trial shards
+    it under its own seed."""
+    if points is None:
+        points = read_points_csv(spec.path, label_column=spec.label_column)
+    return layout_components(
+        points, spec.gamma, spec.min_cluster, spec.shard_size, source=spec
     )
+
+
+def _resolve_layout(
+    fleet: FleetConfig | IngestSpec, layout: ComponentLayout | None
+) -> ComponentLayout | None:
+    """The layout an ingest fleet is sharded from: the injected one, which
+    must have been built from this spec, or a new one. None for a
+    synthetic fleet."""
+    if not isinstance(fleet, IngestSpec):
+        if layout is not None:
+            raise ConfigError("a component layout applies to ingest fleets only")
+        return None
+    if layout is None:
+        return ingest_layout(fleet)
+    if layout.source != fleet:
+        raise ConfigError("the component layout was built from a different ingest spec")
+    return layout
+
+
+def materialize_fleet(
+    cfg: PipelineConfig, layout: ComponentLayout | None = None
+) -> tuple[list[WorkerShard], GroundTruth]:
+    """Build the fleet named by the config, seeded from cfg.seed.
+
+    An ingest fleet can take its pre-built layout (see ingest_layout); the
+    result is bit-identical to building the layout here.
+    """
+    fleet_seed = derive_seed(cfg.seed, 0)
+    layout = _resolve_layout(cfg.fleet, layout)
+    if layout is None:
+        return generate_fleet(replace(cfg.fleet, seed=fleet_seed))
+    return shard_components(layout, n_adv=cfg.fleet.n_adv, seed=fleet_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +465,18 @@ def run_grid(
     n_trials: int,
     seed: int | None = None,
     threads: int = 1,
+    layout: ComponentLayout | None = None,
 ) -> tuple[list[TrialOutcome], list[dict]]:
     """Cartesian product of clusterers x optimizers over seeded trials.
 
     Trial t uses the same derived seed in every cell, so cells are paired:
     they see identical fleets and Stage-I ERMs (computed once per trial
-    and shared). Cell failures are recorded as error strings and the grid
-    continues. Returns (outcomes, per-cell summary rows); outcomes are
-    ordered cell-major then by trial, independent of thread count.
+    and shared). An ingest fleet's component layout is seed-free: it is
+    built once, before any trial (or injected, see ingest_layout), and a
+    failure to build it raises. Other fleet and cell failures are
+    recorded as error strings and the grid continues. Returns (outcomes,
+    per-cell summary rows); outcomes are ordered cell-major then by trial,
+    independent of thread count.
     """
     if not clusterers or not optimizers:
         raise ConfigError("clusterers and optimizers must be nonempty")
@@ -451,11 +486,12 @@ def run_grid(
         raise ConfigError("threads must be >= 1")
     master = base_cfg.seed if seed is None else seed
     trial_seeds = [derive_seed(master, t) for t in range(n_trials)]
+    layout = _resolve_layout(base_cfg.fleet, layout)
 
     def _prepare(t):
         try:
             cfg = replace(base_cfg, seed=trial_seeds[t])
-            fleet, truth = materialize_fleet(cfg)
+            fleet, truth = materialize_fleet(cfg, layout)
             return fleet, truth, stage1_erms(fleet, cfg.solver)
         except Exception as exc:  # fleet failure poisons the trial, not the grid
             return exc

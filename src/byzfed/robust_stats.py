@@ -159,7 +159,9 @@ def iter_filter_mean(points, variance_bound: float | None = None, max_rounds: in
         n_drop = min(drop_per_round, len(alive) - min_survivors)
         if n_drop <= 0:
             return mu
-        # stable order: among tied scores the later index is dropped first
+        # stable order: among bit-equal proj**2 the later index is dropped
+        # first; equal reports need not tie, since BLAS may round C @ v
+        # differently by row position
         order = np.argsort(proj**2, kind="stable")
         alive = np.sort(alive[order[: len(alive) - n_drop]])
     return P[alive].mean(axis=0)

@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 from byzfed.cli import main
+from byzfed.components import threshold_components
+from byzfed.datagen import read_points_csv
 from byzfed.pipeline import config_from_dict
 from byzfed.reporting import RESULT_FILES, load_manifest
 
@@ -179,6 +181,7 @@ def test_ingest_missing_csv_exits_2(tmp_path):
     out = tmp_path / "out"
     code = main(["ingest", "--csv", str(tmp_path / "nope.csv"), "--out-dir", str(out)])
     assert code == 2
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("gamma_flag", [[], ["--gamma", "10"]])
@@ -193,6 +196,20 @@ def test_ingest_non_finite_csv_exits_2(tmp_path, rng, capsys, gamma_flag):
     captured = capsys.readouterr()
     assert "gamma defaulted" not in captured.out
     assert "data row 5" in captured.err
+    assert "every trial failed" not in captured.err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_ingest_without_surviving_component_exits_2(tmp_path, rng, capsys):
+    # at this gamma every point is its own component, below one shard
+    csv = _blob_csv(tmp_path, rng)
+    code = main(["ingest", "--csv", str(csv), "--gamma", "1e-9", "--shard-size", "5",
+                 "--trials", "2", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "no connected component reaches min_cluster" in err
+    assert "every trial failed" not in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +289,46 @@ def test_ingest_defaults_gamma_from_percentile(tmp_path, rng, capsys):
     code = main(["ingest", "--csv", str(csv), "--shard-size", "5", "--out-dir", str(out)])
     assert code == 0
     assert "gamma defaulted" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("gamma_flag", [[], ["--gamma", "10"]])
+def test_ingest_reads_points_and_builds_components_once(tmp_path, rng, capsys, monkeypatch,
+                                                        gamma_flag):
+    calls = {"read": 0, "components": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # every module global an ingest run reads points or components through
+    for target in ("byzfed.cli.read_points_csv", "byzfed.pipeline.read_points_csv"):
+        monkeypatch.setattr(target, counted("read", read_points_csv))
+    for target in ("byzfed.datagen.threshold_components",
+                   "byzfed.clustering.threshold_components"):
+        monkeypatch.setattr(target, counted("components", threshold_components))
+    csv = _blob_csv(tmp_path, rng)
+    code = main(["ingest", "--csv", str(csv), "--shard-size", "5", "--n-adv", "1",
+                 "--trials", "3", *gamma_flag, "--out-dir", str(tmp_path / "out")])
+    assert code == 0
+    assert calls == {"read": 1, "components": 1}
+    assert "ingest produced 2 clusters" in capsys.readouterr().out
+
+
+def test_replay_of_ingest_run_is_identical(tmp_path, rng, capsys):
+    csv = _blob_csv(tmp_path, rng)
+    out = tmp_path / "out"
+    code = main(["ingest", "--csv", str(csv), "--gamma", "10", "--shard-size", "5",
+                 "--n-adv", "2", "--trials", "3", "--threads", "2", "--out-dir", str(out)])
+    assert code == 0
+    capsys.readouterr()
+    assert main(["replay", "--manifest", str(out), "--out-dir", str(tmp_path / "re"),
+                 "--threads", "1"]) == 0
+    printed = capsys.readouterr().out
+    for name in RESULT_FILES:
+        assert f"{name}: identical" in printed
 
 
 def test_replay_reproduces_and_detects_tampering(tmp_path):

@@ -3,18 +3,23 @@ import logging
 import numpy as np
 import pytest
 
+from byzfed.components import threshold_components
 from byzfed.datagen import (
     BYZANTINE,
     FleetConfig,
     GroundTruth,
     WorkerShard,
+    _bernoulli_centered,
     generate_fleet,
     generate_symmetric_mixture,
     ingest_threshold_graph,
+    layout_components,
     percentile_gamma,
     read_points_csv,
+    shard_components,
 )
 from byzfed.errors import ConfigError, DataError
+from byzfed.numerics import RngStream
 
 
 def test_fleet_config_counts():
@@ -234,6 +239,103 @@ def test_ingest_validation():
         ingest_threshold_graph(P, gamma=1.0, shard_size=0)
     with pytest.raises(ConfigError):
         ingest_threshold_graph(P[0], gamma=1.0)
+    with pytest.raises(ConfigError):
+        ingest_threshold_graph(P, gamma=10.0, n_adv=-1)
+
+
+def _ingest_oracle(points, gamma, min_cluster=1, shard_size=1, n_adv=0, adv_noise=None, seed=0):
+    """ingest_threshold_graph as one function, before it was split into a
+    seed-free layout and a seeded sharding step (logging left out)."""
+    P = np.asarray(points, dtype=float)
+    if adv_noise is None:
+        adv_noise = _bernoulli_centered
+    comps = threshold_components(P, gamma)
+    keep_size = max(min_cluster, shard_size)
+    surviving = [c for c in comps if len(c) >= keep_size]
+    if not surviving:
+        raise DataError("no surviving component")
+    dropped_comps = [c for c in comps if len(c) < keep_size]
+    centers = np.stack([P[c].mean(axis=0) for c in surviving])
+
+    rng = RngStream(seed, 0).generator()
+    shards = []
+    label_list = []
+    unused = [c for c in dropped_comps]
+    for k, comp in enumerate(surviving):
+        order = rng.permutation(comp)
+        n_full = len(comp) // shard_size
+        for s in range(n_full):
+            idx = np.sort(order[s * shard_size : (s + 1) * shard_size])
+            shards.append(
+                WorkerShard(machine_id=len(shards), X=P[idx].copy(), y=np.zeros(len(idx)),
+                            true_cluster=k)
+            )
+            label_list.append(k)
+        rem = order[n_full * shard_size :]
+        if len(rem):
+            unused.append(np.asarray(rem))
+
+    pool = np.concatenate(unused) if unused else np.empty(0, dtype=int)
+    if n_adv > 0 and len(pool) == 0:
+        pool = np.arange(P.shape[0])
+    for _ in range(n_adv):
+        replace = len(pool) < shard_size
+        idx = rng.choice(pool, size=shard_size, replace=replace)
+        shift = np.asarray(adv_noise(rng, P.shape[1]), dtype=float)
+        shards.append(
+            WorkerShard(machine_id=len(shards), X=P[idx] + shift[None, :],
+                        y=np.zeros(shard_size), true_cluster=None)
+        )
+        label_list.append(BYZANTINE)
+
+    truth = GroundTruth(centers=centers, labels=np.asarray(label_list, dtype=int))
+    return shards, truth
+
+
+def _assert_same_fleet(got, want):
+    (shards, truth), (ref_shards, ref_truth) = got, want
+    assert len(shards) == len(ref_shards)
+    for s, r in zip(shards, ref_shards):
+        assert s.machine_id == r.machine_id
+        assert s.true_cluster == r.true_cluster
+        assert np.array_equal(s.X, r.X)
+        assert np.array_equal(s.y, r.y)
+    assert np.array_equal(truth.centers, ref_truth.centers)
+    assert np.array_equal(truth.labels, ref_truth.labels)
+
+
+_THREE_BLOBS = np.vstack([_two_blobs(23, 17), np.random.default_rng(5).standard_normal((8, 3)) - 60.0])
+
+
+@pytest.mark.parametrize(
+    "points, gamma, min_cluster, shard_size, n_adv",
+    [
+        (_two_blobs(), 10.0, 1, 5, 0),  # remainders only
+        (_two_blobs(), 10.0, 1, 5, 3),  # remainders feed the pool
+        (_two_blobs(n0=10, n1=4), 10.0, 1, 5, 2),  # dropped component, pool < shard
+        (_two_blobs(n0=10, n1=5), 10.0, 1, 5, 2),  # empty pool: all points
+        (_THREE_BLOBS, 10.0, 10, 4, 4),  # min_cluster above shard_size drops a blob
+        (_THREE_BLOBS, 10.0, 1, 3, 5),
+    ],
+)
+def test_split_ingest_matches_single_function_oracle(points, gamma, min_cluster, shard_size, n_adv):
+    # one layout, sharded under several seeds, equals the oracle per seed
+    layout = layout_components(points, gamma, min_cluster=min_cluster, shard_size=shard_size)
+    for seed in range(5):
+        want = _ingest_oracle(points, gamma, min_cluster, shard_size, n_adv, seed=seed)
+        _assert_same_fleet(shard_components(layout, n_adv=n_adv, seed=seed), want)
+        got = ingest_threshold_graph(
+            points, gamma, min_cluster=min_cluster, shard_size=shard_size, n_adv=n_adv, seed=seed
+        )
+        _assert_same_fleet(got, want)
+
+
+def test_layout_counts_and_drops():
+    layout = layout_components(_THREE_BLOBS, 10.0, min_cluster=10, shard_size=4)
+    assert layout.K == 2
+    assert [len(c) for c in layout.surviving] == [23, 17]
+    assert [len(c) for c in layout.dropped] == [8]
+    assert layout.source is None
 
 
 # ---------------------------------------------------------------------------

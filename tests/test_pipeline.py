@@ -4,7 +4,7 @@ import pytest
 from byzfed.clustering import run_lloyd_variant, warm_start_init
 from byzfed.datagen import FleetConfig, generate_fleet
 from byzfed.distopt import AttackSpec, OptConfig, robust_gd
-from byzfed.errors import ConfigError
+from byzfed.errors import ConfigError, DataError
 from byzfed.numerics import derive_seed
 from byzfed.pipeline import (
     ClusterSpec,
@@ -14,6 +14,8 @@ from byzfed.pipeline import (
     _match_centers,
     config_from_dict,
     config_to_dict,
+    ingest_layout,
+    materialize_fleet,
     run_grid,
     run_pipeline,
     stage1_erms,
@@ -80,8 +82,6 @@ def test_pipeline_composes_documented_stages():
 
 def test_injected_fleet_matches_internal_build():
     cfg = _adversarial_config(seed=9)
-    from byzfed.pipeline import materialize_fleet
-
     fleet, truth = materialize_fleet(cfg)
     a = run_pipeline(cfg)
     b = run_pipeline(cfg, fleet=fleet, ground_truth=truth)
@@ -91,8 +91,6 @@ def test_injected_fleet_matches_internal_build():
 
 def test_run_pipeline_validation(rng):
     cfg = _clean_config()
-    from byzfed.pipeline import materialize_fleet
-
     fleet, truth = materialize_fleet(cfg)
     with pytest.raises(ConfigError):
         run_pipeline(cfg, erms=np.zeros((12, 6)))  # erms without fleet
@@ -234,6 +232,72 @@ def test_grid_cell_failure_does_not_poison_others():
     assert all(o.result is None and o.error for o in failed)
     row = next(r for r in summary if r["clusterer"] == "IF2")
     assert row["n_failed"] == 2
+
+
+def _ingest_grid_inputs(tmp_path, rng, **spec):
+    pts = np.vstack([rng.standard_normal((43, 3)), rng.standard_normal((29, 3)) + 30.0])
+    f = tmp_path / "blobs.csv"
+    np.savetxt(f, pts, delimiter=",")
+    base = PipelineConfig(
+        fleet=IngestSpec(path=str(f), **{"gamma": 10.0, "shard_size": 5, "n_adv": 2, **spec}),
+        solver=SolverSpec(loss="location"),
+        seed=0,
+    )
+    _, clusterers, optimizers = _grid_inputs()
+    return base, clusterers, optimizers
+
+
+def _assert_same_outcomes(a, b):
+    assert [(o.cell, o.trial, o.seed, o.error) for o in a] == [
+        (o.cell, o.trial, o.seed, o.error) for o in b
+    ]
+    for oa, ob in zip(a, b):
+        assert oa.result.est_error == ob.result.est_error
+        assert np.array_equal(oa.result.per_cluster_w_hat, ob.result.per_cluster_w_hat)
+        assert np.array_equal(oa.result.cluster_state.labels, ob.result.cluster_state.labels)
+
+
+def test_ingest_grid_is_thread_invariant_and_layout_injectable(tmp_path, rng):
+    base, clusterers, optimizers = _ingest_grid_inputs(tmp_path, rng)
+    a, _ = run_grid(base, clusterers, optimizers, n_trials=3, seed=5, threads=1)
+    b, _ = run_grid(base, clusterers, optimizers, n_trials=3, seed=5, threads=2)
+    c, _ = run_grid(base, clusterers, optimizers, n_trials=3, seed=5, threads=2,
+                    layout=ingest_layout(base.fleet))
+    assert all(o.result is not None for o in a)
+    # the trials draw different shards from the one layout
+    assert a[0].result.est_error != a[1].result.est_error
+    _assert_same_outcomes(a, b)
+    _assert_same_outcomes(a, c)
+
+
+def test_injected_layout_matches_internal_build(tmp_path, rng):
+    base, _, _ = _ingest_grid_inputs(tmp_path, rng)
+    cfg = replace(base, seed=13)
+    shards, truth = materialize_fleet(cfg)
+    got, got_truth = materialize_fleet(cfg, ingest_layout(cfg.fleet))
+    assert [s.true_cluster for s in got] == [s.true_cluster for s in shards]
+    for s, r in zip(got, shards):
+        assert np.array_equal(s.X, r.X)
+    assert np.array_equal(got_truth.centers, truth.centers)
+    assert np.array_equal(got_truth.labels, truth.labels)
+
+
+def test_layout_from_another_spec_is_rejected(tmp_path, rng):
+    base, clusterers, optimizers = _ingest_grid_inputs(tmp_path, rng)
+    other = ingest_layout(replace(base.fleet, gamma=9.0))
+    with pytest.raises(ConfigError):
+        materialize_fleet(base, other)
+    with pytest.raises(ConfigError):
+        run_grid(base, clusterers, optimizers, n_trials=1, layout=other)
+    synth, _, _ = _grid_inputs()
+    with pytest.raises(ConfigError):
+        run_grid(synth, clusterers, optimizers, n_trials=1, layout=ingest_layout(base.fleet))
+
+
+def test_ingest_grid_raises_when_no_component_survives(tmp_path, rng):
+    base, clusterers, optimizers = _ingest_grid_inputs(tmp_path, rng, gamma=1e-9)
+    with pytest.raises(DataError, match="no connected component"):
+        run_grid(base, clusterers, optimizers, n_trials=2)
 
 
 def test_grid_validation():
