@@ -9,14 +9,18 @@ models instead of gradients.
 
 Both optimizers build the cluster's stacked shard statistics once per
 call (localsolve.shard_stats) and compute every machine's report of a
-round with batched calls of localsolve.local_gradient; Byzantine rows are
-then overwritten with the attacked report.
+round in one batched step; Byzantine rows are then overwritten with the
+attacked report. robust_gd's reports are localsolve.local_gradient.
+fed_avg_robust's local steps run on a quadratic local risk, so L of them
+are one affine map w -> P_i w + q_i per machine, built once per call; a
+round is then one batched matvec instead of L.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -145,6 +149,35 @@ def _attacked_report(row, shard, attack, round_idx, d):
     return attack.vector.copy()
 
 
+def _local_steps_map(stats, loss, step, local_steps):
+    """Every machine's local_steps GD steps from one global model w, as
+    one affine map per machine: w -> P_i w + q_i with
+    P_i = (I - step A_i)^L and q_i = sum_{l<L} (I - step A_i)^l step b_i.
+
+    Returns a function of w giving the stacked (m, d) local models. P_i
+    overwrites A_i in stats, one machine at a time, so the caller must own
+    the buffer and no longer need A. For the location loss A is the
+    identity and P the scalar (1 - step)^L.
+    """
+    L = local_steps
+    if loss.kind == "location":
+        r = 1.0 - step
+        p = r**L
+        q = sum(step * r**l for l in range(L)) * stats.b
+        return lambda w: p * w + q
+    A, b = stats.A, stats.b
+    eye = np.eye(b.shape[1])
+    q = np.empty_like(b)
+    for i in range(len(A)):
+        M = eye - step * A[i]
+        sb = step * b[i]
+        q[i] = sb
+        for _ in range(L - 1):
+            q[i] = M @ q[i] + sb
+        A[i] = np.linalg.matrix_power(M, L)
+    return lambda w: A @ w + q
+
+
 def _descend(shards, loss, cfg, attack, local_steps):
     """Shared round loop; local_steps=None is robust_gd (aggregate
     gradients, then step), an int is fed_avg_robust (aggregate models)."""
@@ -155,15 +188,15 @@ def _descend(shards, loss, cfg, attack, local_steps):
     w = np.zeros(d) if cfg.init is None else cfg.init.copy()
     if w.shape != (d,):
         raise ConfigError(f"init has shape {w.shape}, expected ({d},)")
+    reports_at = (
+        partial(local_gradient, stats)
+        if local_steps is None
+        else _local_steps_map(stats, loss, step, local_steps)
+    )
     byzantine = [i for i, s in enumerate(shards) if s.is_byzantine]
     traj = [w.copy()]
     for t in range(cfg.max_rounds):
-        if local_steps is None:
-            reports = local_gradient(stats, w)
-        else:
-            reports = w
-            for _ in range(local_steps):
-                reports = reports - step * local_gradient(stats, reports)
+        reports = reports_at(w)
         for i in byzantine:
             reports[i] = _attacked_report(reports[i], shards[i], attack, t, d)
         agg = aggregate(reports, cfg.aggregator)
@@ -207,7 +240,10 @@ def fed_avg_robust(
 
     Per round every machine runs cfg.local_steps gradient-descent steps
     from the global model on its own shard; the center aggregates the
-    returned local models. With local_steps=1 and an affine-equivariant
+    returned local models. The L steps are applied as one precomputed
+    affine map per machine, P_i = (I - step A_i)^L and
+    q_i = sum_{l<L} (I - step A_i)^l step b_i, equal to the step-by-step
+    recursion up to rounding. With local_steps=1 and an affine-equivariant
     aggregator this coincides with robust_gd round for round.
     """
     return _descend(shards, loss, cfg, attack, cfg.local_steps)

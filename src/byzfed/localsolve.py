@@ -13,7 +13,10 @@ statistics: A_i = X'X/n and b_i = X'y/n for the regression loss, A_i = I
 and b_i = the shard mean for the location loss. shard_stats stacks them
 for a list of shards, and local_gradient evaluates A_i w_i - b_i for all
 machines in one batched matmul; it is the only shard-gradient kernel,
-shared by Stage-I gradient descent and Stage-III distributed descent.
+used by Stage-III robust gradient descent. The other two descents run in
+closed form on the same statistics: Stage-I GD from one eigendecomposition
+of A_i per machine (pipeline.stage1_erms), and FedAvg's local steps as
+one affine map per machine (distopt.fed_avg_robust).
 
 Raw rows are read only where a solver needs them: the exact solver
 (local_erm), the one-pass online solver with iterate averaging

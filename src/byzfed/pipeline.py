@@ -12,12 +12,15 @@ dispatch, so results are independent of scheduling and thread count.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.optimize import linear_sum_assignment
 
 from .clustering import (
@@ -47,11 +50,11 @@ from .localsolve import (
     _DIVERGENCE_NORM,
     LossSpec,
     local_erm,
-    local_gradient,
     online_to_batch,
     shard_stats,
 )
-from .numerics import derive_seed, top_eigenpair
+from .numerics import derive_seed
+from .numerics import top_eigenpair  # noqa: F401  (not called here; bench/tracer.py wraps this name)
 from .robust_stats import AggregatorSpec
 
 __all__ = [
@@ -73,6 +76,13 @@ __all__ = [
 
 _SOLVER_KINDS = ("erm", "gd", "ogd")
 _CLUSTER_METHODS = ("edge_cut", "lloyd", "kgeomedian", "trimmed_kmeans", "iterfilter2")
+_LOG_DIVERGENCE = math.log(_DIVERGENCE_NORM)
+
+
+def _positive_real(v) -> bool:
+    return (
+        isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v) and v > 0
+    )
 
 
 @dataclass(frozen=True)
@@ -80,6 +90,8 @@ class SolverSpec:
     """Stage-I solver: exact ERM, batch GD, or one-pass online GD.
 
     step=None lets GD use 1/lambda_max of each machine's own Hessian.
+    iters is an integer >= 1; step, lam and (when given) radius are
+    finite and > 0.
     """
 
     kind: str = "erm"
@@ -93,10 +105,15 @@ class SolverSpec:
         if self.kind not in _SOLVER_KINDS:
             raise ConfigError(f"unknown solver {self.kind!r}; expected one of {_SOLVER_KINDS}")
         LossSpec(self.loss)  # validates
-        if self.iters < 1:
-            raise ConfigError("iters must be >= 1")
-        if self.step is not None and not self.step > 0:
-            raise ConfigError("step must be > 0")
+        n = self.iters
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ConfigError(f"iters must be an integer >= 1, got {n!r}")
+        if not _positive_real(self.lam):
+            raise ConfigError(f"lam must be finite and > 0, got {self.lam!r}")
+        for name in ("step", "radius"):  # None selects the default
+            v = getattr(self, name)
+            if v is not None and not _positive_real(v):
+                raise ConfigError(f"{name} must be finite and > 0, got {v!r}")
 
     @property
     def loss_spec(self) -> LossSpec:
@@ -227,14 +244,52 @@ class TrialOutcome:
 # stage I
 
 
+def _gd_from_origin(lam, c, step, iters):
+    """Eigen-coordinates of the iters-th iterate of w <- w - step (A w - b)
+    from the origin, where A = V diag(lam) V' and c = V'b; None if the
+    iterate diverges.
+
+    Coordinate j is c_j (1 - r_j^T) / lam_j with r_j = 1 - step lam_j and
+    T = iters; it is T step c_j where lam_j = 0, c_j / lam_j where r_j = 0,
+    and 0 where c_j = 0. |r|^T is exp(T log|r|), so 1 - r^T is
+    -expm1(T log|r|) where r^T > 0 and 2 + expm1(T log|r|) where r^T < 0,
+    both to full precision. Divergence (one coordinate alone past the
+    divergence norm) is judged on logarithms, so a diverging step
+    overflows nothing.
+    """
+    gain = np.full_like(lam, iters * step)
+    x = step * lam
+    land = x == 1.0
+    gain[land] = 1.0 / lam[land]
+    j = (lam != 0.0) & ~land & (c != 0.0)
+    xj, lamj, cj = x[j], lam[j], c[j]
+    up = xj > 1.0
+    log_r = np.empty_like(xj)
+    log_r[~up] = np.log1p(-xj[~up])
+    log_r[up] = np.log(xj[up] - 1.0)
+    e = iters * log_r
+    # |1 - r^T| >= |r|^T - 1 = exp(e) - 1 bounds a growing coordinate from below
+    g = e > 0.0
+    log_low = e[g] + np.log(-np.expm1(-e[g])) + np.log(np.abs(cj[g] / lamj[g]))
+    if np.any(log_low > _LOG_DIVERGENCE):
+        return None
+    em1 = np.expm1(e)
+    negative = up & (iters % 2 == 1)  # r < 0 and T odd: r^T < 0
+    gain[j] = np.where(negative, 2.0 + em1, -em1) / lamj
+    return gain * c
+
+
 def stage1_erms(shards: list[WorkerShard], solver: SolverSpec) -> np.ndarray:
     """Local model estimates for every machine, stacked (m, d).
 
-    GD runs every machine's recursion w <- w - step_i (A_i w - b_i) from
-    the origin in one batched loop, with step_i = solver.step or
-    1/lambda_max(A_i) (exactly 1 for the location loss), lambda_max the
-    exact top eigenvalue from one LAPACK call per machine. Raises
-    NumericError if an iterate's norm exceeds 1e12.
+    GD returns the solver.iters-th iterate of w <- w - step_i (A_i w - b_i)
+    from the origin, with step_i = solver.step or 1/lambda_max(A_i)
+    (exactly 1 for the location loss). The local risk is quadratic, so the
+    iterate has a closed form in the eigenbasis of A_i (_gd_from_origin):
+    one LAPACK eigendecomposition per machine and no iteration. For the
+    location loss A_i = I, so the auto step returns the shard mean b_i
+    exactly. Each machine's row depends on its own shard only. Raises
+    NumericError if the iterate is not finite or its norm exceeds 1e12.
     """
     loss = solver.loss_spec
     if solver.kind == "erm":
@@ -245,20 +300,23 @@ def stage1_erms(shards: list[WorkerShard], solver: SolverSpec) -> np.ndarray:
         )
     stats = shard_stats(shards, loss)
     m, d = stats.b.shape
-    if solver.step is not None:
-        steps = np.full(m, solver.step)
-    elif loss.kind == "location":
-        steps = np.ones(m)
-    else:
-        steps = np.empty(m)
-        for i, a in enumerate(stats.A):
-            lam, _ = top_eigenpair(a)
-            steps[i] = 1.0 / lam if lam > 0 else 1.0
-    W = np.zeros((m, d))
-    for t in range(solver.iters):
-        W -= steps[:, None] * local_gradient(stats, W)
-        if not np.all(np.isfinite(W)) or np.linalg.norm(W, axis=1).max() > _DIVERGENCE_NORM:
-            raise NumericError(f"stage-I gradient descent diverged at iteration {t + 1}")
+    W = np.empty((m, d))
+    for i in range(m):
+        if loss.kind == "location":
+            lam, V = np.ones(d), np.eye(d)  # products with I are exact
+        else:
+            lam, V = eigh(stats.A[i], overwrite_a=True, driver="evd")
+        step = solver.step
+        if step is None:
+            step = 1.0 / lam[-1] if lam[-1] > 0 else 1.0
+        coords = _gd_from_origin(lam, V.T @ stats.b[i], step, solver.iters)
+        w = None if coords is None else V @ coords
+        if w is None or not np.all(np.isfinite(w)) or np.linalg.norm(w) > _DIVERGENCE_NORM:
+            raise NumericError(
+                f"stage-I gradient descent diverged on machine {i}: step {step:.6g} takes "
+                f"the iterate past norm {_DIVERGENCE_NORM:g} within {solver.iters} iterations"
+            )
+        W[i] = w
     return W
 
 

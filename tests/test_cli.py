@@ -158,6 +158,29 @@ def test_bad_aggregator_parameters_exit_1(tmp_path, capsys, aggregator):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "solver",
+    [
+        '"iters": 2.5',
+        '"iters": true',
+        '"iters": 0',
+        '"step": 1e400',
+        '"step": -1.0',
+        '"lam": -1',
+        '"lam": NaN',
+        '"radius": 0',
+    ],
+)
+def test_bad_solver_parameters_exit_1(tmp_path, capsys, solver):
+    # raw JSON text, so 1e400 reaches the parser as written (it reads inf)
+    cfg = tmp_path / "solver.json"
+    cfg.write_text('{"solver": {"kind": "gd", %s}}' % solver)
+    code, out = _synth(tmp_path, "--config", str(cfg))
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_bad_usage_exits_1():
     assert main(["trample"]) == 1
 

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from byzfed.datagen import FleetConfig, WorkerShard, generate_fleet
 from byzfed.distopt import AttackSpec, OptConfig, fed_avg_robust, pooled_auto_step, robust_gd
 from byzfed.errors import ConfigError
 from byzfed.localsolve import LossSpec, batch_objective, local_erm, shard_stats
+from byzfed.numerics import RngStream, derive_seed
 from byzfed.robust_stats import AggregatorSpec
 
 SQ = LossSpec("squared_error")
@@ -157,6 +160,68 @@ def test_fed_avg_local_steps_match_per_machine_recursion(rng):
             models.append(-2.0 * v if s.is_byzantine else v)
         w = np.mean(models, axis=0)
         np.testing.assert_allclose(traj[t + 1], w, atol=1e-9)
+
+
+def _raw_loss_gradient(shard, loss, w):
+    if loss.uses_targets:
+        return _raw_gradient(shard, w)
+    return np.mean(w - shard.X, axis=0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.sampled_from(["squared_error", "location"]),
+    st.sampled_from(["sign_flip", "random_gauss"]),
+    st.floats(min_value=0.2, max_value=1.0),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_fed_avg_affine_map_matches_per_machine_recursion(L, loss_kind, attack_kind, f, seed):
+    # each round, every honest machine runs L raw-row GD steps from the
+    # global model; Byzantine rows are replaced by the attacked report
+    gen = np.random.default_rng(seed)
+    loss = LossSpec(loss_kind)
+    shards, _ = _honest_cluster(gen, m=4, n=9, d=3, sigma=0.5)
+    shards = _with_byzantine(gen, shards, n_byz=1, offset=3.0)
+    step = f * pooled_auto_step(shard_stats(shards, loss), loss)
+    attack = (
+        AttackSpec.sign_flip(scale=2.0)
+        if attack_kind == "sign_flip"
+        else AttackSpec.random_gauss(scale=2.0, seed=seed)
+    )
+    rounds = 6
+    cfg = OptConfig(step_size=step, max_rounds=rounds, local_steps=L, stop_tol=0.0)
+    with np.errstate(all="raise"):
+        _, traj = fed_avg_robust(shards, loss, cfg, attack)
+    w = np.zeros(3)
+    for t in range(rounds):
+        models = []
+        for s in shards:
+            v = w.copy()
+            for _ in range(L):
+                v = v - step * _raw_loss_gradient(s, loss, v)
+            if s.is_byzantine and attack_kind == "sign_flip":
+                v = -2.0 * v
+            elif s.is_byzantine:
+                g = RngStream(derive_seed(seed, s.machine_id, t), 0).generator()
+                v = 2.0 * g.standard_normal(3)
+            models.append(v)
+        w = np.mean(models, axis=0)
+        assert np.linalg.norm(traj[t + 1] - w) <= 1e-12 * (1.0 + np.linalg.norm(w))
+
+
+def test_fed_avg_leaves_caller_stats_alone(rng):
+    # the affine maps overwrite the shard statistics fed_avg_robust builds
+    # for itself, never anything the caller holds
+    shards, _ = _honest_cluster(rng, m=3, n=10, d=3, sigma=0.5)
+    before = [(s.X.copy(), s.y.copy()) for s in shards]
+    cfg = OptConfig(max_rounds=5, local_steps=3)
+    first = fed_avg_robust(shards, SQ, cfg)
+    for s, (X, y) in zip(shards, before):
+        np.testing.assert_array_equal(s.X, X)
+        np.testing.assert_array_equal(s.y, y)
+    second = fed_avg_robust(shards, SQ, cfg)
+    np.testing.assert_array_equal(first[1], second[1])
 
 
 def test_fed_avg_multiple_local_steps_still_converges_clean(rng):

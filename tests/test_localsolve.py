@@ -166,10 +166,106 @@ def test_gd_erm_diverges_with_large_step(rng):
 
 
 def test_gd_erm_validation(rng):
-    with pytest.raises(ConfigError):
-        SolverSpec(kind="gd", iters=0)
-    with pytest.raises(ConfigError):
-        SolverSpec(kind="gd", step=0.0)
+    for bad in (
+        dict(iters=0),
+        dict(iters=2.5),
+        dict(iters=True),
+        dict(step=0.0),
+        dict(step=float("inf")),
+        dict(lam=-1.0),
+        dict(lam=float("nan")),
+        dict(radius=0.0),
+        dict(radius=float("inf")),
+    ):
+        with pytest.raises(ConfigError):
+            SolverSpec(kind="gd", **bad)
+    SolverSpec(kind="gd", iters=np.int64(3), step=1, lam=2, radius=None)
+
+
+def _raw_row_gd(shard, loss, step, iters):
+    """Stage-I recursion w <- w - step grad F_i(w) from the origin, with
+    the gradient taken over the raw rows, written independently."""
+    w = np.zeros(shard.X.shape[1])
+    for _ in range(iters):
+        if loss.uses_targets:
+            g = shard.X.T @ (shard.X @ w - shard.y) / shard.n
+        else:
+            g = np.mean(w - shard.X, axis=0)
+        w = w - step * g
+    return w
+
+
+def _diagonal_shard(gen, d):
+    """8 rows, column j nonzero only in row j with a power-of-two value,
+    so A = X'X/8 is diagonal with power-of-two eigenvalues that LAPACK
+    returns exactly."""
+    X = np.zeros((8, d))
+    X[np.arange(d), np.arange(d)] = 2.0 ** gen.integers(0, 3, size=d)
+    return WorkerShard(machine_id=0, X=X, y=gen.standard_normal(8), true_cluster=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(["auto", "user", "grow", "exact", "edge"]),
+    st.sampled_from(["squared_error", "location"]),
+)
+def test_stage1_gd_closed_form_matches_raw_row_recursion(n, d, seed, mode, loss_kind):
+    # n < d gives singular shards; "grow" takes a step with |1 - step*lam|
+    # > 1 for a few iterations, "exact" has step*lam_max == 1 exactly and
+    # "edge" step*lam_max == 2 exactly (r = -1)
+    gen = np.random.default_rng(seed)
+    loss = LossSpec(loss_kind)
+    if mode in ("exact", "edge"):
+        shard = _diagonal_shard(gen, d)
+    else:
+        shard = _ragged_shards(gen, [n], d)[0]
+    if loss.uses_targets:
+        lam_max = np.linalg.eigvalsh(shard.X.T @ shard.X / shard.n)[-1]
+    else:
+        lam_max = 1.0
+    iters = int(gen.integers(1, 9)) if mode == "grow" else int(gen.integers(1, 81))
+    step = {
+        "auto": None,
+        "user": gen.uniform(0.05, 1.95) / lam_max,
+        "grow": gen.uniform(2.05, 3.0) / lam_max,
+        "exact": 1.0 / lam_max,
+        "edge": 2.0 / lam_max,
+    }[mode]
+    with np.errstate(all="raise"):
+        got = stage1_erms([shard], SolverSpec(kind="gd", loss=loss_kind, step=step, iters=iters))
+        ref = _raw_row_gd(shard, loss, 1.0 / lam_max if step is None else step, iters)
+    assert np.linalg.norm(got[0] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_stage1_gd_location_auto_step_returns_the_mean_exactly(rng):
+    shards = _ragged_shards(rng, [7, 30, 1], 5)
+    with np.errstate(all="raise"):
+        got = stage1_erms(shards, SolverSpec(kind="gd", loss="location", iters=1000))
+    np.testing.assert_array_equal(got, shard_stats(shards, LOC).b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=10**6),
+    st.floats(min_value=2.5, max_value=50.0),
+    st.sampled_from(["squared_error", "location"]),
+)
+def test_stage1_gd_diverging_step_raises(n, d, seed, factor, loss_kind):
+    # |1 - step*lam_max| >= 1.5, so 400 iterations pass the 1e12 norm; the
+    # closed form must say so without a floating-point exception
+    gen = np.random.default_rng(seed)
+    shard = _ragged_shards(gen, [n], d)[0]
+    lam_max = 1.0
+    if loss_kind == "squared_error":
+        lam_max = np.linalg.eigvalsh(shard.X.T @ shard.X / shard.n)[-1]
+    solver = SolverSpec(kind="gd", loss=loss_kind, step=factor / lam_max, iters=400)
+    with np.errstate(all="raise"), pytest.raises(NumericError):
+        stage1_erms([shard], solver)
 
 
 def test_gd_erm_deterministic(rng):
