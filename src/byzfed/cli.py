@@ -10,7 +10,8 @@ Commands:
           draws its own shards
   replay  rerun a finished experiment from its manifest and compare files
 
-Configs are JSON; flags override file values. Every run writes a
+Configs are JSON; flags override file values, but a grid section
+rejects the per-cell flags, which would reach no cell. Every run writes a
 manifest.json (atomically, before any result file) plus four result CSVs
 into --out-dir. Progress goes to stdout, diagnostics to stderr; results
 live only in the files. BYZFED_THREADS caps the worker pool.
@@ -32,7 +33,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .datagen import percentile_gamma, read_points_csv
-from .errors import ByzfedError, ConfigError
+from .errors import ByzfedError, ConfigError, require_int
 from .pipeline import (
     ClusterSpec,
     PipelineConfig,
@@ -127,13 +128,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth.set_defaults(func=cmd_synth)
 
     p_grid = sub.add_parser("grid", parents=[common], help="explicit clusterer x optimizer grid")
-    p_grid.set_defaults(func=cmd_grid)
+    p_grid.set_defaults(func=cmd_synth)
 
     p_ingest = sub.add_parser("ingest", parents=[common], help="experiment on an ingested points CSV")
     p_ingest.add_argument("--csv", required=True, help="points CSV file")
-    p_ingest.add_argument("--shard-size", type=int, default=50)
-    p_ingest.add_argument("--n-adv", type=int, default=0, help="adversarial shard count")
-    p_ingest.add_argument("--min-cluster", type=int, default=1)
+    # absent flags fall back to the config's fleet section, then to 50, 0, 1, None
+    p_ingest.add_argument("--shard-size", type=int)
+    p_ingest.add_argument("--n-adv", type=int, help="adversarial shard count")
+    p_ingest.add_argument("--min-cluster", type=int)
     p_ingest.add_argument("--label-column", type=int, help="column index to drop")
     p_ingest.set_defaults(func=cmd_ingest)
 
@@ -175,13 +177,21 @@ def _alias(table: dict, value: str, what: str) -> str:
 
 
 def _apply_overrides(data: dict, args) -> dict:
+    fleet = data.setdefault("fleet", {})
+    if data.get("grid"):
+        gamma = None if fleet.get("type") == "ingest" else args.gamma  # ingest's is the fleet's
+        cell_flags = {"--clusterer": args.clusterer, "--aggregator": args.aggregator,
+                      "--beta": args.beta, "--gamma": gamma}
+        given = [flag for flag, value in cell_flags.items() if value is not None]
+        if given:
+            raise ConfigError(f"{', '.join(given)} cannot override a grid section; "
+                              "set them in its clusterers or optimizers")
     if args.seed is not None:
         data["seed"] = args.seed
     if args.trials is not None:
         data["trials"] = args.trials
         if isinstance(data.get("grid"), dict):
             data["grid"]["trials"] = args.trials
-    fleet = data.setdefault("fleet", {})
     if args.alpha is not None:
         fleet["alpha"] = args.alpha
     if args.sigma is not None:
@@ -225,19 +235,18 @@ def _grid_specs(data: dict, base_cfg: PipelineConfig):
                 (str(g["name"]), opt_from_dict({k: v for k, v in g.items() if k != "name"}))
                 for g in grid["optimizers"]
             ]
-            trials = int(grid.get("trials", data.get("trials", 1)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad grid section: {exc}") from exc
+        trials = grid.get("trials", data.get("trials", 1))
+        require_int("trials", trials, 1)
         return clusterers, optimizers, trials
     cname = _CLUSTERER_DISPLAY[base_cfg.cluster.method]
     if base_cfg.opt.local_steps > 1:
         oname = "FA"
     else:
         oname = _AGGREGATOR_DISPLAY[base_cfg.opt.aggregator.kind]
-    try:
-        trials = int(data.get("trials", 1))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"trials must be an integer: {exc}") from exc
+    trials = data.get("trials", 1)
+    require_int("trials", trials, 1)
     return [(cname, base_cfg.cluster)], [(oname, base_cfg.opt)], trials
 
 
@@ -305,21 +314,14 @@ def _execute(data: dict, args, command: str, points=None) -> int:
 
 
 def cmd_synth(args) -> int:
+    """synth, and grid, which is synth that insists on a grid section."""
     data = copy.deepcopy(_DEFAULT_SYNTH)
     if args.config:
         _deep_merge(data, _load_config_file(args.config))
-    _apply_overrides(data, args)
-    return _execute(data, args, "synth")
-
-
-def cmd_grid(args) -> int:
-    data = copy.deepcopy(_DEFAULT_SYNTH)
-    if args.config:
-        _deep_merge(data, _load_config_file(args.config))
-    if not data.get("grid"):
+    if args.command == "grid" and not data.get("grid"):
         raise ConfigError("the grid command needs a 'grid' section in the config")
     _apply_overrides(data, args)
-    return _execute(data, args, "grid")
+    return _execute(data, args, args.command)
 
 
 def cmd_ingest(args) -> int:
@@ -332,10 +334,14 @@ def cmd_ingest(args) -> int:
     }
     if args.config:
         _deep_merge(data, _load_config_file(args.config))
-    points = read_points_csv(args.csv, label_column=args.label_column)
-    gamma = args.gamma
-    if gamma is None:
-        gamma = data.get("fleet", {}).get("gamma")
+    fleet = data.get("fleet", {})
+
+    def pick(flag, key, default):
+        return fleet.get(key, default) if flag is None else flag
+
+    label_column = pick(args.label_column, "label_column", None)
+    points = read_points_csv(args.csv, label_column=label_column)
+    gamma = pick(args.gamma, "gamma", None)
     if gamma is None:
         gamma = percentile_gamma(points)
         print(f"[byzfed] gamma defaulted to {gamma:.6g} "
@@ -348,10 +354,10 @@ def cmd_ingest(args) -> int:
         "type": "ingest",
         "path": str(args.csv),
         "gamma": gamma,
-        "shard_size": args.shard_size,
-        "n_adv": args.n_adv,
-        "min_cluster": args.min_cluster,
-        "label_column": args.label_column,
+        "shard_size": pick(args.shard_size, "shard_size", 50),
+        "n_adv": pick(args.n_adv, "n_adv", 0),
+        "min_cluster": pick(args.min_cluster, "min_cluster", 1),
+        "label_column": label_column,
     }
     data.setdefault("solver", {})["loss"] = "location"
     _apply_overrides(data, args)

@@ -26,7 +26,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .components import threshold_components
 from .datagen import BYZANTINE, GroundTruth
-from .errors import ClusteringError, ConfigError
+from .errors import ClusteringError, ConfigError, require_int, require_real
 from .numerics import RngStream
 from .robust_stats import AggregatorSpec, geometric_median, iter_filter_mean
 
@@ -134,10 +134,8 @@ class LloydVariant:
     def __post_init__(self):
         if self.kind not in _VARIANT_KINDS:
             raise ConfigError(f"unknown variant {self.kind!r}; expected one of {_VARIANT_KINDS}")
-        if not self.C > 0:
-            raise ConfigError("C must be > 0")
-        if self.sigma_hat is not None and self.sigma_hat < 0:
-            raise ConfigError("sigma_hat must be >= 0")
+        require_real("C", self.C, positive=True, finite=False)  # inf: no trimming
+        require_real("sigma_hat", self.sigma_hat, finite=False, optional=True)
 
     @classmethod
     def lloyd(cls) -> "LloydVariant":
@@ -235,8 +233,7 @@ def run_lloyd_variant(
     initial state and after every iteration.
     """
     points = np.asarray(points, dtype=float)
-    if max_iter < 0:
-        raise ConfigError("max_iter must be >= 0")
+    require_int("max_iter", max_iter, 0)
     state = init
     reports = []
     if ground_truth is not None:
@@ -312,8 +309,7 @@ def iterfilter_2cluster(
     if points.ndim != 2:
         raise ConfigError(f"expected (m, d) points, got shape {points.shape}")
     m = points.shape[0]
-    if T < 1:
-        raise ConfigError("T must be >= 1")
+    require_int("T", T, 1)
     if m < T:
         raise ConfigError(f"need at least T={T} points, got {m}")
     if filter is None:

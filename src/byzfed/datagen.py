@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .components import threshold_components
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require_int, require_real
 from .numerics import RngStream
 
 __all__ = [
@@ -66,12 +66,11 @@ class FleetConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.m, self.n, self.d, self.K) < 1:
-            raise ConfigError("m, n, d, K must all be >= 1")
+        for name in ("m", "n", "d", "K"):
+            require_int(name, getattr(self, name), 1)
         if not 0.0 <= self.alpha < 0.5:
             raise ConfigError(f"alpha must be in [0, 0.5), got {self.alpha}")
-        if self.sigma < 0:
-            raise ConfigError("sigma must be >= 0")
+        require_real("sigma", self.sigma)
         if self.adversary_kind != "corrupt_coefficients":
             raise ConfigError(f"unknown adversary_kind {self.adversary_kind!r}")
         if self.K > self.n_honest:
@@ -296,8 +295,7 @@ def shard_components(
     """The seeded half of an ingested fleet: random shards of each
     surviving component, then n_adv adversarial shards from the unused
     points, all drawn from RngStream(seed, 0)."""
-    if n_adv < 0:
-        raise ConfigError("n_adv must be >= 0")
+    require_int("n_adv", n_adv, 0)
     if adv_noise is None:
         adv_noise = _bernoulli_centered
     P, shard_size = layout.points, layout.shard_size

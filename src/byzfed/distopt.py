@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .datagen import WorkerShard
-from .errors import ConfigError
+from .errors import ConfigError, require_int, require_real
 from .localsolve import _DIVERGENCE_NORM, LossSpec, ShardStats, local_gradient, shard_stats
 from .numerics import RngStream, derive_seed, top_eigenpair
 from .robust_stats import AggregatorSpec, aggregate
@@ -105,16 +105,10 @@ class OptConfig:
     stop_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.step_size is not None and not (
-            math.isfinite(self.step_size) and self.step_size > 0
-        ):
-            raise ConfigError("step_size must be finite and > 0")
-        if self.max_rounds < 1:
-            raise ConfigError("max_rounds must be >= 1")
-        if self.local_steps < 1:
-            raise ConfigError("local_steps must be >= 1")
-        if self.stop_tol < 0:
-            raise ConfigError("stop_tol must be >= 0")
+        require_real("step_size", self.step_size, positive=True, optional=True)
+        require_int("max_rounds", self.max_rounds, 1)
+        require_int("local_steps", self.local_steps, 1)
+        require_real("stop_tol", self.stop_tol)
         if self.init is not None:
             object.__setattr__(self, "init", np.asarray(self.init, dtype=float))
 

@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the config checks.
 
 The CLI maps ConfigError to exit code 1 and every other ByzfedError
 (and unexpected exceptions) to exit code 2.
 """
+
+import math
+import numbers
 
 
 class ByzfedError(Exception):
@@ -23,3 +26,24 @@ class ClusteringError(DataError):
 
 class NumericError(ByzfedError, ArithmeticError):
     """Numerical failure such as divergence of an iterative solver."""
+
+
+def require_int(name, value, low) -> None:
+    """Raise ConfigError unless value is an integer >= low (not a bool or float)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def require_real(name, value, *, positive=False, finite=True, optional=False) -> None:
+    """Raise ConfigError unless value is a real number (not a bool, not NaN)
+    >= 0, or > 0 if positive; infinity passes only if finite is False, and
+    None only if optional."""
+    if optional and value is None:
+        return
+    if not (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+        and (value > 0 if positive else value >= 0)  # False for NaN
+        and (finite is False or math.isfinite(value))
+    ):
+        bound = "> 0" if positive else ">= 0"
+        raise ConfigError(f"{name} must be {'finite and ' if finite else ''}{bound}, got {value!r}")

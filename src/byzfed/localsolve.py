@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .datagen import WorkerShard
-from .errors import ConfigError
+from .errors import ConfigError, require_real
 from .numerics import least_squares
 
 __all__ = [
@@ -162,8 +162,7 @@ def online_to_batch(
     """
     if shard.n < 1:
         raise ConfigError("cannot solve an empty shard")
-    if lam <= 0:
-        raise ConfigError("lam must be > 0")
+    require_real("lam", lam, positive=True)
     d = shard.X.shape[1]
     R = 2.0 * np.sqrt(d) if radius is None else float(radius)
     if R <= 0:

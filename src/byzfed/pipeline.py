@@ -6,6 +6,11 @@ Byzantine-robust distributed optimization inside each estimated cluster,
 initialized at that cluster's Stage-II center. The headline metric is
 est_error = max over matched clusters of ||w_hat - w*|| / sqrt(d).
 
+In a grid, Stage II depends only on (clusterer, trial) and Stage III on
+the cell, so run_grid makes one pool task per trial: the fleet and Stage I
+once, Stage II once per clusterer, Stage III once per cell. run_pipeline
+is the single-cell composition of the same stage helpers.
+
 All randomness is derived from PipelineConfig.seed before any parallel
 dispatch, so results are independent of scheduling and thread count.
 """
@@ -13,11 +18,11 @@ dispatch, so results are independent of scheduling and thread count.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy.linalg import eigh
@@ -45,7 +50,7 @@ from .datagen import (
     shard_components,
 )
 from .distopt import AttackSpec, OptConfig, fed_avg_robust, robust_gd
-from .errors import ByzfedError, ConfigError, NumericError
+from .errors import ByzfedError, ConfigError, NumericError, require_int, require_real
 from .localsolve import (
     _DIVERGENCE_NORM,
     LossSpec,
@@ -79,12 +84,6 @@ _CLUSTER_METHODS = ("edge_cut", "lloyd", "kgeomedian", "trimmed_kmeans", "iterfi
 _LOG_DIVERGENCE = math.log(_DIVERGENCE_NORM)
 
 
-def _positive_real(v) -> bool:
-    return (
-        isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v) and v > 0
-    )
-
-
 @dataclass(frozen=True)
 class SolverSpec:
     """Stage-I solver: exact ERM, batch GD, or one-pass online GD.
@@ -105,15 +104,10 @@ class SolverSpec:
         if self.kind not in _SOLVER_KINDS:
             raise ConfigError(f"unknown solver {self.kind!r}; expected one of {_SOLVER_KINDS}")
         LossSpec(self.loss)  # validates
-        n = self.iters
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ConfigError(f"iters must be an integer >= 1, got {n!r}")
-        if not _positive_real(self.lam):
-            raise ConfigError(f"lam must be finite and > 0, got {self.lam!r}")
+        require_int("iters", self.iters, 1)
+        require_real("lam", self.lam, positive=True)
         for name in ("step", "radius"):  # None selects the default
-            v = getattr(self, name)
-            if v is not None and not _positive_real(v):
-                raise ConfigError(f"{name} must be finite and > 0, got {v!r}")
+            require_real(name, getattr(self, name), positive=True, optional=True)
 
     @property
     def loss_spec(self) -> LossSpec:
@@ -127,7 +121,7 @@ class ClusterSpec:
     warm_fraction configures the partially-correct initialization used by
     the Lloyd-family methods (and the two-cluster filter's starting
     center); gamma/min_cluster belong to edge_cut; T and variance_bound to
-    iterfilter2.
+    iterfilter2. C may be infinite (no trimming); the counts are integers.
     """
 
     method: str = "trimmed_kmeans"
@@ -149,10 +143,13 @@ class ClusterSpec:
             raise ConfigError("edge_cut needs gamma")
         if not 0.0 <= self.warm_fraction <= 1.0:
             raise ConfigError("warm_fraction must be in [0, 1]")
-        if self.max_iter < 0:
-            raise ConfigError("max_iter must be >= 0")
-        if self.T < 1:
-            raise ConfigError("T must be >= 1")
+        require_real("C", self.C, positive=True, finite=False)
+        require_real("sigma_hat", self.sigma_hat, finite=False, optional=True)
+        require_real("gamma", self.gamma, positive=True, finite=False, optional=True)
+        require_real("variance_bound", self.variance_bound, optional=True)
+        require_int("max_iter", self.max_iter, 0)
+        require_int("min_cluster", self.min_cluster, 1)
+        require_int("T", self.T, 1)
 
     def variant(self) -> LloydVariant:
         if self.method == "lloyd":
@@ -178,10 +175,10 @@ class IngestSpec:
     label_column: int | None = None
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ConfigError("gamma must be > 0")
-        if self.shard_size < 1 or self.min_cluster < 1 or self.n_adv < 0:
-            raise ConfigError("shard_size, min_cluster must be >= 1 and n_adv >= 0")
+        require_real("gamma", self.gamma, positive=True, finite=False)
+        require_int("shard_size", self.shard_size, 1)
+        require_int("min_cluster", self.min_cluster, 1)
+        require_int("n_adv", self.n_adv, 0)
 
 
 @dataclass(frozen=True)
@@ -213,7 +210,9 @@ class RunResult:
     est_error is NaN when no ground truth exists. matched_pairs lists
     (estimated cluster, true cluster) index pairs used for est_error;
     estimated clusters beyond the matching are counted in n_unmatched and
-    excluded from the metric.
+    excluded from the metric. wall_times has the seconds of stage1..3;
+    in a grid, stage1 is shared by the cells of a trial and stage2 (like
+    the Stage-II state and history) by the cells of a clusterer.
     """
 
     per_cluster_w_hat: np.ndarray
@@ -395,61 +394,37 @@ def _match_centers(w_hats: np.ndarray, centers_true: np.ndarray) -> list[tuple[i
 
 
 @contextmanager
-def _tag_stage(stage: str):
-    """Prefix the message of a ByzfedError raised inside with the stage."""
+def _stage(times: dict[str, float], stage: str):
+    """Record the block's wall time as times[stage]; prefix the message of
+    a ByzfedError raised inside with the stage."""
+    t0 = time.perf_counter()
     try:
         yield
     except ByzfedError as exc:
         exc.args = (f"{stage}: {exc}",)
         raise
+    times[stage] = time.perf_counter() - t0
 
 
-def run_pipeline(
-    cfg: PipelineConfig,
-    *,
-    fleet: list[WorkerShard] | None = None,
-    ground_truth: GroundTruth | None = None,
-    erms: np.ndarray | None = None,
-) -> RunResult:
-    """Run the three stages for one config and seed.
+def _local_models(cfg: PipelineConfig, layout: ComponentLayout | None, times):
+    """Stage I: the fleet named by cfg, its ground truth and its ERMs."""
+    with _stage(times, "stage1"):
+        fleet, truth = materialize_fleet(cfg, layout)
+        return fleet, truth, stage1_erms(fleet, cfg.solver)
 
-    A pre-built fleet (and optionally its Stage-I ERMs) can be injected to
-    share work across grid cells; the result is bit-identical to building
-    them from cfg, since both paths use the same derived streams.
-    """
-    times: dict[str, float] = {}
-    loss = cfg.solver.loss_spec
 
-    t0 = time.perf_counter()
-    if fleet is None:
-        if erms is not None:
-            raise ConfigError("erms injection requires an injected fleet")
-        with _tag_stage("stage1"):
-            fleet, ground_truth = materialize_fleet(cfg)
-    for i, s in enumerate(fleet):
-        if s.machine_id != i:
-            raise ConfigError("shards must be ordered by machine_id")
-    with _tag_stage("stage1"):
-        if erms is None:
-            erms = stage1_erms(fleet, cfg.solver)
-    times["stage1"] = time.perf_counter() - t0
+def _cell_result(cfg: PipelineConfig, fleet, truth, clustered, times) -> RunResult:
+    """Stage III in each cluster of a Stage-II (state, history); metric."""
+    state, history = clustered
+    times = dict(times)
+    with _stage(times, "stage3"):
+        w_hats, trajectories = _stage3(cfg, fleet, state, cfg.solver.loss_spec)
 
-    t0 = time.perf_counter()
-    with _tag_stage("stage2"):
-        state, history = _stage2(cfg, erms, ground_truth)
-    times["stage2"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    with _tag_stage("stage3"):
-        w_hats, trajectories = _stage3(cfg, fleet, state, loss)
-    times["stage3"] = time.perf_counter() - t0
-
-    if ground_truth is not None:
-        pairs = _match_centers(w_hats, ground_truth.centers)
+    if truth is not None:
+        pairs = _match_centers(w_hats, truth.centers)
         d = fleet[0].X.shape[1]
         est_error = max(
-            float(np.linalg.norm(w_hats[i] - ground_truth.centers[j])) / np.sqrt(d)
-            for i, j in pairs
+            float(np.linalg.norm(w_hats[i] - truth.centers[j])) / np.sqrt(d) for i, j in pairs
         )
         n_unmatched = w_hats.shape[0] - len(pairs)
     else:
@@ -464,8 +439,18 @@ def run_pipeline(
         cluster_state=state,
         matched_pairs=pairs,
         n_unmatched=n_unmatched,
-        true_centers=None if ground_truth is None else ground_truth.centers.copy(),
+        true_centers=None if truth is None else truth.centers.copy(),
     )
+
+
+def run_pipeline(cfg: PipelineConfig) -> RunResult:
+    """Run the three stages for one config and seed: one cell of one trial
+    of run_grid, composed from the same stage helpers."""
+    times: dict[str, float] = {}
+    fleet, truth, erms = _local_models(cfg, None, times)
+    with _stage(times, "stage2"):
+        clustered = _stage2(cfg, erms, truth)
+    return _cell_result(cfg, fleet, truth, clustered, times)
 
 
 def ingest_layout(spec: IngestSpec, points=None) -> ComponentLayout:
@@ -516,6 +501,39 @@ def materialize_fleet(
 # grid
 
 
+def _trial_outcomes(base_cfg, clusterers, optimizers, layout, t: int, seed: int):
+    """Every cell of trial t, clusterer-major: the fleet and Stage I once,
+    Stage II once per clusterer, Stage III once per cell. A failed stage
+    becomes the error string of every cell that depends on it."""
+    cfg = replace(base_cfg, seed=seed)
+
+    def outcome(cname, oname, result=None, exc=None):
+        error = None if exc is None else repr(exc)
+        return TrialOutcome(f"{cname}+{oname}", cname, oname, t, seed, result, error)
+
+    times: dict[str, float] = {}
+    try:
+        fleet, truth, erms = _local_models(cfg, layout, times)
+    except Exception as exc:  # a fleet failure fails the trial, not the grid
+        return [outcome(c, o, exc=exc) for c, _ in clusterers for o, _ in optimizers]
+    outcomes = []
+    for cname, cspec in clusterers:
+        ccfg = replace(cfg, cluster=cspec)
+        try:  # each result keeps a copy of times, so stage2 may be overwritten
+            with _stage(times, "stage2"):
+                clustered = _stage2(ccfg, erms, truth)
+        except Exception as exc:
+            outcomes += [outcome(cname, o, exc=exc) for o, _ in optimizers]
+            continue
+        for oname, ospec in optimizers:
+            try:
+                result = _cell_result(replace(ccfg, opt=ospec), fleet, truth, clustered, times)
+                outcomes.append(outcome(cname, oname, result))
+            except Exception as exc:  # record and continue per grid contract
+                outcomes.append(outcome(cname, oname, exc=exc))
+    return outcomes
+
+
 def run_grid(
     base_cfg: PipelineConfig,
     clusterers: list[tuple[str, ClusterSpec]],
@@ -528,74 +546,39 @@ def run_grid(
     """Cartesian product of clusterers x optimizers over seeded trials.
 
     Trial t uses the same derived seed in every cell, so cells are paired:
-    they see identical fleets and Stage-I ERMs (computed once per trial
-    and shared). An ingest fleet's component layout is seed-free: it is
-    built once, before any trial (or injected, see ingest_layout), and a
-    failure to build it raises. Other fleet and cell failures are
-    recorded as error strings and the grid continues. Returns (outcomes,
-    per-cell summary rows); outcomes are ordered cell-major then by trial,
-    independent of thread count.
+    they see identical fleets and Stage-I ERMs. Each trial is one task
+    on a pool of `threads` workers (see _trial_outcomes), so stage1 and
+    stage2 wall times are shared by the cells of a trial and clusterer.
+    An ingest fleet's component layout is seed-free: it is built once,
+    before any trial (or injected, see ingest_layout), and a failure to
+    build it raises. Other stage failures are recorded as error strings
+    and the grid continues. Returns (outcomes, per-cell summary rows);
+    outcomes are ordered cell-major then by trial, independent of
+    thread count.
     """
     if not clusterers or not optimizers:
         raise ConfigError("clusterers and optimizers must be nonempty")
-    if n_trials < 1:
-        raise ConfigError("n_trials must be >= 1")
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
+    require_int("n_trials", n_trials, 1)
+    require_int("threads", threads, 1)
     master = base_cfg.seed if seed is None else seed
     trial_seeds = [derive_seed(master, t) for t in range(n_trials)]
     layout = _resolve_layout(base_cfg.fleet, layout)
 
-    def _prepare(t):
-        try:
-            cfg = replace(base_cfg, seed=trial_seeds[t])
-            fleet, truth = materialize_fleet(cfg, layout)
-            return fleet, truth, stage1_erms(fleet, cfg.solver)
-        except Exception as exc:  # fleet failure poisons the trial, not the grid
-            return exc
-
+    task = partial(_trial_outcomes, base_cfg, clusterers, optimizers, layout)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        prepared = list(pool.map(_prepare, range(n_trials)))
-
-        tasks = []
-        for cname, cspec in clusterers:
-            for oname, ospec in optimizers:
-                for t in range(n_trials):
-                    tasks.append((cname, cspec, oname, ospec, t))
-
-        def _run(task):
-            cname, cspec, oname, ospec, t = task
-            cell = f"{cname}+{oname}"
-            cfg = replace(base_cfg, cluster=cspec, opt=ospec, seed=trial_seeds[t])
-            if isinstance(prepared[t], Exception):
-                return TrialOutcome(
-                    cell, cname, oname, t, trial_seeds[t], None, repr(prepared[t])
-                )
-            fleet, truth, erms = prepared[t]
-            try:
-                result = run_pipeline(cfg, fleet=fleet, ground_truth=truth, erms=erms)
-                return TrialOutcome(cell, cname, oname, t, trial_seeds[t], result)
-            except Exception as exc:  # record and continue per grid contract
-                return TrialOutcome(cell, cname, oname, t, trial_seeds[t], None, repr(exc))
-
-        outcomes = list(pool.map(_run, tasks))
-
-    summary = summarize_grid(outcomes)
-    return outcomes, summary
+        by_trial = list(pool.map(task, range(n_trials), trial_seeds))
+    n_cells = len(clusterers) * len(optimizers)
+    outcomes = [trial[j] for j in range(n_cells) for trial in by_trial]
+    return outcomes, summarize_grid(outcomes)
 
 
 def summarize_grid(outcomes: list[TrialOutcome]) -> list[dict]:
     """Per-cell mean and sample standard deviation of est_error."""
     cells: dict[str, list[TrialOutcome]] = {}
-    order = []
     for o in outcomes:
-        if o.cell not in cells:
-            cells[o.cell] = []
-            order.append(o.cell)
-        cells[o.cell].append(o)
+        cells.setdefault(o.cell, []).append(o)
     rows = []
-    for cell in order:
-        outs = cells[cell]
+    for cell, outs in cells.items():
         errs = [o.result.est_error for o in outs if o.result is not None]
         errs = [e for e in errs if np.isfinite(e)]
         rows.append(

@@ -10,12 +10,11 @@ eigenvector. All estimators are pure functions of their input set.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_int, require_real
 from .numerics import top_eigenpair
 
 __all__ = [
@@ -131,8 +130,7 @@ def iter_filter_mean(points, variance_bound: float | None = None, max_rounds: in
     t, d = P.shape
     if t < 2:
         raise ConfigError("iterative filtering needs at least 2 points")
-    if max_rounds < 1:
-        raise ConfigError("max_rounds must be >= 1")
+    require_int("max_rounds", max_rounds, 1)
     drop_per_round = math.ceil(0.05 * t)
     min_survivors = math.ceil(t / 2)
     alive = np.arange(t)
@@ -193,15 +191,10 @@ class AggregatorSpec:
             raise ConfigError(f"unknown aggregator kind {self.kind!r}; expected one of {self._KINDS}")
         if self.kind == "trimmed_mean" and not 0.0 <= self.beta < 0.5:
             raise ConfigError(f"trim fraction must be in [0, 0.5), got {self.beta}")
-        for name in ("max_iter", "max_rounds"):
-            n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {n!r}")
-        if not (math.isfinite(self.tol) and self.tol >= 0.0):
-            raise ConfigError(f"tol must be finite and >= 0, got {self.tol}")
-        vb = self.variance_bound
-        if vb is not None and not (math.isfinite(vb) and vb >= 0.0):
-            raise ConfigError(f"variance_bound must be finite and >= 0, got {vb}")
+        require_int("max_iter", self.max_iter, 1)
+        require_int("max_rounds", self.max_rounds, 1)
+        require_real("tol", self.tol)
+        require_real("variance_bound", self.variance_bound, optional=True)
 
     @classmethod
     def sample_mean(cls) -> "AggregatorSpec":

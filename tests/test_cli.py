@@ -181,6 +181,43 @@ def test_bad_solver_parameters_exit_1(tmp_path, capsys, solver):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        ('{"opt": {"max_rounds": 2.5}}', []),
+        ('{"opt": {"max_rounds": true}}', []),
+        ('{"opt": {"local_steps": 2.5}}', []),
+        ('{"opt": {"stop_tol": NaN}}', []),
+        ('{"cluster": {"max_iter": 2.5}}', []),
+        ('{"cluster": {"T": 2.5}}', []),
+        ('{"cluster": {"min_cluster": 1.5}}', []),
+        ('{"cluster": {"C": NaN}}', []),
+        ('{"cluster": {"sigma_hat": NaN}}', []),
+        ('{"fleet": {"m": 20.5}}', []),
+        ('{"fleet": {"sigma": NaN}}', []),
+        ('{"trials": 2.5}', []),
+        ('{"trials": 0}', []),
+        ('{}', ["--trials", "0"]),
+    ],
+)
+def test_bad_config_counts_and_reals_exit_1(tmp_path, capsys, config, flags):
+    # raw JSON text, so NaN reaches the parser as written
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(config)
+    code, out = _synth(tmp_path, "--config", str(cfg), *flags)
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_infinite_trim_radius_multiplier_is_legal(tmp_path):
+    # C = inf means no trimming
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"cluster": {"C": Infinity}}')
+    code, _ = _synth(tmp_path, "--config", str(cfg))
+    assert code == 0
+
+
 def test_bad_usage_exits_1():
     assert main(["trample"]) == 1
 
@@ -282,6 +319,20 @@ def test_cli_trials_flag_overrides_grid_section(tmp_path):
     assert all(row.split(",")[3] == "1" for row in rows)
 
 
+@pytest.mark.parametrize("command", ["grid", "synth"])
+@pytest.mark.parametrize(
+    "flag", [["--clusterer", "km"], ["--aggregator", "cm"], ["--beta", "0.2"], ["--gamma", "3"]]
+)
+def test_cell_flags_with_grid_section_exit_1(tmp_path, capsys, command, flag):
+    # the grid's cells carry their own clusterer and optimizer; a flag
+    # would reach none of them
+    cfg = _write_grid_config(tmp_path)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out-dir", str(out), *flag]) == 1
+    assert flag[0] in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # ingest and replay
 
@@ -338,6 +389,31 @@ def test_ingest_reads_points_and_builds_components_once(tmp_path, rng, capsys, m
     assert code == 0
     assert calls == {"read": 1, "components": 1}
     assert "ingest produced 2 clusters" in capsys.readouterr().out
+
+
+def test_ingest_takes_fleet_fields_from_config_when_flags_are_absent(tmp_path, rng, capsys):
+    csv = _blob_csv(tmp_path, rng)
+    fleet = {"gamma": 10.0, "shard_size": 4, "n_adv": 2, "min_cluster": 8, "label_column": 2}
+    cfg = tmp_path / "ingest.json"
+    cfg.write_text(json.dumps({"fleet": fleet}))
+    out = tmp_path / "out"
+    assert main(["ingest", "--csv", str(csv), "--config", str(cfg), "--out-dir", str(out)]) == 0
+    got = load_manifest(out).config["fleet"]
+    assert {k: got[k] for k in fleet} == fleet
+
+    # a flag still overrides its config field
+    out = tmp_path / "out2"
+    assert main(["ingest", "--csv", str(csv), "--config", str(cfg), "--shard-size", "5",
+                 "--out-dir", str(out)]) == 0
+    assert load_manifest(out).config["fleet"] == {**got, "shard_size": 5}
+
+    # ingest's --gamma is the fleet's, but --clusterer cannot reach a grid's cells
+    cfg.write_text(json.dumps({"fleet": fleet, "grid": json.loads(
+        _write_grid_config(tmp_path).read_text())["grid"]}))
+    out = tmp_path / "out3"
+    assert main(["ingest", "--csv", str(csv), "--config", str(cfg), "--gamma", "9",
+                 "--clusterer", "km", "--out-dir", str(out)]) == 1
+    assert not (out / "manifest.json").exists()
 
 
 def test_replay_of_ingest_run_is_identical(tmp_path, rng, capsys):

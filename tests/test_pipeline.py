@@ -6,6 +6,7 @@ from byzfed.datagen import FleetConfig, generate_fleet
 from byzfed.distopt import AttackSpec, OptConfig, robust_gd
 from byzfed.errors import ConfigError, DataError
 from byzfed.numerics import derive_seed
+from byzfed import pipeline
 from byzfed.pipeline import (
     ClusterSpec,
     IngestSpec,
@@ -23,7 +24,7 @@ from byzfed.pipeline import (
 from byzfed.reporting import compute_run_id
 from byzfed.robust_stats import AggregatorSpec
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 
 def _clean_config(seed=0):
@@ -78,24 +79,6 @@ def test_pipeline_composes_documented_stages():
 
     np.testing.assert_array_equal(got.per_cluster_w_hat, w_hats)
     np.testing.assert_array_equal(got.cluster_state.labels, state.labels)
-
-
-def test_injected_fleet_matches_internal_build():
-    cfg = _adversarial_config(seed=9)
-    fleet, truth = materialize_fleet(cfg)
-    a = run_pipeline(cfg)
-    b = run_pipeline(cfg, fleet=fleet, ground_truth=truth)
-    np.testing.assert_array_equal(a.per_cluster_w_hat, b.per_cluster_w_hat)
-    assert a.est_error == b.est_error
-
-
-def test_run_pipeline_validation(rng):
-    cfg = _clean_config()
-    fleet, truth = materialize_fleet(cfg)
-    with pytest.raises(ConfigError):
-        run_pipeline(cfg, erms=np.zeros((12, 6)))  # erms without fleet
-    with pytest.raises(ConfigError):
-        run_pipeline(cfg, fleet=fleet[::-1], ground_truth=truth)  # out of order
 
 
 def test_ingest_fleet_requires_location_loss(tmp_path):
@@ -255,6 +238,75 @@ def _assert_same_outcomes(a, b):
         assert oa.result.est_error == ob.result.est_error
         assert np.array_equal(oa.result.per_cluster_w_hat, ob.result.per_cluster_w_hat)
         assert np.array_equal(oa.result.cluster_state.labels, ob.result.cluster_state.labels)
+
+
+def _assert_same_result(a, b):
+    assert a.est_error == b.est_error
+    assert np.array_equal(a.per_cluster_w_hat, b.per_cluster_w_hat)
+    assert len(a.opt_trajectories) == len(b.opt_trajectories)
+    for ta, tb in zip(a.opt_trajectories, b.opt_trajectories):
+        assert np.array_equal(ta, tb)
+    assert len(a.clustering_history) == len(b.clustering_history)
+    for ra, rb in zip(a.clustering_history, b.clustering_history):
+        for f in fields(ra):
+            assert np.array_equal(getattr(ra, f.name), getattr(rb, f.name)), f.name
+    assert np.array_equal(a.cluster_state.labels, b.cluster_state.labels)
+    assert np.array_equal(a.cluster_state.centers, b.cluster_state.centers)
+
+
+def _with_fedavg(optimizers):
+    fa = ("FA", OptConfig(max_rounds=40, local_steps=3, aggregator=AggregatorSpec.trimmed(0.25)))
+    return optimizers + [fa]
+
+
+@pytest.mark.parametrize("fleet", ["synthetic", "ingest"])
+def test_grid_cells_equal_run_pipeline(fleet, tmp_path, rng):
+    """Each trial task shares the fleet, Stage I and Stage II across cells;
+    every cell must still equal run_pipeline on its own config with the
+    trial's derived seed."""
+    if fleet == "synthetic":
+        base, clusterers, optimizers = _grid_inputs()
+    else:
+        base, clusterers, optimizers = _ingest_grid_inputs(tmp_path, rng)
+    optimizers = _with_fedavg(optimizers)
+    outcomes, _ = run_grid(base, clusterers, optimizers, n_trials=2, seed=17, threads=2)
+    specs = {f"{c}+{o}": (cs, os_) for c, cs in clusterers for o, os_ in optimizers}
+    assert [o.cell for o in outcomes] == [cell for cell in specs for _ in range(2)]
+    for o in outcomes:
+        cspec, ospec = specs[o.cell]
+        assert o.seed == derive_seed(17, o.trial)
+        direct = run_pipeline(replace(base, cluster=cspec, opt=ospec, seed=o.seed))
+        _assert_same_result(o.result, direct)
+
+
+def test_grid_builds_fleet_once_per_trial_and_clusters_once_per_clusterer(monkeypatch):
+    base, clusterers, optimizers = _grid_inputs()
+    optimizers = _with_fedavg(optimizers)
+    calls = {"materialize_fleet": 0, "run_lloyd_variant": 0}
+
+    def counted(name):
+        fn = getattr(pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(pipeline, name, counted(name))
+    outcomes, _ = run_grid(base, clusterers, optimizers, n_trials=3, seed=4, threads=2)
+    assert all(o.result is not None for o in outcomes)
+    assert calls == {"materialize_fleet": 3, "run_lloyd_variant": 2 * 3}
+
+
+def test_grid_stage1_failure_fails_every_cell_of_its_trial():
+    # a diverging Stage-I step fails every trial; the error keeps its stage
+    base, clusterers, optimizers = _grid_inputs()
+    bad = replace(base, solver=SolverSpec(kind="gd", step=10.0, iters=500))
+    outcomes, summary = run_grid(bad, clusterers, optimizers, n_trials=2, seed=3)
+    assert all(o.result is None and o.error.startswith("NumericError('stage1: ") for o in outcomes)
+    assert all(r["n_failed"] == 2 for r in summary)
 
 
 def test_ingest_grid_is_thread_invariant_and_layout_injectable(tmp_path, rng):
