@@ -38,7 +38,7 @@ def main():
     )
     shards, truth = generate_fleet(cfg)
     erms = stage1_erms(shards, SolverSpec(kind="gd", iters=1000))
-    init = warm_start_init(erms, truth, 0.6, cfg.K, seed=derive_seed(args.seed, 1))
+    init = warm_start_init(erms, truth, 0.6, seed=derive_seed(args.seed, 1))
 
     _, trimmed = run_lloyd_variant(
         erms, init, LloydVariant.trimmed(C=2.0, sigma_hat=0.55),

@@ -29,7 +29,7 @@ import os
 import sys
 import tempfile
 import traceback
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .datagen import percentile_gamma, read_points_csv
@@ -41,7 +41,6 @@ from .pipeline import (
     config_to_dict,
     ingest_layout,
     opt_from_dict,
-    opt_to_dict,
     run_grid,
 )
 from .reporting import (
@@ -210,8 +209,8 @@ def _apply_overrides(data: dict, args) -> dict:
     return data
 
 
-def _resolve_threads(requested: int | None) -> int:
-    threads = max(1, requested or 1)
+def _resolve_threads(threads: int) -> int:
+    require_int("threads", threads, 1)
     cap = os.environ.get("BYZFED_THREADS")
     if cap:
         try:
@@ -237,6 +236,8 @@ def _grid_specs(data: dict, base_cfg: PipelineConfig):
             ]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad grid section: {exc}") from exc
+        for _, opt in optimizers:  # each cell's config must validate, before the manifest
+            replace(base_cfg, opt=opt)
         trials = grid.get("trials", data.get("trials", 1))
         require_int("trials", trials, 1)
         return clusterers, optimizers, trials
@@ -253,7 +254,7 @@ def _grid_specs(data: dict, base_cfg: PipelineConfig):
 def _grid_manifest_dict(clusterers, optimizers, trials) -> dict:
     return {
         "clusterers": [[name, asdict(spec)] for name, spec in clusterers],
-        "optimizers": [[name, opt_to_dict(opt)] for name, opt in optimizers],
+        "optimizers": [[name, asdict(opt)] for name, opt in optimizers],
         "trials": trials,
     }
 
@@ -374,7 +375,8 @@ def cmd_replay(args) -> int:
     try:
         clusterers = [(name, ClusterSpec(**spec)) for name, spec in manifest.grid["clusterers"]]
         optimizers = [(name, opt_from_dict(spec)) for name, spec in manifest.grid["optimizers"]]
-        trials = int(manifest.grid["trials"])
+        trials = manifest.grid["trials"]
+        require_int("trials", trials, 1)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"manifest grid section is unusable: {exc}") from exc
     threads = _resolve_threads(args.threads if args.threads is not None else manifest.threads)

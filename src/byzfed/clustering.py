@@ -28,7 +28,7 @@ from .components import threshold_components
 from .datagen import BYZANTINE, GroundTruth
 from .errors import ClusteringError, ConfigError, require_int, require_real
 from .numerics import RngStream
-from .robust_stats import AggregatorSpec, geometric_median, iter_filter_mean
+from .robust_stats import geometric_median, iter_filter_mean
 
 __all__ = [
     "ClusteringState",
@@ -293,15 +293,16 @@ def iterfilter_2cluster(
     points,
     theta0,
     T: int,
-    filter: AggregatorSpec | None = None,
+    variance_bound: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric 2-cluster estimation by sample splitting.
 
     The points are split into T batches of floor(m/T); batch t estimates
-    signs against the running center, then refreshes the center with an
-    iterative-filtering mean of the sign-corrected batch. Remainder points
-    (m not divisible by T) take no part in estimation but are labeled in
-    the final pass, which relabels every point against the last center.
+    signs against the running center, then refreshes the center with
+    iter_filter_mean (at variance_bound; None estimates it from the
+    batch) of the sign-corrected batch. Remainder points (m not divisible
+    by T) take no part in estimation but are labeled in the final pass,
+    which relabels every point against the last center.
 
     Returns (theta_hat, labels) with labels in {+1, -1}.
     """
@@ -312,10 +313,6 @@ def iterfilter_2cluster(
     require_int("T", T, 1)
     if m < T:
         raise ConfigError(f"need at least T={T} points, got {m}")
-    if filter is None:
-        filter = AggregatorSpec.filtering()
-    if filter.kind != "iter_filter":
-        raise ConfigError(f"filter must be an iter_filter aggregator, got {filter.kind!r}")
 
     batch = m // T
     n_rem = m - batch * T
@@ -325,11 +322,7 @@ def iterfilter_2cluster(
     for t in range(T):
         chunk = points[t * batch : (t + 1) * batch]
         nu = _sign_labels(chunk, theta)
-        theta = iter_filter_mean(
-            nu[:, None] * chunk,
-            variance_bound=filter.variance_bound,
-            max_rounds=filter.max_rounds,
-        )
+        theta = iter_filter_mean(nu[:, None] * chunk, variance_bound=variance_bound)
     labels = _sign_labels(points, theta)
     return theta, labels
 
@@ -342,15 +335,17 @@ def warm_start_init(
     points,
     ground_truth: GroundTruth,
     correct_fraction: float,
-    K: int,
+    *,
     seed: int = 0,
 ) -> ClusteringState:
-    """Partially-correct initial assignment.
+    """Partially-correct initial assignment into ground_truth.K buckets.
 
     A random ceil(correct_fraction * count) subset of the honest machines
     keeps its true label; every other honest machine draws a uniformly
     random wrong label, and Byzantine machines draw uniform labels.
-    Initial centers are bucket sample means.
+    Initial centers are bucket sample means, by the Lloyd center step
+    from the overall mean: an empty bucket re-seeds at the point farthest
+    from the mean of all points.
     """
     if not 0.0 <= correct_fraction <= 1.0:
         raise ConfigError("correct_fraction must be in [0, 1]")
@@ -359,6 +354,7 @@ def warm_start_init(
     truth_labels = np.asarray(ground_truth.labels)
     if truth_labels.shape[0] != m:
         raise ConfigError("ground truth and points disagree on m")
+    K = ground_truth.K
     rng = RngStream(seed, 0).generator()
     labels = np.empty(m, dtype=int)
 
@@ -377,20 +373,8 @@ def warm_start_init(
     byz = np.flatnonzero(truth_labels == BYZANTINE)
     labels[byz] = rng.integers(0, K, size=byz.size)
 
-    centers = np.zeros((K, points.shape[1]))
-    empty = []
-    for g in range(K):
-        members = labels == g
-        if members.any():
-            centers[g] = points[members].mean(axis=0)
-        else:
-            empty.append(g)
-    if empty:
-        # no previous centers exist; seed at points farthest from the mean
-        dists = np.linalg.norm(points - points.mean(axis=0), axis=1)
-        order = np.argsort(-dists, kind="stable")
-        for j, g in enumerate(empty):
-            centers[g] = points[order[j]]
+    start = ClusteringState(labels=labels, centers=np.tile(points.mean(axis=0), (K, 1)))
+    centers, _ = _center_step(points, start, LloydVariant.lloyd())
     return ClusteringState(labels=labels, centers=centers, iteration=0)
 
 
@@ -407,11 +391,7 @@ def _match_labels(confusion: np.ndarray) -> np.ndarray:
     return perm
 
 
-def mismetrics(
-    state: ClusteringState,
-    ground_truth: GroundTruth,
-    centers_true: np.ndarray | None = None,
-) -> MisclusterReport:
+def mismetrics(state: ClusteringState, ground_truth: GroundTruth) -> MisclusterReport:
     """Misclustering rates and center error against ground truth.
 
     All quantities are computed after aligning estimated bucket indices to
@@ -419,9 +399,7 @@ def mismetrics(
     honest machines, so the report is invariant to relabeling buckets.
     """
     truth_labels = np.asarray(ground_truth.labels)
-    if centers_true is None:
-        centers_true = ground_truth.centers
-    centers_true = np.asarray(centers_true, dtype=float)
+    centers_true = np.asarray(ground_truth.centers, dtype=float)
     K = state.K
     if centers_true.shape[0] != K:
         raise ConfigError(

@@ -128,10 +128,6 @@ class GroundTruth:
     def K(self) -> int:
         return self.centers.shape[0]
 
-    @property
-    def honest_mask(self) -> np.ndarray:
-        return np.asarray(self.labels) != BYZANTINE
-
     def min_separation(self) -> float:
         C = self.centers
         best = math.inf
@@ -390,13 +386,17 @@ def percentile_gamma(points, q: float = 10.0, max_pairs: int = 200_000, seed: in
     return float(np.percentile(dists, q))
 
 
-def read_points_csv(path, delimiter: str = ",", header: str | bool = "auto", label_column: int | None = None) -> np.ndarray:
+def read_points_csv(path, delimiter: str = ",", label_column: int | None = None) -> np.ndarray:
     """Read a points matrix: one row per point, plain finite floats.
 
-    header='auto' skips the first line when any of its fields fails float
-    parsing. label_column (if given) is dropped; the data are treated as
-    unsupervised.
+    The first line is skipped as a header when any of its fields fails
+    float parsing. label_column (if given) is the 0-based index of a
+    column to drop; the data are treated as unsupervised. Raises
+    ConfigError unless label_column is an integer >= 0, and DataError if
+    the file has no such column.
     """
+    if label_column is not None:
+        require_int("label_column", label_column, 0)
     path = Path(path)
     if not path.exists():
         raise DataError(f"points file not found: {path}")
@@ -412,12 +412,14 @@ def read_points_csv(path, delimiter: str = ",", header: str | bool = "auto", lab
         except ValueError:
             return False
 
-    if header == "auto":
-        skip = 0 if _is_float_row(first) else 1
-    else:
-        skip = 1 if header else 0
+    skip = 0 if _is_float_row(first) else 1
     data = np.loadtxt(path, delimiter=delimiter, skiprows=skip, ndmin=2)
     if label_column is not None:
+        if label_column >= data.shape[1]:
+            raise DataError(
+                f"label_column {label_column} is out of range: {path} has "
+                f"{data.shape[1]} columns"
+            )
         data = np.delete(data, label_column, axis=1)
     if data.size == 0:
         raise DataError(f"no data rows in {path}")

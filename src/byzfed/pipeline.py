@@ -75,7 +75,6 @@ __all__ = [
     "stage1_erms",
     "config_to_dict",
     "config_from_dict",
-    "opt_to_dict",
     "opt_from_dict",
 ]
 
@@ -179,16 +178,19 @@ class IngestSpec:
         require_int("shard_size", self.shard_size, 1)
         require_int("min_cluster", self.min_cluster, 1)
         require_int("n_adv", self.n_adv, 0)
+        if self.label_column is not None:
+            require_int("label_column", self.label_column, 0)
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Complete description of one seeded run.
 
-    seed governs every random draw (fleet, initialization, attacks); a
-    synthetic fleet spec's own seed field is overwritten with a derived
-    stream. Output locations are a CLI concern and not part of the
-    config's identity.
+    seed, an integer >= 0, governs every random draw (fleet,
+    initialization, attacks). The pipeline derives a synthetic fleet's
+    seed, the attack seed and the Stage-III start (opt.init) from seed and
+    Stage II, so those fields must keep their defaults. Output locations
+    are a CLI concern and not part of the config's identity.
     """
 
     fleet: FleetConfig | IngestSpec
@@ -199,20 +201,32 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_int("seed", self.seed, 0)
         if isinstance(self.fleet, IngestSpec) and self.solver.loss != "location":
             raise ConfigError("ingested fleets carry raw points; use the location loss")
+        set_fields = [name for name, is_set in (
+            ("fleet.seed", isinstance(self.fleet, FleetConfig) and self.fleet.seed != 0),
+            ("attack.seed", self.attack.seed != 0),
+            ("opt.init", self.opt.init is not None),
+        ) if is_set]
+        if set_fields:
+            raise ConfigError(
+                f"cannot set {', '.join(set_fields)}: the pipeline derives a synthetic "
+                "fleet.seed, attack.seed and opt.init from seed and Stage II"
+            )
 
 
 @dataclass
 class RunResult:
     """Outputs of one pipeline run.
 
-    est_error is NaN when no ground truth exists. matched_pairs lists
-    (estimated cluster, true cluster) index pairs used for est_error;
-    estimated clusters beyond the matching are counted in n_unmatched and
-    excluded from the metric. wall_times has the seconds of stage1..3;
-    in a grid, stage1 is shared by the cells of a trial and stage2 (like
-    the Stage-II state and history) by the cells of a clusterer.
+    matched_pairs lists (estimated cluster, true cluster) index pairs used
+    for est_error; estimated clusters beyond the matching are counted in
+    n_unmatched and excluded from the metric. true_centers are the fleet's
+    ground-truth centers, indexed by the second entry of each pair.
+    wall_times has the seconds of stage1..3; in a grid, stage1 is shared
+    by the cells of a trial and stage2 (like the Stage-II state and
+    history) by the cells of a clusterer.
     """
 
     per_cluster_w_hat: np.ndarray
@@ -222,8 +236,8 @@ class RunResult:
     wall_times: dict[str, float]
     cluster_state: ClusteringState
     matched_pairs: list[tuple[int, int]]
-    n_unmatched: int = 0
-    true_centers: np.ndarray | None = None
+    n_unmatched: int
+    true_centers: np.ndarray
 
 
 @dataclass
@@ -324,40 +338,26 @@ def stage1_erms(shards: list[WorkerShard], solver: SolverSpec) -> np.ndarray:
 
 
 def _stage2(cfg: PipelineConfig, erms, truth):
-    history: list[MisclusterReport] = []
+    """Stage II: (final state, misclustering reports against truth)."""
     spec = cfg.cluster
     if spec.method == "edge_cut":
         state = edge_cut_cluster(erms, spec.gamma, spec.min_cluster)
-        if truth is not None and state.K == truth.K:
-            history.append(mismetrics(state, truth))
-        return state, history
+        return state, [mismetrics(state, truth)] if state.K == truth.K else []
 
-    if truth is None:
-        raise ConfigError(
-            f"{spec.method} initializes from a warm start and needs ground truth; "
-            "use edge_cut on unlabeled data"
-        )
-    init_seed = derive_seed(cfg.seed, 1)
-    K = truth.K
-
+    init = warm_start_init(erms, truth, spec.warm_fraction, seed=derive_seed(cfg.seed, 1))
     if spec.method == "iterfilter2":
-        if K != 2:
+        if truth.K != 2:
             raise ConfigError("iterfilter2 applies to the symmetric 2-cluster setting only")
-        warm = warm_start_init(erms, truth, spec.warm_fraction, K, seed=init_seed)
-        filt = AggregatorSpec.filtering(variance_bound=spec.variance_bound)
-        theta, signs = iterfilter_2cluster(erms, warm.centers[0], spec.T, filter=filt)
+        theta, signs = iterfilter_2cluster(erms, init.centers[0], spec.T, spec.variance_bound)
         labels = np.where(signs > 0, 0, 1)
         state = ClusteringState(
             labels=labels, centers=np.stack([theta, -theta]), iteration=spec.T
         )
-        history.append(mismetrics(state, truth))
-        return state, history
+        return state, [mismetrics(state, truth)]
 
-    init = warm_start_init(erms, truth, spec.warm_fraction, K, seed=init_seed)
-    state, history = run_lloyd_variant(
+    return run_lloyd_variant(
         erms, init, spec.variant(), max_iter=spec.max_iter, ground_truth=truth
     )
-    return state, history
 
 
 # ---------------------------------------------------------------------------
@@ -420,16 +420,11 @@ def _cell_result(cfg: PipelineConfig, fleet, truth, clustered, times) -> RunResu
     with _stage(times, "stage3"):
         w_hats, trajectories = _stage3(cfg, fleet, state, cfg.solver.loss_spec)
 
-    if truth is not None:
-        pairs = _match_centers(w_hats, truth.centers)
-        d = fleet[0].X.shape[1]
-        est_error = max(
-            float(np.linalg.norm(w_hats[i] - truth.centers[j])) / np.sqrt(d) for i, j in pairs
-        )
-        n_unmatched = w_hats.shape[0] - len(pairs)
-    else:
-        pairs, est_error, n_unmatched = [], float("nan"), w_hats.shape[0]
-
+    pairs = _match_centers(w_hats, truth.centers)
+    d = fleet[0].X.shape[1]
+    est_error = max(
+        float(np.linalg.norm(w_hats[i] - truth.centers[j])) / np.sqrt(d) for i, j in pairs
+    )
     return RunResult(
         per_cluster_w_hat=w_hats,
         est_error=est_error,
@@ -438,8 +433,8 @@ def _cell_result(cfg: PipelineConfig, fleet, truth, clustered, times) -> RunResu
         wall_times=times,
         cluster_state=state,
         matched_pairs=pairs,
-        n_unmatched=n_unmatched,
-        true_centers=None if truth is None else truth.centers.copy(),
+        n_unmatched=w_hats.shape[0] - len(pairs),
+        true_centers=truth.centers.copy(),
     )
 
 
@@ -551,7 +546,8 @@ def run_grid(
     stage2 wall times are shared by the cells of a trial and clusterer.
     An ingest fleet's component layout is seed-free: it is built once,
     before any trial (or injected, see ingest_layout), and a failure to
-    build it raises. Other stage failures are recorded as error strings
+    build it raises, as does an optimizer that no cell's PipelineConfig
+    would accept. Other stage failures are recorded as error strings
     and the grid continues. Returns (outcomes, per-cell summary rows);
     outcomes are ordered cell-major then by trial, independent of
     thread count.
@@ -560,6 +556,8 @@ def run_grid(
         raise ConfigError("clusterers and optimizers must be nonempty")
     require_int("n_trials", n_trials, 1)
     require_int("threads", threads, 1)
+    for _, opt in optimizers:  # a cell's config is checked before any trial runs
+        replace(base_cfg, opt=opt)
     master = base_cfg.seed if seed is None else seed
     trial_seeds = [derive_seed(master, t) for t in range(n_trials)]
     layout = _resolve_layout(base_cfg.fleet, layout)
@@ -599,14 +597,6 @@ def summarize_grid(outcomes: list[TrialOutcome]) -> list[dict]:
 # config (de)serialization
 
 
-def opt_to_dict(opt: OptConfig) -> dict:
-    """JSON-safe snapshot of an optimizer config; round-trips through
-    opt_from_dict."""
-    d = asdict(opt)
-    d["init"] = None if opt.init is None else [float(v) for v in opt.init]
-    return d
-
-
 def opt_from_dict(data: dict) -> OptConfig:
     d = dict(data)
     if isinstance(d.get("aggregator"), dict):
@@ -628,7 +618,7 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
         "fleet": fleet,
         "solver": asdict(cfg.solver),
         "cluster": asdict(cfg.cluster),
-        "opt": opt_to_dict(cfg.opt),
+        "opt": asdict(cfg.opt),
         "attack": attack,
         "seed": cfg.seed,
     }
@@ -651,7 +641,7 @@ def config_from_dict(data: dict) -> PipelineConfig:
             cluster=ClusterSpec(**data.get("cluster", {})),
             opt=opt_from_dict(data.get("opt", {})),
             attack=AttackSpec(**attack_data),
-            seed=int(data.get("seed", 0)),
+            seed=data.get("seed", 0),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc

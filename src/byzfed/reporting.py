@@ -168,9 +168,7 @@ def emit_grid_outputs(out_dir, run_id: str, outcomes: list[TrialOutcome], summar
             continue
         matched = dict(o.result.matched_pairs)
         for k, traj in enumerate(o.result.opt_trajectories):
-            target = None
-            if o.result.true_centers is not None and k in matched:
-                target = o.result.true_centers[matched[k]]
+            target = o.result.true_centers[matched[k]] if k in matched else None
             for r in range(1, traj.shape[0]):
                 upd = float(np.linalg.norm(traj[r] - traj[r - 1]))
                 dist = "" if target is None else _fmt(np.linalg.norm(traj[r] - target))

@@ -44,7 +44,7 @@ def test_acceptance_1_misclustering_decay(capsys):
         )
         shards, truth = generate_fleet(fleet)
         erms = stage1_erms(shards, SolverSpec(kind="gd", iters=1000))
-        init = warm_start_init(erms, truth, 0.6, 5, seed=derive_seed(seed, 1))
+        init = warm_start_init(erms, truth, 0.6, seed=derive_seed(seed, 1))
         _, rep_t = run_lloyd_variant(
             erms, init, LloydVariant.trimmed(C=2.0, sigma_hat=0.55),
             max_iter=15, ground_truth=truth,
@@ -135,7 +135,7 @@ def test_acceptance_4_decay_to_zero_within_budget(capsys):
         )
         gt_labels = np.where(labs == 1, 0, np.where(labs == -1, 1, BYZANTINE))
         truth = GroundTruth(centers=np.vstack([theta, -theta]), labels=gt_labels)
-        init = warm_start_init(pts, truth, correct_fraction=0.6, K=2, seed=derive_seed(seed, 1))
+        init = warm_start_init(pts, truth, correct_fraction=0.6, seed=derive_seed(seed, 1))
         _, reports = run_lloyd_variant(
             pts, init, LloydVariant.trimmed(C=2.0, sigma_hat=1.0),
             max_iter=budget, ground_truth=truth,

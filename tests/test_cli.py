@@ -198,6 +198,10 @@ def test_bad_solver_parameters_exit_1(tmp_path, capsys, solver):
         ('{"trials": 2.5}', []),
         ('{"trials": 0}', []),
         ('{}', ["--trials", "0"]),
+        ('{"seed": 2.5}', []),
+        ('{"seed": true}', []),
+        ('{}', ["--seed", "-1"]),
+        ('{}', ["--threads", "0"]),
     ],
 )
 def test_bad_config_counts_and_reals_exit_1(tmp_path, capsys, config, flags):
@@ -208,6 +212,52 @@ def test_bad_config_counts_and_reals_exit_1(tmp_path, capsys, config, flags):
     assert code == 1
     assert "error:" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"attack": {"seed": 99}}, "attack.seed"),
+        ({"fleet": {"seed": 7}}, "fleet.seed"),
+        ({"opt": {"init": [9, 9, 9, 9, 9]}}, "opt.init"),
+        ({"grid": {"clusterers": [{"name": "KM", "method": "lloyd"}],
+                   "optimizers": [{"name": "SM", "init": [9, 9, 9, 9, 9]}]}}, "opt.init"),
+    ],
+)
+def test_fields_the_pipeline_derives_exit_1(tmp_path, capsys, config, field):
+    # the pipeline would overwrite each of them, so a set value could only
+    # change the run id
+    cfg = tmp_path / "derived.json"
+    cfg.write_text(json.dumps(config))
+    code, out = _synth(tmp_path, "--config", str(cfg))
+    assert code == 1
+    assert field in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "manifest_edit, flags",
+    [
+        ({"grid": {"trials": True}}, []),
+        ({"grid": {"trials": 2.5}}, []),
+        ({"threads": 0}, []),
+        ({}, ["--threads", "0"]),
+    ],
+)
+def test_replay_rejects_non_integer_trials_and_threads(tmp_path, capsys, manifest_edit, flags):
+    _, out = _synth(tmp_path, "--seed", "1")
+    manifest = json.loads((out / "manifest.json").read_text())
+    for key, value in manifest_edit.items():
+        if isinstance(value, dict):
+            manifest[key].update(value)
+        else:
+            manifest[key] = value
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    re_dir = tmp_path / "re"
+    assert main(["replay", "--manifest", str(out), "--out-dir", str(re_dir), *flags]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not re_dir.exists()
 
 
 def test_infinite_trim_radius_multiplier_is_legal(tmp_path):
@@ -258,6 +308,28 @@ def test_ingest_non_finite_csv_exits_2(tmp_path, rng, capsys, gamma_flag):
     assert "data row 5" in captured.err
     assert "every trial failed" not in captured.err
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, config, code, message",
+    [
+        (["--label-column", "99"], None, 2, "label_column 99 is out of range"),
+        ([], {"fleet": {"label_column": 1.5}}, 1, "label_column must be an integer"),
+        (["--label-column", "-1"], None, 1, "label_column must be an integer"),
+    ],
+)
+def test_ingest_bad_label_column_exits_cleanly(tmp_path, rng, capsys, flags, config, code, message):
+    csv = _blob_csv(tmp_path, rng)
+    if config is not None:
+        cfg = tmp_path / "ingest.json"
+        cfg.write_text(json.dumps(config))
+        flags = [*flags, "--config", str(cfg)]
+    out = tmp_path / "out"
+    assert main(["ingest", "--csv", str(csv), "--gamma", "10", *flags, "--out-dir", str(out)]) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (out / "manifest.json").exists()
 
 
 def test_ingest_without_surviving_component_exits_2(tmp_path, rng, capsys):

@@ -15,6 +15,7 @@ from byzfed.clustering import (
 )
 from byzfed.datagen import BYZANTINE, GroundTruth
 from byzfed.errors import ClusteringError, ConfigError
+from byzfed.numerics import RngStream
 from byzfed.robust_stats import geometric_median
 
 
@@ -228,7 +229,7 @@ def test_warm_start_exact_correct_count(rng):
     centers = np.eye(K, 4, dtype=float) * 5
     truth = _truth(labels, np.hstack([centers, np.arange(K)[:, None]]))
     points = rng.standard_normal((m, 5))
-    init = warm_start_init(points, truth, correct_fraction=0.6, K=K, seed=3)
+    init = warm_start_init(points, truth, correct_fraction=0.6, seed=3)
     honest = labels != BYZANTINE
     correct = init.labels[honest] == labels[honest]
     assert correct.sum() == math.ceil(0.6 * 70)  # exactly 42
@@ -244,7 +245,7 @@ def test_warm_start_full_fraction_is_truth(rng):
     labels = np.array([0, 0, 1, 1])
     truth = _truth(labels, [[0.0, 0.0], [5.0, 5.0]])
     points = rng.standard_normal((4, 2))
-    init = warm_start_init(points, truth, correct_fraction=1.0, K=2, seed=0)
+    init = warm_start_init(points, truth, correct_fraction=1.0, seed=0)
     np.testing.assert_array_equal(init.labels, labels)
 
 
@@ -252,18 +253,72 @@ def test_warm_start_deterministic(rng):
     labels = np.array([0, 1, 0, 1, BYZANTINE, BYZANTINE])
     truth = _truth(labels, [[0.0], [9.0]])
     points = rng.standard_normal((6, 1))
-    a = warm_start_init(points, truth, 0.5, K=2, seed=11)
-    b = warm_start_init(points, truth, 0.5, K=2, seed=11)
+    a = warm_start_init(points, truth, 0.5, seed=11)
+    b = warm_start_init(points, truth, 0.5, seed=11)
     np.testing.assert_array_equal(a.labels, b.labels)
+
+
+def _warm_start_oracle(points, truth, correct_fraction, seed):
+    """warm_start_init with its own bucket-mean and empty-bucket rule, as
+    it stood before it took its centers from the Lloyd center step."""
+    m, K = points.shape[0], truth.K
+    truth_labels = np.asarray(truth.labels)
+    rng = RngStream(seed, 0).generator()
+    labels = np.empty(m, dtype=int)
+    honest = np.flatnonzero(truth_labels != BYZANTINE)
+    n_keep = int(math.ceil(correct_fraction * honest.size))
+    shuffled = rng.permutation(honest)
+    keep, corrupt = shuffled[:n_keep], shuffled[n_keep:]
+    labels[keep] = truth_labels[keep]
+    if K > 1:
+        draw = rng.integers(0, K - 1, size=corrupt.size)
+        labels[corrupt] = np.where(draw >= truth_labels[corrupt], draw + 1, draw)
+    else:
+        labels[corrupt] = 0
+    byz = np.flatnonzero(truth_labels == BYZANTINE)
+    labels[byz] = rng.integers(0, K, size=byz.size)
+
+    centers = np.zeros((K, points.shape[1]))
+    empty = []
+    for g in range(K):
+        members = labels == g
+        if members.any():
+            centers[g] = points[members].mean(axis=0)
+        else:
+            empty.append(g)
+    if empty:
+        dists = np.linalg.norm(points - points.mean(axis=0), axis=1)
+        order = np.argsort(-dists, kind="stable")
+        for j, g in enumerate(empty):
+            centers[g] = points[order[j]]
+    return labels, centers
+
+
+def test_warm_start_matches_oracle_bit_for_bit():
+    n_with_empty = 0
+    for draw in range(400):
+        rng = np.random.default_rng(draw)
+        K = int(rng.integers(1, 7))
+        m, d = int(rng.integers(K, 3 * K + 3)), int(rng.integers(1, 5))
+        labels = np.where(rng.random(m) < 0.2, BYZANTINE, rng.integers(0, K, size=m))
+        truth = _truth(labels, np.arange(K)[:, None] * np.ones((K, d)))
+        points = rng.normal(loc=3.0, size=(m, d))
+        fraction = float(rng.choice([0.0, 0.5, 1.0]))
+        got = warm_start_init(points, truth, fraction, seed=draw)
+        labels_want, centers_want = _warm_start_oracle(points, truth, fraction, draw)
+        assert np.array_equal(got.labels, labels_want)
+        assert np.array_equal(got.centers, centers_want)
+        n_with_empty += np.unique(got.labels).size < K
+    assert n_with_empty > 40  # the empty-bucket rule is exercised
 
 
 def test_warm_start_validation(rng):
     labels = np.array([0, 1])
     truth = _truth(labels, [[0.0], [9.0]])
     with pytest.raises(ConfigError):
-        warm_start_init(rng.standard_normal((2, 1)), truth, 1.5, K=2)
+        warm_start_init(rng.standard_normal((2, 1)), truth, 1.5)
     with pytest.raises(ConfigError):
-        warm_start_init(rng.standard_normal((3, 1)), truth, 0.5, K=2)
+        warm_start_init(rng.standard_normal((3, 1)), truth, 0.5)
 
 
 # ---------------------------------------------------------------------------

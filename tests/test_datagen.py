@@ -52,7 +52,6 @@ def test_ground_truth_rejects_duplicate_centers():
 def test_ground_truth_helpers():
     gt = GroundTruth(centers=np.array([[0.0, 0.0], [3.0, 4.0]]), labels=np.array([0, 1, BYZANTINE]))
     assert gt.K == 2
-    np.testing.assert_array_equal(gt.honest_mask, [True, True, False])
     assert gt.min_separation() == pytest.approx(5.0)
 
 
@@ -382,6 +381,18 @@ def test_read_points_csv_label_column_dropped(tmp_path):
     np.testing.assert_array_equal(
         read_points_csv(f, label_column=1), [[1.0, 2.0], [3.0, 4.0]]
     )
+
+
+@pytest.mark.parametrize(
+    "label_column, error, message",
+    [(1.5, ConfigError, "must be an integer"), (-1, ConfigError, "must be an integer"),
+     (3, DataError, "out of range")],
+)
+def test_read_points_csv_bad_label_column(tmp_path, label_column, error, message):
+    f = tmp_path / "pts.csv"
+    f.write_text("1.0,9.0,2.0\n3.0,8.0,4.0\n")
+    with pytest.raises(error, match=message):
+        read_points_csv(f, label_column=label_column)
 
 
 def test_read_points_csv_custom_delimiter_and_single_row(tmp_path):

@@ -66,7 +66,7 @@ def test_pipeline_composes_documented_stages():
 
     fleet, truth = generate_fleet(replace(cfg.fleet, seed=derive_seed(cfg.seed, 0)))
     erms = stage1_erms(fleet, cfg.solver)
-    init = warm_start_init(erms, truth, cfg.cluster.warm_fraction, truth.K,
+    init = warm_start_init(erms, truth, cfg.cluster.warm_fraction,
                            seed=derive_seed(cfg.seed, 1))
     state, _ = run_lloyd_variant(erms, init, cfg.cluster.variant(),
                                  max_iter=cfg.cluster.max_iter, ground_truth=truth)
@@ -360,6 +360,31 @@ def test_grid_validation():
         run_grid(base, clusterers, optimizers, n_trials=0)
     with pytest.raises(ConfigError):
         run_grid(base, clusterers, optimizers, n_trials=1, threads=0)
+    with pytest.raises(ConfigError, match="opt.init"):
+        run_grid(base, clusterers, [("SM", OptConfig(init=np.zeros(3)))], n_trials=1)
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"seed": 2.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"seed": -1}, "seed"),
+        # the pipeline derives these from seed and Stage II
+        ({"fleet": FleetConfig(m=10, n=5, d=3, K=2, seed=4)}, "fleet.seed"),
+        ({"attack": AttackSpec(seed=99)}, "attack.seed"),
+        ({"opt": OptConfig(init=np.zeros(6))}, "opt.init"),
+    ],
+)
+def test_pipeline_config_rejects_bad_seed_and_derived_fields(change, field):
+    with pytest.raises(ConfigError, match=field):
+        replace(_clean_config(), **change)
+
+
+@pytest.mark.parametrize("label_column", [1.5, True, -1])
+def test_ingest_spec_rejects_bad_label_column(label_column):
+    with pytest.raises(ConfigError, match="label_column"):
+        IngestSpec(path="p.csv", gamma=1.0, label_column=label_column)
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +393,13 @@ def test_grid_validation():
 
 def _fancy_config(tmp_path):
     return PipelineConfig(
-        fleet=FleetConfig(m=10, n=5, d=3, K=2, alpha=0.2, sigma=1.5, seed=4),
+        fleet=FleetConfig(m=10, n=5, d=3, K=2, alpha=0.2, sigma=1.5),
         solver=SolverSpec(kind="gd", step=0.05, iters=20),
         cluster=ClusterSpec(method="trimmed_kmeans", C=1.5, sigma_hat=0.7, warm_fraction=0.4),
         opt=OptConfig(
             step_size=0.1,
             max_rounds=17,
             aggregator=AggregatorSpec.trimmed(0.15),
-            init=np.array([1.0, 2.0, 3.0]),
         ),
         attack=AttackSpec.constant(np.array([9.0, 9.0, 9.0])),
         seed=31,
