@@ -18,7 +18,7 @@ import argparse
 
 import numpy as np
 
-from byzfed import FleetConfig, LloydVariant, generate_fleet, run_lloyd_variant, warm_start_init
+from byzfed import ClusterSpec, FleetConfig, generate_fleet, run_lloyd_variant, warm_start_init
 from byzfed.numerics import derive_seed
 from byzfed.pipeline import SolverSpec, stage1_erms
 
@@ -41,11 +41,12 @@ def main():
     init = warm_start_init(erms, truth, 0.6, seed=derive_seed(args.seed, 1))
 
     _, trimmed = run_lloyd_variant(
-        erms, init, LloydVariant.trimmed(C=2.0, sigma_hat=0.55),
-        max_iter=args.iters, ground_truth=truth,
+        erms, init,
+        ClusterSpec(method="trimmed_kmeans", C=2.0, sigma_hat=0.55, max_iter=args.iters),
+        ground_truth=truth,
     )
     _, lloyd = run_lloyd_variant(
-        erms, init, LloydVariant.lloyd(), max_iter=args.iters, ground_truth=truth
+        erms, init, ClusterSpec(method="lloyd", max_iter=args.iters), ground_truth=truth
     )
 
     print(f"m={cfg.m} machines, K={cfg.K} clusters, alpha={args.alpha}, sigma={args.sigma}")

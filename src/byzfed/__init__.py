@@ -9,8 +9,8 @@ benchmarks at desk scale.
 """
 
 from .clustering import (
+    ClusterSpec,
     ClusteringState,
-    LloydVariant,
     MisclusterReport,
     edge_cut_cluster,
     iterfilter_2cluster,
@@ -40,7 +40,6 @@ from .errors import (
 )
 from .localsolve import (
     LossSpec,
-    batch_objective,
     local_erm,
     local_gradient,
     online_to_batch,
@@ -48,7 +47,6 @@ from .localsolve import (
 )
 from .numerics import RngStream, derive_seed, least_squares, top_eigenpair
 from .pipeline import (
-    ClusterSpec,
     IngestSpec,
     PipelineConfig,
     RunResult,
@@ -108,11 +106,10 @@ __all__ = [
     "online_to_batch",
     "shard_stats",
     "local_gradient",
-    "batch_objective",
     # clustering
+    "ClusterSpec",
     "ClusteringState",
     "MisclusterReport",
-    "LloydVariant",
     "edge_cut_cluster",
     "run_lloyd_variant",
     "iterfilter_2cluster",
@@ -126,7 +123,6 @@ __all__ = [
     "pooled_auto_step",
     # pipeline
     "SolverSpec",
-    "ClusterSpec",
     "IngestSpec",
     "PipelineConfig",
     "RunResult",

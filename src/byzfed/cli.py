@@ -1,20 +1,21 @@
 """Command-line front end.
 
 Commands:
-  synth   run a synthetic-fleet experiment (single cell or config grid)
+  synth   run the config's fleet (synthetic by default, or an ingest
+          fleet) as a single cell or the config's grid
   grid    like synth, but requires an explicit grid section in the config
-  ingest  build a fleet from a points CSV, then run the experiment grid;
-          the points are read and their threshold-graph components
-          computed once per run, before manifest.json is written, so a
-          bad points file exits 2 with no manifest; each trial only
-          draws its own shards
+  ingest  build an ingest fleet from a points CSV and the flags, then run
+          the experiment grid
   replay  rerun a finished experiment from its manifest and compare files
 
+An ingest fleet's points are read and their threshold-graph components
+computed once per run, before manifest.json is written, so a bad points
+file exits 2 with no manifest; each trial only draws its own shards.
 Configs are JSON; flags override file values, but a grid section
 rejects the per-cell flags, which would reach no cell. Every run writes a
 manifest.json (atomically, before any result file) plus four result CSVs
 into --out-dir. Progress goes to stdout, diagnostics to stderr; results
-live only in the files. BYZFED_THREADS caps the worker pool.
+live only in the files. --threads sets the worker pool size.
 
 Exit codes: 0 success, 1 config/usage error, 2 runtime/data error.
 """
@@ -25,7 +26,6 @@ import argparse
 import copy
 import json
 import logging
-import os
 import sys
 import tempfile
 import traceback
@@ -36,6 +36,7 @@ from .datagen import percentile_gamma, read_points_csv
 from .errors import ByzfedError, ConfigError, require_int
 from .pipeline import (
     ClusterSpec,
+    IngestSpec,
     PipelineConfig,
     config_from_dict,
     config_to_dict,
@@ -96,14 +97,15 @@ _AGGREGATOR_DISPLAY = {
     "iter_filter": "IF",
 }
 
-_DEFAULT_SYNTH = {
-    "fleet": {"type": "synthetic", "m": 20, "n": 20, "d": 5, "K": 2, "alpha": 0.0, "sigma": 0.0},
+_DEFAULTS = {
     "solver": {"kind": "erm", "loss": "squared_error"},
     "cluster": {"method": "trimmed_kmeans", "warm_fraction": 0.6},
     "opt": {"aggregator": {"kind": "trimmed_mean", "beta": 0.1}},
     "seed": 0,
     "trials": 1,
 }
+
+_SYNTHETIC_FLEET = {"type": "synthetic", "m": 20, "n": 20, "d": 5, "K": 2, "alpha": 0.0, "sigma": 0.0}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -144,6 +146,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--threads", type=int, help="worker pool size override")
     p_replay.set_defaults(func=cmd_replay)
     return parser
+
+
+def _load_config(args) -> dict:
+    """The --config file, if any, merged over the defaults of every command."""
+    data = copy.deepcopy(_DEFAULTS)
+    if args.config:
+        _deep_merge(data, _load_config_file(args.config))
+    return data
 
 
 def _load_config_file(path) -> dict:
@@ -198,8 +208,9 @@ def _apply_overrides(data: dict, args) -> dict:
     cluster = data.setdefault("cluster", {})
     if args.clusterer is not None:
         cluster["method"] = _alias(_CLUSTERER_ALIASES, args.clusterer, "clusterer")
-    if args.gamma is not None and fleet.get("type") != "ingest":
-        cluster["gamma"] = args.gamma
+    if args.gamma is not None:  # an ingest fleet's threshold, else edge_cut's
+        target = fleet if fleet.get("type") == "ingest" else cluster
+        target["gamma"] = args.gamma
     opt = data.setdefault("opt", {})
     agg = opt.setdefault("aggregator", {})
     if args.aggregator is not None:
@@ -209,15 +220,29 @@ def _apply_overrides(data: dict, args) -> dict:
     return data
 
 
-def _resolve_threads(threads: int) -> int:
-    require_int("threads", threads, 1)
-    cap = os.environ.get("BYZFED_THREADS")
-    if cap:
-        try:
-            threads = min(threads, max(1, int(cap)))
-        except ValueError as exc:
-            raise ConfigError(f"BYZFED_THREADS must be an integer, got {cap!r}") from exc
-    return threads
+def _named(entry) -> tuple[str, dict]:
+    """A grid entry as (name, fields): a config writes an object with a
+    name key, a manifest a [name, fields] pair."""
+    if isinstance(entry, dict):
+        return str(entry["name"]), {k: v for k, v in entry.items() if k != "name"}
+    name, fields = entry
+    return str(name), fields
+
+
+def _parse_grid(grid, base_cfg: PipelineConfig, default_trials=None):
+    """(clusterers, optimizers, trials) of a config's or a manifest's grid
+    section. Every cell's config is checked here, before any output
+    exists."""
+    try:
+        clusterers = [(name, ClusterSpec(**f)) for name, f in map(_named, grid["clusterers"])]
+        optimizers = [(name, opt_from_dict(f)) for name, f in map(_named, grid["optimizers"])]
+        trials = grid.get("trials", default_trials)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad grid section: {exc}") from exc
+    for _, opt in optimizers:
+        replace(base_cfg, opt=opt)
+    require_int("trials", trials, 1)
+    return clusterers, optimizers, trials
 
 
 def _grid_specs(data: dict, base_cfg: PipelineConfig):
@@ -225,22 +250,7 @@ def _grid_specs(data: dict, base_cfg: PipelineConfig):
     a 1x1 grid around the base config."""
     grid = data.get("grid")
     if grid:
-        try:
-            clusterers = [
-                (str(g["name"]), ClusterSpec(**{k: v for k, v in g.items() if k != "name"}))
-                for g in grid["clusterers"]
-            ]
-            optimizers = [
-                (str(g["name"]), opt_from_dict({k: v for k, v in g.items() if k != "name"}))
-                for g in grid["optimizers"]
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad grid section: {exc}") from exc
-        for _, opt in optimizers:  # each cell's config must validate, before the manifest
-            replace(base_cfg, opt=opt)
-        trials = grid.get("trials", data.get("trials", 1))
-        require_int("trials", trials, 1)
-        return clusterers, optimizers, trials
+        return _parse_grid(grid, base_cfg, data.get("trials", 1))
     cname = _CLUSTERER_DISPLAY[base_cfg.cluster.method]
     if base_cfg.opt.local_steps > 1:
         oname = "FA"
@@ -269,14 +279,17 @@ def _version() -> str:
 
 
 def _execute(data: dict, args, command: str, points=None) -> int:
-    """Run the grid the config describes. points (ingest only) are the
-    array already read from the fleet's CSV; their component layout is
-    built here, so a bad points file fails before manifest.json exists."""
+    """Run the grid the config describes. An ingest fleet's component
+    layout is built here, from points if the caller already read the
+    fleet's CSV, so a bad points file fails before manifest.json exists."""
     base_cfg = config_from_dict(data)
     clusterers, optimizers, trials = _grid_specs(data, base_cfg)
-    threads = _resolve_threads(args.threads)
+    threads = args.threads
+    require_int("threads", threads, 1)
     out_dir = Path(args.out_dir)
-    layout = None if points is None else ingest_layout(base_cfg.fleet, points)
+    layout = None
+    if isinstance(base_cfg.fleet, IngestSpec):
+        layout = ingest_layout(base_cfg.fleet, points)
 
     grid_dict = _grid_manifest_dict(clusterers, optimizers, trials)
     config_dict = config_to_dict(base_cfg)
@@ -315,10 +328,12 @@ def _execute(data: dict, args, command: str, points=None) -> int:
 
 
 def cmd_synth(args) -> int:
-    """synth, and grid, which is synth that insists on a grid section."""
-    data = copy.deepcopy(_DEFAULT_SYNTH)
-    if args.config:
-        _deep_merge(data, _load_config_file(args.config))
+    """synth, and grid, which is synth that insists on a grid section. A
+    fleet that is synthetic or has no type takes the synthetic defaults."""
+    data = _load_config(args)
+    fleet = data.setdefault("fleet", {})
+    if isinstance(fleet, dict) and fleet.get("type", "synthetic") == "synthetic":
+        data["fleet"] = {**_SYNTHETIC_FLEET, **fleet}
     if args.command == "grid" and not data.get("grid"):
         raise ConfigError("the grid command needs a 'grid' section in the config")
     _apply_overrides(data, args)
@@ -326,15 +341,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    data = {
-        "solver": {"kind": "erm", "loss": "location"},
-        "cluster": {"method": "trimmed_kmeans", "warm_fraction": 0.6},
-        "opt": {"aggregator": {"kind": "trimmed_mean", "beta": 0.1}},
-        "seed": 0,
-        "trials": 1,
-    }
-    if args.config:
-        _deep_merge(data, _load_config_file(args.config))
+    data = _load_config(args)
     fleet = data.get("fleet", {})
 
     def pick(flag, key, default):
@@ -372,14 +379,9 @@ def cmd_replay(args) -> int:
         src_dir = src_dir.parent
 
     base_cfg = config_from_dict(manifest.config)
-    try:
-        clusterers = [(name, ClusterSpec(**spec)) for name, spec in manifest.grid["clusterers"]]
-        optimizers = [(name, opt_from_dict(spec)) for name, spec in manifest.grid["optimizers"]]
-        trials = manifest.grid["trials"]
-        require_int("trials", trials, 1)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"manifest grid section is unusable: {exc}") from exc
-    threads = _resolve_threads(args.threads if args.threads is not None else manifest.threads)
+    clusterers, optimizers, trials = _parse_grid(manifest.grid, base_cfg)
+    threads = manifest.threads if args.threads is None else args.threads
+    require_int("threads", threads, 1)
 
     out_dir = Path(args.out_dir) if args.out_dir else Path(
         tempfile.mkdtemp(prefix=f"byzfed_replay_{manifest.run_id}_")

@@ -4,11 +4,14 @@ Methods:
 
 * edge_cut_cluster: threshold-graph connected components, no iteration.
 * run_lloyd_variant: Lloyd iterations where the per-bucket center rule is
-  the sample mean (plain K-means), the geometric median (K-geomedians),
-  or the trimmed rule (geometric median, ball of radius C*sigma*sqrt(d),
-  sample mean of the in-ball points).
+  the sample mean (method lloyd, plain K-means), the geometric median
+  (kgeomedian, K-geomedians), or the trimmed rule (trimmed_kmeans:
+  geometric median, ball of radius C*sigma*sqrt(d), sample mean of the
+  in-ball points).
 * iterfilter_2cluster: the symmetric two-cluster method that alternates
   sign estimation with an iterative-filtering mean over sample splits.
+
+ClusterSpec is the one Stage-II configuration: the method and its knobs.
 
 Misclustering diagnostics live in mismetrics / MisclusterReport; labels
 are aligned to the truth with an optimal permutation before any rate is
@@ -31,9 +34,9 @@ from .numerics import RngStream
 from .robust_stats import geometric_median, iter_filter_mean
 
 __all__ = [
+    "ClusterSpec",
     "ClusteringState",
     "MisclusterReport",
-    "LloydVariant",
     "edge_cut_cluster",
     "run_lloyd_variant",
     "iterfilter_2cluster",
@@ -43,7 +46,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_VARIANT_KINDS = ("lloyd", "kgeomedian", "trimmed")
+_CLUSTER_METHODS = ("edge_cut", "lloyd", "kgeomedian", "trimmed_kmeans", "iterfilter2")
 
 
 @dataclass(frozen=True)
@@ -119,35 +122,45 @@ class MisclusterReport:
 
 
 @dataclass(frozen=True)
-class LloydVariant:
-    """Center rule for run_lloyd_variant.
+class ClusterSpec:
+    """Stage-II method and its knobs.
 
-    kind 'trimmed' takes C (ball radius multiplier, default 2.0) and
-    sigma_hat (noise scale; None = per-bucket median-absolute-deviation
-    estimate 1.4826 * median ||x - geomedian|| / sqrt(d)).
+    lloyd, kgeomedian and trimmed_kmeans are run_lloyd_variant's center
+    rules, iterated at most max_iter times; trimmed_kmeans reads C (ball
+    radius multiplier; infinite = no trimming) and sigma_hat (None =
+    per-bucket estimate 1.4826 * median ||x - geomedian|| / sqrt(d)).
+    warm_fraction configures the partially-correct initialization used by
+    the Lloyd-family methods (and the two-cluster filter's starting
+    center); gamma/min_cluster belong to edge_cut; T and variance_bound to
+    iterfilter2. The counts are integers.
     """
 
-    kind: str = "lloyd"
+    method: str = "trimmed_kmeans"
     C: float = 2.0
     sigma_hat: float | None = None
+    max_iter: int = 15
+    warm_fraction: float = 0.6
+    gamma: float | None = None
+    min_cluster: int = 1
+    T: int = 5
+    variance_bound: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _VARIANT_KINDS:
-            raise ConfigError(f"unknown variant {self.kind!r}; expected one of {_VARIANT_KINDS}")
-        require_real("C", self.C, positive=True, finite=False)  # inf: no trimming
+        if self.method not in _CLUSTER_METHODS:
+            raise ConfigError(
+                f"unknown cluster method {self.method!r}; expected one of {_CLUSTER_METHODS}"
+            )
+        if self.method == "edge_cut" and self.gamma is None:
+            raise ConfigError("edge_cut needs gamma")
+        if not 0.0 <= self.warm_fraction <= 1.0:
+            raise ConfigError("warm_fraction must be in [0, 1]")
+        require_real("C", self.C, positive=True, finite=False)
         require_real("sigma_hat", self.sigma_hat, finite=False, optional=True)
-
-    @classmethod
-    def lloyd(cls) -> "LloydVariant":
-        return cls(kind="lloyd")
-
-    @classmethod
-    def kgeomedian(cls) -> "LloydVariant":
-        return cls(kind="kgeomedian")
-
-    @classmethod
-    def trimmed(cls, C: float = 2.0, sigma_hat: float | None = None) -> "LloydVariant":
-        return cls(kind="trimmed", C=C, sigma_hat=sigma_hat)
+        require_real("gamma", self.gamma, positive=True, finite=False, optional=True)
+        require_real("variance_bound", self.variance_bound, optional=True)
+        require_int("max_iter", self.max_iter, 0)
+        require_int("min_cluster", self.min_cluster, 1)
+        require_int("T", self.T, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +181,7 @@ def _reseed_empty(points, labels, prev_centers, empty_buckets):
     return {g: points[order[j]].copy() for j, g in enumerate(sorted(empty_buckets))}
 
 
-def _center_step(points, state, variant):
+def _center_step(points, state, spec):
     m, d = points.shape
     K = state.K
     new_centers = np.zeros_like(state.centers)
@@ -180,20 +193,20 @@ def _center_step(points, state, variant):
             empty.append(g)
             continue
         pts = points[members]
-        if variant.kind == "lloyd":
+        if spec.method == "lloyd":
             new_centers[g] = pts.mean(axis=0)
-        elif variant.kind == "kgeomedian":
+        elif spec.method == "kgeomedian":
             new_centers[g] = geometric_median(pts)
         else:
             gm = geometric_median(pts)
             dist = np.linalg.norm(pts - gm, axis=1)
-            if not math.isfinite(variant.C):
+            if not math.isfinite(spec.C):
                 radius = math.inf
             else:
-                sig = variant.sigma_hat
+                sig = spec.sigma_hat
                 if sig is None:
                     sig = 1.4826 * float(np.median(dist)) / math.sqrt(d)
-                radius = variant.C * sig * math.sqrt(d)
+                radius = spec.C * sig * math.sqrt(d)
             keep = dist <= radius
             trimmed[members[~keep]] = True
             if keep.any():
@@ -207,13 +220,13 @@ def _center_step(points, state, variant):
     return new_centers, trimmed
 
 
-def _step(points, state, variant):
-    """One Lloyd iteration: per-bucket centers by the variant's rule (a
+def _step(points, state, spec):
+    """One Lloyd iteration: per-bucket centers by the spec's rule (a
     fully-trimmed bucket keeps its previous center, a member-less bucket
     re-seeds at the point farthest from its own assigned center), then
     every point relabeled to the nearest new center, ties to the lowest
     index."""
-    new_centers, trimmed = _center_step(points, state, variant)
+    new_centers, trimmed = _center_step(points, state, spec)
     labels = _assign(points, new_centers)
     return ClusteringState(
         labels=labels, centers=new_centers, trimmed=trimmed, iteration=state.iteration + 1
@@ -223,23 +236,24 @@ def _step(points, state, variant):
 def run_lloyd_variant(
     points,
     init: ClusteringState,
-    variant: LloydVariant,
-    max_iter: int = 15,
+    spec: ClusterSpec,
     ground_truth: GroundTruth | None = None,
 ) -> tuple[ClusteringState, list[MisclusterReport]]:
-    """Iterate the variant's step until labels stop changing or max_iter.
+    """Iterate the step of spec.method (lloyd, kgeomedian or
+    trimmed_kmeans) until labels stop changing or spec.max_iter.
 
     With ground truth supplied, a MisclusterReport is emitted for the
     initial state and after every iteration.
     """
+    if spec.method not in ("lloyd", "kgeomedian", "trimmed_kmeans"):
+        raise ConfigError(f"{spec.method} has no Lloyd step")
     points = np.asarray(points, dtype=float)
-    require_int("max_iter", max_iter, 0)
     state = init
     reports = []
     if ground_truth is not None:
         reports.append(mismetrics(state, ground_truth))
-    for _ in range(max_iter):
-        nxt = _step(points, state, variant)
+    for _ in range(spec.max_iter):
+        nxt = _step(points, state, spec)
         if ground_truth is not None:
             reports.append(mismetrics(nxt, ground_truth))
         converged = np.array_equal(nxt.labels, state.labels)
@@ -374,7 +388,7 @@ def warm_start_init(
     labels[byz] = rng.integers(0, K, size=byz.size)
 
     start = ClusteringState(labels=labels, centers=np.tile(points.mean(axis=0), (K, 1)))
-    centers, _ = _center_step(points, start, LloydVariant.lloyd())
+    centers, _ = _center_step(points, start, ClusterSpec(method="lloyd"))
     return ClusteringState(labels=labels, centers=centers, iteration=0)
 
 

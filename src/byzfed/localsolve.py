@@ -19,8 +19,8 @@ of A_i per machine (pipeline.stage1_erms), and FedAvg's local steps as
 one affine map per machine (distopt.fed_avg_robust).
 
 Raw rows are read only where a solver needs them: the exact solver
-(local_erm), the one-pass online solver with iterate averaging
-(online_to_batch), and the objective value (batch_objective).
+(local_erm) and the one-pass online solver with iterate averaging
+(online_to_batch).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "ShardStats",
     "shard_stats",
     "loss_grad",
-    "batch_objective",
     "local_gradient",
     "local_erm",
     "online_to_batch",
@@ -73,16 +72,6 @@ def loss_grad(loss: LossSpec, w: np.ndarray, x: np.ndarray, y: float | None = No
             raise ConfigError("squared_error loss needs a target value")
         return x * float(x @ w - y)
     return w - x
-
-
-def batch_objective(shard: WorkerShard, loss: LossSpec, w: np.ndarray) -> float:
-    """Local empirical risk F_i(w) = (1/n) sum_l f(w; point_l)."""
-    w = np.asarray(w, dtype=float)
-    if loss.kind == "squared_error":
-        r = shard.X @ w - shard.y
-        return 0.5 * float(r @ r) / shard.n
-    diffs = w[None, :] - shard.X
-    return 0.5 * float(np.sum(diffs * diffs)) / shard.n
 
 
 class ShardStats(NamedTuple):

@@ -29,8 +29,8 @@ from scipy.linalg import eigh
 from scipy.optimize import linear_sum_assignment
 
 from .clustering import (
+    ClusterSpec,
     ClusteringState,
-    LloydVariant,
     MisclusterReport,
     edge_cut_cluster,
     iterfilter_2cluster,
@@ -79,7 +79,6 @@ __all__ = [
 ]
 
 _SOLVER_KINDS = ("erm", "gd", "ogd")
-_CLUSTER_METHODS = ("edge_cut", "lloyd", "kgeomedian", "trimmed_kmeans", "iterfilter2")
 _LOG_DIVERGENCE = math.log(_DIVERGENCE_NORM)
 
 
@@ -111,53 +110,6 @@ class SolverSpec:
     @property
     def loss_spec(self) -> LossSpec:
         return LossSpec(self.loss)
-
-
-@dataclass(frozen=True)
-class ClusterSpec:
-    """Stage-II method and its knobs.
-
-    warm_fraction configures the partially-correct initialization used by
-    the Lloyd-family methods (and the two-cluster filter's starting
-    center); gamma/min_cluster belong to edge_cut; T and variance_bound to
-    iterfilter2. C may be infinite (no trimming); the counts are integers.
-    """
-
-    method: str = "trimmed_kmeans"
-    C: float = 2.0
-    sigma_hat: float | None = None
-    max_iter: int = 15
-    warm_fraction: float = 0.6
-    gamma: float | None = None
-    min_cluster: int = 1
-    T: int = 5
-    variance_bound: float | None = None
-
-    def __post_init__(self):
-        if self.method not in _CLUSTER_METHODS:
-            raise ConfigError(
-                f"unknown cluster method {self.method!r}; expected one of {_CLUSTER_METHODS}"
-            )
-        if self.method == "edge_cut" and self.gamma is None:
-            raise ConfigError("edge_cut needs gamma")
-        if not 0.0 <= self.warm_fraction <= 1.0:
-            raise ConfigError("warm_fraction must be in [0, 1]")
-        require_real("C", self.C, positive=True, finite=False)
-        require_real("sigma_hat", self.sigma_hat, finite=False, optional=True)
-        require_real("gamma", self.gamma, positive=True, finite=False, optional=True)
-        require_real("variance_bound", self.variance_bound, optional=True)
-        require_int("max_iter", self.max_iter, 0)
-        require_int("min_cluster", self.min_cluster, 1)
-        require_int("T", self.T, 1)
-
-    def variant(self) -> LloydVariant:
-        if self.method == "lloyd":
-            return LloydVariant.lloyd()
-        if self.method == "kgeomedian":
-            return LloydVariant.kgeomedian()
-        if self.method == "trimmed_kmeans":
-            return LloydVariant.trimmed(C=self.C, sigma_hat=self.sigma_hat)
-        raise ConfigError(f"{self.method} has no Lloyd variant")
 
 
 @dataclass(frozen=True)
@@ -355,9 +307,7 @@ def _stage2(cfg: PipelineConfig, erms, truth):
         )
         return state, [mismetrics(state, truth)]
 
-    return run_lloyd_variant(
-        erms, init, spec.variant(), max_iter=spec.max_iter, ground_truth=truth
-    )
+    return run_lloyd_variant(erms, init, spec, ground_truth=truth)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from byzfed.cli import main as cli_main
-from byzfed.clustering import LloydVariant, iterfilter_2cluster, run_lloyd_variant, warm_start_init
+from byzfed.clustering import iterfilter_2cluster, run_lloyd_variant, warm_start_init
 from byzfed.datagen import BYZANTINE, FleetConfig, GroundTruth, generate_fleet, generate_symmetric_mixture
 from byzfed.distopt import OptConfig
 from byzfed.numerics import RngStream, derive_seed
@@ -46,11 +46,11 @@ def test_acceptance_1_misclustering_decay(capsys):
         erms = stage1_erms(shards, SolverSpec(kind="gd", iters=1000))
         init = warm_start_init(erms, truth, 0.6, seed=derive_seed(seed, 1))
         _, rep_t = run_lloyd_variant(
-            erms, init, LloydVariant.trimmed(C=2.0, sigma_hat=0.55),
-            max_iter=15, ground_truth=truth,
+            erms, init, ClusterSpec(method="trimmed_kmeans", C=2.0, sigma_hat=0.55, max_iter=15),
+            ground_truth=truth,
         )
         _, rep_l = run_lloyd_variant(
-            erms, init, LloydVariant.lloyd(), max_iter=15, ground_truth=truth
+            erms, init, ClusterSpec(method="lloyd", max_iter=15), ground_truth=truth
         )
         return rep_t[-1].miscluster_rate, rep_l[-1].miscluster_rate
 
@@ -137,8 +137,8 @@ def test_acceptance_4_decay_to_zero_within_budget(capsys):
         truth = GroundTruth(centers=np.vstack([theta, -theta]), labels=gt_labels)
         init = warm_start_init(pts, truth, correct_fraction=0.6, seed=derive_seed(seed, 1))
         _, reports = run_lloyd_variant(
-            pts, init, LloydVariant.trimmed(C=2.0, sigma_hat=1.0),
-            max_iter=budget, ground_truth=truth,
+            pts, init, ClusterSpec(method="trimmed_kmeans", C=2.0, sigma_hat=1.0, max_iter=budget),
+            ground_truth=truth,
         )
         hits += any(r.miscluster_rate == 0.0 for r in reports if r.iteration <= budget)
 

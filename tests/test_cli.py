@@ -72,20 +72,6 @@ def test_thread_count_does_not_change_bytes(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_byzfed_threads_env_caps_pool(tmp_path, monkeypatch):
-    monkeypatch.setenv("BYZFED_THREADS", "2")
-    code, out = _synth(tmp_path, "--seed", "1", "--threads", "8")
-    assert code == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["threads"] == 2
-
-
-def test_byzfed_threads_env_rejects_garbage(tmp_path, monkeypatch):
-    monkeypatch.setenv("BYZFED_THREADS", "many")
-    code, _ = _synth(tmp_path, "--seed", "1")
-    assert code == 1
-
-
 def test_manifest_config_round_trips(tmp_path):
     code, out = _synth(tmp_path, "--seed", "2", "--aggregator", "tm", "--beta", "0.2")
     assert code == 0
@@ -485,6 +471,45 @@ def test_ingest_takes_fleet_fields_from_config_when_flags_are_absent(tmp_path, r
     out = tmp_path / "out3"
     assert main(["ingest", "--csv", str(csv), "--config", str(cfg), "--gamma", "9",
                  "--clusterer", "km", "--out-dir", str(out)]) == 1
+    assert not (out / "manifest.json").exists()
+
+
+def _ingest_fleet_config(tmp_path, csv, **fleet):
+    """A synth/grid config whose fleet is ingested from csv, with the grid
+    of _write_grid_config."""
+    fleet = {"type": "ingest", "path": str(csv), "gamma": 10.0, "shard_size": 5,
+             "n_adv": 1, "min_cluster": 1, "label_column": None, **fleet}
+    grid = json.loads(_write_grid_config(tmp_path).read_text())["grid"]
+    path = tmp_path / "ingest_grid.json"
+    path.write_text(json.dumps({"fleet": fleet, "solver": {"loss": "location"}, "grid": grid}))
+    return path
+
+
+def test_grid_with_ingest_fleet_matches_ingest_command(tmp_path, rng):
+    csv = _blob_csv(tmp_path, rng)
+    cfg = _ingest_fleet_config(tmp_path, csv, gamma=3.0)  # --gamma sets the fleet's
+    grid_out, ingest_out = tmp_path / "grid", tmp_path / "ingest"
+    assert main(["grid", "--config", str(cfg), "--gamma", "10", "--seed", "4",
+                 "--out-dir", str(grid_out)]) == 0
+    assert main(["ingest", "--csv", str(csv), "--gamma", "10", "--shard-size", "5",
+                 "--n-adv", "1", "--config", str(cfg), "--seed", "4",
+                 "--out-dir", str(ingest_out)]) == 0
+    for name in RESULT_FILES:
+        assert (grid_out / name).read_bytes() == (ingest_out / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["grid", "synth"])
+def test_non_finite_points_through_config_fleet_exit_2(tmp_path, rng, capsys, command):
+    csv = _blob_csv(tmp_path, rng)
+    lines = csv.read_text().splitlines()
+    lines[4] = "nan,0.0,0.0"
+    csv.write_text("\n".join(lines) + "\n")
+    cfg = _ingest_fleet_config(tmp_path, csv)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data row 5" in err
+    assert "Traceback" not in err
     assert not (out / "manifest.json").exists()
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from byzfed.clustering import (
     ClusteringState,
-    LloydVariant,
+    ClusterSpec,
     _assign,
     edge_cut_cluster,
     iterfilter_2cluster,
@@ -25,7 +25,7 @@ def _truth(labels, centers):
 
 def _trimmed_step(points, state, sigma_hat=None, C=2.0):
     nxt, _ = run_lloyd_variant(
-        points, state, LloydVariant.trimmed(C=C, sigma_hat=sigma_hat), max_iter=1
+        points, state, ClusterSpec(method="trimmed_kmeans", C=C, sigma_hat=sigma_hat, max_iter=1)
     )
     return nxt
 
@@ -58,11 +58,11 @@ def test_state_validation():
 
 def test_variant_validation():
     with pytest.raises(ConfigError):
-        LloydVariant(kind="median")
+        ClusterSpec(method="median")
     with pytest.raises(ConfigError):
-        LloydVariant(kind="trimmed", C=0.0)
+        ClusterSpec(method="trimmed_kmeans", C=0.0)
     with pytest.raises(ConfigError):
-        LloydVariant(kind="trimmed", sigma_hat=-1.0)
+        ClusterSpec(method="trimmed_kmeans", sigma_hat=-1.0)
 
 
 def test_assign_tie_goes_to_lowest_index():
@@ -114,7 +114,7 @@ def test_trimmed_step_infinite_radius_is_plain_lloyd(rng):
     labels = rng.integers(0, 3, size=30)
     state = ClusteringState(labels=labels, centers=rng.standard_normal((3, 3)))
     trimmed = _trimmed_step(points, state, C=math.inf)
-    lloyd, _ = run_lloyd_variant(points, state, LloydVariant.lloyd(), max_iter=1)
+    lloyd, _ = run_lloyd_variant(points, state, ClusterSpec(method="lloyd", max_iter=1))
     np.testing.assert_array_equal(trimmed.labels, lloyd.labels)
     np.testing.assert_array_equal(trimmed.centers, lloyd.centers)
     assert not trimmed.trimmed.any()
@@ -123,7 +123,7 @@ def test_trimmed_step_infinite_radius_is_plain_lloyd(rng):
 def test_empty_bucket_reseeds_at_farthest_point():
     points = np.array([[0.0], [1.0], [10.0]])
     state = ClusteringState(labels=np.zeros(3, int), centers=np.array([[0.0], [5.0]]))
-    nxt, _ = run_lloyd_variant(points, state, LloydVariant.lloyd(), max_iter=1)
+    nxt, _ = run_lloyd_variant(points, state, ClusterSpec(method="lloyd", max_iter=1))
     # bucket 1 had no members: it re-seeds at the point farthest from its
     # owner's previous center (distance 10), and captures that point
     np.testing.assert_allclose(nxt.centers, [[11.0 / 3.0], [10.0]])
@@ -133,7 +133,7 @@ def test_empty_bucket_reseeds_at_farthest_point():
 def test_two_empty_buckets_take_distinct_seeds():
     points = np.array([[0.0], [1.0], [10.0]])
     state = ClusteringState(labels=np.zeros(3, int), centers=np.array([[0.0], [5.0], [6.0]]))
-    nxt, _ = run_lloyd_variant(points, state, LloydVariant.lloyd(), max_iter=1)
+    nxt, _ = run_lloyd_variant(points, state, ClusterSpec(method="lloyd", max_iter=1))
     np.testing.assert_allclose(nxt.centers[1], [10.0])
     np.testing.assert_allclose(nxt.centers[2], [1.0])
 
@@ -163,7 +163,7 @@ def test_lloyd_matches_textbook_kmeans(rng):
     points, true_labels = _blobs(rng, [20, 20, 20], [[0, 0], [6, 0], [0, 6]], spread=0.5)
     init_labels = rng.integers(0, 3, size=60)
     init = ClusteringState(labels=init_labels, centers=points[rng.choice(60, 3, replace=False)])
-    got, _ = run_lloyd_variant(points, init, LloydVariant.lloyd(), max_iter=25)
+    got, _ = run_lloyd_variant(points, init, ClusterSpec(method="lloyd", max_iter=25))
     ref_labels, ref_centers = _reference_kmeans(points, init.labels, init.centers, 25)
     np.testing.assert_array_equal(got.labels, ref_labels)
     np.testing.assert_allclose(got.centers, ref_centers, atol=1e-12)
@@ -173,7 +173,7 @@ def test_run_stops_when_labels_stabilize(rng):
     points, labels = _blobs(rng, [10, 10], [[0, 0], [9, 9]])
     init = ClusteringState(labels=labels, centers=np.array([[0.0, 0.0], [9.0, 9.0]]))
     truth = _truth(labels, [[0.0, 0.0], [9.0, 9.0]])
-    final, reports = run_lloyd_variant(points, init, LloydVariant.lloyd(), max_iter=15, ground_truth=truth)
+    final, reports = run_lloyd_variant(points, init, ClusterSpec(method="lloyd", max_iter=15), ground_truth=truth)
     # perfect init converges in one step: report for init plus one iteration
     assert final.iteration == 1
     assert [r.iteration for r in reports] == [0, 1]
@@ -184,8 +184,8 @@ def test_kgeomedian_resists_one_planted_outlier(rng):
     points, labels = _blobs(rng, [15, 15], [[0, 0], [8, 8]], spread=0.2)
     points[0] = [1e6, 1e6]
     init = ClusteringState(labels=labels, centers=np.array([[0.0, 0.0], [8.0, 8.0]]))
-    kgm, _ = run_lloyd_variant(points, init, LloydVariant.kgeomedian(), max_iter=1)
-    lloyd, _ = run_lloyd_variant(points, init, LloydVariant.lloyd(), max_iter=1)
+    kgm, _ = run_lloyd_variant(points, init, ClusterSpec(method="kgeomedian", max_iter=1))
+    lloyd, _ = run_lloyd_variant(points, init, ClusterSpec(method="lloyd", max_iter=1))
     assert np.linalg.norm(kgm.centers[0]) < 1.0  # geomedian shrugs it off
     assert np.linalg.norm(lloyd.centers[0]) > 1e4  # the mean does not
 
@@ -194,7 +194,10 @@ def test_run_lloyd_validation(rng):
     points = rng.standard_normal((4, 2))
     init = ClusteringState(labels=np.zeros(4, int), centers=np.zeros((1, 2)))
     with pytest.raises(ConfigError):
-        run_lloyd_variant(points, init, LloydVariant.lloyd(), max_iter=-1)
+        ClusterSpec(method="lloyd", max_iter=-1)
+    for spec in (ClusterSpec(method="edge_cut", gamma=1.0), ClusterSpec(method="iterfilter2")):
+        with pytest.raises(ConfigError, match="no Lloyd step"):
+            run_lloyd_variant(points, init, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from byzfed.datagen import WorkerShard
 from byzfed.errors import ConfigError, NumericError
 from byzfed.localsolve import (
     LossSpec,
-    batch_objective,
     local_erm,
     local_gradient,
     loss_grad,
@@ -70,9 +69,6 @@ def test_gradients_match_finite_differences(rng):
 def test_batch_objective_and_gradient_consistent(rng):
     shard, _ = _shard(rng)
     w = rng.standard_normal(4)
-    # objective equals the average single-sample loss
-    manual = np.mean([_sq_loss(w, shard.X[i], shard.y[i]) for i in range(shard.n)])
-    assert batch_objective(shard, SQ, w) == pytest.approx(manual)
     # gradient equals the average single-sample gradient
     manual_g = np.mean([loss_grad(SQ, w, shard.X[i], shard.y[i]) for i in range(shard.n)], axis=0)
     np.testing.assert_allclose(local_gradient(shard_stats([shard], SQ), w)[0], manual_g, atol=1e-12)
@@ -82,7 +78,6 @@ def test_location_objective_minimized_at_mean(rng):
     shard, _ = _shard(rng)
     mu = shard.X.mean(axis=0)
     np.testing.assert_allclose(local_gradient(shard_stats([shard], LOC), mu), 0, atol=1e-12)
-    assert batch_objective(shard, LOC, mu) <= batch_objective(shard, LOC, mu + 0.1)
 
 
 def test_local_erm_squared_error_is_least_squares(rng):

@@ -68,8 +68,7 @@ def test_pipeline_composes_documented_stages():
     erms = stage1_erms(fleet, cfg.solver)
     init = warm_start_init(erms, truth, cfg.cluster.warm_fraction,
                            seed=derive_seed(cfg.seed, 1))
-    state, _ = run_lloyd_variant(erms, init, cfg.cluster.variant(),
-                                 max_iter=cfg.cluster.max_iter, ground_truth=truth)
+    state, _ = run_lloyd_variant(erms, init, cfg.cluster, ground_truth=truth)
     w_hats = np.empty_like(state.centers)
     for k in range(state.K):
         members = [fleet[i] for i in np.flatnonzero(state.labels == k)]
