@@ -149,10 +149,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> dict:
-    """The --config file, if any, merged over the defaults of every command."""
+    """The --config file, if any, merged over the defaults of every command.
+    Each section present must be an object."""
     data = copy.deepcopy(_DEFAULTS)
     if args.config:
         _deep_merge(data, _load_config_file(args.config))
+    for section in ("fleet", "solver", "cluster", "opt", "attack", "grid"):
+        if section in data and not isinstance(data[section], dict):
+            raise ConfigError(
+                f"config section {section!r} must be an object, got {json.dumps(data[section])}"
+            )
     return data
 
 
@@ -199,7 +205,7 @@ def _apply_overrides(data: dict, args) -> dict:
         data["seed"] = args.seed
     if args.trials is not None:
         data["trials"] = args.trials
-        if isinstance(data.get("grid"), dict):
+        if "grid" in data:
             data["grid"]["trials"] = args.trials
     if args.alpha is not None:
         fleet["alpha"] = args.alpha
@@ -332,7 +338,7 @@ def cmd_synth(args) -> int:
     fleet that is synthetic or has no type takes the synthetic defaults."""
     data = _load_config(args)
     fleet = data.setdefault("fleet", {})
-    if isinstance(fleet, dict) and fleet.get("type", "synthetic") == "synthetic":
+    if fleet.get("type", "synthetic") == "synthetic":
         data["fleet"] = {**_SYNTHETIC_FLEET, **fleet}
     if args.command == "grid" and not data.get("grid"):
         raise ConfigError("the grid command needs a 'grid' section in the config")

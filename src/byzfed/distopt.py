@@ -14,6 +14,13 @@ attacked report. robust_gd's reports are localsolve.local_gradient.
 fed_avg_robust's local steps run on a quadratic local risk, so L of them
 are one affine map w -> P_i w + q_i per machine, built once per call; a
 round is then one batched matvec instead of L.
+
+A random_gauss report depends only on the attack seed and scale, the
+machine and the round, not on the optimizer. Both optimizers take a
+draws table keyed by those four values, for the machines of one fleet;
+a grid passes one table per clusterer and trial, so its optimizer cells
+share every Gaussian report instead of redrawing it. Without a table
+each call draws its own.
 """
 
 from __future__ import annotations
@@ -129,17 +136,27 @@ def pooled_auto_step(stats: ShardStats, loss: LossSpec) -> float:
     return 1.0 / lam if lam > 0 else 1.0
 
 
-def _attacked_report(row, shard, attack, round_idx, d):
-    """Vector a Byzantine machine sends in place of its honest row."""
+def _gauss_report(attack, machine_id, round_idx, d):
+    """The random_gauss report of one machine in one round, read-only."""
+    rng = RngStream(derive_seed(attack.seed, machine_id, round_idx), 0).generator()
+    report = attack.scale * rng.standard_normal(d)
+    report.flags.writeable = False
+    return report
+
+
+def _attacked_report(row, shard, attack, round_idx, d, draws):
+    """Vector a Byzantine machine sends in place of its honest row. A
+    random_gauss report is looked up in draws, and drawn into it on a miss."""
     if attack.kind in ("none", "own_corrupt_data"):
         return row
     if attack.kind == "sign_flip":
         return -attack.scale * row
     if attack.kind == "random_gauss":
-        rng = RngStream(
-            derive_seed(attack.seed, shard.machine_id, round_idx), 0
-        ).generator()
-        return attack.scale * rng.standard_normal(d)
+        key = (attack.seed, attack.scale, shard.machine_id, round_idx)
+        report = draws.get(key)
+        if report is None:
+            report = draws[key] = _gauss_report(attack, shard.machine_id, round_idx, d)
+        return report
     return attack.vector.copy()
 
 
@@ -172,10 +189,11 @@ def _local_steps_map(stats, loss, step, local_steps):
     return lambda w: A @ w + q
 
 
-def _descend(shards, loss, cfg, attack, local_steps):
+def _descend(shards, loss, cfg, attack, local_steps, draws):
     """Shared round loop; local_steps=None is robust_gd (aggregate
     gradients, then step), an int is fed_avg_robust (aggregate models)."""
     attack = attack or AttackSpec.own_corrupt_data()
+    draws = {} if draws is None else draws
     stats = shard_stats(shards, loss)
     d = stats.b.shape[1]
     step = cfg.step_size if cfg.step_size is not None else pooled_auto_step(stats, loss)
@@ -192,7 +210,7 @@ def _descend(shards, loss, cfg, attack, local_steps):
     for t in range(cfg.max_rounds):
         reports = reports_at(w)
         for i in byzantine:
-            reports[i] = _attacked_report(reports[i], shards[i], attack, t, d)
+            reports[i] = _attacked_report(reports[i], shards[i], attack, t, d, draws)
         agg = aggregate(reports, cfg.aggregator)
         w_next = w - step * agg if local_steps is None else agg
         traj.append(w_next.copy())
@@ -213,6 +231,8 @@ def robust_gd(
     loss: LossSpec,
     cfg: OptConfig,
     attack: AttackSpec | None = None,
+    *,
+    draws: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Robustly aggregated distributed gradient descent.
 
@@ -220,8 +240,11 @@ def robust_gd(
     Stops after max_rounds or when the update norm drops below stop_tol.
     Robust aggregators assume fewer than half the shards are Byzantine;
     this is the caller's contract, not enforced here.
+
+    draws is a random_gauss report table shared with other calls on the
+    same machines (see the module docstring); None draws privately.
     """
-    return _descend(shards, loss, cfg, attack, None)
+    return _descend(shards, loss, cfg, attack, None, draws)
 
 
 def fed_avg_robust(
@@ -229,6 +252,8 @@ def fed_avg_robust(
     loss: LossSpec,
     cfg: OptConfig,
     attack: AttackSpec | None = None,
+    *,
+    draws: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Robust federated averaging.
 
@@ -239,5 +264,8 @@ def fed_avg_robust(
     q_i = sum_{l<L} (I - step A_i)^l step b_i, equal to the step-by-step
     recursion up to rounding. With local_steps=1 and an affine-equivariant
     aggregator this coincides with robust_gd round for round.
+
+    draws is a random_gauss report table shared with other calls on the
+    same machines (see the module docstring); None draws privately.
     """
-    return _descend(shards, loss, cfg, attack, cfg.local_steps)
+    return _descend(shards, loss, cfg, attack, cfg.local_steps, draws)

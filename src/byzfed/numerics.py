@@ -1,9 +1,9 @@
 """Dense linear algebra and reproducible random streams.
 
-least_squares wraps numpy's lstsq; top_eigenpair is one LAPACK call
-(scipy.linalg.eigh restricted to the largest eigenvalue), so every step
-size 1/lambda_max and every spectral-filter test uses the top eigenvalue
-to LAPACK accuracy.
+least_squares wraps numpy's lstsq; top_eigenpair is one call of LAPACK's
+syevr restricted to the largest eigenvalue, so every step size
+1/lambda_max and every spectral-filter test uses the top eigenvalue to
+LAPACK accuracy.
 
 Model vectors are plain 1-D float64 numpy arrays; a fixed dimension d is
 shared by every vector in a run. All functions here are pure and
@@ -13,10 +13,12 @@ from by two threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import LinAlgError, get_lapack_funcs
+from scipy.linalg.lapack import _compute_lwork
 
 from .errors import ConfigError
 
@@ -52,17 +54,36 @@ def top_eigenpair(M):
     """Largest eigenpair of a symmetric matrix, exact to LAPACK accuracy.
 
     Returns (eigenvalue, unit eigenvector); the eigenvector's sign is
-    whatever LAPACK returns. Only the top eigenpair is computed.
+    whatever LAPACK returns. Only the top eigenpair is computed, by syevr
+    on the lower triangle with the workspace size LAPACK asks for: the
+    call scipy.linalg.eigh(M, subset_by_index=[d-1, d-1]) makes, so the
+    result is bit for bit eigh's, without eigh's argument handling. A
+    non-finite M raises eigh's ValueError.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ConfigError(f"expected a square matrix, got {M.shape}")
-    scale = max(1.0, float(np.max(np.abs(M))))
-    if np.max(np.abs(M - M.T)) > 1e-10 * scale:
+    # ndarray.max rather than np.max: the same reduction without its dispatch
+    amax = float(np.abs(M).max())  # nan or inf when M is not finite
+    scale = max(1.0, amax)
+    if np.abs(M - M.T).max() > 1e-10 * scale:
         raise ConfigError("matrix is not symmetric within 1e-10")
+    if not math.isfinite(amax):
+        raise ValueError("array must not contain infs or NaNs")
     d = M.shape[0]
-    lam, V = eigh(M, subset_by_index=[d - 1, d - 1])
-    return float(lam[0]), V[:, 0]
+    syevr, syevr_lwork = get_lapack_funcs(("syevr", "syevr_lwork"), (M,))
+    # eigh's own workspace query: another lwork can change LAPACK's
+    # blocking, and with it the bits
+    lwork, liwork = _compute_lwork(syevr_lwork, n=d, lower=1)
+    w, V, _, _, info = syevr(
+        M, compute_v=1, range="I", lower=1, il=d, iu=d, lwork=lwork, liwork=liwork
+    )
+    if info != 0:
+        raise LinAlgError(
+            f"Illegal value in argument {-info} of internal dsyevr" if info < -1
+            else "Internal Error."
+        )
+    return float(w[0]), V[:, 0]
 
 
 def derive_seed(master_seed: int, *path: int) -> int:

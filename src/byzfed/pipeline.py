@@ -8,7 +8,8 @@ est_error = max over matched clusters of ||w_hat - w*|| / sqrt(d).
 
 In a grid, Stage II depends only on (clusterer, trial) and Stage III on
 the cell, so run_grid makes one pool task per trial: the fleet and Stage I
-once, Stage II once per clusterer, Stage III once per cell. run_pipeline
+once, Stage II once per clusterer, Stage III once per cell, with the
+clusterer's Byzantine reports drawn once for all its cells. run_pipeline
 is the single-cell composition of the same stage helpers.
 
 All randomness is derived from PipelineConfig.seed before any parallel
@@ -314,7 +315,7 @@ def _stage2(cfg: PipelineConfig, erms, truth):
 # stage III and metric
 
 
-def _stage3(cfg: PipelineConfig, shards, state: ClusteringState, loss: LossSpec):
+def _stage3(cfg: PipelineConfig, shards, state: ClusteringState, loss: LossSpec, draws):
     w_hats = np.empty_like(state.centers)
     trajectories: list[np.ndarray] = []
     labels = state.labels
@@ -327,9 +328,9 @@ def _stage3(cfg: PipelineConfig, shards, state: ClusteringState, loss: LossSpec)
         opt = replace(cfg.opt, init=state.centers[k])
         attack = replace(cfg.attack, seed=derive_seed(cfg.seed, 2, k))
         if opt.local_steps > 1:
-            w, traj = fed_avg_robust(members, loss, opt, attack)
+            w, traj = fed_avg_robust(members, loss, opt, attack, draws=draws)
         else:
-            w, traj = robust_gd(members, loss, opt, attack)
+            w, traj = robust_gd(members, loss, opt, attack, draws=draws)
         w_hats[k] = w
         trajectories.append(traj)
     return w_hats, trajectories
@@ -363,12 +364,14 @@ def _local_models(cfg: PipelineConfig, layout: ComponentLayout | None, times):
         return fleet, truth, stage1_erms(fleet, cfg.solver)
 
 
-def _cell_result(cfg: PipelineConfig, fleet, truth, clustered, times) -> RunResult:
-    """Stage III in each cluster of a Stage-II (state, history); metric."""
+def _cell_result(cfg: PipelineConfig, fleet, truth, clustered, times, draws=None) -> RunResult:
+    """Stage III in each cluster of a Stage-II (state, history); metric.
+    draws is the Byzantine report table of the clusterer's cells (see
+    distopt), or None for a private one."""
     state, history = clustered
     times = dict(times)
     with _stage(times, "stage3"):
-        w_hats, trajectories = _stage3(cfg, fleet, state, cfg.solver.loss_spec)
+        w_hats, trajectories = _stage3(cfg, fleet, state, cfg.solver.loss_spec, draws)
 
     pairs = _match_centers(w_hats, truth.centers)
     d = fleet[0].X.shape[1]
@@ -448,8 +451,10 @@ def materialize_fleet(
 
 def _trial_outcomes(base_cfg, clusterers, optimizers, layout, t: int, seed: int):
     """Every cell of trial t, clusterer-major: the fleet and Stage I once,
-    Stage II once per clusterer, Stage III once per cell. A failed stage
-    becomes the error string of every cell that depends on it."""
+    Stage II once per clusterer, Stage III once per cell. The cells of a
+    clusterer share its clusters and attack seeds, so they share one table
+    of Byzantine reports, dropped when the clusterer is done. A failed
+    stage becomes the error string of every cell that depends on it."""
     cfg = replace(base_cfg, seed=seed)
 
     def outcome(cname, oname, result=None, exc=None):
@@ -470,9 +475,12 @@ def _trial_outcomes(base_cfg, clusterers, optimizers, layout, t: int, seed: int)
         except Exception as exc:
             outcomes += [outcome(cname, o, exc=exc) for o, _ in optimizers]
             continue
+        draws: dict = {}
         for oname, ospec in optimizers:
             try:
-                result = _cell_result(replace(ccfg, opt=ospec), fleet, truth, clustered, times)
+                result = _cell_result(
+                    replace(ccfg, opt=ospec), fleet, truth, clustered, times, draws
+                )
                 outcomes.append(outcome(cname, oname, result))
             except Exception as exc:  # record and continue per grid contract
                 outcomes.append(outcome(cname, oname, exc=exc))

@@ -5,6 +5,10 @@ distributed-optimization stage: coordinate-wise trimmed mean, coordinate-wise
 median, geometric median (Weiszfeld), and a spectral iterative filter that
 repeatedly removes points with extreme projections onto the top covariance
 eigenvector. All estimators are pure functions of their input set.
+
+Each public estimator validates its points and calls a private kernel;
+aggregate, which runs once per Stage-III round, validates once and calls
+the same kernels.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ def _as_points(points) -> np.ndarray:
         P = P[:, None]
     if P.ndim != 2 or P.shape[0] < 1:
         raise ConfigError(f"expected a nonempty (t, d) point array, got shape {P.shape}")
-    if not np.all(np.isfinite(P)):
+    if not np.isfinite(P).all():
         raise ConfigError("points contain NaN or Inf")
     return P
 
@@ -48,6 +52,10 @@ def trimmed_mean(points, beta: float) -> np.ndarray:
     P = _as_points(points)
     if not 0.0 <= beta < 0.5:
         raise ConfigError(f"trim fraction must be in [0, 0.5), got {beta}")
+    return _trimmed_mean(P, beta)
+
+
+def _trimmed_mean(P, beta):
     t = P.shape[0]
     k = int(math.floor(beta * t))
     # sort row-contiguous so each coordinate's mean accumulates in the same
@@ -71,29 +79,35 @@ def geometric_median(points, tol: float = 1e-7, max_iter: int = 500) -> np.ndarr
     the iteration cannot get stuck dividing by zero. Exact for t = 1 or
     when all points coincide.
     """
-    P = _as_points(points)
+    return _geometric_median(_as_points(points), tol, max_iter)
+
+
+def _geometric_median(P, tol, max_iter):
     t = P.shape[0]
     if t == 1:
         return P[0].copy()
     y = P.mean(axis=0)
+    # the masked rows below are C-ordered copies; without a coincident point
+    # the same C-ordered rows are summed, so the sums keep their order
+    C = np.ascontiguousarray(P)
     for _ in range(max_iter):
         diff = P - y
         # np.linalg.norm(diff, axis=1) without its dispatch
         dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
         coincident = dist <= 1e-12
-        if coincident.all():
+        if not coincident.any():
+            w = 1.0 / dist
+            y_new = (C * w[:, None]).sum(axis=0) / w.sum()
+        elif coincident.all():
             return P[0].copy()
-        w = 1.0 / dist[~coincident]
-        T = (P[~coincident] * w[:, None]).sum(axis=0) / w.sum()
-        eta = int(coincident.sum())
-        if eta == 0:
-            y_new = T
         else:
+            w = 1.0 / dist[~coincident]
+            T = (P[~coincident] * w[:, None]).sum(axis=0) / w.sum()
             R = (diff[~coincident] * w[:, None]).sum(axis=0)
             r = np.sqrt(R @ R)
             if r <= 1e-12:
                 return y  # the current iterate is the median
-            gamma = min(1.0, eta / r)
+            gamma = min(1.0, int(coincident.sum()) / r)
             y_new = (1.0 - gamma) * T + gamma * y
         step = y_new - y
         if np.sqrt(step @ step) <= tol * max(1.0, np.sqrt(y @ y)):
@@ -102,9 +116,19 @@ def geometric_median(points, tol: float = 1e-7, max_iter: int = 500) -> np.ndarr
     return y
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of a finite 1-D array from one partition: the middle
+    element, or the mean of the two middle ones."""
+    half, odd = divmod(len(values), 2)
+    if odd:
+        return np.partition(values, half)[half]
+    part = np.partition(values, (half - 1, half))
+    return (part[half - 1] + part[half]) / 2.0
+
+
 def _mad_scale(values: np.ndarray) -> float:
-    med = np.median(values)
-    return 1.4826 * float(np.median(np.abs(values - med)))
+    med = _median(values)
+    return 1.4826 * float(_median(np.abs(values - med)))
 
 
 def iter_filter_mean(points, variance_bound: float | None = None, max_rounds: int = 20) -> np.ndarray:
@@ -126,7 +150,10 @@ def iter_filter_mean(points, variance_bound: float | None = None, max_rounds: in
     When the survivors coincide (lam = 0) v is left zero, so every
     projection is 0 and the round returns the mean.
     """
-    P = _as_points(points)
+    return _iter_filter_mean(_as_points(points), variance_bound, max_rounds)
+
+
+def _iter_filter_mean(P, variance_bound, max_rounds):
     t, d = P.shape
     if t < 2:
         raise ConfigError("iterative filtering needs at least 2 points")
@@ -218,16 +245,19 @@ class AggregatorSpec:
 
 
 def aggregate(points, spec: AggregatorSpec) -> np.ndarray:
-    """Apply the estimator selected by spec to a (t, d) point set."""
+    """Apply the estimator selected by spec to a (t, d) point set.
+
+    The points are validated once here; spec was validated when built."""
     P = _as_points(points)
-    if spec.kind == "sample_mean":
+    kind = spec.kind
+    if kind == "sample_mean":
         return P.mean(axis=0)
-    if spec.kind == "trimmed_mean":
-        return trimmed_mean(P, spec.beta)
-    if spec.kind == "coord_median":
-        return coord_median(P)
-    if spec.kind == "geo_median":
-        return geometric_median(P, tol=spec.tol, max_iter=spec.max_iter)
-    if spec.kind == "iter_filter":
-        return iter_filter_mean(P, variance_bound=spec.variance_bound, max_rounds=spec.max_rounds)
-    raise ConfigError(f"unknown aggregator kind {spec.kind!r}")
+    if kind == "trimmed_mean":
+        return _trimmed_mean(P, spec.beta)
+    if kind == "coord_median":
+        return np.median(P, axis=0)
+    if kind == "geo_median":
+        return _geometric_median(P, spec.tol, spec.max_iter)
+    if kind == "iter_filter":
+        return _iter_filter_mean(P, spec.variance_bound, spec.max_rounds)
+    raise ConfigError(f"unknown aggregator kind {kind!r}")

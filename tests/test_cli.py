@@ -7,6 +7,15 @@ behavior change) with:
     python -m byzfed.cli synth --seed 42 --trials 2 --alpha 0.2 --sigma 1.0 \
         --out-dir /tmp/golden
     cp /tmp/golden/results.csv tests/data/golden_results.csv
+
+tests/data/golden_attack/ pins all four result files of a small Gaussian
+attack grid (random_gauss reports against the CM, GM and IF aggregators,
+where IF filters and GM iterates). Regenerate it the same way, only after
+an intentional behavior change:
+
+    python -m byzfed.cli grid --config tests/data/golden_attack/config.json \
+        --threads 2 --out-dir /tmp/golden_attack
+    cp /tmp/golden_attack/*.csv tests/data/golden_attack/
 """
 
 import json
@@ -50,6 +59,16 @@ def test_golden_results_file(tmp_path):
     assert got == expected
 
 
+def test_golden_attack_files(tmp_path):
+    golden = DATA_DIR / "golden_attack"
+    out = tmp_path / "out"
+    code = main(["grid", "--config", str(golden / "config.json"), "--threads", "2",
+                 "--out-dir", str(out)])
+    assert code == 0
+    for name in RESULT_FILES:
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+
 def test_same_seed_reproduces_same_bytes(tmp_path):
     _, a = _synth(tmp_path / "a", "--seed", "7", "--alpha", "0.1", "--sigma", "0.5")
     _, b = _synth(tmp_path / "b", "--seed", "7", "--alpha", "0.1", "--sigma", "0.5")
@@ -70,6 +89,23 @@ def test_thread_count_does_not_change_bytes(tmp_path):
                   "--trials", "3", "--threads", "4")
     for name in RESULT_FILES:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_gaussian_attack_grid_is_thread_invariant(tmp_path):
+    # its optimizer cells share one table of Byzantine reports per
+    # clusterer; the bytes cannot depend on which thread fills it
+    cfg = json.loads((DATA_DIR / "golden_attack" / "config.json").read_text())
+    cfg["grid"]["clusterers"].append({"name": "KM", "method": "lloyd"})
+    cfg["grid"]["trials"] = 3
+    path = tmp_path / "gauss.json"
+    path.write_text(json.dumps(cfg))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        assert main(["grid", "--config", str(path), "--threads", threads, "--out-dir", str(out)]) == 0
+        outs.append(out)
+    for name in RESULT_FILES:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_manifest_config_round_trips(tmp_path):
@@ -244,6 +280,24 @@ def test_replay_rejects_non_integer_trials_and_threads(tmp_path, capsys, manifes
     assert main(["replay", "--manifest", str(out), "--out-dir", str(re_dir), *flags]) == 1
     assert "error:" in capsys.readouterr().err
     assert not re_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "grid", "ingest"])
+@pytest.mark.parametrize(
+    "config",
+    [{"fleet": 5}, {"fleet": [1]}, {"fleet": None}, {"solver": "erm"}, {"cluster": 2},
+     {"opt": []}, {"attack": "sign_flip"}, {"grid": [1]}],
+)
+def test_config_section_that_is_not_an_object_exits_1(tmp_path, rng, capsys, command, config):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    flags = ["--csv", str(_blob_csv(tmp_path, rng))] if command == "ingest" else ["--alpha", "0.1"]
+    code = main([command, "--config", str(cfg), "--out-dir", str(out), *flags])
+    assert code == 1
+    section = next(iter(config))
+    assert f"config section {section!r} must be an object" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_infinite_trim_radius_multiplier_is_legal(tmp_path):

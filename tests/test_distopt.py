@@ -289,6 +289,26 @@ def test_random_gauss_attack_is_reproducible(rng):
     assert not np.array_equal(w1, w3)
 
 
+def test_shared_draws_table_matches_private_draws(rng):
+    # a table shared by optimizers on one cluster gives each the reports
+    # it would draw itself; its rows are read-only
+    shards, _ = _honest_cluster(rng, m=6, n=20, d=4, sigma=0.3)
+    shards = _with_byzantine(rng, shards, n_byz=2)
+    atk = AttackSpec.random_gauss(scale=5.0, seed=21)
+    runs = [
+        (robust_gd, OptConfig(max_rounds=12, aggregator=AggregatorSpec.median())),
+        (robust_gd, OptConfig(max_rounds=12, aggregator=AggregatorSpec.geomedian())),
+        (fed_avg_robust, OptConfig(max_rounds=12, local_steps=2, aggregator=AggregatorSpec.filtering())),
+    ]
+    draws = {}
+    for optimizer, cfg in runs:
+        _, private = optimizer(shards, SQ, cfg, atk)
+        _, shared = optimizer(shards, SQ, cfg, atk, draws=draws)
+        assert np.array_equal(shared, private)
+    assert set(draws) == {(21, 5.0, i, t) for i in (6, 7) for t in range(12)}
+    assert all(not report.flags.writeable and report.shape == (4,) for report in draws.values())
+
+
 def test_attacks_do_not_touch_honest_reports(rng):
     shards, theta = _honest_cluster(rng, m=5, n=30, d=3, sigma=0.0)
     w, _ = robust_gd(

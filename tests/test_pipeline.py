@@ -6,7 +6,7 @@ from byzfed.datagen import FleetConfig, generate_fleet
 from byzfed.distopt import AttackSpec, OptConfig, robust_gd
 from byzfed.errors import ConfigError, DataError
 from byzfed.numerics import derive_seed
-from byzfed import pipeline
+from byzfed import distopt, pipeline
 from byzfed.pipeline import (
     ClusterSpec,
     IngestSpec,
@@ -258,15 +258,36 @@ def _with_fedavg(optimizers):
     return optimizers + [fa]
 
 
-@pytest.mark.parametrize("fleet", ["synthetic", "ingest"])
-def test_grid_cells_equal_run_pipeline(fleet, tmp_path, rng):
-    """Each trial task shares the fleet, Stage I and Stage II across cells;
-    every cell must still equal run_pipeline on its own config with the
-    trial's derived seed."""
-    if fleet == "synthetic":
+def _gauss_grid_inputs():
+    """Gaussian Byzantine reports against the three robust aggregators;
+    one clusterer, so (attack seed, machine, round) names (trial, cluster,
+    machine, round)."""
+    base = PipelineConfig(
+        fleet=FleetConfig(m=30, n=20, d=6, K=2, alpha=0.2, sigma=1.0),
+        attack=AttackSpec.random_gauss(scale=10.0),
+    )
+    clusterers = [("TKM", ClusterSpec(method="trimmed_kmeans", C=2.0, sigma_hat=0.3))]
+    optimizers = [
+        ("CM", OptConfig(max_rounds=25, aggregator=AggregatorSpec.median())),
+        ("GM", OptConfig(max_rounds=25, aggregator=AggregatorSpec.geomedian())),
+        ("IF", OptConfig(max_rounds=25, aggregator=AggregatorSpec.filtering())),
+    ]
+    return base, clusterers, optimizers
+
+
+@pytest.mark.parametrize("inputs", ["synthetic", "ingest", "gauss"])
+def test_grid_cells_equal_run_pipeline(inputs, tmp_path, rng):
+    """Each trial task shares the fleet, Stage I and Stage II across cells,
+    and a clusterer's cells share its Byzantine reports; every cell must
+    still equal run_pipeline on its own config with the trial's derived
+    seed."""
+    if inputs == "synthetic":
         base, clusterers, optimizers = _grid_inputs()
-    else:
+    elif inputs == "ingest":
         base, clusterers, optimizers = _ingest_grid_inputs(tmp_path, rng)
+    else:
+        base, clusterers, optimizers = _gauss_grid_inputs()
+        clusterers = clusterers + [("KM", ClusterSpec(method="lloyd"))]
     optimizers = _with_fedavg(optimizers)
     outcomes, _ = run_grid(base, clusterers, optimizers, n_trials=2, seed=17, threads=2)
     specs = {f"{c}+{o}": (cs, os_) for c, cs in clusterers for o, os_ in optimizers}
@@ -297,6 +318,32 @@ def test_grid_builds_fleet_once_per_trial_and_clusters_once_per_clusterer(monkey
     outcomes, _ = run_grid(base, clusterers, optimizers, n_trials=3, seed=4, threads=2)
     assert all(o.result is not None for o in outcomes)
     assert calls == {"materialize_fleet": 3, "run_lloyd_variant": 2 * 3}
+
+
+def test_grid_draws_each_gaussian_report_once(monkeypatch):
+    """The optimizer cells of a clusterer share one table of Byzantine
+    reports: the grid draws each (trial, cluster, machine, round) report
+    once, and exactly the reports its cells use."""
+    base, clusterers, optimizers = _gauss_grid_inputs()
+    drawn = []
+    draw = distopt._gauss_report
+
+    def counted(attack, machine_id, round_idx, d):
+        drawn.append((attack.seed, machine_id, round_idx))
+        return draw(attack, machine_id, round_idx, d)
+
+    monkeypatch.setattr(distopt, "_gauss_report", counted)
+    outcomes, _ = run_grid(base, clusterers, optimizers, n_trials=2, seed=9)
+    assert all(o.result is not None for o in outcomes)
+    grid_draws, drawn[:] = list(drawn), []
+    (_, cspec), = clusterers
+    specs = dict(optimizers)
+    for o in outcomes:  # each cell on its own draws privately
+        run_pipeline(replace(base, cluster=cspec, opt=specs[o.optimizer], seed=o.seed))
+    needed = set(drawn)
+    assert len(grid_draws) == len(set(grid_draws)) == len(needed)
+    assert set(grid_draws) == needed
+    assert len(drawn) > len(needed)  # the cells alone redraw shared reports
 
 
 def test_grid_stage1_failure_fails_every_cell_of_its_trial():
