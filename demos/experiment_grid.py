@@ -6,7 +6,15 @@ Shows the moving parts of a reproducible experiment:
   same fleets and the comparison is paired;
 * result CSVs are byte-identical for the same seed at any thread count;
 * a manifest.json written next to the results is enough to replay the
-  whole run and verify the outputs match.
+  whole run and verify the outputs match. replay reruns the manifest's
+  config and grid along the same path as the original command, checks
+  that they still give the manifest's run id, and writes a manifest.json
+  of its own, so a replay can itself be replayed. It refuses to write
+  into the directory it checks.
+
+Grid entries name their methods in full (lloyd, trimmed_kmeans,
+trimmed_mean, ...); the --clusterer and --aggregator flags also take the
+short cell names (KM, TKM, TM, ...), in any case.
 
 Run: python demos/experiment_grid.py [--out-dir /tmp/byzfed_demo]
 """
@@ -67,6 +75,15 @@ def main():
     code = byzfed_cli(["replay", "--manifest", str(out / "run_a"),
                        "--out-dir", str(out / "replayed")])
     print(f"replay exit code: {code} (0 means every file matched)")
+
+    print()
+    print("== replay the replay, from the manifest it wrote ==")
+    code = byzfed_cli(["replay", "--manifest", str(out / "replayed"),
+                       "--out-dir", str(out / "replayed_again")])
+    print(f"replay exit code: {code}")
+    code = byzfed_cli(["replay", "--manifest", str(out / "run_a"),
+                       "--out-dir", str(out / "run_a")])
+    print(f"replay into its own directory: exit code {code} (refused)")
 
 
 if __name__ == "__main__":

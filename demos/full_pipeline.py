@@ -57,7 +57,7 @@ def main():
         ("SM", OptConfig(max_rounds=150)),
         ("TM", OptConfig(max_rounds=150, aggregator=AggregatorSpec.trimmed(0.25))),
     ]
-    _, summary = run_grid(cfg, clusterers, optimizers, n_trials=args.trials, seed=args.seed)
+    _, summary = run_grid(cfg, clusterers, optimizers, n_trials=args.trials)
 
     print(f"grid over {args.trials} paired trials (same fleets in every cell)")
     print(f"{'cell':<10}{'est_error mean':>16}{'sd':>10}")

@@ -6,16 +6,23 @@ Commands:
   grid    like synth, but requires an explicit grid section in the config
   ingest  build an ingest fleet from a points CSV and the flags, then run
           the experiment grid
-  replay  rerun a finished experiment from its manifest and compare files
+  replay  rerun a manifest's config and grid under its command, into a
+          directory other than the manifest's, and compare the result
+          files; a recomputed run id that differs from the manifest's
+          exits 2
 
 An ingest fleet's points are read and their threshold-graph components
 computed once per run, before manifest.json is written, so a bad points
 file exits 2 with no manifest; each trial only draws its own shards.
 Configs are JSON; flags override file values, but a grid section
-rejects the per-cell flags, which would reach no cell. Every run writes a
-manifest.json (atomically, before any result file) plus four result CSVs
-into --out-dir. Progress goes to stdout, diagnostics to stderr; results
-live only in the files. --threads sets the worker pool size.
+rejects the per-cell flags, which would reach no cell. A method is named
+by its full or short name, in any case, underscores optional: lloyd/KM,
+kgeomedian/KGM, trimmed_kmeans/TKM, edge_cut/EC, iterfilter2/IF2;
+sample_mean/SM, trimmed_mean/TM, coord_median/CM, geo_median/GM,
+iter_filter/IF. Every command, replay too, writes a manifest.json
+(atomically, before any result file) plus four result CSVs into
+--out-dir. Progress goes to stdout, diagnostics to stderr; results live
+only in the files. --threads sets the worker pool size.
 
 Exit codes: 0 success, 1 config/usage error, 2 runtime/data error.
 """
@@ -55,33 +62,8 @@ from .reporting import (
 
 __all__ = ["main"]
 
-_CLUSTERER_ALIASES = {
-    "km": "lloyd",
-    "lloyd": "lloyd",
-    "kgm": "kgeomedian",
-    "kgeomedian": "kgeomedian",
-    "tkm": "trimmed_kmeans",
-    "trimmed_kmeans": "trimmed_kmeans",
-    "edge_cut": "edge_cut",
-    "edgecut": "edge_cut",
-    "if2": "iterfilter2",
-    "iterfilter2": "iterfilter2",
-}
-
-_AGGREGATOR_ALIASES = {
-    "sm": "sample_mean",
-    "sample_mean": "sample_mean",
-    "tm": "trimmed_mean",
-    "trimmed_mean": "trimmed_mean",
-    "cm": "coord_median",
-    "coord_median": "coord_median",
-    "gm": "geo_median",
-    "geo_median": "geo_median",
-    "if": "iter_filter",
-    "iter_filter": "iter_filter",
-}
-
-_CLUSTERER_DISPLAY = {
+# canonical method name -> its short cell name; _alias accepts either
+_CLUSTERERS = {
     "lloyd": "KM",
     "kgeomedian": "KGM",
     "trimmed_kmeans": "TKM",
@@ -89,7 +71,7 @@ _CLUSTERER_DISPLAY = {
     "iterfilter2": "IF2",
 }
 
-_AGGREGATOR_DISPLAY = {
+_AGGREGATORS = {
     "sample_mean": "SM",
     "trimmed_mean": "TM",
     "coord_median": "CM",
@@ -97,15 +79,10 @@ _AGGREGATOR_DISPLAY = {
     "iter_filter": "IF",
 }
 
-_DEFAULTS = {
-    "solver": {"kind": "erm", "loss": "squared_error"},
-    "cluster": {"method": "trimmed_kmeans", "warm_fraction": 0.6},
-    "opt": {"aggregator": {"kind": "trimmed_mean", "beta": 0.1}},
-    "seed": 0,
-    "trials": 1,
-}
+# the CLI's own default; every other field defaults in its config class
+_DEFAULTS = {"opt": {"aggregator": {"kind": "trimmed_mean", "beta": 0.1}}}
 
-_SYNTHETIC_FLEET = {"type": "synthetic", "m": 20, "n": 20, "d": 5, "K": 2, "alpha": 0.0, "sigma": 0.0}
+_SYNTHETIC_FLEET = {"type": "synthetic", "m": 20, "n": 20, "d": 5, "K": 2}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -133,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ingest = sub.add_parser("ingest", parents=[common], help="experiment on an ingested points CSV")
     p_ingest.add_argument("--csv", required=True, help="points CSV file")
-    # absent flags fall back to the config's fleet section, then to 50, 0, 1, None
+    # absent flags fall back to the config's fleet section, then to IngestSpec's defaults
     p_ingest.add_argument("--shard-size", type=int)
     p_ingest.add_argument("--n-adv", type=int, help="adversarial shard count")
     p_ingest.add_argument("--min-cluster", type=int)
@@ -185,10 +162,13 @@ def _deep_merge(dst: dict, src: dict) -> dict:
 
 
 def _alias(table: dict, value: str, what: str) -> str:
-    key = value.strip().lower()
-    if key not in table:
-        raise ConfigError(f"unknown {what} {value!r}; choices: {sorted(set(table.values()))}")
-    return table[key]
+    """The canonical name whose canonical or short name is value, ignoring
+    case and underscores."""
+    key = value.strip().lower().replace("_", "")
+    for name, short in table.items():
+        if key in (name.replace("_", ""), short.lower()):
+            return name
+    raise ConfigError(f"unknown {what} {value!r}; choices: {sorted(table)}")
 
 
 def _apply_overrides(data: dict, args) -> dict:
@@ -213,14 +193,14 @@ def _apply_overrides(data: dict, args) -> dict:
         fleet["sigma"] = args.sigma
     cluster = data.setdefault("cluster", {})
     if args.clusterer is not None:
-        cluster["method"] = _alias(_CLUSTERER_ALIASES, args.clusterer, "clusterer")
+        cluster["method"] = _alias(_CLUSTERERS, args.clusterer, "clusterer")
     if args.gamma is not None:  # an ingest fleet's threshold, else edge_cut's
         target = fleet if fleet.get("type") == "ingest" else cluster
         target["gamma"] = args.gamma
     opt = data.setdefault("opt", {})
     agg = opt.setdefault("aggregator", {})
     if args.aggregator is not None:
-        agg["kind"] = _alias(_AGGREGATOR_ALIASES, args.aggregator, "aggregator")
+        agg["kind"] = _alias(_AGGREGATORS, args.aggregator, "aggregator")
     if args.beta is not None:
         agg["beta"] = args.beta
     return data
@@ -235,44 +215,28 @@ def _named(entry) -> tuple[str, dict]:
     return str(name), fields
 
 
-def _parse_grid(grid, base_cfg: PipelineConfig, default_trials=None):
-    """(clusterers, optimizers, trials) of a config's or a manifest's grid
-    section. Every cell's config is checked here, before any output
-    exists."""
-    try:
-        clusterers = [(name, ClusterSpec(**f)) for name, f in map(_named, grid["clusterers"])]
-        optimizers = [(name, opt_from_dict(f)) for name, f in map(_named, grid["optimizers"])]
-        trials = grid.get("trials", default_trials)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad grid section: {exc}") from exc
-    for _, opt in optimizers:
-        replace(base_cfg, opt=opt)
+def _grid_specs(data: dict, base_cfg: PipelineConfig):
+    """(clusterers, optimizers, trials) of the config's grid section, or a
+    1x1 grid around the base config. Every cell's config is checked here,
+    before any output exists."""
+    grid = data.get("grid")
+    trials = data.get("trials", 1)
+    if grid:
+        try:
+            clusterers = [(name, ClusterSpec(**f)) for name, f in map(_named, grid["clusterers"])]
+            optimizers = [(name, opt_from_dict(f)) for name, f in map(_named, grid["optimizers"])]
+            trials = grid.get("trials", trials)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad grid section: {exc}") from exc
+        for _, opt in optimizers:
+            replace(base_cfg, opt=opt)
+    else:
+        opt = base_cfg.opt
+        oname = "FA" if opt.local_steps > 1 else _AGGREGATORS[opt.aggregator.kind]
+        clusterers = [(_CLUSTERERS[base_cfg.cluster.method], base_cfg.cluster)]
+        optimizers = [(oname, opt)]
     require_int("trials", trials, 1)
     return clusterers, optimizers, trials
-
-
-def _grid_specs(data: dict, base_cfg: PipelineConfig):
-    """(clusterers, optimizers, trials) from the config's grid section, or
-    a 1x1 grid around the base config."""
-    grid = data.get("grid")
-    if grid:
-        return _parse_grid(grid, base_cfg, data.get("trials", 1))
-    cname = _CLUSTERER_DISPLAY[base_cfg.cluster.method]
-    if base_cfg.opt.local_steps > 1:
-        oname = "FA"
-    else:
-        oname = _AGGREGATOR_DISPLAY[base_cfg.opt.aggregator.kind]
-    trials = data.get("trials", 1)
-    require_int("trials", trials, 1)
-    return [(cname, base_cfg.cluster)], [(oname, base_cfg.opt)], trials
-
-
-def _grid_manifest_dict(clusterers, optimizers, trials) -> dict:
-    return {
-        "clusterers": [[name, asdict(spec)] for name, spec in clusterers],
-        "optimizers": [[name, asdict(opt)] for name, opt in optimizers],
-        "trials": trials,
-    }
 
 
 def _version() -> str:
@@ -284,20 +248,24 @@ def _version() -> str:
         return "unknown"
 
 
-def _execute(data: dict, args, command: str, points=None) -> int:
-    """Run the grid the config describes. An ingest fleet's component
-    layout is built here, from points if the caller already read the
-    fleet's CSV, so a bad points file fails before manifest.json exists."""
+def _execute(data: dict, command: str, out_dir, threads, points=None) -> tuple[int, str]:
+    """Run the grid the config describes into out_dir; return the exit
+    code and the run id. An ingest fleet's component layout is built here,
+    from points if the caller already read the fleet's CSV, so a bad
+    points file fails before manifest.json exists."""
     base_cfg = config_from_dict(data)
     clusterers, optimizers, trials = _grid_specs(data, base_cfg)
-    threads = args.threads
     require_int("threads", threads, 1)
-    out_dir = Path(args.out_dir)
+    out_dir = Path(out_dir)
     layout = None
     if isinstance(base_cfg.fleet, IngestSpec):
         layout = ingest_layout(base_cfg.fleet, points)
 
-    grid_dict = _grid_manifest_dict(clusterers, optimizers, trials)
+    grid_dict = {
+        "clusterers": [[name, asdict(spec)] for name, spec in clusterers],
+        "optimizers": [[name, asdict(opt)] for name, opt in optimizers],
+        "trials": trials,
+    }
     config_dict = config_to_dict(base_cfg)
     run_id = compute_run_id({"config": config_dict, "grid": grid_dict})
     manifest = RunManifest(
@@ -320,7 +288,7 @@ def _execute(data: dict, args, command: str, points=None) -> int:
     if all(o.result is None for o in outcomes):
         for o in outcomes[:1]:
             print(f"error: every trial failed; first failure: {o.error}", file=sys.stderr)
-        return 2
+        return 2, run_id
     for row in summary:
         print(
             f"[byzfed] {row['cell']}: est_error mean={row['est_error_mean']:.6g} "
@@ -330,7 +298,7 @@ def _execute(data: dict, args, command: str, points=None) -> int:
     if layout is not None:
         print(f"[byzfed] ingest produced {layout.K} clusters", flush=True)
     print(f"[byzfed] wrote {', '.join(files)} to {out_dir}", flush=True)
-    return 0
+    return 0, run_id
 
 
 def cmd_synth(args) -> int:
@@ -343,58 +311,53 @@ def cmd_synth(args) -> int:
     if args.command == "grid" and not data.get("grid"):
         raise ConfigError("the grid command needs a 'grid' section in the config")
     _apply_overrides(data, args)
-    return _execute(data, args, args.command)
+    return _execute(data, args.command, args.out_dir, args.threads)[0]
 
 
 def cmd_ingest(args) -> int:
+    """ingest: each fleet field comes from its flag, else from the config's
+    fleet section, else from IngestSpec's default."""
     data = _load_config(args)
-    fleet = data.get("fleet", {})
-
-    def pick(flag, key, default):
-        return fleet.get(key, default) if flag is None else flag
-
-    label_column = pick(args.label_column, "label_column", None)
-    points = read_points_csv(args.csv, label_column=label_column)
-    gamma = pick(args.gamma, "gamma", None)
+    flags = {"gamma": args.gamma, "shard_size": args.shard_size, "n_adv": args.n_adv,
+             "min_cluster": args.min_cluster, "label_column": args.label_column}
+    fleet = {key: value for key, value in data.get("fleet", {}).items() if key in flags}
+    fleet.update((key, value) for key, value in flags.items() if value is not None)
+    points = read_points_csv(args.csv, label_column=fleet.get("label_column"))
+    gamma = fleet.get("gamma")
     if gamma is None:
         gamma = percentile_gamma(points)
         print(f"[byzfed] gamma defaulted to {gamma:.6g} "
               "(10th percentile of sampled pairwise distances)", flush=True)
     try:
-        gamma = float(gamma)
+        fleet["gamma"] = float(gamma)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"gamma must be a number, got {gamma!r}") from exc
-    data["fleet"] = {
-        "type": "ingest",
-        "path": str(args.csv),
-        "gamma": gamma,
-        "shard_size": pick(args.shard_size, "shard_size", 50),
-        "n_adv": pick(args.n_adv, "n_adv", 0),
-        "min_cluster": pick(args.min_cluster, "min_cluster", 1),
-        "label_column": label_column,
-    }
+    data["fleet"] = {"type": "ingest", "path": str(args.csv), **fleet}
     data.setdefault("solver", {})["loss"] = "location"
     _apply_overrides(data, args)
-    return _execute(data, args, "ingest", points)
+    return _execute(data, "ingest", args.out_dir, args.threads, points)[0]
 
 
 def cmd_replay(args) -> int:
+    """Rerun a manifest's config and grid under its command, then compare
+    the four result files with the original run's."""
     manifest = load_manifest(args.manifest)
     src_dir = Path(args.manifest)
     if src_dir.is_file():
         src_dir = src_dir.parent
-
-    base_cfg = config_from_dict(manifest.config)
-    clusterers, optimizers, trials = _parse_grid(manifest.grid, base_cfg)
-    threads = manifest.threads if args.threads is None else args.threads
-    require_int("threads", threads, 1)
-
     out_dir = Path(args.out_dir) if args.out_dir else Path(
         tempfile.mkdtemp(prefix=f"byzfed_replay_{manifest.run_id}_")
     )
+    if out_dir.resolve() == src_dir.resolve():
+        raise ConfigError(f"replay would overwrite the run it checks in {out_dir}")
+    threads = manifest.threads if args.threads is None else args.threads
+
     print(f"[byzfed] replaying run {manifest.run_id} into {out_dir}", flush=True)
-    outcomes, summary = run_grid(base_cfg, clusterers, optimizers, trials, threads=threads)
-    emit_grid_outputs(out_dir, manifest.run_id, outcomes, summary)
+    _, run_id = _execute({**manifest.config, "grid": manifest.grid}, manifest.command,
+                         out_dir, threads)
+    if run_id != manifest.run_id:
+        raise ByzfedError(f"the manifest's config and grid give run id {run_id}, "
+                          f"but the manifest records {manifest.run_id}")
 
     all_match = True
     for name in manifest.files:
@@ -408,8 +371,7 @@ def cmd_replay(args) -> int:
             print(f"[byzfed] {name}: DIFFERS", flush=True)
             all_match = False
     if not all_match:
-        print("[byzfed] replay mismatch", file=sys.stderr, flush=True)
-        return 2
+        raise ByzfedError("replay mismatch")
     return 0
 
 

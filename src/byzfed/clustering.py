@@ -132,7 +132,8 @@ class ClusterSpec:
     warm_fraction configures the partially-correct initialization used by
     the Lloyd-family methods (and the two-cluster filter's starting
     center); gamma/min_cluster belong to edge_cut; T and variance_bound to
-    iterfilter2. The counts are integers.
+    iterfilter2, which assumes the two centers +theta and -theta, a shape
+    the synthetic fleet never has. The counts are integers.
     """
 
     method: str = "trimmed_kmeans"
@@ -152,8 +153,9 @@ class ClusterSpec:
             )
         if self.method == "edge_cut" and self.gamma is None:
             raise ConfigError("edge_cut needs gamma")
-        if not 0.0 <= self.warm_fraction <= 1.0:
-            raise ConfigError("warm_fraction must be in [0, 1]")
+        require_real("warm_fraction", self.warm_fraction)
+        if self.warm_fraction > 1.0:
+            raise ConfigError(f"warm_fraction must be in [0, 1], got {self.warm_fraction!r}")
         require_real("C", self.C, positive=True, finite=False)
         require_real("sigma_hat", self.sigma_hat, finite=False, optional=True)
         require_real("gamma", self.gamma, positive=True, finite=False, optional=True)

@@ -68,7 +68,8 @@ class FleetConfig:
     def __post_init__(self):
         for name in ("m", "n", "d", "K"):
             require_int(name, getattr(self, name), 1)
-        if not 0.0 <= self.alpha < 0.5:
+        require_real("alpha", self.alpha)
+        if self.alpha >= 0.5:
             raise ConfigError(f"alpha must be in [0, 0.5), got {self.alpha}")
         require_real("sigma", self.sigma)
         if self.adversary_kind != "corrupt_coefficients":

@@ -71,8 +71,8 @@ class AttackSpec:
             if self.vector is None:
                 raise ConfigError("constant attack needs a vector")
             object.__setattr__(self, "vector", np.asarray(self.vector, dtype=float))
-        if not math.isfinite(self.scale):
-            raise ConfigError("attack scale must be finite")
+        if isinstance(self.scale, bool) or not math.isfinite(self.scale):  # TypeError if not real
+            raise ConfigError(f"attack scale must be a finite number, got {self.scale!r}")
 
     @classmethod
     def none(cls) -> "AttackSpec":
@@ -100,8 +100,9 @@ class OptConfig:
     """Distributed optimization settings.
 
     step_size=None derives 1/lambda_max of the pooled covariance across
-    the cluster's shards (1.0 for the location loss). local_steps > 1
-    switches robust_gd semantics to federated averaging.
+    the cluster's shards (1.0 for the location loss). local_steps is the
+    number of local steps per round of fed_avg_robust; robust_gd takes one
+    gradient per round and rejects local_steps > 1.
     """
 
     step_size: float | None = None
@@ -244,6 +245,8 @@ def robust_gd(
     draws is a random_gauss report table shared with other calls on the
     same machines (see the module docstring); None draws privately.
     """
+    if cfg.local_steps > 1:
+        raise ConfigError(f"robust_gd takes local_steps=1, got {cfg.local_steps}; use fed_avg_robust")
     return _descend(shards, loss, cfg, attack, None, draws)
 
 

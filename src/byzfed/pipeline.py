@@ -492,7 +492,6 @@ def run_grid(
     clusterers: list[tuple[str, ClusterSpec]],
     optimizers: list[tuple[str, OptConfig]],
     n_trials: int,
-    seed: int | None = None,
     threads: int = 1,
     layout: ComponentLayout | None = None,
 ) -> tuple[list[TrialOutcome], list[dict]]:
@@ -516,8 +515,7 @@ def run_grid(
     require_int("threads", threads, 1)
     for _, opt in optimizers:  # a cell's config is checked before any trial runs
         replace(base_cfg, opt=opt)
-    master = base_cfg.seed if seed is None else seed
-    trial_seeds = [derive_seed(master, t) for t in range(n_trials)]
+    trial_seeds = [derive_seed(base_cfg.seed, t) for t in range(n_trials)]
     layout = _resolve_layout(base_cfg.fleet, layout)
 
     task = partial(_trial_outcomes, base_cfg, clusterers, optimizers, layout)

@@ -216,8 +216,10 @@ class AggregatorSpec:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ConfigError(f"unknown aggregator kind {self.kind!r}; expected one of {self._KINDS}")
-        if self.kind == "trimmed_mean" and not 0.0 <= self.beta < 0.5:
-            raise ConfigError(f"trim fraction must be in [0, 0.5), got {self.beta}")
+        if self.kind == "trimmed_mean":
+            require_real("beta", self.beta)
+            if self.beta >= 0.5:
+                raise ConfigError(f"trim fraction must be in [0, 0.5), got {self.beta}")
         require_int("max_iter", self.max_iter, 1)
         require_int("max_rounds", self.max_rounds, 1)
         require_real("tol", self.tol)

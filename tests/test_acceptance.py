@@ -10,6 +10,7 @@ module to take a few minutes.
 import json
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -288,7 +289,7 @@ def _fixture_grid():
 
 def test_acceptance_7_ingested_dataset_ratio(capsys):
     base, clusterers, optimizers = _fixture_grid()
-    outcomes, summary = run_grid(base, clusterers, optimizers, n_trials=5, seed=GRID_SEED)
+    outcomes, summary = run_grid(replace(base, seed=GRID_SEED), clusterers, optimizers, n_trials=5)
     cells = {row["cell"]: row["est_error_mean"] for row in summary}
     n_clusters = {
         o.result.cluster_state.K for o in outcomes if o.result is not None

@@ -132,6 +132,52 @@ def test_unknown_clusterer_exits_1(tmp_path):
     assert code == 1
 
 
+_SPELLINGS = [
+    ("clusterer", ("cluster", "method"), spelling, name)
+    for name, spellings in [
+        ("lloyd", ["km", "lloyd"]),
+        ("kgeomedian", ["kgm", "kgeomedian"]),
+        ("trimmed_kmeans", ["tkm", "trimmed_kmeans"]),
+        ("edge_cut", ["edge_cut", "edgecut"]),
+        ("iterfilter2", ["if2", "iterfilter2"]),
+    ]
+    for spelling in spellings
+] + [
+    ("aggregator", ("opt", "aggregator", "kind"), spelling, name)
+    for name, spellings in [
+        ("sample_mean", ["sm", "sample_mean"]),
+        ("trimmed_mean", ["tm", "trimmed_mean"]),
+        ("coord_median", ["cm", "coord_median"]),
+        ("geo_median", ["gm", "geo_median"]),
+        ("iter_filter", ["if", "iter_filter"]),
+    ]
+    for spelling in spellings
+]
+
+
+def _one_round(tmp_path):
+    """A config whose single Stage-III round keeps a run cheap."""
+    path = tmp_path / "one_round.json"
+    path.write_text(json.dumps({"opt": {"max_rounds": 1}}))
+    return path
+
+
+@pytest.mark.parametrize("flag, path, spelling, name", _SPELLINGS)
+def test_method_spellings_reach_the_manifest_by_canonical_name(tmp_path, flag, path, spelling,
+                                                                name):
+    for case, value in enumerate([spelling, spelling.upper()]):
+        out = tmp_path / str(case)
+        gamma = ["--gamma", "1.0"] if name == "edge_cut" else []
+        assert main(["synth", f"--{flag}", value, *gamma, "--config", str(_one_round(tmp_path)),
+                     "--out-dir", str(out)]) == 0
+        recorded = load_manifest(out).config
+        for key in path:
+            recorded = recorded[key]
+        assert recorded == name
+    code, _ = _synth(tmp_path / "unknown", f"--{flag}", spelling + "x")
+    assert code == 1
+
+
 def test_missing_config_file_exits_1(tmp_path):
     code, _ = _synth(tmp_path, "--config", str(tmp_path / "absent.json"))
     assert code == 1
@@ -224,6 +270,10 @@ def test_bad_solver_parameters_exit_1(tmp_path, capsys, solver):
         ('{"seed": true}', []),
         ('{}', ["--seed", "-1"]),
         ('{}', ["--threads", "0"]),
+        ('{"cluster": {"warm_fraction": true}}', []),
+        ('{"fleet": {"alpha": false}}', []),
+        ('{"attack": {"kind": "sign_flip", "scale": true}}', []),
+        ('{"opt": {"aggregator": {"kind": "trimmed_mean", "beta": false}}}', []),
     ],
 )
 def test_bad_config_counts_and_reals_exit_1(tmp_path, capsys, config, flags):
@@ -591,6 +641,54 @@ def test_replay_reproduces_and_detects_tampering(tmp_path):
     results.write_bytes(results.read_bytes() + b"x")
     replay2 = tmp_path / "replayed2"
     assert main(["replay", "--manifest", str(out), "--out-dir", str(replay2)]) == 2
+
+
+def test_replay_refuses_to_overwrite_the_run_it_checks(tmp_path, capsys):
+    _, out = _synth(tmp_path, "--seed", "6")
+    results = out / "results.csv"
+    tampered = results.read_bytes() + b"x\n"
+    results.write_bytes(tampered)
+    for manifest, out_dir in [(out, out), (out / "manifest.json", out / ".")]:
+        capsys.readouterr()
+        assert main(["replay", "--manifest", str(manifest), "--out-dir", str(out_dir)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert results.read_bytes() == tampered
+
+
+def test_replay_of_edited_config_names_both_run_ids(tmp_path, capsys):
+    _, out = _synth(tmp_path, "--seed", "1")
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["config"]["opt"]["max_rounds"] = 7
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    re_dir = tmp_path / "re"
+    assert main(["replay", "--manifest", str(out), "--out-dir", str(re_dir)]) == 2
+    err = capsys.readouterr().err
+    replayed_id = load_manifest(re_dir).run_id
+    assert replayed_id != manifest["run_id"]
+    assert manifest["run_id"] in err and replayed_id in err
+
+
+def test_replay_directory_replays_again(tmp_path, capsys):
+    _, out = _synth(tmp_path, "--seed", "6", "--alpha", "0.1", "--sigma", "0.5")
+    first, second = tmp_path / "re1", tmp_path / "re2"
+    assert main(["replay", "--manifest", str(out), "--out-dir", str(first)]) == 0
+    original, replayed = load_manifest(out), load_manifest(first)
+    assert (replayed.run_id, replayed.command) == (original.run_id, original.command)
+    capsys.readouterr()
+    assert main(["replay", "--manifest", str(first), "--out-dir", str(second)]) == 0
+    printed = capsys.readouterr().out
+    for name in RESULT_FILES:
+        assert f"{name}: identical" in printed
+
+
+def test_replay_of_run_where_every_trial_failed_exits_0(tmp_path):
+    # iterfilter2 fails every trial of a 3-cluster fleet; the files still replay
+    cfg = tmp_path / "if2.json"
+    cfg.write_text(json.dumps({"fleet": {"m": 30, "K": 3}, "cluster": {"method": "iterfilter2"}}))
+    code, out = _synth(tmp_path, "--config", str(cfg))
+    assert code == 2
+    assert main(["replay", "--manifest", str(out), "--out-dir", str(tmp_path / "re")]) == 0
 
 
 def test_replay_missing_manifest_exits_2(tmp_path):

@@ -378,3 +378,6 @@ def test_robust_gd_validation(rng):
         robust_gd([a, b], SQ, OptConfig())
     with pytest.raises(ConfigError):
         robust_gd([a], SQ, OptConfig(init=np.zeros(3)))
+    # several local steps per round are federated averaging, not robust_gd
+    with pytest.raises(ConfigError, match="fed_avg_robust"):
+        robust_gd([a], SQ, OptConfig(local_steps=2))

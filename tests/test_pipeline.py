@@ -161,7 +161,7 @@ def _grid_inputs():
 
 def test_grid_shape_and_cell_names():
     base, clusterers, optimizers = _grid_inputs()
-    outcomes, summary = run_grid(base, clusterers, optimizers, n_trials=3, seed=11)
+    outcomes, summary = run_grid(replace(base, seed=11), clusterers, optimizers, n_trials=3)
     assert len(outcomes) == 12
     assert [o.cell for o in outcomes[:3]] == ["KM+SM"] * 3
     assert [o.trial for o in outcomes[:3]] == [0, 1, 2]
@@ -172,7 +172,7 @@ def test_grid_shape_and_cell_names():
 
 def test_grid_single_cell_equals_run_pipeline():
     base, clusterers, optimizers = _grid_inputs()
-    outcomes, _ = run_grid(base, clusterers[:1], optimizers[:1], n_trials=1, seed=21)
+    outcomes, _ = run_grid(replace(base, seed=21), clusterers[:1], optimizers[:1], n_trials=1)
     direct = run_pipeline(
         replace(base, cluster=clusterers[0][1], opt=optimizers[0][1], seed=derive_seed(21, 0))
     )
@@ -184,8 +184,8 @@ def test_grid_single_cell_equals_run_pipeline():
 
 def test_grid_is_thread_invariant():
     base, clusterers, optimizers = _grid_inputs()
-    a, _ = run_grid(base, clusterers, optimizers, n_trials=2, seed=5, threads=1)
-    b, _ = run_grid(base, clusterers, optimizers, n_trials=2, seed=5, threads=4)
+    a, _ = run_grid(replace(base, seed=5), clusterers, optimizers, n_trials=2, threads=1)
+    b, _ = run_grid(replace(base, seed=5), clusterers, optimizers, n_trials=2, threads=4)
     assert [o.cell for o in a] == [o.cell for o in b]
     for oa, ob in zip(a, b):
         assert oa.result.est_error == ob.result.est_error
@@ -193,7 +193,7 @@ def test_grid_is_thread_invariant():
 
 def test_grid_trials_share_fleets_across_cells():
     base, clusterers, optimizers = _grid_inputs()
-    outcomes, _ = run_grid(base, clusterers, optimizers, n_trials=2, seed=8)
+    outcomes, _ = run_grid(replace(base, seed=8), clusterers, optimizers, n_trials=2)
     by_cell = {}
     for o in outcomes:
         by_cell.setdefault(o.cell, []).append(o)
@@ -207,7 +207,9 @@ def test_grid_cell_failure_does_not_poison_others():
     # force failure with a 3-cluster fleet instead
     base3 = replace(base, fleet=FleetConfig(m=15, n=20, d=4, K=3, alpha=0.1, sigma=0.5))
     bad = ("IF2", ClusterSpec(method="iterfilter2"))
-    outcomes, summary = run_grid(base3, [clusterers[0], bad], optimizers[:1], n_trials=2, seed=2)
+    outcomes, summary = run_grid(
+        replace(base3, seed=2), [clusterers[0], bad], optimizers[:1], n_trials=2
+    )
     good = [o for o in outcomes if o.clusterer == "KM"]
     failed = [o for o in outcomes if o.clusterer == "IF2"]
     assert all(o.result is not None for o in good)
@@ -289,7 +291,7 @@ def test_grid_cells_equal_run_pipeline(inputs, tmp_path, rng):
         base, clusterers, optimizers = _gauss_grid_inputs()
         clusterers = clusterers + [("KM", ClusterSpec(method="lloyd"))]
     optimizers = _with_fedavg(optimizers)
-    outcomes, _ = run_grid(base, clusterers, optimizers, n_trials=2, seed=17, threads=2)
+    outcomes, _ = run_grid(replace(base, seed=17), clusterers, optimizers, n_trials=2, threads=2)
     specs = {f"{c}+{o}": (cs, os_) for c, cs in clusterers for o, os_ in optimizers}
     assert [o.cell for o in outcomes] == [cell for cell in specs for _ in range(2)]
     for o in outcomes:
@@ -315,7 +317,7 @@ def test_grid_builds_fleet_once_per_trial_and_clusters_once_per_clusterer(monkey
 
     for name in calls:
         monkeypatch.setattr(pipeline, name, counted(name))
-    outcomes, _ = run_grid(base, clusterers, optimizers, n_trials=3, seed=4, threads=2)
+    outcomes, _ = run_grid(replace(base, seed=4), clusterers, optimizers, n_trials=3, threads=2)
     assert all(o.result is not None for o in outcomes)
     assert calls == {"materialize_fleet": 3, "run_lloyd_variant": 2 * 3}
 
@@ -333,7 +335,7 @@ def test_grid_draws_each_gaussian_report_once(monkeypatch):
         return draw(attack, machine_id, round_idx, d)
 
     monkeypatch.setattr(distopt, "_gauss_report", counted)
-    outcomes, _ = run_grid(base, clusterers, optimizers, n_trials=2, seed=9)
+    outcomes, _ = run_grid(replace(base, seed=9), clusterers, optimizers, n_trials=2)
     assert all(o.result is not None for o in outcomes)
     grid_draws, drawn[:] = list(drawn), []
     (_, cspec), = clusterers
@@ -350,16 +352,16 @@ def test_grid_stage1_failure_fails_every_cell_of_its_trial():
     # a diverging Stage-I step fails every trial; the error keeps its stage
     base, clusterers, optimizers = _grid_inputs()
     bad = replace(base, solver=SolverSpec(kind="gd", step=10.0, iters=500))
-    outcomes, summary = run_grid(bad, clusterers, optimizers, n_trials=2, seed=3)
+    outcomes, summary = run_grid(replace(bad, seed=3), clusterers, optimizers, n_trials=2)
     assert all(o.result is None and o.error.startswith("NumericError('stage1: ") for o in outcomes)
     assert all(r["n_failed"] == 2 for r in summary)
 
 
 def test_ingest_grid_is_thread_invariant_and_layout_injectable(tmp_path, rng):
     base, clusterers, optimizers = _ingest_grid_inputs(tmp_path, rng)
-    a, _ = run_grid(base, clusterers, optimizers, n_trials=3, seed=5, threads=1)
-    b, _ = run_grid(base, clusterers, optimizers, n_trials=3, seed=5, threads=2)
-    c, _ = run_grid(base, clusterers, optimizers, n_trials=3, seed=5, threads=2,
+    a, _ = run_grid(replace(base, seed=5), clusterers, optimizers, n_trials=3, threads=1)
+    b, _ = run_grid(replace(base, seed=5), clusterers, optimizers, n_trials=3, threads=2)
+    c, _ = run_grid(replace(base, seed=5), clusterers, optimizers, n_trials=3, threads=2,
                     layout=ingest_layout(base.fleet))
     assert all(o.result is not None for o in a)
     # the trials draw different shards from the one layout
