@@ -40,7 +40,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .datagen import percentile_gamma, read_points_csv
-from .errors import ByzfedError, ConfigError, require_int
+from .errors import ByzfedError, ConfigError, require_int, require_real
 from .pipeline import (
     ClusterSpec,
     IngestSpec,
@@ -328,10 +328,8 @@ def cmd_ingest(args) -> int:
         gamma = percentile_gamma(points)
         print(f"[byzfed] gamma defaulted to {gamma:.6g} "
               "(10th percentile of sampled pairwise distances)", flush=True)
-    try:
-        fleet["gamma"] = float(gamma)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"gamma must be a number, got {gamma!r}") from exc
+    require_real("gamma", gamma, positive=True, finite=False)
+    fleet["gamma"] = float(gamma)  # an int gamma keeps the run id of its float
     data["fleet"] = {"type": "ingest", "path": str(args.csv), **fleet}
     data.setdefault("solver", {})["loss"] = "location"
     _apply_overrides(data, args)

@@ -2,15 +2,28 @@
 
 Shared by the ingestion protocol and the edge-cut clusterer. A kd-tree
 lists every pair closer than gamma, with distances taken from coordinate
-differences (no Gram-matrix cancellation far from the origin), and
-scipy's csgraph labels the components. Cost: O(N log N + E) time and
-O(E) memory, where E is the number of pairs within gamma.
+differences (no Gram-matrix cancellation far from the origin).
+
+The pairs are labelled by a vectorised union-find, hook and compress
+(Shiloach & Vishkin, 1982). Every point starts as its own label; each
+point hooks onto its smallest neighbour; then, until no pair crosses two
+labels, pointers jump to their roots and each root of a crossing pair
+hooks onto the smaller root. Labels only ever fall to a smaller index of
+the same component, so each ends as its component's smallest index, the
+key the components are ordered by. Pairs whose ends share a root are
+dropped after each round, so later rounds touch only the crossing pairs.
+
+Cost: O(N log N + E) time for the tree and the pairs, where E is the
+number of pairs within gamma, plus O(E) per labelling round. The rounds
+repeat only while pairs cross: a chain in index or reversed order takes
+one, a 50k-point chain in shuffled order ten. Memory: the pair columns
+are held as int32, 8 bytes a pair, half of what the kd-tree returns; its
+array is freed before labelling.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import coo_matrix
 from scipy.spatial import cKDTree
 
 from .errors import ConfigError
@@ -36,16 +49,26 @@ def threshold_components(points, gamma: float) -> list[np.ndarray]:
     n = P.shape[0]
     if n == 0:
         return []
-    # imported on first use, before the pair arrays exist: runs without
-    # ingest or edge_cut would otherwise load csgraph (about 1 MB of RSS)
-    from scipy.sparse.csgraph import connected_components
-
     # query_pairs keeps distances <= r; the float just below gamma makes it < gamma
     pairs = cKDTree(P).query_pairs(np.nextafter(gamma, 0.0), output_type="ndarray")
-    edges = np.ones(len(pairs), dtype=bool)
-    graph = coo_matrix((edges, (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    _, labels = connected_components(graph, directed=False)
-    # key each point by its component's smallest index, whatever order csgraph numbered them in
-    key = np.unique(labels, return_index=True)[1][labels]
-    order = np.argsort(key, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+    dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    i, j = pairs[:, 0].astype(dtype), pairs[:, 1].astype(dtype)
+    del pairs
+    labels = _min_labels(i, j, n)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+
+
+def _min_labels(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """Each point's smallest connected index, for edges (i, j) with i < j."""
+    labels = np.arange(n, dtype=i.dtype)
+    np.minimum.at(labels, j, i)  # i < j, so each j hooks onto its smallest neighbour
+    while True:
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
+        cross = np.flatnonzero(labels[i] != labels[j])
+        if not cross.size:
+            return labels
+        i, j = i[cross], j[cross]
+        a, b = labels[i], labels[j]
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))

@@ -216,10 +216,9 @@ class AggregatorSpec:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ConfigError(f"unknown aggregator kind {self.kind!r}; expected one of {self._KINDS}")
-        if self.kind == "trimmed_mean":
-            require_real("beta", self.beta)
-            if self.beta >= 0.5:
-                raise ConfigError(f"trim fraction must be in [0, 0.5), got {self.beta}")
+        require_real("beta", self.beta)  # every kind: manifest.json records it
+        if self.kind == "trimmed_mean" and self.beta >= 0.5:
+            raise ConfigError(f"trim fraction must be in [0, 0.5), got {self.beta}")
         require_int("max_iter", self.max_iter, 1)
         require_int("max_rounds", self.max_rounds, 1)
         require_real("tol", self.tol)

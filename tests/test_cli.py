@@ -16,6 +16,18 @@ an intentional behavior change:
     python -m byzfed.cli grid --config tests/data/golden_attack/config.json \
         --threads 2 --out-dir /tmp/golden_attack
     cp /tmp/golden_attack/*.csv tests/data/golden_attack/
+
+tests/data/golden_ingest/ pins all four result files of an ingest run on
+tests/data/two_blobs.csv, with a TKM and an edge_cut clusterer, so both
+callers of threshold_components are covered. The manifest records the
+CSV path as given and the run id hashes it, so run this from the
+repository root, only after an intentional behavior change:
+
+    python -m byzfed.cli ingest --csv tests/data/two_blobs.csv --gamma 5 \
+        --shard-size 5 --n-adv 6 --min-cluster 5 \
+        --config tests/data/golden_ingest/config.json --threads 2 \
+        --out-dir /tmp/golden_ingest
+    cp /tmp/golden_ingest/*.csv tests/data/golden_ingest/
 """
 
 import json
@@ -65,6 +77,29 @@ def test_golden_attack_files(tmp_path):
     code = main(["grid", "--config", str(golden / "config.json"), "--threads", "2",
                  "--out-dir", str(out)])
     assert code == 0
+    for name in RESULT_FILES:
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("gamma", ["flag", "config_int"])
+def test_golden_ingest_files(tmp_path, monkeypatch, gamma):
+    # an integer gamma in the config runs as the float the flag gives, so
+    # its run id (in results.csv) is the golden one too
+    golden = DATA_DIR / "golden_ingest"
+    monkeypatch.chdir(DATA_DIR.parent.parent)
+    cfg = golden / "config.json"
+    flags = ["--gamma", "5"]
+    if gamma == "config_int":
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**json.loads((golden / "config.json").read_text()),
+                                   "fleet": {"gamma": 5}}))
+        flags = []
+    out = tmp_path / "out"
+    code = main(["ingest", "--csv", "tests/data/two_blobs.csv", *flags, "--shard-size", "5",
+                 "--n-adv", "6", "--min-cluster", "5", "--config", str(cfg), "--threads", "2",
+                 "--out-dir", str(out)])
+    assert code == 0
+    assert load_manifest(out).config["fleet"]["gamma"] == 5.0
     for name in RESULT_FILES:
         assert (out / name).read_bytes() == (golden / name).read_bytes(), name
 
@@ -224,6 +259,32 @@ def test_bad_aggregator_parameters_exit_1(tmp_path, capsys, aggregator):
     assert code == 1
     assert "error:" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, run_id",
+    [
+        ("sample_mean", "12fc22505d98"),
+        ("trimmed_mean", "03e7c7d3abb1"),
+        ("coord_median", "25844d5349ff"),
+        ("geo_median", "740deeff6cb1"),
+        ("iter_filter", "7ac6b5b66954"),
+    ],
+)
+def test_aggregator_beta_is_checked_for_every_kind(tmp_path, capsys, kind, run_id):
+    # manifest.json records beta whatever the kind, so an unused bool beta
+    # would give the same run a run id of its own
+    cfg = tmp_path / "agg.json"
+    cfg.write_text(json.dumps({"opt": {"max_rounds": 1, "aggregator": {"kind": kind, "beta": True}}}))
+    code, out = _synth(tmp_path / "bool", "--seed", "1", "--config", str(cfg))
+    assert code == 1
+    assert "beta" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+    # a valid beta keeps the run id it had before the check covered every kind
+    cfg.write_text(json.dumps({"opt": {"max_rounds": 1, "aggregator": {"kind": kind, "beta": 0.3}}}))
+    code, out = _synth(tmp_path / "ok", "--seed", "1", "--config", str(cfg))
+    assert code == 0
+    assert load_manifest(out).run_id == run_id
 
 
 @pytest.mark.parametrize(
@@ -517,6 +578,19 @@ def test_ingest_end_to_end(tmp_path, rng):
         assert (out / name).exists()
     manifest = load_manifest(out)
     assert manifest.config["fleet"]["type"] == "ingest"
+
+
+@pytest.mark.parametrize("gamma", [True, "10"])
+def test_ingest_config_gamma_must_be_a_number(tmp_path, rng, capsys, gamma):
+    # a bare float() would run these at 1.0 and 10.0; synth and grid reject them too
+    cfg = tmp_path / "ingest.json"
+    cfg.write_text(json.dumps({"fleet": {"gamma": gamma}}))
+    out = tmp_path / "out"
+    code = main(["ingest", "--csv", str(_blob_csv(tmp_path, rng)), "--shard-size", "5",
+                 "--config", str(cfg), "--out-dir", str(out)])
+    assert code == 1
+    assert "gamma" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_ingest_defaults_gamma_from_percentile(tmp_path, rng, capsys):

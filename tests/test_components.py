@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial.distance import cdist
 
 from byzfed.components import threshold_components
 from byzfed.errors import ConfigError
@@ -32,6 +35,34 @@ def _bfs_oracle(adj):
 
 def _as_partition(comps):
     return {frozenset(int(i) for i in c) for c in comps}
+
+
+def _check_against_bfs(pts, gamma):
+    """The components match the oracle and keep the documented order and dtype."""
+    comps = threshold_components(pts, gamma)
+    assert _as_partition(comps) == _bfs_oracle(cdist(pts, pts) < gamma)
+    assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+    for c in comps:
+        assert c.dtype == np.intp
+        assert np.all(np.diff(c) > 0)
+    return comps
+
+
+def _chain(order, step=0.9, breaks=()):
+    """Points on a line, 0.9 apart except at the breaks; point k sits at
+    position order[k], so the index order along the chain is order's."""
+    pos = np.arange(len(order)) * step
+    for b in breaks:
+        pos[b:] += 5.0
+    return pos[np.asarray(order)][:, None]
+
+
+def _zigzag(n):
+    # 0, n-1, 1, n-2, ...: neighbours on the line alternate low and high indices
+    out = np.empty(n, dtype=int)
+    out[0::2] = np.arange((n + 1) // 2)
+    out[1::2] = n - 1 - np.arange(n // 2)
+    return np.argsort(out)
 
 
 def test_matches_bfs_oracle_on_random_sets(rng):
@@ -137,3 +168,66 @@ def test_input_validation():
 
 def test_empty_point_set_has_no_components():
     assert threshold_components(np.zeros((0, 2)), 1.0) == []
+
+
+@pytest.mark.parametrize("shape", ["sorted", "reversed", "shuffled", "zigzag"])
+def test_chains_in_any_index_order(rng, shape):
+    # a chain in index or reversed order settles in one hook round; in
+    # shuffled order it needs several
+    n = 400
+    order = {
+        "sorted": np.arange(n),
+        "reversed": np.arange(n)[::-1],
+        "shuffled": rng.permutation(n),
+        "zigzag": _zigzag(n),
+    }[shape]
+    assert len(_check_against_bfs(_chain(order), 1.0)) == 1
+    assert len(_check_against_bfs(_chain(order, breaks=(57, 200, 399)), 1.0)) == 4
+
+
+@pytest.mark.parametrize("center", [0, 20, 40])
+def test_star(rng, center):
+    # 40 leaves 0.9 from the center and 1.27 from each other: every pair
+    # runs through one point, whatever its index
+    leaves = 0.9 * np.eye(40)
+    pts = np.insert(leaves, center, np.zeros(40), axis=0)
+    assert len(_check_against_bfs(pts, 1.0)) == 1
+    assert len(_check_against_bfs(pts[rng.permutation(len(pts))], 1.0)) == 1
+    # without the center every leaf is alone
+    assert len(_check_against_bfs(leaves, 1.0)) == 40
+
+
+def test_many_singletons(rng):
+    pts = (2.0 * rng.permutation(500))[:, None]
+    comps = _check_against_bfs(pts, 1.0)
+    assert [c.tolist() for c in comps] == [[i] for i in range(500)]
+
+
+def test_coincident_points(rng):
+    # five sites, 30 copies each, in shuffled order; gamma is far below the
+    # site spacing, so each site is one component of distance-0 pairs
+    sites = 10.0 * rng.standard_normal((5, 3))
+    pts = np.repeat(sites, 30, axis=0)[rng.permutation(150)]
+    comps = _check_against_bfs(pts, 1e-9)
+    assert sorted(len(c) for c in comps) == [30] * 5
+
+
+def test_dense_blobs_match_csgraph(rng):
+    # about 176k pairs on 3000 points (E >> N), in blobs that partly merge,
+    # plus stray singletons: the csgraph labelling the union-find replaced
+    # serves as the oracle at a size the BFS oracle is too slow for
+    centers = 6.0 * rng.standard_normal((6, 3))
+    pts = np.repeat(centers, 500, axis=0) + rng.standard_normal((3000, 3))
+    pts = pts[rng.permutation(3000)]
+    gamma = 1.5
+    comps = threshold_components(pts, gamma)
+    i, j = np.nonzero(np.triu(cdist(pts, pts) < gamma, k=1))
+    assert len(i) > 50 * len(pts)
+    k, labels = connected_components(coo_matrix((np.ones(len(i)), (i, j)), shape=(3000, 3000)),
+                                     directed=False)
+    assert len(comps) == k
+    assert _as_partition(comps) == {frozenset(np.flatnonzero(labels == c).tolist())
+                                    for c in range(k)}
+    assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+    assert all(c.dtype == np.intp for c in comps)
+    np.testing.assert_array_equal(np.sort(np.concatenate(comps)), np.arange(3000))
