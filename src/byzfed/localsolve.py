@@ -126,7 +126,11 @@ def local_erm(shard: WorkerShard, loss: LossSpec) -> np.ndarray:
     """Exact local empirical risk minimizer.
 
     Least squares for the regression loss (minimum-norm solution when the
-    shard is rank-deficient), shard mean for the location loss.
+    shard is rank-deficient), shard mean for the location loss. At n close
+    to d the least-squares problem is ill-conditioned and the solution lands
+    far from its cluster's center, so Stage II may not separate the
+    clusters: on an m = n = d = 100 fleet at sigma 1, trimmed k-means ends
+    31% misclustered from these ERMs and 0% from 1000 GD steps.
     """
     if shard.n < 1:
         raise ConfigError("cannot solve an empty shard")

@@ -527,7 +527,8 @@ def run_grid(
 
 
 def summarize_grid(outcomes: list[TrialOutcome]) -> list[dict]:
-    """Per-cell mean and sample standard deviation of est_error."""
+    """Per-cell mean and sample standard deviation of est_error over the
+    trials that ended with a finite one; the rest count as failed."""
     cells: dict[str, list[TrialOutcome]] = {}
     for o in outcomes:
         cells.setdefault(o.cell, []).append(o)
@@ -541,7 +542,7 @@ def summarize_grid(outcomes: list[TrialOutcome]) -> list[dict]:
                 "clusterer": outs[0].clusterer,
                 "optimizer": outs[0].optimizer,
                 "n_trials": len(outs),
-                "n_failed": sum(1 for o in outs if o.result is None),
+                "n_failed": len(outs) - len(errs),
                 "est_error_mean": float(np.mean(errs)) if errs else float("nan"),
                 "est_error_sd": float(np.std(errs, ddof=1)) if len(errs) > 1 else 0.0,
             }

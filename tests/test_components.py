@@ -1,4 +1,11 @@
-"""Threshold-graph connected components against a brute-force oracle."""
+"""Threshold-graph connected components against a brute-force oracle.
+
+Both sides of threshold_components' selection are checked: inputs whose
+strided sample is dense enough are seeded, the rest list every pair.
+Each oracle case that depends on the side asserts which one it takes.
+"""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +13,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from byzfed.components import threshold_components
+from byzfed import components
+from byzfed.components import STRIDE, threshold_components
 from byzfed.errors import ConfigError
+
+PROBE_GAMMA = 4.0
+BELOW = np.nextafter(PROBE_GAMMA, 0.0)
+# the edge predicate, pinned: d2 <= fl(BELOW**2) joins the first pair and
+# not the second, whose float distance still reads below 4
+PROBES = [
+    pytest.param(np.array([[0.0], [BELOW]]), True, id="at-nextafter"),
+    pytest.param(np.array([[0.0, 0.0], [BELOW, 4e-8]]), False, id="just-past"),
+]
 
 
 def _bfs_oracle(adj):
@@ -46,6 +64,12 @@ def _check_against_bfs(pts, gamma):
         assert c.dtype == np.intp
         assert np.all(np.diff(c) > 0)
     return comps
+
+
+def _seeds(pts, gamma):
+    """The seed labels threshold_components uses, or None on the all-pairs side."""
+    P = np.asarray(pts, dtype=float)
+    return components._seed_labels(P, np.nextafter(gamma, 0.0), np.int32)
 
 
 def _chain(order, step=0.9, breaks=()):
@@ -203,26 +227,38 @@ def test_many_singletons(rng):
     assert [c.tolist() for c in comps] == [[i] for i in range(500)]
 
 
-def test_coincident_points(rng):
-    # five sites, 30 copies each, in shuffled order; gamma is far below the
-    # site spacing, so each site is one component of distance-0 pairs
+def _coincident(rng, copies):
+    # five sites in shuffled order; gamma is far below the site spacing, so
+    # each site is one component of distance-0 pairs
     sites = 10.0 * rng.standard_normal((5, 3))
-    pts = np.repeat(sites, 30, axis=0)[rng.permutation(150)]
+    return np.repeat(sites, copies, axis=0)[rng.permutation(5 * copies)]
+
+
+def test_coincident_points(rng):
+    pts = _coincident(rng, 30)
+    assert _seeds(pts, 1e-9) is None
     comps = _check_against_bfs(pts, 1e-9)
     assert sorted(len(c) for c in comps) == [30] * 5
 
 
-def test_dense_blobs_match_csgraph(rng):
-    # about 176k pairs on 3000 points (E >> N), in blobs that partly merge,
-    # plus stray singletons: the csgraph labelling the union-find replaced
-    # serves as the oracle at a size the BFS oracle is too slow for
+def test_coincident_points_seeded(rng):
+    # 200 copies a site give every sampled point 24 sampled twins
+    pts = _coincident(rng, 200)
+    assert _seeds(pts, 1e-9) is not None
+    comps = _check_against_bfs(pts, 1e-9)
+    assert sorted(len(c) for c in comps) == [200] * 5
+
+
+def _dense_blobs_vs_csgraph(rng, gamma):
+    # 3000 points in blobs that partly merge, plus stray singletons: the
+    # csgraph labelling the union-find replaced serves as the oracle at a
+    # size the BFS oracle is too slow for
     centers = 6.0 * rng.standard_normal((6, 3))
     pts = np.repeat(centers, 500, axis=0) + rng.standard_normal((3000, 3))
     pts = pts[rng.permutation(3000)]
-    gamma = 1.5
     comps = threshold_components(pts, gamma)
     i, j = np.nonzero(np.triu(cdist(pts, pts) < gamma, k=1))
-    assert len(i) > 50 * len(pts)
+    assert len(i) > 50 * len(pts)  # E >> N
     k, labels = connected_components(coo_matrix((np.ones(len(i)), (i, j)), shape=(3000, 3000)),
                                      directed=False)
     assert len(comps) == k
@@ -231,3 +267,180 @@ def test_dense_blobs_match_csgraph(rng):
     assert [c[0] for c in comps] == sorted(c[0] for c in comps)
     assert all(c.dtype == np.intp for c in comps)
     np.testing.assert_array_equal(np.sort(np.concatenate(comps)), np.arange(3000))
+    return pts
+
+
+def test_dense_blobs_match_csgraph(rng):
+    # about 176k pairs, yet too few sampled neighbours a point to seed
+    pts = _dense_blobs_vs_csgraph(rng, 1.5)
+    assert _seeds(pts, 1.5) is None
+
+
+def test_dense_blobs_seeded_match_csgraph(rng):
+    pts = _dense_blobs_vs_csgraph(rng, 2.0)
+    assert _seeds(pts, 2.0) is not None
+
+
+@pytest.mark.parametrize("n", range(1, STRIDE + 1))
+def test_fewer_points_than_the_stride(rng, n):
+    # a sample of one point has no pairs, so every pair is listed
+    for pts in (rng.standard_normal((n, 2)), np.zeros((n, 2)), _chain(rng.permutation(n))):
+        assert _seeds(pts, 1.0) is None
+        _check_against_bfs(pts, 1.0)
+
+
+@pytest.mark.parametrize("d, gamma, side", [
+    (1, 1, "all-pairs"), (2, 1, "all-pairs"), (3, 2, "all-pairs"),
+    (1, 2, "seeded"), (2, 3, "seeded"), (3, 4, "seeded"),
+])
+def test_integer_oracle_on_either_side(d, gamma, side):
+    # 400 points on the 5^d lattice: many coincident points and many pairs
+    # at exactly gamma, decided exactly by integer squared distances
+    ints = np.random.default_rng(gamma * 10 + d).integers(-2, 3, size=(400, d))
+    assert (_seeds(ints, gamma) is None) == (side == "all-pairs")
+    d2 = ((ints[:, None, :] - ints[None, :, :]) ** 2).sum(axis=2)
+    got = threshold_components(ints.astype(float), float(gamma))
+    assert _as_partition(got) == _bfs_oracle(d2 < gamma**2)
+    assert [c[0] for c in got] == sorted(c[0] for c in got)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=65, max_value=300),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_matches_exact_integer_oracle_on_crowded_lattice(d, gamma, n, seed):
+    # enough points on a small lattice that the sample often seeds
+    ints = np.random.default_rng(seed).integers(-2, 3, size=(n, d))
+    d2 = ((ints[:, None, :] - ints[None, :, :]) ** 2).sum(axis=2)
+    got = threshold_components(ints.astype(float), float(gamma))
+    assert _as_partition(got) == _bfs_oracle(d2 < gamma**2)
+    assert [c[0] for c in got] == sorted(c[0] for c in got)
+
+
+def _place(n, slots):
+    """A reordering of n points that puts the first len(slots) at the given
+    indices and the rest at the other indices, in order."""
+    order = np.empty(n, dtype=int)
+    order[list(slots)] = np.arange(len(slots))
+    order[np.setdiff1d(np.arange(n), list(slots))] = np.arange(len(slots), n)
+    return order
+
+
+def test_tail_points_no_sampled_point_reaches(rng):
+    # four 10-D blobs, dense at gamma 4 (like the ingest workload), and at
+    # unsampled indices tails that run outward from each blob's outermost
+    # points in steps of 0.95 gamma: no sampled point is within gamma of
+    # most of them, so they join through the pairs listed from them
+    gamma, d = 4.0, 10
+    centers = 8.0 * rng.standard_normal((4, d))
+    blobs = np.repeat(centers, 500, axis=0) + rng.standard_normal((2000, d))
+    tails = []
+    for c in range(4):
+        own = blobs[500 * c: 500 * (c + 1)]
+        for b in own[np.argsort(np.linalg.norm(own - centers[c], axis=1))[-3:]]:
+            u = (b - centers[c]) / np.linalg.norm(b - centers[c])
+            tails += [b + 0.95 * gamma * k * u for k in (1, 2)]
+    tails.append(np.full(d, 100.0))  # one stray singleton
+    pts = np.vstack([tails, blobs])
+    slots = [i for i in range(len(pts)) if i % STRIDE][: len(tails)]
+    pts = pts[_place(len(pts), slots)]
+    seeds = _seeds(pts, gamma)
+    assert seeds is not None
+    assert np.count_nonzero(seeds[slots] < 0) >= len(tails) // 2
+    comps = _check_against_bfs(pts, gamma)
+    # the tails hang off their blobs, the stray point stays alone
+    assert sorted(len(c) for c in comps)[0] == 1
+
+
+@pytest.mark.parametrize("gap", [False, True])
+def test_blobs_joined_through_an_unsampled_bridge(rng, gap):
+    # two 10-D blobs 24 apart along the first axis, and a bridge of points
+    # 0.8 gamma apart between them at unsampled indices; without its middle
+    # point the bridge breaks and the blobs stay apart
+    gamma, d = 4.0, 10
+    far = np.zeros(d)
+    far[0] = 24.0
+    blobs = np.vstack([rng.standard_normal((500, d)), far + rng.standard_normal((500, d))])
+    a = blobs[np.argmax(blobs[:500, 0])]
+    b = blobs[500 + np.argmin(blobs[500:, 0])]
+    steps = int(np.ceil(np.linalg.norm(b - a) / (0.8 * gamma)))
+    bridge = a + np.outer(np.arange(1, steps) / steps, b - a)
+    if gap:
+        bridge = np.delete(bridge, len(bridge) // 2, axis=0)
+    pts = np.vstack([bridge, blobs])
+    slots = [i for i in range(len(pts)) if i % STRIDE][: len(bridge)]
+    pts = pts[_place(len(pts), slots)]
+    seeds = _seeds(pts, gamma)
+    assert seeds is not None
+    assert np.any(seeds[slots] < 0)
+    comps = _check_against_bfs(pts, gamma)
+    assert (len(comps) == 1) != gap
+
+
+def _probe_layout(pair, layout):
+    """The probe pair (p, q) inside two dense 200-point segments, one
+    ending just before p and one starting just past q along the first axis,
+    so that no other pair comes within gamma across them; p and q sit at
+    the indices the layout names."""
+    p, q = pair
+    e = np.zeros_like(p)
+    e[0] = 1.0
+    behind = p - np.outer(np.linspace(0.01, 2.0, 200), e)
+    beyond = q + np.outer(np.linspace(0.01, 2.0, 200), e)
+    slots = {"sampled": (0, STRIDE), "crossing": (1, 2), "lone": (0, 1)}[layout]
+    rest = [behind] if layout == "lone" else [behind, beyond]
+    pts = np.vstack([pair, *rest])
+    return pts[_place(len(pts), slots)], slots
+
+
+@pytest.mark.parametrize("pair, joined", PROBES)
+def test_probe_pairs_when_every_pair_is_listed(pair, joined):
+    assert _seeds(pair, PROBE_GAMMA) is None
+    assert len(threshold_components(pair, PROBE_GAMMA)) == (1 if joined else 2)
+
+
+@pytest.mark.parametrize("layout", ["sampled", "crossing", "lone"])
+@pytest.mark.parametrize("pair, joined", PROBES)
+def test_probe_pairs_when_seeded(pair, joined, layout):
+    # sampled: the sample's own pairs list (p, q); crossing: p and q attach
+    # to different seeds and a rank bit lists the pair; lone: q has no
+    # seed, the strict attach query passes it by, and the pass from the
+    # unseeded points lists it
+    pts, (ip, iq) = _probe_layout(pair, layout)
+    seeds = _seeds(pts, PROBE_GAMMA)
+    assert seeds is not None
+    if layout == "crossing":
+        assert seeds[ip] >= 0 and seeds[iq] >= 0 and seeds[ip] != seeds[iq]
+    if layout == "lone":
+        assert seeds[iq] < 0
+    comps = threshold_components(pts, PROBE_GAMMA)
+    where = {int(i): k for k, c in enumerate(comps) for i in c}
+    assert (where[ip] == where[iq]) == joined
+    assert len(comps) == (1 if joined else 2)
+
+
+def test_attach_bound_must_sit_below_gamma():
+    # a strict query bounded at gamma itself would attach the second probe,
+    # an edge the listings do not have; the bound below gamma does not
+    p, q = np.array([[0.0, 0.0]]), np.array([[BELOW, 4e-8]])
+    assert np.isfinite(cKDTree(p).query(q, distance_upper_bound=PROBE_GAMMA)[0][0])
+    assert not np.isfinite(cKDTree(p).query(q, distance_upper_bound=BELOW)[0][0])
+
+
+@pytest.mark.parametrize("gamma", [np.inf, 1e300])
+def test_unbounded_gamma_lists_no_quadratic_pair_array(rng, gamma):
+    # every pair of 6000 points is an edge: 18M pairs, whose index array
+    # alone takes 288 MB; the seeded side lists the sample's 281k
+    pts = rng.standard_normal((6000, 10))
+    tracemalloc.start()
+    try:
+        comps = threshold_components(pts, gamma)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(comps) == 1
+    np.testing.assert_array_equal(comps[0], np.arange(6000))
+    assert peak < 32e6

@@ -20,11 +20,14 @@ from byzfed.pipeline import (
     run_grid,
     run_pipeline,
     stage1_erms,
+    summarize_grid,
+    TrialOutcome,
 )
 from byzfed.reporting import compute_run_id
 from byzfed.robust_stats import AggregatorSpec
 
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 
 def _clean_config(seed=0):
@@ -216,6 +219,22 @@ def test_grid_cell_failure_does_not_poison_others():
     assert all(o.result is None and o.error for o in failed)
     row = next(r for r in summary if r["clusterer"] == "IF2")
     assert row["n_failed"] == 2
+
+
+def test_summary_counts_a_non_finite_est_error_as_failed():
+    def outcome(trial, est_error=None):
+        result = None if est_error is None else SimpleNamespace(est_error=est_error)
+        return TrialOutcome("KM+SM", "KM", "SM", trial, trial, result,
+                            None if result else "stage3: boom")
+
+    outs = [outcome(0, 0.5), outcome(1, np.nan), outcome(2, np.inf), outcome(3), outcome(4, 1.5)]
+    (row,) = summarize_grid(outs)
+    assert row["n_trials"] == 5
+    assert row["n_failed"] == 3
+    assert row["est_error_mean"] == 1.0
+    assert row["est_error_sd"] == pytest.approx(np.sqrt(0.5))
+    (row,) = summarize_grid([outcome(0, -np.inf)])
+    assert row["n_failed"] == 1 and np.isnan(row["est_error_mean"]) and row["est_error_sd"] == 0.0
 
 
 def _ingest_grid_inputs(tmp_path, rng, **spec):
