@@ -17,9 +17,9 @@ file exits 2 with no manifest; each trial only draws its own shards.
 Configs are JSON; flags override file values, but a grid section
 rejects the per-cell flags, which would reach no cell. A method is named
 by its full or short name, in any case, underscores optional: lloyd/KM,
-kgeomedian/KGM, trimmed_kmeans/TKM, edge_cut/EC, iterfilter2/IF2;
-sample_mean/SM, trimmed_mean/TM, coord_median/CM, geo_median/GM,
-iter_filter/IF. Every command, replay too, writes a manifest.json
+kgeomedian/KGM, trimmed_kmeans/TKM, edge_cut/EC; sample_mean/SM,
+trimmed_mean/TM, coord_median/CM, geo_median/GM, iter_filter/IF.
+Every command, replay too, writes a manifest.json
 (atomically, before any result file) plus four result CSVs into
 --out-dir. Progress goes to stdout, diagnostics to stderr; results live
 only in the files. --threads sets the worker pool size.
@@ -68,7 +68,6 @@ _CLUSTERERS = {
     "kgeomedian": "KGM",
     "trimmed_kmeans": "TKM",
     "edge_cut": "EC",
-    "iterfilter2": "IF2",
 }
 
 _AGGREGATORS = {
@@ -94,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=1, help="worker pool size")
     common.add_argument("--alpha", type=float, help="Byzantine fraction override")
     common.add_argument("--sigma", type=float, help="noise level override")
-    common.add_argument("--clusterer", help="cluster method (km/kgm/tkm/edge_cut/if2)")
+    common.add_argument("--clusterer", help="cluster method (km/kgm/tkm/edge_cut)")
     common.add_argument("--aggregator", help="robust aggregator (sm/tm/cm/gm/if)")
     common.add_argument("--beta", type=float, help="trim fraction for trimmed aggregators")
     common.add_argument("--gamma", type=float, help="distance threshold (edge_cut / ingest)")

@@ -9,7 +9,9 @@ Methods:
   geometric median, ball of radius C*sigma*sqrt(d), sample mean of the
   in-ball points).
 * iterfilter_2cluster: the symmetric two-cluster method that alternates
-  sign estimation with an iterative-filtering mean over sample splits.
+  sign estimation with an iterative-filtering mean over sample splits. It
+  assumes the centers +theta and -theta, a shape no fleet builder makes,
+  so it is a library function and not a ClusterSpec method.
 
 ClusterSpec is the one Stage-II configuration: the method and its knobs.
 
@@ -46,7 +48,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_CLUSTER_METHODS = ("edge_cut", "lloyd", "kgeomedian", "trimmed_kmeans", "iterfilter2")
+_CLUSTER_METHODS = ("edge_cut", "lloyd", "kgeomedian", "trimmed_kmeans")
 
 
 @dataclass(frozen=True)
@@ -130,10 +132,8 @@ class ClusterSpec:
     radius multiplier; infinite = no trimming) and sigma_hat (None =
     per-bucket estimate 1.4826 * median ||x - geomedian|| / sqrt(d)).
     warm_fraction configures the partially-correct initialization used by
-    the Lloyd-family methods (and the two-cluster filter's starting
-    center); gamma/min_cluster belong to edge_cut; T and variance_bound to
-    iterfilter2, which assumes the two centers +theta and -theta, a shape
-    the synthetic fleet never has. The counts are integers.
+    the Lloyd-family methods; gamma/min_cluster belong to edge_cut. The
+    counts are integers.
     """
 
     method: str = "trimmed_kmeans"
@@ -143,8 +143,6 @@ class ClusterSpec:
     warm_fraction: float = 0.6
     gamma: float | None = None
     min_cluster: int = 1
-    T: int = 5
-    variance_bound: float | None = None
 
     def __post_init__(self):
         if self.method not in _CLUSTER_METHODS:
@@ -159,10 +157,8 @@ class ClusterSpec:
         require_real("C", self.C, positive=True, finite=False)
         require_real("sigma_hat", self.sigma_hat, finite=False, optional=True)
         require_real("gamma", self.gamma, positive=True, finite=False, optional=True)
-        require_real("variance_bound", self.variance_bound, optional=True)
         require_int("max_iter", self.max_iter, 0)
         require_int("min_cluster", self.min_cluster, 1)
-        require_int("T", self.T, 1)
 
 
 # ---------------------------------------------------------------------------

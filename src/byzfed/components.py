@@ -73,11 +73,13 @@ _SEED_MIN_DEGREE = 16  # mean sampled-neighbour count from which seeding pays
 
 
 def threshold_components(points, gamma: float) -> list[np.ndarray]:
-    """Components of the graph with an edge iff ||p_i - p_j|| < gamma.
+    """Components of the graph with an edge iff d2(i, j) <= fl(r * r),
+    r = nextafter(gamma, 0): closer than gamma up to the last bit of d2
+    (see the module docstring's edge predicate). A pair at exactly gamma
+    is not connected.
 
     Returns a list of index arrays, each sorted ascending, ordered by the
-    smallest index they contain (deterministic). Distance is strict: a
-    pair at exactly gamma is not connected.
+    smallest index they contain (deterministic).
     """
     P = np.asarray(points, dtype=float)
     if P.ndim != 2:

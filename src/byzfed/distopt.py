@@ -201,6 +201,8 @@ def _descend(shards, loss, cfg, attack, local_steps, draws):
     w = np.zeros(d) if cfg.init is None else cfg.init.copy()
     if w.shape != (d,):
         raise ConfigError(f"init has shape {w.shape}, expected ({d},)")
+    if attack.kind == "constant" and attack.vector.shape != (d,):
+        raise ConfigError(f"constant attack vector has shape {attack.vector.shape}, expected ({d},)")
     reports_at = (
         partial(local_gradient, stats)
         if local_steps is None

@@ -34,7 +34,6 @@ from .clustering import (
     ClusteringState,
     MisclusterReport,
     edge_cut_cluster,
-    iterfilter_2cluster,
     mismetrics,
     run_lloyd_variant,
     warm_start_init,
@@ -157,6 +156,10 @@ class PipelineConfig:
         require_int("seed", self.seed, 0)
         if isinstance(self.fleet, IngestSpec) and self.solver.loss != "location":
             raise ConfigError("ingested fleets carry raw points; use the location loss")
+        if self.attack.kind == "constant" and isinstance(self.fleet, FleetConfig):
+            shape, d = self.attack.vector.shape, self.fleet.d
+            if shape != (d,):
+                raise ConfigError(f"constant attack vector has shape {shape}, expected ({d},)")
         set_fields = [name for name, is_set in (
             ("fleet.seed", isinstance(self.fleet, FleetConfig) and self.fleet.seed != 0),
             ("attack.seed", self.attack.seed != 0),
@@ -298,16 +301,6 @@ def _stage2(cfg: PipelineConfig, erms, truth):
         return state, [mismetrics(state, truth)] if state.K == truth.K else []
 
     init = warm_start_init(erms, truth, spec.warm_fraction, seed=derive_seed(cfg.seed, 1))
-    if spec.method == "iterfilter2":
-        if truth.K != 2:
-            raise ConfigError("iterfilter2 applies to the symmetric 2-cluster setting only")
-        theta, signs = iterfilter_2cluster(erms, init.centers[0], spec.T, spec.variance_bound)
-        labels = np.where(signs > 0, 0, 1)
-        state = ClusteringState(
-            labels=labels, centers=np.stack([theta, -theta]), iteration=spec.T
-        )
-        return state, [mismetrics(state, truth)]
-
     return run_lloyd_variant(erms, init, spec, ground_truth=truth)
 
 

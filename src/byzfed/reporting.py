@@ -4,7 +4,9 @@ The manifest is written atomically before any result file and contains
 everything needed to replay the run: the config snapshot, the grid
 layout, the seed, and the expected output file names. Result CSVs use a
 fixed schema and deterministic float formatting, so a repeated run with
-the same seed produces byte-identical files at any thread count.
+the same seed produces byte-identical files at any `--threads`, with the
+same BLAS build and BLAS thread count; CI and the bench pin one BLAS
+thread.
 
 Schemas (version 1):
   results.csv        run_id,cell,trial,metric,value

@@ -28,6 +28,28 @@ repository root, only after an intentional behavior change:
         --config tests/data/golden_ingest/config.json --threads 2 \
         --out-dir /tmp/golden_ingest
     cp /tmp/golden_ingest/*.csv tests/data/golden_ingest/
+
+Run ids. A run id hashes the config, so a change to a config class's
+fields (asdict of ClusterSpec, say) changes every run id and nothing
+else. Then regenerate only the run_id column: rerun the three commands
+above into /tmp, check that every other column is unchanged, which
+must print nothing,
+
+    diff <(cut -d, -f2- tests/data/golden_results.csv) \
+         <(cut -d, -f2- /tmp/golden/results.csv)
+    for g in golden_attack golden_ingest; do
+        diff <(cut -d, -f2- tests/data/$g/results.csv) \
+             <(cut -d, -f2- /tmp/$g/results.csv)
+        for f in misclustering optimization summary; do
+            cmp tests/data/$g/$f.csv /tmp/$g/$f.csv
+        done
+    done
+
+then copy only the three results.csv files and log the comparison in
+CHANGES.md. The run ids pinned in
+test_aggregator_beta_is_checked_for_every_kind are the manifest run_id
+of `synth --seed 1` on each of its configs; read them from the new
+manifest.json files.
 """
 
 import json
@@ -163,8 +185,11 @@ def test_bad_flag_value_exits_1(tmp_path):
 
 
 def test_unknown_clusterer_exits_1(tmp_path):
-    code, _ = _synth(tmp_path, "--clusterer", "dbscan")
-    assert code == 1
+    # if2/iterfilter2 named the two-cluster filter, no longer a pipeline method
+    for name in ("dbscan", "if2", "iterfilter2"):
+        code, out = _synth(tmp_path / name, "--clusterer", name)
+        assert code == 1
+        assert not (out / "manifest.json").exists()
 
 
 _SPELLINGS = [
@@ -173,8 +198,7 @@ _SPELLINGS = [
         ("lloyd", ["km", "lloyd"]),
         ("kgeomedian", ["kgm", "kgeomedian"]),
         ("trimmed_kmeans", ["tkm", "trimmed_kmeans"]),
-        ("edge_cut", ["edge_cut", "edgecut"]),
-        ("iterfilter2", ["if2", "iterfilter2"]),
+        ("edge_cut", ["edge_cut", "edgecut", "ec", "Edge_Cut"]),
     ]
     for spelling in spellings
 ] + [
@@ -264,11 +288,11 @@ def test_bad_aggregator_parameters_exit_1(tmp_path, capsys, aggregator):
 @pytest.mark.parametrize(
     "kind, run_id",
     [
-        ("sample_mean", "12fc22505d98"),
-        ("trimmed_mean", "03e7c7d3abb1"),
-        ("coord_median", "25844d5349ff"),
-        ("geo_median", "740deeff6cb1"),
-        ("iter_filter", "7ac6b5b66954"),
+        ("sample_mean", "d7b362734705"),
+        ("trimmed_mean", "5d07abcb2abf"),
+        ("coord_median", "c3abc5e852eb"),
+        ("geo_median", "a65159a2d155"),
+        ("iter_filter", "0719500653ef"),
     ],
 )
 def test_aggregator_beta_is_checked_for_every_kind(tmp_path, capsys, kind, run_id):
@@ -280,7 +304,7 @@ def test_aggregator_beta_is_checked_for_every_kind(tmp_path, capsys, kind, run_i
     assert code == 1
     assert "beta" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
-    # a valid beta keeps the run id it had before the check covered every kind
+    # a valid beta runs under the pinned run id (see the module docstring)
     cfg.write_text(json.dumps({"opt": {"max_rounds": 1, "aggregator": {"kind": kind, "beta": 0.3}}}))
     code, out = _synth(tmp_path / "ok", "--seed", "1", "--config", str(cfg))
     assert code == 0
@@ -318,7 +342,7 @@ def test_bad_solver_parameters_exit_1(tmp_path, capsys, solver):
         ('{"opt": {"local_steps": 2.5}}', []),
         ('{"opt": {"stop_tol": NaN}}', []),
         ('{"cluster": {"max_iter": 2.5}}', []),
-        ('{"cluster": {"T": 2.5}}', []),
+        ('{"cluster": {"min_cluster": 0}}', []),
         ('{"cluster": {"min_cluster": 1.5}}', []),
         ('{"cluster": {"C": NaN}}', []),
         ('{"cluster": {"sigma_hat": NaN}}', []),
@@ -345,6 +369,20 @@ def test_bad_config_counts_and_reals_exit_1(tmp_path, capsys, config, flags):
     assert code == 1
     assert "error:" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("vector", [[9.0], [9.0, 9.0], [[9.0] * 5]])
+def test_constant_attack_vector_must_match_the_fleet_dimension(tmp_path, capsys, vector):
+    # the default synthetic fleet is 5-dimensional
+    cfg = tmp_path / "attack.json"
+    cfg.write_text(json.dumps({"attack": {"kind": "constant", "vector": vector}}))
+    code, out = _synth(tmp_path, "--config", str(cfg))
+    assert code == 1
+    assert "constant attack vector has shape" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+    cfg.write_text(json.dumps({"attack": {"kind": "constant", "vector": [9.0] * 5}}))
+    code, _ = _synth(tmp_path / "ok", "--config", str(cfg))
+    assert code == 0
 
 
 @pytest.mark.parametrize(
@@ -757,12 +795,28 @@ def test_replay_directory_replays_again(tmp_path, capsys):
 
 
 def test_replay_of_run_where_every_trial_failed_exits_0(tmp_path):
-    # iterfilter2 fails every trial of a 3-cluster fleet; the files still replay
-    cfg = tmp_path / "if2.json"
-    cfg.write_text(json.dumps({"fleet": {"m": 30, "K": 3}, "cluster": {"method": "iterfilter2"}}))
+    # edge_cut keeps no component of more than m machines, so every trial
+    # fails in Stage II; the files still replay
+    cfg = tmp_path / "ec.json"
+    cfg.write_text(json.dumps({"fleet": {"m": 30, "K": 3},
+                               "cluster": {"method": "edge_cut", "gamma": 1.0, "min_cluster": 31}}))
     code, out = _synth(tmp_path, "--config", str(cfg))
     assert code == 2
     assert main(["replay", "--manifest", str(out), "--out-dir", str(tmp_path / "re")]) == 0
+
+
+def test_replay_of_manifest_naming_removed_cluster_fields_exits_1(tmp_path, capsys):
+    # manifests written while the pipeline offered iterfilter2 carry its two
+    # knobs; ClusterSpec no longer has them, so the replay is a bad config
+    _, out = _synth(tmp_path, "--seed", "1")
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["config"]["cluster"].update(T=5, variance_bound=None)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    re_dir = tmp_path / "re"
+    assert main(["replay", "--manifest", str(out), "--out-dir", str(re_dir)]) == 1
+    assert "bad config" in capsys.readouterr().err
+    assert not (re_dir / "manifest.json").exists()
 
 
 def test_replay_missing_manifest_exits_2(tmp_path):

@@ -195,9 +195,10 @@ def test_run_lloyd_validation(rng):
     init = ClusteringState(labels=np.zeros(4, int), centers=np.zeros((1, 2)))
     with pytest.raises(ConfigError):
         ClusterSpec(method="lloyd", max_iter=-1)
-    for spec in (ClusterSpec(method="edge_cut", gamma=1.0), ClusterSpec(method="iterfilter2")):
-        with pytest.raises(ConfigError, match="no Lloyd step"):
-            run_lloyd_variant(points, init, spec)
+    with pytest.raises(ConfigError, match="no Lloyd step"):
+        run_lloyd_variant(points, init, ClusterSpec(method="edge_cut", gamma=1.0))
+    with pytest.raises(ConfigError, match="unknown cluster method"):
+        ClusterSpec(method="iterfilter2")
 
 
 # ---------------------------------------------------------------------------

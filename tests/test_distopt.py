@@ -270,6 +270,15 @@ def test_constant_attack_sends_fixed_vector(rng):
     np.testing.assert_allclose(w, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("descend", [robust_gd, fed_avg_robust])
+@pytest.mark.parametrize("vector", [[5.0], [5.0, -5.0], [[5.0, -5.0, 5.0]]])
+def test_constant_attack_vector_must_have_the_model_dimension(rng, descend, vector):
+    # a length-1 vector would broadcast over every coordinate
+    shards = _one_byz_setup(rng)
+    with pytest.raises(ConfigError, match="constant attack vector"):
+        descend(shards, SQ, OptConfig(max_rounds=1), attack=AttackSpec.constant(vector))
+
+
 def test_none_attack_means_honest_protocol(rng):
     shards = _one_byz_setup(rng)
     w_none, _ = robust_gd(shards, SQ, OptConfig(max_rounds=20), attack=AttackSpec.none())

@@ -206,18 +206,17 @@ def test_grid_trials_share_fleets_across_cells():
 
 def test_grid_cell_failure_does_not_poison_others():
     base, clusterers, optimizers = _grid_inputs()
-    # iterfilter2 rejects K != 2 fleets at runtime... here K=2 works, so
-    # force failure with a 3-cluster fleet instead
-    base3 = replace(base, fleet=FleetConfig(m=15, n=20, d=4, K=3, alpha=0.1, sigma=0.5))
-    bad = ("IF2", ClusterSpec(method="iterfilter2"))
+    # edge_cut keeps no component of more than m = 12 machines, so every
+    # trial fails in Stage II
+    bad = ("EC", ClusterSpec(method="edge_cut", gamma=1.0, min_cluster=13))
     outcomes, summary = run_grid(
-        replace(base3, seed=2), [clusterers[0], bad], optimizers[:1], n_trials=2
+        replace(base, seed=2), [clusterers[0], bad], optimizers[:1], n_trials=2
     )
     good = [o for o in outcomes if o.clusterer == "KM"]
-    failed = [o for o in outcomes if o.clusterer == "IF2"]
+    failed = [o for o in outcomes if o.clusterer == "EC"]
     assert all(o.result is not None for o in good)
-    assert all(o.result is None and o.error for o in failed)
-    row = next(r for r in summary if r["clusterer"] == "IF2")
+    assert all(o.result is None and "min_cluster" in o.error for o in failed)
+    row = next(r for r in summary if r["clusterer"] == "EC")
     assert row["n_failed"] == 2
 
 
