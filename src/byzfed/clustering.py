@@ -27,12 +27,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .components import threshold_components
 from .datagen import BYZANTINE, GroundTruth
 from .errors import ClusteringError, ConfigError, require_int, require_real
-from .numerics import RngStream
+from .numerics import RngStream, min_cost_assignment
 from .robust_stats import geometric_median, iter_filter_mean
 
 __all__ = [
@@ -396,8 +395,9 @@ def warm_start_init(
 
 def _match_labels(confusion: np.ndarray) -> np.ndarray:
     """Permutation perm[g] = estimated bucket matched to true cluster g,
-    maximizing the matched honest count."""
-    rows, cols = linear_sum_assignment(-confusion)
+    maximizing the matched honest count (numerics.min_cost_assignment on
+    the negated confusion matrix)."""
+    rows, cols = min_cost_assignment(-confusion)
     perm = np.empty(confusion.shape[0], dtype=int)
     perm[rows] = cols
     return perm

@@ -56,7 +56,8 @@ class AttackSpec:
     honest protocol on their own corrupted shard: the attack lives in the
     data, not the messages. The remaining kinds replace the report
     outright: its negation scaled (sign_flip), a Gaussian vector
-    (random_gauss), or a fixed vector (constant).
+    (random_gauss), or a fixed vector (constant). vector is set for
+    constant and only for constant.
     """
 
     kind: str = "own_corrupt_data"
@@ -71,6 +72,8 @@ class AttackSpec:
             if self.vector is None:
                 raise ConfigError("constant attack needs a vector")
             object.__setattr__(self, "vector", np.asarray(self.vector, dtype=float))
+        elif self.vector is not None:
+            raise ConfigError(f"attack kind {self.kind!r} takes no vector; only 'constant' does")
         if isinstance(self.scale, bool) or not math.isfinite(self.scale):  # TypeError if not real
             raise ConfigError(f"attack scale must be a finite number, got {self.scale!r}")
 
@@ -146,10 +149,9 @@ def _gauss_report(attack, machine_id, round_idx, d):
 
 
 def _attacked_report(row, shard, attack, round_idx, d, draws):
-    """Vector a Byzantine machine sends in place of its honest row. A
-    random_gauss report is looked up in draws, and drawn into it on a miss."""
-    if attack.kind in ("none", "own_corrupt_data"):
-        return row
+    """Vector a Byzantine machine sends in place of its honest row, for the
+    kinds that replace it. A random_gauss report is looked up in draws, and
+    drawn into it on a miss."""
     if attack.kind == "sign_flip":
         return -attack.scale * row
     if attack.kind == "random_gauss":
@@ -208,25 +210,34 @@ def _descend(shards, loss, cfg, attack, local_steps, draws):
         if local_steps is None
         else _local_steps_map(stats, loss, step, local_steps)
     )
-    byzantine = [i for i, s in enumerate(shards) if s.is_byzantine]
-    traj = [w.copy()]
+    # none and own_corrupt_data report the honest row
+    byzantine = (
+        [] if attack.kind in ("none", "own_corrupt_data")
+        else [i for i, s in enumerate(shards) if s.is_byzantine]
+    )
+    traj = np.empty((cfg.max_rounds + 1, d))
+    traj[0] = w
     for t in range(cfg.max_rounds):
         reports = reports_at(w)
         for i in byzantine:
             reports[i] = _attacked_report(reports[i], shards[i], attack, t, d, draws)
         agg = aggregate(reports, cfg.aggregator)
         w_next = w - step * agg if local_steps is None else agg
-        traj.append(w_next.copy())
-        delta = float(np.linalg.norm(w_next - w))
+        traj[t + 1] = w_next
+        # math.sqrt(x.dot(x)) is np.linalg.norm's arithmetic for a 1-D
+        # float64 x, without its dispatch
+        diff = w_next - w
+        delta = math.sqrt(diff.dot(diff))
         w = w_next
         if delta < cfg.stop_tol:
             break
         # Halt diverging runs at a bounded iterate rather than compounding
         # for the full round budget; the caller sees the blow-up in the
-        # returned model and trajectory.
-        if not np.all(np.isfinite(w)) or np.linalg.norm(w) > _DIVERGENCE_NORM:
+        # returned model and trajectory. A NaN norm fails the test too.
+        if not math.sqrt(w.dot(w)) <= _DIVERGENCE_NORM:
             break
-    return w, np.asarray(traj)
+    # a copy, so the unused rounds' rows are not kept alive
+    return w, traj[: t + 2].copy()
 
 
 def robust_gd(

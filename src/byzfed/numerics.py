@@ -1,9 +1,12 @@
-"""Dense linear algebra and reproducible random streams.
+"""Dense linear algebra, cluster matching and reproducible random streams.
 
 least_squares wraps numpy's lstsq; top_eigenpair is one call of LAPACK's
 syevr restricted to the largest eigenvalue, so every step size
 1/lambda_max and every spectral-filter test uses the top eigenvalue to
-LAPACK accuracy.
+LAPACK accuracy. min_cost_assignment is the one rectangular assignment
+solver: it matches estimated clusters to true ones, both for est_error
+(pipeline._match_centers) and for misclustering rates
+(clustering._match_labels).
 
 Model vectors are plain 1-D float64 numpy arrays; a fixed dimension d is
 shared by every vector in a run. All functions here are pure and
@@ -20,11 +23,12 @@ import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 from scipy.linalg.lapack import _compute_lwork
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 
 __all__ = [
     "least_squares",
     "top_eigenpair",
+    "min_cost_assignment",
     "RngStream",
     "derive_seed",
 ]
@@ -84,6 +88,91 @@ def top_eigenpair(M):
             else "Internal Error."
         )
     return float(w[0]), V[:, 0]
+
+
+def min_cost_assignment(cost):
+    """Rows and columns of a least-total-cost matching on a 2-D cost matrix.
+
+    Returns (rows, cols), integer arrays of length min(cost.shape) with
+    rows ascending, so that cost[rows, cols].sum() is minimal. The
+    algorithm is the shortest augmenting path of D. F. Crouse, "On
+    implementing 2D rectangular assignment algorithms", IEEE TAES 52(4),
+    2016, in the form scipy's linear_sum_assignment runs it, step for
+    step: a tall matrix is solved transposed, the unvisited columns
+    start in reverse order and are removed by swapping in the last one,
+    and among equal path costs a column without a row is preferred. So
+    the matching, ties included, is linear_sum_assignment's. A non-finite
+    entry raises NumericError.
+    """
+    c = np.asarray(cost, dtype=float)
+    if c.ndim != 2:
+        raise ConfigError(f"expected a 2-D cost matrix, got shape {c.shape}")
+    if not np.isfinite(c).all():
+        raise NumericError("assignment cost matrix contains NaN or Inf")
+    transpose = c.shape[1] < c.shape[0]
+    if transpose:
+        c = c.T
+    nr, nc = c.shape
+    rows = c.tolist()
+    u = [0.0] * nr
+    v = [0.0] * nc
+    path = [-1] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    for cur in range(nr):
+        # shortest augmenting path from row cur to a column without a row
+        min_val = 0.0
+        remaining = list(range(nc - 1, -1, -1))
+        n_remaining = nc
+        in_sr = [False] * nr
+        in_sc = [False] * nc
+        spc = [math.inf] * nc
+        i = cur
+        sink = -1
+        while sink == -1:
+            index = -1
+            lowest = math.inf
+            in_sr[i] = True
+            ci, ui = rows[i], u[i]
+            for it in range(n_remaining):
+                j = remaining[it]
+                r = min_val + ci[j] - ui - v[j]
+                if r < spc[j]:
+                    path[j] = i
+                    spc[j] = r
+                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
+                    lowest = spc[j]
+                    index = it
+            min_val = lowest
+            if min_val == math.inf:  # only when the reduced costs overflow
+                raise NumericError("assignment cost matrix overflows")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            in_sc[j] = True
+            n_remaining -= 1
+            remaining[index] = remaining[n_remaining]
+        # dual update, then augment along the path
+        u[cur] += min_val
+        for i in range(nr):
+            if in_sr[i] and i != cur:
+                u[i] += min_val - spc[col4row[i]]
+        for j in range(nc):
+            if in_sc[j]:
+                v[j] -= min_val - spc[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        order = sorted(range(nr), key=col4row.__getitem__)
+        return np.array([col4row[k] for k in order], dtype=np.intp), np.array(order, dtype=np.intp)
+    return np.arange(nr, dtype=np.intp), np.array(col4row, dtype=np.intp)
 
 
 def derive_seed(master_seed: int, *path: int) -> int:

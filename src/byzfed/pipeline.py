@@ -27,7 +27,6 @@ from functools import partial
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.optimize import linear_sum_assignment
 
 from .clustering import (
     ClusterSpec,
@@ -58,7 +57,7 @@ from .localsolve import (
     online_to_batch,
     shard_stats,
 )
-from .numerics import derive_seed
+from .numerics import derive_seed, min_cost_assignment
 from .numerics import top_eigenpair  # noqa: F401  (not called here; bench/tracer.py wraps this name)
 from .robust_stats import AggregatorSpec
 
@@ -331,9 +330,10 @@ def _stage3(cfg: PipelineConfig, shards, state: ClusteringState, loss: LossSpec,
 
 def _match_centers(w_hats: np.ndarray, centers_true: np.ndarray) -> list[tuple[int, int]]:
     """Pair estimated clusters with true centers by the assignment of least
-    total distance; with unequal counts, min(counts) pairs are made."""
+    total distance (numerics.min_cost_assignment); with unequal counts,
+    min(counts) pairs are made. A non-finite w_hat raises NumericError."""
     dist = np.linalg.norm(w_hats[:, None, :] - centers_true[None, :, :], axis=2)
-    rows, cols = linear_sum_assignment(dist)
+    rows, cols = min_cost_assignment(dist)
     return list(zip(rows.tolist(), cols.tolist()))
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field
@@ -170,11 +171,16 @@ def emit_grid_outputs(out_dir, run_id: str, outcomes: list[TrialOutcome], summar
             continue
         matched = dict(o.result.matched_pairs)
         for k, traj in enumerate(o.result.opt_trajectories):
-            target = o.result.true_centers[matched[k]] if k in matched else None
-            for r in range(1, traj.shape[0]):
-                upd = float(np.linalg.norm(traj[r] - traj[r - 1]))
-                dist = "" if target is None else _fmt(np.linalg.norm(traj[r] - target))
-                opt_rows.append([o.cell, o.trial, k, r, _fmt(upd), dist])
+            # row norms as math.sqrt(x.dot(x)), np.linalg.norm's arithmetic
+            # for a 1-D float64 row
+            upds = [_fmt(math.sqrt(x.dot(x))) for x in np.diff(traj, axis=0)]
+            if k in matched:
+                gaps = traj[1:] - o.result.true_centers[matched[k]]
+                dists = [_fmt(math.sqrt(x.dot(x))) for x in gaps]
+            else:
+                dists = [""] * len(upds)
+            for r, (upd, dist) in enumerate(zip(upds, dists), start=1):
+                opt_rows.append([o.cell, o.trial, k, r, upd, dist])
     _write_csv(
         out_dir / "optimization.csv",
         ["cell", "trial", "cluster", "round", "update_norm", "dist_to_truth"],

@@ -53,11 +53,15 @@ manifest.json files.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import byzfed
 from byzfed.cli import main
 from byzfed.components import threshold_components
 from byzfed.datagen import read_points_csv
@@ -65,6 +69,18 @@ from byzfed.pipeline import config_from_dict
 from byzfed.reporting import RESULT_FILES, load_manifest
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+def test_cli_process_does_not_import_scipy_optimize():
+    # cluster matching is numerics.min_cost_assignment; importing
+    # scipy.optimize would add about 11 MB to every command's peak RSS
+    src = str(Path(byzfed.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import byzfed, byzfed.cli, sys; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def _synth(tmp_path, *extra):
@@ -359,6 +375,9 @@ def test_bad_solver_parameters_exit_1(tmp_path, capsys, solver):
         ('{"fleet": {"alpha": false}}', []),
         ('{"attack": {"kind": "sign_flip", "scale": true}}', []),
         ('{"opt": {"aggregator": {"kind": "trimmed_mean", "beta": false}}}', []),
+        # only the constant attack reads a vector
+        ('{"attack": {"kind": "sign_flip", "vector": [1, 2]}}', []),
+        ('{"attack": {"kind": "sign_flip", "vector": "abc"}}', []),
     ],
 )
 def test_bad_config_counts_and_reals_exit_1(tmp_path, capsys, config, flags):

@@ -376,6 +376,10 @@ def test_attack_spec_validation():
         AttackSpec(kind="constant")
     with pytest.raises(ConfigError):
         AttackSpec(kind="sign_flip", scale=np.nan)
+    # only the constant attack reads a vector
+    for vector in ([1, 2], "abc"):
+        with pytest.raises(ConfigError, match="takes no vector"):
+            AttackSpec(kind="sign_flip", vector=vector)
 
 
 def test_robust_gd_validation(rng):

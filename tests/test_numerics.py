@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment  # the reference solver
 
-from byzfed.errors import ConfigError
+from byzfed.errors import ConfigError, NumericError
 from byzfed.numerics import (
     RngStream,
     derive_seed,
     least_squares,
+    min_cost_assignment,
     top_eigenpair,
 )
 
@@ -145,6 +147,81 @@ def test_rng_stream_distinct_ids_differ():
     a = RngStream(123, 0).generator().standard_normal(8)
     b = RngStream(123, 1).generator().standard_normal(8)
     assert not np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# min-cost assignment
+
+
+def _assert_same_assignment(cost):
+    rows, cols = min_cost_assignment(cost)
+    ref_rows, ref_cols = linear_sum_assignment(cost)
+    assert rows.tolist() == ref_rows.tolist()
+    assert cols.tolist() == ref_cols.tolist()
+
+
+# integer costs with many ties, then real costs
+_COST_FAMILIES = (
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=4),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=1, max_value=7),
+    st.sampled_from(_COST_FAMILIES),
+    st.data(),
+)
+def test_min_cost_assignment_equals_scipy(nr, nc, family, data):
+    # square, wide and tall shapes; one value family per matrix
+    values = data.draw(st.lists(family, min_size=nr * nc, max_size=nr * nc))
+    _assert_same_assignment(np.array(values, dtype=float).reshape(nr, nc))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_min_cost_assignment_equals_scipy_on_gaussian_costs(nr, nc, seed):
+    _assert_same_assignment(np.random.default_rng(seed).standard_normal((nr, nc)))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1)])
+def test_min_cost_assignment_single_row_or_column(rng, shape):
+    cost = rng.integers(0, 3, size=shape).astype(float)
+    _assert_same_assignment(cost)
+    rows, cols = min_cost_assignment(cost)
+    assert len(rows) == len(cols) == 1
+    assert cost[rows[0], cols[0]] == cost.min()
+
+
+def test_min_cost_assignment_constant_cost_is_the_identity():
+    rows, cols = min_cost_assignment(np.zeros((4, 4)))
+    assert rows.tolist() == cols.tolist() == [0, 1, 2, 3]
+
+
+def test_min_cost_assignment_takes_integer_costs():
+    confusion = np.array([[0, 5, 1], [4, 0, 0], [0, 1, 6]])
+    _assert_same_assignment(-confusion)
+    assert min_cost_assignment(-confusion)[1].tolist() == [1, 0, 2]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_min_cost_assignment_rejects_non_finite_costs(bad):
+    cost = np.ones((3, 2))
+    cost[1, 0] = bad
+    with pytest.raises(NumericError):
+        min_cost_assignment(cost)
+
+
+def test_min_cost_assignment_needs_a_matrix():
+    with pytest.raises(ConfigError):
+        min_cost_assignment(np.ones(3))
 
 
 # ---------------------------------------------------------------------------

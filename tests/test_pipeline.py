@@ -4,7 +4,7 @@ import pytest
 from byzfed.clustering import run_lloyd_variant, warm_start_init
 from byzfed.datagen import FleetConfig, generate_fleet
 from byzfed.distopt import AttackSpec, OptConfig, robust_gd
-from byzfed.errors import ConfigError, DataError
+from byzfed.errors import ConfigError, DataError, NumericError
 from byzfed.numerics import derive_seed
 from byzfed import distopt, pipeline
 from byzfed.pipeline import (
@@ -132,6 +132,14 @@ def test_match_centers_is_optimal_when_counts_differ():
     w_hats = np.array([[1.0], [2.1]])
     centers = np.array([[0.0], [1.1], [100.0]])
     assert _match_centers(w_hats, centers) == [(0, 0), (1, 1)]
+
+
+def test_match_centers_rejects_a_non_finite_estimate():
+    # a Stage-III run that ends at a non-finite iterate fails its cell
+    centers = np.array([[0.0], [1.1]])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericError):
+            _match_centers(np.array([[1.0], [bad]]), centers)
 
 
 def test_stage1_online_solver_runs(rng):
