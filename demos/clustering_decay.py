@@ -31,12 +31,8 @@ def main():
     ap.add_argument("--iters", type=int, default=15)
     args = ap.parse_args()
 
-    cfg = FleetConfig(
-        m=100, n=100, d=100, K=5,
-        alpha=args.alpha, sigma=args.sigma,
-        seed=derive_seed(args.seed, 0),
-    )
-    shards, truth = generate_fleet(cfg)
+    cfg = FleetConfig(m=100, n=100, d=100, K=5, alpha=args.alpha, sigma=args.sigma)
+    shards, truth = generate_fleet(cfg, seed=derive_seed(args.seed, 0))
     erms = stage1_erms(shards, SolverSpec(kind="gd", iters=1000))
     init = warm_start_init(erms, truth, 0.6, seed=derive_seed(args.seed, 1))
 

@@ -31,7 +31,7 @@ def main():
         fleet=FleetConfig(m=60, n=50, d=20, K=3, alpha=0.2, sigma=1.0),
         solver=SolverSpec(kind="erm"),
         cluster=ClusterSpec(method="trimmed_kmeans", C=2.0, sigma_hat=0.3),
-        opt=OptConfig(max_rounds=150, aggregator=AggregatorSpec.trimmed(0.25)),
+        opt=OptConfig(max_rounds=150, aggregator=AggregatorSpec("trimmed_mean", beta=0.25)),
         seed=args.seed,
     )
 
@@ -55,7 +55,7 @@ def main():
     ]
     optimizers = [
         ("SM", OptConfig(max_rounds=150)),
-        ("TM", OptConfig(max_rounds=150, aggregator=AggregatorSpec.trimmed(0.25))),
+        ("TM", OptConfig(max_rounds=150, aggregator=AggregatorSpec("trimmed_mean", beta=0.25))),
     ]
     _, summary = run_grid(cfg, clusterers, optimizers, n_trials=args.trials)
 

@@ -55,7 +55,7 @@ def main():
         fleet=IngestSpec(path=str(csv_path), gamma=gamma, shard_size=5, n_adv=args.n_adv),
         solver=SolverSpec(loss="location"),
         cluster=ClusterSpec(method="trimmed_kmeans", C=2.0, sigma_hat=0.4),
-        opt=OptConfig(max_rounds=100, aggregator=AggregatorSpec.trimmed(0.3)),
+        opt=OptConfig(max_rounds=100, aggregator=AggregatorSpec("trimmed_mean", beta=0.3)),
         seed=args.seed,
     )
     result = run_pipeline(cfg)

@@ -43,21 +43,23 @@ def main():
     rng = np.random.default_rng(args.seed)
     shards, theta = build_cluster(rng, m_honest=14, m_byz=6, n=50, d=20, sigma=0.5)
     loss = LossSpec("squared_error")
-    attack = AttackSpec(kind=args.attack, scale=2.0, seed=args.seed)
+    # only sign_flip and random_gauss read a scale
+    scale = 2.0 if args.attack in ("sign_flip", "random_gauss") else 1.0
+    attack = AttackSpec(args.attack, scale=scale)
 
     aggregators = [
-        ("sample mean", AggregatorSpec.sample_mean()),
-        ("trimmed mean", AggregatorSpec.trimmed(0.3)),
-        ("coord median", AggregatorSpec.median()),
-        ("geo median", AggregatorSpec.geomedian()),
-        ("filtering", AggregatorSpec.filtering()),
+        ("sample mean", AggregatorSpec("sample_mean")),
+        ("trimmed mean", AggregatorSpec("trimmed_mean", beta=0.3)),
+        ("coord median", AggregatorSpec("coord_median")),
+        ("geo median", AggregatorSpec("geo_median")),
+        ("filtering", AggregatorSpec("iter_filter")),
     ]
 
     print(f"14 honest + 6 Byzantine machines, attack={args.attack}")
     trajs = {}
     for name, agg in aggregators:
         cfg = OptConfig(max_rounds=args.rounds, aggregator=agg, stop_tol=0.0)
-        _, traj = robust_gd(shards, loss, cfg, attack)
+        _, traj = robust_gd(shards, loss, cfg, attack, seed=args.seed)
         trajs[name] = np.linalg.norm(traj - theta, axis=1)
 
     checkpoints = [0, 5, 10, 20, 40, args.rounds]

@@ -36,7 +36,7 @@ import logging
 import sys
 import tempfile
 import traceback
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from .datagen import percentile_gamma, read_points_csv
@@ -227,8 +227,6 @@ def _grid_specs(data: dict, base_cfg: PipelineConfig):
             trials = grid.get("trials", trials)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad grid section: {exc}") from exc
-        for _, opt in optimizers:
-            replace(base_cfg, opt=opt)
     else:
         opt = base_cfg.opt
         oname = "FA" if opt.local_steps > 1 else _AGGREGATORS[opt.aggregator.kind]
@@ -269,7 +267,6 @@ def _execute(data: dict, command: str, out_dir, threads, points=None) -> tuple[i
     run_id = compute_run_id({"config": config_dict, "grid": grid_dict})
     manifest = RunManifest(
         run_id=run_id,
-        seed=base_cfg.seed,
         config=config_dict,
         grid=grid_dict,
         command=command,

@@ -62,8 +62,6 @@ class FleetConfig:
     K: int
     alpha: float = 0.0
     sigma: float = 0.0
-    adversary_kind: str = "corrupt_coefficients"
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("m", "n", "d", "K"):
@@ -72,8 +70,6 @@ class FleetConfig:
         if self.alpha >= 0.5:
             raise ConfigError(f"alpha must be in [0, 0.5), got {self.alpha}")
         require_real("sigma", self.sigma)
-        if self.adversary_kind != "corrupt_coefficients":
-            raise ConfigError(f"unknown adversary_kind {self.adversary_kind!r}")
         if self.K > self.n_honest:
             raise ConfigError(
                 f"K={self.K} exceeds the honest machine count {self.n_honest}"
@@ -148,15 +144,15 @@ def _draw_distinct_centers(K: int, d: int, rng: np.random.Generator) -> np.ndarr
     raise DataError("failed to draw pairwise-distinct centers")
 
 
-def generate_fleet(cfg: FleetConfig) -> tuple[list[WorkerShard], GroundTruth]:
+def generate_fleet(cfg: FleetConfig, seed: int = 0) -> tuple[list[WorkerShard], GroundTruth]:
     """Build the synthetic mixture-of-regressions fleet.
 
-    Deterministic per cfg.seed; every machine draws from its own stream
+    Deterministic per seed; every machine draws from its own stream
     keyed by machine_id, so the result is independent of generation order.
     """
-    centers = _draw_distinct_centers(cfg.K, cfg.d, RngStream(cfg.seed, _STREAM_CENTERS).generator())
+    centers = _draw_distinct_centers(cfg.K, cfg.d, RngStream(seed, _STREAM_CENTERS).generator())
 
-    assign_rng = RngStream(cfg.seed, _STREAM_ASSIGN).generator()
+    assign_rng = RngStream(seed, _STREAM_ASSIGN).generator()
     ids = np.arange(cfg.m)
     assign_rng.shuffle(ids)
     honest_ids = np.sort(ids[: cfg.n_honest])
@@ -169,7 +165,7 @@ def generate_fleet(cfg: FleetConfig) -> tuple[list[WorkerShard], GroundTruth]:
 
     shards = []
     for i in range(cfg.m):
-        rng = RngStream(cfg.seed, _STREAM_MACHINE_BASE + i).generator()
+        rng = RngStream(seed, _STREAM_MACHINE_BASE + i).generator()
         if labels[i] == BYZANTINE:
             w = 3.0 * rng.integers(0, 2, size=cfg.d).astype(float)
             cluster = None

@@ -15,12 +15,12 @@ fed_avg_robust's local steps run on a quadratic local risk, so L of them
 are one affine map w -> P_i w + q_i per machine, built once per call; a
 round is then one batched matvec instead of L.
 
-A random_gauss report depends only on the attack seed and scale, the
-machine and the round, not on the optimizer. Both optimizers take a
-draws table keyed by those four values, for the machines of one fleet;
-a grid passes one table per clusterer and trial, so its optimizer cells
-share every Gaussian report instead of redrawing it. Without a table
-each call draws its own.
+A random_gauss report depends only on the call's seed argument, the
+attack scale, the machine and the round, not on the optimizer. Both
+optimizers take a draws table keyed by those four values, for the
+machines of one fleet; a grid passes one table per clusterer and trial,
+so its optimizer cells share every Gaussian report instead of redrawing
+it. Without a table each call draws its own.
 """
 
 from __future__ import annotations
@@ -57,13 +57,14 @@ class AttackSpec:
     data, not the messages. The remaining kinds replace the report
     outright: its negation scaled (sign_flip), a Gaussian vector
     (random_gauss), or a fixed vector (constant). vector is set for
-    constant and only for constant.
+    constant and only for constant; scale is read by sign_flip and
+    random_gauss and must stay 1.0 for the other kinds. The random_gauss
+    draws take their seed from the optimizer call.
     """
 
     kind: str = "own_corrupt_data"
     scale: float = 1.0
     vector: np.ndarray | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in _ATTACK_KINDS:
@@ -76,26 +77,9 @@ class AttackSpec:
             raise ConfigError(f"attack kind {self.kind!r} takes no vector; only 'constant' does")
         if isinstance(self.scale, bool) or not math.isfinite(self.scale):  # TypeError if not real
             raise ConfigError(f"attack scale must be a finite number, got {self.scale!r}")
-
-    @classmethod
-    def none(cls) -> "AttackSpec":
-        return cls(kind="none")
-
-    @classmethod
-    def own_corrupt_data(cls) -> "AttackSpec":
-        return cls(kind="own_corrupt_data")
-
-    @classmethod
-    def sign_flip(cls, scale: float = 1.0) -> "AttackSpec":
-        return cls(kind="sign_flip", scale=scale)
-
-    @classmethod
-    def random_gauss(cls, scale: float = 1.0, seed: int = 0) -> "AttackSpec":
-        return cls(kind="random_gauss", scale=scale, seed=seed)
-
-    @classmethod
-    def constant(cls, vector) -> "AttackSpec":
-        return cls(kind="constant", vector=np.asarray(vector, dtype=float))
+        if self.scale != 1.0 and self.kind not in ("sign_flip", "random_gauss"):
+            raise ConfigError(f"attack kind {self.kind!r} takes no scale; only 'sign_flip' "
+                              "and 'random_gauss' do")
 
 
 @dataclass(frozen=True)
@@ -110,9 +94,8 @@ class OptConfig:
 
     step_size: float | None = None
     max_rounds: int = 300
-    aggregator: AggregatorSpec = field(default_factory=AggregatorSpec.sample_mean)
+    aggregator: AggregatorSpec = field(default_factory=partial(AggregatorSpec, "sample_mean"))
     local_steps: int = 1
-    init: np.ndarray | None = None
     stop_tol: float = 1e-8
 
     def __post_init__(self):
@@ -120,8 +103,6 @@ class OptConfig:
         require_int("max_rounds", self.max_rounds, 1)
         require_int("local_steps", self.local_steps, 1)
         require_real("stop_tol", self.stop_tol)
-        if self.init is not None:
-            object.__setattr__(self, "init", np.asarray(self.init, dtype=float))
 
 
 def pooled_auto_step(stats: ShardStats, loss: LossSpec) -> float:
@@ -140,25 +121,25 @@ def pooled_auto_step(stats: ShardStats, loss: LossSpec) -> float:
     return 1.0 / lam if lam > 0 else 1.0
 
 
-def _gauss_report(attack, machine_id, round_idx, d):
+def _gauss_report(attack, seed, machine_id, round_idx, d):
     """The random_gauss report of one machine in one round, read-only."""
-    rng = RngStream(derive_seed(attack.seed, machine_id, round_idx), 0).generator()
+    rng = RngStream(derive_seed(seed, machine_id, round_idx), 0).generator()
     report = attack.scale * rng.standard_normal(d)
     report.flags.writeable = False
     return report
 
 
-def _attacked_report(row, shard, attack, round_idx, d, draws):
+def _attacked_report(row, shard, attack, seed, round_idx, d, draws):
     """Vector a Byzantine machine sends in place of its honest row, for the
     kinds that replace it. A random_gauss report is looked up in draws, and
     drawn into it on a miss."""
     if attack.kind == "sign_flip":
         return -attack.scale * row
     if attack.kind == "random_gauss":
-        key = (attack.seed, attack.scale, shard.machine_id, round_idx)
+        key = (seed, attack.scale, shard.machine_id, round_idx)
         report = draws.get(key)
         if report is None:
-            report = draws[key] = _gauss_report(attack, shard.machine_id, round_idx, d)
+            report = draws[key] = _gauss_report(attack, seed, shard.machine_id, round_idx, d)
         return report
     return attack.vector.copy()
 
@@ -192,15 +173,15 @@ def _local_steps_map(stats, loss, step, local_steps):
     return lambda w: A @ w + q
 
 
-def _descend(shards, loss, cfg, attack, local_steps, draws):
+def _descend(shards, loss, cfg, attack, local_steps, init, seed, draws):
     """Shared round loop; local_steps=None is robust_gd (aggregate
     gradients, then step), an int is fed_avg_robust (aggregate models)."""
-    attack = attack or AttackSpec.own_corrupt_data()
+    attack = attack or AttackSpec()
     draws = {} if draws is None else draws
     stats = shard_stats(shards, loss)
     d = stats.b.shape[1]
     step = cfg.step_size if cfg.step_size is not None else pooled_auto_step(stats, loss)
-    w = np.zeros(d) if cfg.init is None else cfg.init.copy()
+    w = np.zeros(d) if init is None else np.array(init, dtype=float)
     if w.shape != (d,):
         raise ConfigError(f"init has shape {w.shape}, expected ({d},)")
     if attack.kind == "constant" and attack.vector.shape != (d,):
@@ -220,7 +201,7 @@ def _descend(shards, loss, cfg, attack, local_steps, draws):
     for t in range(cfg.max_rounds):
         reports = reports_at(w)
         for i in byzantine:
-            reports[i] = _attacked_report(reports[i], shards[i], attack, t, d, draws)
+            reports[i] = _attacked_report(reports[i], shards[i], attack, seed, t, d, draws)
         agg = aggregate(reports, cfg.aggregator)
         w_next = w - step * agg if local_steps is None else agg
         traj[t + 1] = w_next
@@ -246,6 +227,8 @@ def robust_gd(
     cfg: OptConfig,
     attack: AttackSpec | None = None,
     *,
+    init: np.ndarray | None = None,
+    seed: int = 0,
     draws: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Robustly aggregated distributed gradient descent.
@@ -255,12 +238,14 @@ def robust_gd(
     Robust aggregators assume fewer than half the shards are Byzantine;
     this is the caller's contract, not enforced here.
 
-    draws is a random_gauss report table shared with other calls on the
-    same machines (see the module docstring); None draws privately.
+    init is the start (the origin if None) and seed seeds the
+    random_gauss reports. draws is a random_gauss report table shared
+    with other calls on the same machines (see the module docstring);
+    None draws privately.
     """
     if cfg.local_steps > 1:
         raise ConfigError(f"robust_gd takes local_steps=1, got {cfg.local_steps}; use fed_avg_robust")
-    return _descend(shards, loss, cfg, attack, None, draws)
+    return _descend(shards, loss, cfg, attack, None, init, seed, draws)
 
 
 def fed_avg_robust(
@@ -269,6 +254,8 @@ def fed_avg_robust(
     cfg: OptConfig,
     attack: AttackSpec | None = None,
     *,
+    init: np.ndarray | None = None,
+    seed: int = 0,
     draws: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Robust federated averaging.
@@ -281,7 +268,9 @@ def fed_avg_robust(
     recursion up to rounding. With local_steps=1 and an affine-equivariant
     aggregator this coincides with robust_gd round for round.
 
-    draws is a random_gauss report table shared with other calls on the
-    same machines (see the module docstring); None draws privately.
+    init is the start (the origin if None) and seed seeds the
+    random_gauss reports. draws is a random_gauss report table shared
+    with other calls on the same machines (see the module docstring);
+    None draws privately.
     """
-    return _descend(shards, loss, cfg, attack, cfg.local_steps, draws)
+    return _descend(shards, loss, cfg, attack, cfg.local_steps, init, seed, draws)

@@ -138,10 +138,10 @@ class PipelineConfig:
     """Complete description of one seeded run.
 
     seed, an integer >= 0, governs every random draw (fleet,
-    initialization, attacks). The pipeline derives a synthetic fleet's
-    seed, the attack seed and the Stage-III start (opt.init) from seed and
-    Stage II, so those fields must keep their defaults. Output locations
-    are a CLI concern and not part of the config's identity.
+    initialization, attacks). The pipeline derives the fleet's and the
+    attacks' seeds from it and passes them, with each cluster's Stage-III
+    start (its Stage-II center), as arguments; no spec holds them. Output
+    locations are a CLI concern and not part of the config's identity.
     """
 
     fleet: FleetConfig | IngestSpec
@@ -159,16 +159,6 @@ class PipelineConfig:
             shape, d = self.attack.vector.shape, self.fleet.d
             if shape != (d,):
                 raise ConfigError(f"constant attack vector has shape {shape}, expected ({d},)")
-        set_fields = [name for name, is_set in (
-            ("fleet.seed", isinstance(self.fleet, FleetConfig) and self.fleet.seed != 0),
-            ("attack.seed", self.attack.seed != 0),
-            ("opt.init", self.opt.init is not None),
-        ) if is_set]
-        if set_fields:
-            raise ConfigError(
-                f"cannot set {', '.join(set_fields)}: the pipeline derives a synthetic "
-                "fleet.seed, attack.seed and opt.init from seed and Stage II"
-            )
 
 
 @dataclass
@@ -317,12 +307,9 @@ def _stage3(cfg: PipelineConfig, shards, state: ClusteringState, loss: LossSpec,
             w_hats[k] = state.centers[k]
             trajectories.append(state.centers[k][None, :].copy())
             continue
-        opt = replace(cfg.opt, init=state.centers[k])
-        attack = replace(cfg.attack, seed=derive_seed(cfg.seed, 2, k))
-        if opt.local_steps > 1:
-            w, traj = fed_avg_robust(members, loss, opt, attack, draws=draws)
-        else:
-            w, traj = robust_gd(members, loss, opt, attack, draws=draws)
+        optimize = fed_avg_robust if cfg.opt.local_steps > 1 else robust_gd
+        w, traj = optimize(members, loss, cfg.opt, cfg.attack, init=state.centers[k],
+                           seed=derive_seed(cfg.seed, 2, k), draws=draws)
         w_hats[k] = w
         trajectories.append(traj)
     return w_hats, trajectories
@@ -434,7 +421,7 @@ def materialize_fleet(
     fleet_seed = derive_seed(cfg.seed, 0)
     layout = _resolve_layout(cfg.fleet, layout)
     if layout is None:
-        return generate_fleet(replace(cfg.fleet, seed=fleet_seed))
+        return generate_fleet(cfg.fleet, seed=fleet_seed)
     return shard_components(layout, n_adv=cfg.fleet.n_adv, seed=fleet_seed)
 
 
@@ -496,9 +483,8 @@ def run_grid(
     stage2 wall times are shared by the cells of a trial and clusterer.
     An ingest fleet's component layout is seed-free: it is built once,
     before any trial (or injected, see ingest_layout), and a failure to
-    build it raises, as does an optimizer that no cell's PipelineConfig
-    would accept. Other stage failures are recorded as error strings
-    and the grid continues. Returns (outcomes, per-cell summary rows);
+    build it raises. Stage failures are recorded as error strings and
+    the grid continues. Returns (outcomes, per-cell summary rows);
     outcomes are ordered cell-major then by trial, independent of
     thread count.
     """
@@ -506,8 +492,6 @@ def run_grid(
         raise ConfigError("clusterers and optimizers must be nonempty")
     require_int("n_trials", n_trials, 1)
     require_int("threads", threads, 1)
-    for _, opt in optimizers:  # a cell's config is checked before any trial runs
-        replace(base_cfg, opt=opt)
     trial_seeds = [derive_seed(base_cfg.seed, t) for t in range(n_trials)]
     layout = _resolve_layout(base_cfg.fleet, layout)
 

@@ -1,12 +1,12 @@
 """Run manifests and CSV emission.
 
 The manifest is written atomically before any result file and contains
-everything needed to replay the run: the config snapshot, the grid
-layout, the seed, and the expected output file names. Result CSVs use a
-fixed schema and deterministic float formatting, so a repeated run with
-the same seed produces byte-identical files at any `--threads`, with the
-same BLAS build and BLAS thread count; CI and the bench pin one BLAS
-thread.
+everything needed to replay the run: the config snapshot (master seed
+included), the grid layout, and the expected output file names. Result
+CSVs use a fixed schema and deterministic float formatting, so a
+repeated run with the same seed produces byte-identical files at any
+`--threads`, with the same BLAS build and BLAS thread count; CI and the
+bench pin one BLAS thread.
 
 Schemas (version 1):
   results.csv        run_id,cell,trial,metric,value
@@ -53,7 +53,6 @@ class RunManifest:
     """Replayable description of one invocation."""
 
     run_id: str
-    seed: int
     config: dict
     grid: dict
     command: str = ""

@@ -224,26 +224,6 @@ class AggregatorSpec:
         require_real("tol", self.tol)
         require_real("variance_bound", self.variance_bound, optional=True)
 
-    @classmethod
-    def sample_mean(cls) -> "AggregatorSpec":
-        return cls("sample_mean")
-
-    @classmethod
-    def trimmed(cls, beta: float) -> "AggregatorSpec":
-        return cls("trimmed_mean", beta=beta)
-
-    @classmethod
-    def median(cls) -> "AggregatorSpec":
-        return cls("coord_median")
-
-    @classmethod
-    def geomedian(cls, tol: float = 1e-7, max_iter: int = 500) -> "AggregatorSpec":
-        return cls("geo_median", tol=tol, max_iter=max_iter)
-
-    @classmethod
-    def filtering(cls, variance_bound: float | None = None, max_rounds: int = 20) -> "AggregatorSpec":
-        return cls("iter_filter", variance_bound=variance_bound, max_rounds=max_rounds)
-
 
 def aggregate(points, spec: AggregatorSpec) -> np.ndarray:
     """Apply the estimator selected by spec to a (t, d) point set.

@@ -40,10 +40,8 @@ def _verdict(capsys, n, ok):
 
 def test_acceptance_1_misclustering_decay(capsys):
     def trial(seed):
-        fleet = FleetConfig(
-            m=100, n=100, d=100, K=5, alpha=0.3, sigma=3.0, seed=derive_seed(seed, 0)
-        )
-        shards, truth = generate_fleet(fleet)
+        fleet = FleetConfig(m=100, n=100, d=100, K=5, alpha=0.3, sigma=3.0)
+        shards, truth = generate_fleet(fleet, seed=derive_seed(seed, 0))
         erms = stage1_erms(shards, SolverSpec(kind="gd", iters=1000))
         init = warm_start_init(erms, truth, 0.6, seed=derive_seed(seed, 1))
         _, rep_t = run_lloyd_variant(
@@ -85,9 +83,10 @@ def estimation_grid():
         ("KGM", ClusterSpec(method="kgeomedian", max_iter=15)),
     ]
     optimizers = [
-        ("SM", OptConfig(aggregator=AggregatorSpec.sample_mean(), max_rounds=300)),
-        ("TM", OptConfig(aggregator=AggregatorSpec.trimmed(0.3), max_rounds=300)),
-        ("FA", OptConfig(aggregator=AggregatorSpec.trimmed(0.3), local_steps=5, max_rounds=300)),
+        ("SM", OptConfig(aggregator=AggregatorSpec("sample_mean"), max_rounds=300)),
+        ("TM", OptConfig(aggregator=AggregatorSpec("trimmed_mean", beta=0.3), max_rounds=300)),
+        ("FA", OptConfig(aggregator=AggregatorSpec("trimmed_mean", beta=0.3), local_steps=5,
+                         max_rounds=300)),
     ]
     _, summary = run_grid(base, clusterers, optimizers, n_trials=20, threads=4)
     cells = {row["cell"]: row for row in summary}
@@ -282,7 +281,7 @@ def _fixture_grid():
     ]
     optimizers = [
         ("SM", OptConfig(max_rounds=100)),
-        ("TM", OptConfig(max_rounds=100, aggregator=AggregatorSpec.trimmed(0.45))),
+        ("TM", OptConfig(max_rounds=100, aggregator=AggregatorSpec("trimmed_mean", beta=0.45))),
     ]
     return base, clusterers, optimizers
 

@@ -46,9 +46,9 @@ must print nothing,
     done
 
 then copy only the three results.csv files and log the comparison in
-CHANGES.md. The run ids pinned in
-test_aggregator_beta_is_checked_for_every_kind are the manifest run_id
-of `synth --seed 1` on each of its configs; read them from the new
+CHANGES.md. The run ids pinned in _BETA_RUN_IDS are the manifest run_id
+of `synth --seed 1` on each config of
+test_aggregator_beta_is_checked_for_every_kind; read them from the new
 manifest.json files.
 """
 
@@ -281,6 +281,20 @@ def test_non_numeric_config_values_exit_1(tmp_path, rng, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_grid_aggregator_without_kind_exits_1(tmp_path, capsys):
+    # kind is AggregatorSpec's one required field; the CLI's default
+    # aggregator fills it only in the top-level opt section
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"grid": {
+        "clusterers": [{"name": "KM", "method": "lloyd"}],
+        "optimizers": [{"name": "TM", "aggregator": {"beta": 0.2}}],
+    }}))
+    out = tmp_path / "out"
+    assert main(["grid", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    assert "'kind'" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize(
     "aggregator",
     [
@@ -301,17 +315,19 @@ def test_bad_aggregator_parameters_exit_1(tmp_path, capsys, aggregator):
     assert not (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize(
-    "kind, run_id",
-    [
-        ("sample_mean", "d7b362734705"),
-        ("trimmed_mean", "5d07abcb2abf"),
-        ("coord_median", "c3abc5e852eb"),
-        ("geo_median", "a65159a2d155"),
-        ("iter_filter", "0719500653ef"),
-    ],
-)
-def test_aggregator_beta_is_checked_for_every_kind(tmp_path, capsys, kind, run_id):
+# the manifest run id of each kind's valid config; keyed by kind, so a
+# regenerated run id renames no test
+_BETA_RUN_IDS = {
+    "sample_mean": "b0efc5f75c2d",
+    "trimmed_mean": "ca88405b25d7",
+    "coord_median": "d6c58bf8b12c",
+    "geo_median": "4fe1657cd295",
+    "iter_filter": "48a5d44caea3",
+}
+
+
+@pytest.mark.parametrize("kind", list(_BETA_RUN_IDS))
+def test_aggregator_beta_is_checked_for_every_kind(tmp_path, capsys, kind):
     # manifest.json records beta whatever the kind, so an unused bool beta
     # would give the same run a run id of its own
     cfg = tmp_path / "agg.json"
@@ -324,7 +340,7 @@ def test_aggregator_beta_is_checked_for_every_kind(tmp_path, capsys, kind, run_i
     cfg.write_text(json.dumps({"opt": {"max_rounds": 1, "aggregator": {"kind": kind, "beta": 0.3}}}))
     code, out = _synth(tmp_path / "ok", "--seed", "1", "--config", str(cfg))
     assert code == 0
-    assert load_manifest(out).run_id == run_id
+    assert load_manifest(out).run_id == _BETA_RUN_IDS[kind]
 
 
 @pytest.mark.parametrize(
@@ -378,6 +394,8 @@ def test_bad_solver_parameters_exit_1(tmp_path, capsys, solver):
         # only the constant attack reads a vector
         ('{"attack": {"kind": "sign_flip", "vector": [1, 2]}}', []),
         ('{"attack": {"kind": "sign_flip", "vector": "abc"}}', []),
+        # only sign_flip and random_gauss read a scale
+        ('{"attack": {"kind": "own_corrupt_data", "scale": 5.0}}', []),
     ],
 )
 def test_bad_config_counts_and_reals_exit_1(tmp_path, capsys, config, flags):
@@ -415,14 +433,29 @@ def test_constant_attack_vector_must_match_the_fleet_dimension(tmp_path, capsys,
     ],
 )
 def test_fields_the_pipeline_derives_exit_1(tmp_path, capsys, config, field):
-    # the pipeline would overwrite each of them, so a set value could only
-    # change the run id
+    # seeds and the Stage-III start are arguments the pipeline derives from
+    # seed and Stage II; no config class has a field for them
     cfg = tmp_path / "derived.json"
     cfg.write_text(json.dumps(config))
     code, out = _synth(tmp_path, "--config", str(cfg))
     assert code == 1
-    assert field in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad" in err and f"'{field.rpartition('.')[2]}'" in err
     assert not (out / "manifest.json").exists()
+
+
+def test_unread_attack_scale_of_1_keeps_the_run_id(tmp_path):
+    # own_corrupt_data never reads scale, and any other value exits 1 (see
+    # test_bad_config_counts_and_reals_exit_1), so every accepted config of
+    # that kind records 1.0 and one run has one run id
+    cfg = tmp_path / "attack.json"
+    run_ids = []
+    for attack in ({"kind": "own_corrupt_data", "scale": 1.0}, {"kind": "own_corrupt_data"}):
+        cfg.write_text(json.dumps({"opt": {"max_rounds": 1}, "attack": attack}))
+        code, out = _synth(tmp_path / f"run{len(run_ids)}", "--config", str(cfg))
+        assert code == 0
+        run_ids.append(load_manifest(out).run_id)
+    assert run_ids[0] == run_ids[1]
 
 
 @pytest.mark.parametrize(
@@ -447,6 +480,35 @@ def test_replay_rejects_non_integer_trials_and_threads(tmp_path, capsys, manifes
     re_dir = tmp_path / "re"
     assert main(["replay", "--manifest", str(out), "--out-dir", str(re_dir), *flags]) == 1
     assert "error:" in capsys.readouterr().err
+    assert not re_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "where, field, value",
+    [
+        ((), "seed", 1),
+        (("config", "fleet"), "seed", 7),
+        (("config", "fleet"), "adversary_kind", "corrupt_coefficients"),
+        (("config", "attack"), "seed", 0),
+        (("config", "opt"), "init", None),
+    ],
+    ids=["seed", "fleet.seed", "fleet.adversary_kind", "attack.seed", "opt.init"],
+)
+def test_replay_refuses_a_manifest_with_a_removed_field(tmp_path, capsys, where, field, value):
+    # manifests written before seeds and starts became arguments carry
+    # these fields; no config class or manifest field takes them now
+    _, out = _synth(tmp_path, "--seed", "1")
+    manifest = json.loads((out / "manifest.json").read_text())
+    section = manifest
+    for key in where:
+        section = section[key]
+    section[field] = value
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    re_dir = tmp_path / "re"
+    assert main(["replay", "--manifest", str(out), "--out-dir", str(re_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "bad" in err and f"'{field}'" in err
     assert not re_dir.exists()
 
 

@@ -40,8 +40,6 @@ def test_fleet_config_validation():
     with pytest.raises(ConfigError):
         # 4 honest machines cannot host K=5 clusters
         FleetConfig(m=5, n=5, d=4, K=5, alpha=0.1)
-    with pytest.raises(ConfigError):
-        FleetConfig(m=10, n=5, d=2, K=2, adversary_kind="mystery")
 
 
 def test_ground_truth_rejects_duplicate_centers():
@@ -60,8 +58,8 @@ def test_ground_truth_helpers():
 
 
 def test_generate_fleet_shapes_and_counts():
-    cfg = FleetConfig(m=20, n=8, d=6, K=3, alpha=0.2, sigma=1.0, seed=5)
-    shards, truth = generate_fleet(cfg)
+    cfg = FleetConfig(m=20, n=8, d=6, K=3, alpha=0.2, sigma=1.0)
+    shards, truth = generate_fleet(cfg, seed=5)
     assert len(shards) == 20
     assert truth.labels.shape == (20,)
     assert truth.centers.shape == (3, 6)
@@ -78,32 +76,30 @@ def test_generate_fleet_shapes_and_counts():
 
 def test_generate_fleet_round_robin_balance():
     # honest machines are dealt round-robin, so cluster sizes differ by <= 1
-    cfg = FleetConfig(m=50, n=4, d=8, K=4, alpha=0.1, seed=3)
-    _, truth = generate_fleet(cfg)
+    cfg = FleetConfig(m=50, n=4, d=8, K=4, alpha=0.1)
+    _, truth = generate_fleet(cfg, seed=3)
     sizes = np.bincount(truth.labels[truth.labels != BYZANTINE], minlength=4)
     assert sizes.sum() == cfg.n_honest
     assert sizes.max() - sizes.min() <= 1
 
 
 def test_generate_fleet_centers_are_binary_and_distinct():
-    cfg = FleetConfig(m=12, n=4, d=10, K=4, seed=11)
-    _, truth = generate_fleet(cfg)
+    _, truth = generate_fleet(FleetConfig(m=12, n=4, d=10, K=4), seed=11)
     assert set(np.unique(truth.centers)) <= {0.0, 1.0}
     assert len({tuple(c) for c in truth.centers}) == 4
 
 
 def test_generate_fleet_noiseless_targets_exact():
-    cfg = FleetConfig(m=6, n=5, d=3, K=2, sigma=0.0, seed=2)
-    shards, truth = generate_fleet(cfg)
+    shards, truth = generate_fleet(FleetConfig(m=6, n=5, d=3, K=2, sigma=0.0), seed=2)
     for s in shards:
         if not s.is_byzantine:
             np.testing.assert_allclose(s.y, s.X @ truth.centers[s.true_cluster], atol=1e-12)
 
 
 def test_generate_fleet_deterministic():
-    cfg = FleetConfig(m=10, n=6, d=4, K=2, alpha=0.2, sigma=0.5, seed=9)
-    a_shards, a_truth = generate_fleet(cfg)
-    b_shards, b_truth = generate_fleet(cfg)
+    cfg = FleetConfig(m=10, n=6, d=4, K=2, alpha=0.2, sigma=0.5)
+    a_shards, a_truth = generate_fleet(cfg, seed=9)
+    b_shards, b_truth = generate_fleet(cfg, seed=9)
     np.testing.assert_array_equal(a_truth.labels, b_truth.labels)
     np.testing.assert_array_equal(a_truth.centers, b_truth.centers)
     for sa, sb in zip(a_shards, b_shards):
@@ -112,16 +108,15 @@ def test_generate_fleet_deterministic():
 
 
 def test_generate_fleet_seed_changes_data():
-    cfg_a = FleetConfig(m=10, n=6, d=4, K=2, seed=1)
-    cfg_b = FleetConfig(m=10, n=6, d=4, K=2, seed=2)
-    a, _ = generate_fleet(cfg_a)
-    b, _ = generate_fleet(cfg_b)
+    cfg = FleetConfig(m=10, n=6, d=4, K=2)
+    a, _ = generate_fleet(cfg, seed=1)
+    b, _ = generate_fleet(cfg, seed=2)
     assert not np.array_equal(a[0].X, b[0].X)
 
 
 def test_generate_fleet_too_many_centers_for_dimension():
     with pytest.raises(ConfigError):
-        generate_fleet(FleetConfig(m=40, n=4, d=2, K=5, seed=0))
+        generate_fleet(FleetConfig(m=40, n=4, d=2, K=5))
 
 
 # ---------------------------------------------------------------------------

@@ -62,11 +62,11 @@ def test_single_machine_reaches_its_erm(rng):
 @pytest.mark.parametrize(
     "agg",
     [
-        AggregatorSpec.sample_mean(),
-        AggregatorSpec.trimmed(0.2),
-        AggregatorSpec.median(),
-        AggregatorSpec.geomedian(),
-        AggregatorSpec.filtering(),
+        AggregatorSpec("sample_mean"),
+        AggregatorSpec("trimmed_mean", beta=0.2),
+        AggregatorSpec("coord_median"),
+        AggregatorSpec("geo_median"),
+        AggregatorSpec("iter_filter"),
     ],
 )
 def test_noiseless_cluster_recovers_truth_under_any_aggregator(rng, agg):
@@ -111,11 +111,12 @@ def test_trimmed_mean_beats_plain_mean_under_corruption():
     wins = 0
     for seed in range(20):
         shards, truth = generate_fleet(
-            FleetConfig(m=20, n=30, d=5, K=1, alpha=0.3, sigma=0.5, seed=seed)
+            FleetConfig(m=20, n=30, d=5, K=1, alpha=0.3, sigma=0.5), seed=seed
         )
         theta = truth.centers[0]
         errs = {}
-        for name, agg in [("sm", AggregatorSpec.sample_mean()), ("tm", AggregatorSpec.trimmed(0.3))]:
+        for name, agg in [("sm", AggregatorSpec("sample_mean")),
+                          ("tm", AggregatorSpec("trimmed_mean", beta=0.3))]:
             w, _ = robust_gd(shards, SQ, OptConfig(max_rounds=150, aggregator=agg))
             errs[name] = np.linalg.norm(w - theta)
         wins += errs["tm"] < errs["sm"]
@@ -126,7 +127,7 @@ def test_filtering_aggregator_is_also_robust(rng):
     shards, theta = _honest_cluster(rng, m=14, n=30, d=5, sigma=0.3)
     shards = _with_byzantine(rng, shards, n_byz=4)
     w_f, _ = robust_gd(
-        shards, SQ, OptConfig(max_rounds=150, aggregator=AggregatorSpec.filtering())
+        shards, SQ, OptConfig(max_rounds=150, aggregator=AggregatorSpec("iter_filter"))
     )
     w_m, _ = robust_gd(shards, SQ, OptConfig(max_rounds=150))
     assert np.linalg.norm(w_f - theta) < 0.5 * np.linalg.norm(w_m - theta)
@@ -139,7 +140,7 @@ def test_filtering_aggregator_is_also_robust(rng):
 def test_fed_avg_one_local_step_matches_robust_gd(rng):
     shards, _ = _honest_cluster(rng, m=8, n=20, d=4, sigma=0.6)
     shards = _with_byzantine(rng, shards, n_byz=2)
-    for agg in [AggregatorSpec.sample_mean(), AggregatorSpec.trimmed(0.2)]:
+    for agg in [AggregatorSpec("sample_mean"), AggregatorSpec("trimmed_mean", beta=0.2)]:
         cfg = OptConfig(max_rounds=30, aggregator=agg, stop_tol=0.0)
         cfg_e1 = OptConfig(max_rounds=30, aggregator=agg, local_steps=1, stop_tol=0.0)
         _, t_gd = robust_gd(shards, SQ, cfg)
@@ -153,7 +154,7 @@ def test_fed_avg_local_steps_match_per_machine_recursion(rng):
     step = _auto_step(shards)
     _, traj = fed_avg_robust(
         shards, SQ, OptConfig(max_rounds=10, local_steps=3, stop_tol=0.0),
-        attack=AttackSpec.sign_flip(scale=2.0),
+        attack=AttackSpec("sign_flip", scale=2.0),
     )
     w = np.zeros(3)
     for t in range(10):
@@ -189,15 +190,11 @@ def test_fed_avg_affine_map_matches_per_machine_recursion(L, loss_kind, attack_k
     shards, _ = _honest_cluster(gen, m=4, n=9, d=3, sigma=0.5)
     shards = _with_byzantine(gen, shards, n_byz=1, offset=3.0)
     step = f * pooled_auto_step(shard_stats(shards, loss), loss)
-    attack = (
-        AttackSpec.sign_flip(scale=2.0)
-        if attack_kind == "sign_flip"
-        else AttackSpec.random_gauss(scale=2.0, seed=seed)
-    )
+    attack = AttackSpec(attack_kind, scale=2.0)
     rounds = 6
     cfg = OptConfig(step_size=step, max_rounds=rounds, local_steps=L, stop_tol=0.0)
     with np.errstate(all="raise"):
-        _, traj = fed_avg_robust(shards, loss, cfg, attack)
+        _, traj = fed_avg_robust(shards, loss, cfg, attack, seed=seed)
     w = np.zeros(3)
     for t in range(rounds):
         models = []
@@ -231,9 +228,8 @@ def test_fed_avg_leaves_caller_stats_alone(rng):
 
 def test_fed_avg_multiple_local_steps_still_converges_clean(rng):
     shards, theta = _honest_cluster(rng, m=5, n=40, d=3, sigma=0.0)
-    w, _ = fed_avg_robust(
-        shards, SQ, OptConfig(max_rounds=200, local_steps=5, aggregator=AggregatorSpec.trimmed(0.2))
-    )
+    cfg = OptConfig(max_rounds=200, local_steps=5, aggregator=AggregatorSpec("trimmed_mean", beta=0.2))
+    w, _ = fed_avg_robust(shards, SQ, cfg)
     assert np.linalg.norm(w - theta) < 1e-6
 
 
@@ -251,7 +247,7 @@ def test_sign_flip_report_enters_the_mean(rng):
     shards = _one_byz_setup(rng)
     step = _auto_step(shards)
     w, _ = robust_gd(
-        shards, SQ, OptConfig(max_rounds=1), attack=AttackSpec.sign_flip(scale=3.0)
+        shards, SQ, OptConfig(max_rounds=1), attack=AttackSpec("sign_flip", scale=3.0)
     )
     z = np.zeros(3)
     grads = [_raw_gradient(s, z) for s in shards]
@@ -263,7 +259,7 @@ def test_constant_attack_sends_fixed_vector(rng):
     shards = _one_byz_setup(rng)
     step = _auto_step(shards)
     v = np.array([5.0, -5.0, 5.0])
-    w, _ = robust_gd(shards, SQ, OptConfig(max_rounds=1), attack=AttackSpec.constant(v))
+    w, _ = robust_gd(shards, SQ, OptConfig(max_rounds=1), attack=AttackSpec("constant", vector=v))
     z = np.zeros(3)
     grads = [_raw_gradient(s, z) for s in shards]
     expected = -step * np.mean([grads[0], grads[1], v], axis=0)
@@ -276,25 +272,23 @@ def test_constant_attack_vector_must_have_the_model_dimension(rng, descend, vect
     # a length-1 vector would broadcast over every coordinate
     shards = _one_byz_setup(rng)
     with pytest.raises(ConfigError, match="constant attack vector"):
-        descend(shards, SQ, OptConfig(max_rounds=1), attack=AttackSpec.constant(vector))
+        descend(shards, SQ, OptConfig(max_rounds=1), attack=AttackSpec("constant", vector=vector))
 
 
 def test_none_attack_means_honest_protocol(rng):
     shards = _one_byz_setup(rng)
-    w_none, _ = robust_gd(shards, SQ, OptConfig(max_rounds=20), attack=AttackSpec.none())
-    w_own, _ = robust_gd(shards, SQ, OptConfig(max_rounds=20), attack=AttackSpec.own_corrupt_data())
+    w_none, _ = robust_gd(shards, SQ, OptConfig(max_rounds=20), attack=AttackSpec("none"))
+    w_own, _ = robust_gd(shards, SQ, OptConfig(max_rounds=20), attack=AttackSpec("own_corrupt_data"))
     np.testing.assert_array_equal(w_none, w_own)
 
 
 def test_random_gauss_attack_is_reproducible(rng):
     shards = _one_byz_setup(rng)
-    atk = AttackSpec.random_gauss(scale=2.0, seed=13)
-    w1, t1 = robust_gd(shards, SQ, OptConfig(max_rounds=15), attack=atk)
-    w2, t2 = robust_gd(shards, SQ, OptConfig(max_rounds=15), attack=atk)
+    atk = AttackSpec("random_gauss", scale=2.0)
+    w1, t1 = robust_gd(shards, SQ, OptConfig(max_rounds=15), attack=atk, seed=13)
+    w2, t2 = robust_gd(shards, SQ, OptConfig(max_rounds=15), attack=atk, seed=13)
     np.testing.assert_array_equal(t1, t2)
-    w3, _ = robust_gd(
-        shards, SQ, OptConfig(max_rounds=15), attack=AttackSpec.random_gauss(scale=2.0, seed=14)
-    )
+    w3, _ = robust_gd(shards, SQ, OptConfig(max_rounds=15), attack=atk, seed=14)
     assert not np.array_equal(w1, w3)
 
 
@@ -303,16 +297,17 @@ def test_shared_draws_table_matches_private_draws(rng):
     # it would draw itself; its rows are read-only
     shards, _ = _honest_cluster(rng, m=6, n=20, d=4, sigma=0.3)
     shards = _with_byzantine(rng, shards, n_byz=2)
-    atk = AttackSpec.random_gauss(scale=5.0, seed=21)
+    atk = AttackSpec("random_gauss", scale=5.0)
     runs = [
-        (robust_gd, OptConfig(max_rounds=12, aggregator=AggregatorSpec.median())),
-        (robust_gd, OptConfig(max_rounds=12, aggregator=AggregatorSpec.geomedian())),
-        (fed_avg_robust, OptConfig(max_rounds=12, local_steps=2, aggregator=AggregatorSpec.filtering())),
+        (robust_gd, OptConfig(max_rounds=12, aggregator=AggregatorSpec("coord_median"))),
+        (robust_gd, OptConfig(max_rounds=12, aggregator=AggregatorSpec("geo_median"))),
+        (fed_avg_robust,
+         OptConfig(max_rounds=12, local_steps=2, aggregator=AggregatorSpec("iter_filter"))),
     ]
     draws = {}
     for optimizer, cfg in runs:
-        _, private = optimizer(shards, SQ, cfg, atk)
-        _, shared = optimizer(shards, SQ, cfg, atk, draws=draws)
+        _, private = optimizer(shards, SQ, cfg, atk, seed=21)
+        _, shared = optimizer(shards, SQ, cfg, atk, seed=21, draws=draws)
         assert np.array_equal(shared, private)
     assert set(draws) == {(21, 5.0, i, t) for i in (6, 7) for t in range(12)}
     assert all(not report.flags.writeable and report.shape == (4,) for report in draws.values())
@@ -321,7 +316,7 @@ def test_shared_draws_table_matches_private_draws(rng):
 def test_attacks_do_not_touch_honest_reports(rng):
     shards, theta = _honest_cluster(rng, m=5, n=30, d=3, sigma=0.0)
     w, _ = robust_gd(
-        shards, SQ, OptConfig(max_rounds=300), attack=AttackSpec.sign_flip(scale=10.0)
+        shards, SQ, OptConfig(max_rounds=300), attack=AttackSpec("sign_flip", scale=10.0)
     )
     assert np.linalg.norm(w - theta) < 1e-6
 
@@ -380,6 +375,13 @@ def test_attack_spec_validation():
     for vector in ([1, 2], "abc"):
         with pytest.raises(ConfigError, match="takes no vector"):
             AttackSpec(kind="sign_flip", vector=vector)
+    # only sign_flip and random_gauss read a scale; the rest keep 1.0
+    for kind, extra in (("none", {}), ("own_corrupt_data", {}), ("constant", {"vector": [1.0]})):
+        with pytest.raises(ConfigError, match="takes no scale"):
+            AttackSpec(kind, scale=5.0, **extra)
+        assert AttackSpec(kind, scale=1.0, **extra).scale == 1.0
+    for kind in ("sign_flip", "random_gauss"):
+        assert AttackSpec(kind, scale=5.0).scale == 5.0
 
 
 def test_robust_gd_validation(rng):
@@ -390,7 +392,7 @@ def test_robust_gd_validation(rng):
     with pytest.raises(ConfigError):
         robust_gd([a, b], SQ, OptConfig())
     with pytest.raises(ConfigError):
-        robust_gd([a], SQ, OptConfig(init=np.zeros(3)))
+        robust_gd([a], SQ, OptConfig(), init=np.zeros(3))
     # several local steps per round are federated averaging, not robust_gd
     with pytest.raises(ConfigError, match="fed_avg_robust"):
         robust_gd([a], SQ, OptConfig(local_steps=2))

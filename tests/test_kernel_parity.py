@@ -231,7 +231,7 @@ def test_geometric_median_equals_reference(t, d, copies, seed, layout, tol, max_
     P = _layout(P, layout)
     got = geometric_median(P, tol=tol, max_iter=max_iter)
     assert np.array_equal(got, _ref_geometric_median(P, tol=tol, max_iter=max_iter))
-    spec = AggregatorSpec.geomedian(tol=tol, max_iter=max_iter)
+    spec = AggregatorSpec("geo_median", tol=tol, max_iter=max_iter)
     assert np.array_equal(aggregate(P, spec), got)
 
 
@@ -294,7 +294,7 @@ def test_iter_filter_equals_reference(t, d, outliers, copies, seed, variance_bou
     got = iter_filter_mean(P, variance_bound=variance_bound, max_rounds=max_rounds)
     want = _ref_iter_filter_mean(P, variance_bound=variance_bound, max_rounds=max_rounds)
     assert np.array_equal(got, want)
-    spec = AggregatorSpec.filtering(variance_bound=variance_bound, max_rounds=max_rounds)
+    spec = AggregatorSpec("iter_filter", variance_bound=variance_bound, max_rounds=max_rounds)
     assert np.array_equal(aggregate(P, spec), got)
 
 

@@ -42,7 +42,7 @@ def _adversarial_config(seed=3):
     return PipelineConfig(
         fleet=FleetConfig(m=20, n=40, d=8, K=2, alpha=0.2, sigma=0.5),
         cluster=ClusterSpec(method="trimmed_kmeans", C=2.0, sigma_hat=0.55, warm_fraction=0.6),
-        opt=OptConfig(max_rounds=100, aggregator=AggregatorSpec.trimmed(0.25)),
+        opt=OptConfig(max_rounds=100, aggregator=AggregatorSpec("trimmed_mean", beta=0.25)),
         seed=seed,
     )
 
@@ -67,7 +67,7 @@ def test_pipeline_composes_documented_stages():
     cfg = _adversarial_config(seed=77)
     got = run_pipeline(cfg)
 
-    fleet, truth = generate_fleet(replace(cfg.fleet, seed=derive_seed(cfg.seed, 0)))
+    fleet, truth = generate_fleet(cfg.fleet, seed=derive_seed(cfg.seed, 0))
     erms = stage1_erms(fleet, cfg.solver)
     init = warm_start_init(erms, truth, cfg.cluster.warm_fraction,
                            seed=derive_seed(cfg.seed, 1))
@@ -75,9 +75,8 @@ def test_pipeline_composes_documented_stages():
     w_hats = np.empty_like(state.centers)
     for k in range(state.K):
         members = [fleet[i] for i in np.flatnonzero(state.labels == k)]
-        opt = replace(cfg.opt, init=state.centers[k])
-        attack = replace(cfg.attack, seed=derive_seed(cfg.seed, 2, k))
-        w_hats[k], _ = robust_gd(members, cfg.solver.loss_spec, opt, attack)
+        w_hats[k], _ = robust_gd(members, cfg.solver.loss_spec, cfg.opt, cfg.attack,
+                                 init=state.centers[k], seed=derive_seed(cfg.seed, 2, k))
 
     np.testing.assert_array_equal(got.per_cluster_w_hat, w_hats)
     np.testing.assert_array_equal(got.cluster_state.labels, state.labels)
@@ -100,7 +99,7 @@ def test_ingest_pipeline_end_to_end(tmp_path, rng):
         fleet=IngestSpec(path=str(f), gamma=10.0, shard_size=5, n_adv=2, min_cluster=5),
         solver=SolverSpec(loss="location"),
         cluster=ClusterSpec(method="edge_cut", gamma=10.0, min_cluster=2),
-        opt=OptConfig(max_rounds=50, aggregator=AggregatorSpec.trimmed(0.25)),
+        opt=OptConfig(max_rounds=50, aggregator=AggregatorSpec("trimmed_mean", beta=0.25)),
         seed=4,
     )
     result = run_pipeline(cfg)
@@ -114,7 +113,7 @@ def test_ingest_pipeline_end_to_end(tmp_path, rng):
 
 
 def test_stage1_batched_gd_matches_per_machine(rng):
-    fleet, _ = generate_fleet(FleetConfig(m=6, n=20, d=5, K=2, sigma=0.4, seed=1))
+    fleet, _ = generate_fleet(FleetConfig(m=6, n=20, d=5, K=2, sigma=0.4), seed=1)
     solver = SolverSpec(kind="gd", iters=80)
     batched = stage1_erms(fleet, solver)
     for i, s in enumerate(fleet):
@@ -143,7 +142,7 @@ def test_match_centers_rejects_a_non_finite_estimate():
 
 
 def test_stage1_online_solver_runs(rng):
-    fleet, _ = generate_fleet(FleetConfig(m=4, n=25, d=3, K=2, sigma=0.2, seed=2))
+    fleet, _ = generate_fleet(FleetConfig(m=4, n=25, d=3, K=2, sigma=0.2), seed=2)
     out = stage1_erms(fleet, SolverSpec(kind="ogd", lam=0.5))
     assert out.shape == (4, 3)
     assert np.all(np.isfinite(out))
@@ -165,7 +164,7 @@ def _grid_inputs():
     ]
     optimizers = [
         ("SM", OptConfig(max_rounds=40)),
-        ("TM", OptConfig(max_rounds=40, aggregator=AggregatorSpec.trimmed(0.25))),
+        ("TM", OptConfig(max_rounds=40, aggregator=AggregatorSpec("trimmed_mean", beta=0.25))),
     ]
     return base, clusterers, optimizers
 
@@ -282,7 +281,8 @@ def _assert_same_result(a, b):
 
 
 def _with_fedavg(optimizers):
-    fa = ("FA", OptConfig(max_rounds=40, local_steps=3, aggregator=AggregatorSpec.trimmed(0.25)))
+    tm = AggregatorSpec("trimmed_mean", beta=0.25)
+    fa = ("FA", OptConfig(max_rounds=40, local_steps=3, aggregator=tm))
     return optimizers + [fa]
 
 
@@ -292,13 +292,13 @@ def _gauss_grid_inputs():
     machine, round)."""
     base = PipelineConfig(
         fleet=FleetConfig(m=30, n=20, d=6, K=2, alpha=0.2, sigma=1.0),
-        attack=AttackSpec.random_gauss(scale=10.0),
+        attack=AttackSpec("random_gauss", scale=10.0),
     )
     clusterers = [("TKM", ClusterSpec(method="trimmed_kmeans", C=2.0, sigma_hat=0.3))]
     optimizers = [
-        ("CM", OptConfig(max_rounds=25, aggregator=AggregatorSpec.median())),
-        ("GM", OptConfig(max_rounds=25, aggregator=AggregatorSpec.geomedian())),
-        ("IF", OptConfig(max_rounds=25, aggregator=AggregatorSpec.filtering())),
+        ("CM", OptConfig(max_rounds=25, aggregator=AggregatorSpec("coord_median"))),
+        ("GM", OptConfig(max_rounds=25, aggregator=AggregatorSpec("geo_median"))),
+        ("IF", OptConfig(max_rounds=25, aggregator=AggregatorSpec("iter_filter"))),
     ]
     return base, clusterers, optimizers
 
@@ -356,9 +356,9 @@ def test_grid_draws_each_gaussian_report_once(monkeypatch):
     drawn = []
     draw = distopt._gauss_report
 
-    def counted(attack, machine_id, round_idx, d):
-        drawn.append((attack.seed, machine_id, round_idx))
-        return draw(attack, machine_id, round_idx, d)
+    def counted(attack, seed, machine_id, round_idx, d):
+        drawn.append((seed, machine_id, round_idx))
+        return draw(attack, seed, machine_id, round_idx, d)
 
     monkeypatch.setattr(distopt, "_gauss_report", counted)
     outcomes, _ = run_grid(replace(base, seed=9), clusterers, optimizers, n_trials=2)
@@ -434,8 +434,6 @@ def test_grid_validation():
         run_grid(base, clusterers, optimizers, n_trials=0)
     with pytest.raises(ConfigError):
         run_grid(base, clusterers, optimizers, n_trials=1, threads=0)
-    with pytest.raises(ConfigError, match="opt.init"):
-        run_grid(base, clusterers, [("SM", OptConfig(init=np.zeros(3)))], n_trials=1)
 
 
 @pytest.mark.parametrize(
@@ -444,15 +442,20 @@ def test_grid_validation():
         ({"seed": 2.5}, "seed"),
         ({"seed": True}, "seed"),
         ({"seed": -1}, "seed"),
-        # the pipeline derives these from seed and Stage II
-        ({"fleet": FleetConfig(m=10, n=5, d=3, K=2, seed=4)}, "fleet.seed"),
-        ({"attack": AttackSpec(seed=99)}, "attack.seed"),
-        ({"opt": OptConfig(init=np.zeros(6))}, "opt.init"),
+        # seeds and the Stage-III start are arguments the pipeline derives
+        # from seed and Stage II, not config fields
+        ({"fleet": {"seed": 4}}, "fleet.seed"),
+        ({"attack": {"seed": 99}}, "attack.seed"),
+        ({"opt": {"init": [0.0] * 6}}, "opt.init"),
     ],
 )
 def test_pipeline_config_rejects_bad_seed_and_derived_fields(change, field):
-    with pytest.raises(ConfigError, match=field):
-        replace(_clean_config(), **change)
+    data = config_to_dict(_clean_config())
+    for section, value in change.items():
+        data[section] = {**data[section], **value} if isinstance(value, dict) else value
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(data)
+    assert field.rpartition(".")[2] in str(exc.value)
 
 
 @pytest.mark.parametrize("label_column", [1.5, True, -1])
@@ -473,9 +476,9 @@ def _fancy_config(tmp_path):
         opt=OptConfig(
             step_size=0.1,
             max_rounds=17,
-            aggregator=AggregatorSpec.trimmed(0.15),
+            aggregator=AggregatorSpec("trimmed_mean", beta=0.15),
         ),
-        attack=AttackSpec.constant(np.array([9.0, 9.0, 9.0])),
+        attack=AttackSpec("constant", vector=np.array([9.0, 9.0, 9.0])),
         seed=31,
     )
 

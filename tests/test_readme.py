@@ -1,7 +1,12 @@
-"""README's python quick tour must run against the current API."""
+"""README's python quick tour must run against the current API, and its
+example grid config must build."""
 
+import json
 import re
 from pathlib import Path
+
+from byzfed.cli import _grid_specs
+from byzfed.pipeline import config_from_dict
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -14,3 +19,13 @@ def test_readme_quick_tour_runs(capsys):
     est_error, history = capsys.readouterr().out.split("\n", 1)
     assert float(est_error) >= 0.0
     assert history.startswith("[MisclusterReport(")
+
+
+def test_readme_example_grid_config_builds():
+    text = README.read_text(encoding="utf-8")
+    data = json.loads(re.search(r"```json\n(.*?)```", text, re.DOTALL).group(1))
+    clusterers, optimizers, trials = _grid_specs(data, config_from_dict(data))
+    grid = data["grid"]
+    assert [name for name, _ in clusterers] == [c["name"] for c in grid["clusterers"]]
+    assert [name for name, _ in optimizers] == [o["name"] for o in grid["optimizers"]]
+    assert trials == grid["trials"]

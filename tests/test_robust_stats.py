@@ -389,12 +389,12 @@ def test_aggregate_dispatch_matches_functions(rng):
     P = rng.standard_normal((12, 3))
     P[:2] += 20.0  # outliers, so the adaptive filter drops points
     cases = [
-        (AggregatorSpec.sample_mean(), P.mean(axis=0)),
-        (AggregatorSpec.trimmed(0.25), trimmed_mean(P, 0.25)),
-        (AggregatorSpec.median(), coord_median(P)),
-        (AggregatorSpec.geomedian(), geometric_median(P)),
-        (AggregatorSpec.filtering(variance_bound=5.0), iter_filter_mean(P, variance_bound=5.0)),
-        (AggregatorSpec.filtering(), iter_filter_mean(P)),
+        (AggregatorSpec("sample_mean"), P.mean(axis=0)),
+        (AggregatorSpec("trimmed_mean", beta=0.25), trimmed_mean(P, 0.25)),
+        (AggregatorSpec("coord_median"), coord_median(P)),
+        (AggregatorSpec("geo_median"), geometric_median(P)),
+        (AggregatorSpec("iter_filter", variance_bound=5.0), iter_filter_mean(P, variance_bound=5.0)),
+        (AggregatorSpec("iter_filter"), iter_filter_mean(P)),
     ]
     for spec, expected in cases:
         assert np.array_equal(aggregate(P, spec), expected), spec.kind
@@ -404,7 +404,7 @@ def test_aggregator_spec_validation():
     with pytest.raises(ConfigError):
         AggregatorSpec("nonsense")
     with pytest.raises(ConfigError):
-        AggregatorSpec.trimmed(0.7)
+        AggregatorSpec("trimmed_mean", beta=0.7)
 
 
 @pytest.mark.parametrize(
@@ -432,25 +432,25 @@ def test_aggregator_spec_rejects_bad_parameter(kind, field, value):
 
 
 def test_aggregator_spec_accepts_edge_parameters():
-    AggregatorSpec.geomedian(tol=0.0, max_iter=1)
-    AggregatorSpec.filtering(variance_bound=None, max_rounds=1)
-    AggregatorSpec.filtering(variance_bound=0.0)
-    AggregatorSpec.filtering(max_rounds=np.int64(3))
+    AggregatorSpec("geo_median", tol=0.0, max_iter=1)
+    AggregatorSpec("iter_filter", variance_bound=None, max_rounds=1)
+    AggregatorSpec("iter_filter", variance_bound=0.0)
+    AggregatorSpec("iter_filter", max_rounds=np.int64(3))
 
 
 def test_aggregate_accepts_1d_input():
-    out = aggregate(np.array([1.0, 2.0, 9.0]), AggregatorSpec.median())
+    out = aggregate(np.array([1.0, 2.0, 9.0]), AggregatorSpec("coord_median"))
     np.testing.assert_array_equal(out, [2.0])
 
 
 def test_estimators_reject_nonfinite():
     bad = np.array([[1.0, 2.0], [np.nan, 0.0]])
     for spec in (
-        AggregatorSpec.sample_mean(),
-        AggregatorSpec.trimmed(0.1),
-        AggregatorSpec.median(),
-        AggregatorSpec.geomedian(),
-        AggregatorSpec.filtering(),
+        AggregatorSpec("sample_mean"),
+        AggregatorSpec("trimmed_mean", beta=0.1),
+        AggregatorSpec("coord_median"),
+        AggregatorSpec("geo_median"),
+        AggregatorSpec("iter_filter"),
     ):
         with pytest.raises(ConfigError):
             aggregate(bad, spec)
@@ -497,6 +497,7 @@ def test_permutation_invariance(P, pyrandom):
 @given(finite_points)
 def test_estimates_stay_in_coordinate_hull(P):
     lo, hi = P.min(axis=0), P.max(axis=0)
-    for spec in (AggregatorSpec.trimmed(0.2), AggregatorSpec.median(), AggregatorSpec.sample_mean()):
+    for spec in (AggregatorSpec("trimmed_mean", beta=0.2), AggregatorSpec("coord_median"),
+                 AggregatorSpec("sample_mean")):
         est = aggregate(P, spec)
         assert np.all(est >= lo - 1e-9) and np.all(est <= hi + 1e-9)
