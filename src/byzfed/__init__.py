@@ -30,7 +30,14 @@ from .datagen import (
     percentile_gamma,
     read_points_csv,
 )
-from .distopt import AttackSpec, OptConfig, fed_avg_robust, pooled_auto_step, robust_gd
+from .distopt import (
+    AttackSpec,
+    ClusterTable,
+    OptConfig,
+    fed_avg_robust,
+    pooled_auto_step,
+    robust_gd,
+)
 from .errors import (
     ByzfedError,
     ClusteringError,
@@ -121,6 +128,7 @@ __all__ = [
     "robust_gd",
     "fed_avg_robust",
     "pooled_auto_step",
+    "ClusterTable",
     # pipeline
     "SolverSpec",
     "IngestSpec",

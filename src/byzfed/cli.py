@@ -13,7 +13,9 @@ Commands:
 
 An ingest fleet's points are read and their threshold-graph components
 computed once per run, before manifest.json is written, so a bad points
-file exits 2 with no manifest; each trial only draws its own shards.
+file exits 2 with no manifest, and a constant attack vector whose length
+is not the points' dimension exits 1 with no manifest; each trial only
+draws its own shards.
 Configs are JSON; flags override file values, but a grid section
 rejects the per-cell flags, which would reach no cell. A method is named
 by its full or short name, in any case, underscores optional: lloyd/KM,
@@ -30,7 +32,6 @@ Exit codes: 0 success, 1 config/usage error, 2 runtime/data error.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import logging
 import sys
@@ -78,8 +79,10 @@ _AGGREGATORS = {
     "iter_filter": "IF",
 }
 
-# the CLI's own default; every other field defaults in its config class
-_DEFAULTS = {"opt": {"aggregator": {"kind": "trimmed_mean", "beta": 0.1}}}
+# the CLI's own default, merged under the top-level aggregator when its
+# kind is trimmed_mean or unset; every other field defaults in its config
+# class
+_DEFAULT_AGGREGATOR = {"kind": "trimmed_mean", "beta": 0.1}
 
 _SYNTHETIC_FLEET = {"type": "synthetic", "m": 20, "n": 20, "d": 5, "K": 2}
 
@@ -125,11 +128,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> dict:
-    """The --config file, if any, merged over the defaults of every command.
-    Each section present must be an object."""
-    data = copy.deepcopy(_DEFAULTS)
-    if args.config:
-        _deep_merge(data, _load_config_file(args.config))
+    """The --config file, if any. Each section present must be an object."""
+    data = _load_config_file(args.config) if args.config else {}
     for section in ("fleet", "solver", "cluster", "opt", "attack", "grid"):
         if section in data and not isinstance(data[section], dict):
             raise ConfigError(
@@ -149,15 +149,6 @@ def _load_config_file(path) -> dict:
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
     return data
-
-
-def _deep_merge(dst: dict, src: dict) -> dict:
-    for k, v in src.items():
-        if isinstance(v, dict) and isinstance(dst.get(k), dict):
-            _deep_merge(dst[k], v)
-        else:
-            dst[k] = v
-    return dst
 
 
 def _alias(table: dict, value: str, what: str) -> str:
@@ -202,6 +193,8 @@ def _apply_overrides(data: dict, args) -> dict:
         agg["kind"] = _alias(_AGGREGATORS, args.aggregator, "aggregator")
     if args.beta is not None:
         agg["beta"] = args.beta
+    if isinstance(agg, dict) and agg.get("kind", "trimmed_mean") == "trimmed_mean":
+        opt["aggregator"] = {**_DEFAULT_AGGREGATOR, **agg}
     return data
 
 
@@ -257,6 +250,7 @@ def _execute(data: dict, command: str, out_dir, threads, points=None) -> tuple[i
     layout = None
     if isinstance(base_cfg.fleet, IngestSpec):
         layout = ingest_layout(base_cfg.fleet, points)
+        base_cfg.attack.require_dim(layout.points.shape[1])
 
     grid_dict = {
         "clusterers": [[name, asdict(spec)] for name, spec in clusterers],

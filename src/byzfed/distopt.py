@@ -7,20 +7,25 @@ descent step. fed_avg_robust is the federated-averaging variant: machines
 run several local descent steps and the center aggregates the returned
 models instead of gradients.
 
-Both optimizers build the cluster's stacked shard statistics once per
-call (localsolve.shard_stats) and compute every machine's report of a
-round in one batched step; Byzantine rows are then overwritten with the
-attacked report. robust_gd's reports are localsolve.local_gradient.
+Both optimizers run on the cluster's stacked shard statistics
+(localsolve.shard_stats) and compute every machine's report of a round in
+one batched step; Byzantine rows are then overwritten with the attacked
+report. robust_gd's reports are localsolve.local_gradient.
 fed_avg_robust's local steps run on a quadratic local risk, so L of them
 are one affine map w -> P_i w + q_i per machine, built once per call; a
 round is then one batched matvec instead of L.
 
-A random_gauss report depends only on the call's seed argument, the
-attack scale, the machine and the round, not on the optimizer. Both
-optimizers take a draws table keyed by those four values, for the
-machines of one fleet; a grid passes one table per clusterer and trial,
-so its optimizer cells share every Gaussian report instead of redrawing
-it. Without a table each call draws its own.
+Calls on the same machines can share a ClusterTable: the cluster's
+statistics and pooled auto step, each built by the first call that needs
+it, and its random_gauss reports. A random_gauss report depends only on
+the call's seed argument, the attack scale, the machine and the round,
+not on the optimizer, so the table keys it by those four values. A grid
+keeps one table per (trial, clusterer, cluster) and runs every optimizer
+cell of the clusterer on it, so the cells share the statistics, the step
+and every Gaussian report instead of rebuilding them. fed_avg_robust
+writes its P_i over A_i, as a second (m, d, d) buffer would raise peak
+memory, so it takes the statistics out of the table: a call after it
+rebuilds them, bit for bit. Without a table each call builds its own.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ __all__ = [
     "robust_gd",
     "fed_avg_robust",
     "pooled_auto_step",
+    "ClusterTable",
 ]
 
 _ATTACK_KINDS = ("none", "own_corrupt_data", "sign_flip", "random_gauss", "constant")
@@ -81,6 +87,13 @@ class AttackSpec:
             raise ConfigError(f"attack kind {self.kind!r} takes no scale; only 'sign_flip' "
                               "and 'random_gauss' do")
 
+    def require_dim(self, d: int) -> None:
+        """Raise ConfigError unless a constant attack's vector has d entries."""
+        if self.kind == "constant" and self.vector.shape != (d,):
+            raise ConfigError(
+                f"constant attack vector has shape {self.vector.shape}, expected ({d},)"
+            )
+
 
 @dataclass(frozen=True)
 class OptConfig:
@@ -103,6 +116,22 @@ class OptConfig:
         require_int("max_rounds", self.max_rounds, 1)
         require_int("local_steps", self.local_steps, 1)
         require_real("stop_tol", self.stop_tol)
+
+
+@dataclass
+class ClusterTable:
+    """Work shared by optimizer calls on one cluster's machines under one
+    loss (see the module docstring).
+
+    reports maps (seed, attack scale, machine id, round) to a read-only
+    random_gauss report. stats and step are the cluster's ShardStats and
+    pooled auto step, None until a call needs them; stats is None again
+    after a fed_avg_robust call, which writes over it.
+    """
+
+    reports: dict = field(default_factory=dict)
+    stats: ShardStats | None = None
+    step: float | None = None
 
 
 def pooled_auto_step(stats: ShardStats, loss: LossSpec) -> float:
@@ -129,17 +158,17 @@ def _gauss_report(attack, seed, machine_id, round_idx, d):
     return report
 
 
-def _attacked_report(row, shard, attack, seed, round_idx, d, draws):
+def _attacked_report(row, shard, attack, seed, round_idx, d, reports):
     """Vector a Byzantine machine sends in place of its honest row, for the
-    kinds that replace it. A random_gauss report is looked up in draws, and
-    drawn into it on a miss."""
+    kinds that replace it. A random_gauss report is looked up in reports,
+    and drawn into it on a miss."""
     if attack.kind == "sign_flip":
         return -attack.scale * row
     if attack.kind == "random_gauss":
         key = (seed, attack.scale, shard.machine_id, round_idx)
-        report = draws.get(key)
+        report = reports.get(key)
         if report is None:
-            report = draws[key] = _gauss_report(attack, seed, shard.machine_id, round_idx, d)
+            report = reports[key] = _gauss_report(attack, seed, shard.machine_id, round_idx, d)
         return report
     return attack.vector.copy()
 
@@ -173,24 +202,29 @@ def _local_steps_map(stats, loss, step, local_steps):
     return lambda w: A @ w + q
 
 
-def _descend(shards, loss, cfg, attack, local_steps, init, seed, draws):
+def _descend(shards, loss, cfg, attack, local_steps, init, seed, table):
     """Shared round loop; local_steps=None is robust_gd (aggregate
     gradients, then step), an int is fed_avg_robust (aggregate models)."""
     attack = attack or AttackSpec()
-    draws = {} if draws is None else draws
-    stats = shard_stats(shards, loss)
+    table = ClusterTable() if table is None else table
+    if table.stats is None:
+        table.stats = shard_stats(shards, loss)
+    stats = table.stats
     d = stats.b.shape[1]
-    step = cfg.step_size if cfg.step_size is not None else pooled_auto_step(stats, loss)
+    step = cfg.step_size
+    if step is None:
+        if table.step is None:
+            table.step = pooled_auto_step(stats, loss)
+        step = table.step
     w = np.zeros(d) if init is None else np.array(init, dtype=float)
     if w.shape != (d,):
         raise ConfigError(f"init has shape {w.shape}, expected ({d},)")
-    if attack.kind == "constant" and attack.vector.shape != (d,):
-        raise ConfigError(f"constant attack vector has shape {attack.vector.shape}, expected ({d},)")
-    reports_at = (
-        partial(local_gradient, stats)
-        if local_steps is None
-        else _local_steps_map(stats, loss, step, local_steps)
-    )
+    attack.require_dim(d)
+    if local_steps is None:
+        reports_at = partial(local_gradient, stats)
+    else:  # P overwrites A, so the table no longer holds the statistics
+        table.stats = None
+        reports_at = _local_steps_map(stats, loss, step, local_steps)
     # none and own_corrupt_data report the honest row
     byzantine = (
         [] if attack.kind in ("none", "own_corrupt_data")
@@ -201,7 +235,7 @@ def _descend(shards, loss, cfg, attack, local_steps, init, seed, draws):
     for t in range(cfg.max_rounds):
         reports = reports_at(w)
         for i in byzantine:
-            reports[i] = _attacked_report(reports[i], shards[i], attack, seed, t, d, draws)
+            reports[i] = _attacked_report(reports[i], shards[i], attack, seed, t, d, table.reports)
         agg = aggregate(reports, cfg.aggregator)
         w_next = w - step * agg if local_steps is None else agg
         traj[t + 1] = w_next
@@ -229,7 +263,7 @@ def robust_gd(
     *,
     init: np.ndarray | None = None,
     seed: int = 0,
-    draws: dict | None = None,
+    table: ClusterTable | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Robustly aggregated distributed gradient descent.
 
@@ -239,13 +273,13 @@ def robust_gd(
     this is the caller's contract, not enforced here.
 
     init is the start (the origin if None) and seed seeds the
-    random_gauss reports. draws is a random_gauss report table shared
-    with other calls on the same machines (see the module docstring);
-    None draws privately.
+    random_gauss reports. table is a ClusterTable shared with other calls
+    on the same machines (see the module docstring); None builds and
+    draws privately.
     """
     if cfg.local_steps > 1:
         raise ConfigError(f"robust_gd takes local_steps=1, got {cfg.local_steps}; use fed_avg_robust")
-    return _descend(shards, loss, cfg, attack, None, init, seed, draws)
+    return _descend(shards, loss, cfg, attack, None, init, seed, table)
 
 
 def fed_avg_robust(
@@ -256,7 +290,7 @@ def fed_avg_robust(
     *,
     init: np.ndarray | None = None,
     seed: int = 0,
-    draws: dict | None = None,
+    table: ClusterTable | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Robust federated averaging.
 
@@ -269,8 +303,8 @@ def fed_avg_robust(
     aggregator this coincides with robust_gd round for round.
 
     init is the start (the origin if None) and seed seeds the
-    random_gauss reports. draws is a random_gauss report table shared
-    with other calls on the same machines (see the module docstring);
-    None draws privately.
+    random_gauss reports. table is a ClusterTable shared with other calls
+    on the same machines (see the module docstring); None builds and
+    draws privately.
     """
-    return _descend(shards, loss, cfg, attack, cfg.local_steps, init, seed, draws)
+    return _descend(shards, loss, cfg, attack, cfg.local_steps, init, seed, table)

@@ -8,9 +8,14 @@ est_error = max over matched clusters of ||w_hat - w*|| / sqrt(d).
 
 In a grid, Stage II depends only on (clusterer, trial) and Stage III on
 the cell, so run_grid makes one pool task per trial: the fleet and Stage I
-once, Stage II once per clusterer, Stage III once per cell, with the
-clusterer's Byzantine reports drawn once for all its cells. run_pipeline
-is the single-cell composition of the same stage helpers.
+once, Stage II once per clusterer, then Stage III cluster by cluster. For
+each cluster, the optimizer cells of the clusterer run in config order on
+one distopt.ClusterTable: the cluster's shard statistics and pooled step,
+each built once when first needed (the statistics again after a FedAvg
+cell, which writes over them), and its Byzantine reports, each drawn
+once. The table is dropped before the next cluster, so at most one
+cluster's statistics are held at a time. run_pipeline is the one-cell
+composition of the same stage helpers.
 
 All randomness is derived from PipelineConfig.seed before any parallel
 dispatch, so results are independent of scheduling and thread count.
@@ -48,7 +53,7 @@ from .datagen import (
     read_points_csv,
     shard_components,
 )
-from .distopt import AttackSpec, OptConfig, fed_avg_robust, robust_gd
+from .distopt import AttackSpec, ClusterTable, OptConfig, fed_avg_robust, robust_gd
 from .errors import ByzfedError, ConfigError, NumericError, require_int, require_real
 from .localsolve import (
     _DIVERGENCE_NORM,
@@ -155,10 +160,8 @@ class PipelineConfig:
         require_int("seed", self.seed, 0)
         if isinstance(self.fleet, IngestSpec) and self.solver.loss != "location":
             raise ConfigError("ingested fleets carry raw points; use the location loss")
-        if self.attack.kind == "constant" and isinstance(self.fleet, FleetConfig):
-            shape, d = self.attack.vector.shape, self.fleet.d
-            if shape != (d,):
-                raise ConfigError(f"constant attack vector has shape {shape}, expected ({d},)")
+        if isinstance(self.fleet, FleetConfig):  # an ingest fleet's d comes with its layout
+            self.attack.require_dim(self.fleet.d)
 
 
 @dataclass
@@ -171,7 +174,8 @@ class RunResult:
     ground-truth centers, indexed by the second entry of each pair.
     wall_times has the seconds of stage1..3; in a grid, stage1 is shared
     by the cells of a trial and stage2 (like the Stage-II state and
-    history) by the cells of a clusterer.
+    history) by the cells of a clusterer. A cell's stage3 is the sum of
+    its own optimizer calls, over the clusters.
     """
 
     per_cluster_w_hat: np.ndarray
@@ -297,24 +301,6 @@ def _stage2(cfg: PipelineConfig, erms, truth):
 # stage III and metric
 
 
-def _stage3(cfg: PipelineConfig, shards, state: ClusteringState, loss: LossSpec, draws):
-    w_hats = np.empty_like(state.centers)
-    trajectories: list[np.ndarray] = []
-    labels = state.labels
-    for k in range(state.K):
-        members = [shards[i] for i in np.flatnonzero(labels == k)]
-        if not members:
-            w_hats[k] = state.centers[k]
-            trajectories.append(state.centers[k][None, :].copy())
-            continue
-        optimize = fed_avg_robust if cfg.opt.local_steps > 1 else robust_gd
-        w, traj = optimize(members, loss, cfg.opt, cfg.attack, init=state.centers[k],
-                           seed=derive_seed(cfg.seed, 2, k), draws=draws)
-        w_hats[k] = w
-        trajectories.append(traj)
-    return w_hats, trajectories
-
-
 def _match_centers(w_hats: np.ndarray, centers_true: np.ndarray) -> list[tuple[int, int]]:
     """Pair estimated clusters with true centers by the assignment of least
     total distance (numerics.min_cost_assignment); with unequal counts,
@@ -326,15 +312,15 @@ def _match_centers(w_hats: np.ndarray, centers_true: np.ndarray) -> list[tuple[i
 
 @contextmanager
 def _stage(times: dict[str, float], stage: str):
-    """Record the block's wall time as times[stage]; prefix the message of
-    a ByzfedError raised inside with the stage."""
+    """Add the block's wall time to times[stage]; prefix the message of a
+    ByzfedError raised inside with the stage."""
     t0 = time.perf_counter()
     try:
         yield
     except ByzfedError as exc:
         exc.args = (f"{stage}: {exc}",)
         raise
-    times[stage] = time.perf_counter() - t0
+    times[stage] = times.get(stage, 0.0) + time.perf_counter() - t0
 
 
 def _local_models(cfg: PipelineConfig, layout: ComponentLayout | None, times):
@@ -344,17 +330,59 @@ def _local_models(cfg: PipelineConfig, layout: ComponentLayout | None, times):
         return fleet, truth, stage1_erms(fleet, cfg.solver)
 
 
-def _cell_result(cfg: PipelineConfig, fleet, truth, clustered, times, draws=None) -> RunResult:
-    """Stage III in each cluster of a Stage-II (state, history); metric.
-    draws is the Byzantine report table of the clusterer's cells (see
-    distopt), or None for a private one."""
-    state, history = clustered
-    times = dict(times)
-    with _stage(times, "stage3"):
-        w_hats, trajectories = _stage3(cfg, fleet, state, cfg.solver.loss_spec, draws)
+def _cell_results(cfg: PipelineConfig, optimizers, fleet, truth, clustered, times) -> list:
+    """One cell per optimizer on a Stage-II (state, history): Stage III in
+    each cluster, then the metric.
 
+    Stage III runs cluster by cluster; the optimizers run in order on one
+    ClusterTable per cluster, dropped before the next cluster. Returns each
+    cell's RunResult, or the exception that failed the cell: a cell whose
+    optimizer raises on one cluster skips the rest, and the other cells go
+    on. times holds the stages before Stage III.
+    """
+    state, history = clustered
+    loss = cfg.solver.loss_spec
+    n = len(optimizers)
+    w_hats = [np.empty_like(state.centers) for _ in range(n)]
+    trajectories: list[list[np.ndarray]] = [[] for _ in range(n)]
+    cell_times = [{**times, "stage3": 0.0} for _ in range(n)]
+    results: list = [None] * n  # an exception once a cell has failed
+    for k in range(state.K):
+        members = [fleet[i] for i in np.flatnonzero(state.labels == k)]
+        table = ClusterTable()
+        for j, opt in enumerate(optimizers):
+            if results[j] is not None:
+                continue
+            if not members:
+                w, traj = state.centers[k], state.centers[k][None, :].copy()
+            else:
+                optimize = fed_avg_robust if opt.local_steps > 1 else robust_gd
+                try:
+                    with _stage(cell_times[j], "stage3"):
+                        w, traj = optimize(members, loss, opt, cfg.attack, init=state.centers[k],
+                                           seed=derive_seed(cfg.seed, 2, k), table=table)
+                except Exception as exc:
+                    results[j] = exc
+                    continue
+            w_hats[j][k] = w
+            trajectories[j].append(traj)
+
+    for j in range(n):
+        if results[j] is None:
+            try:
+                results[j] = _cell_result(
+                    truth, clustered, w_hats[j], trajectories[j], cell_times[j]
+                )
+            except Exception as exc:  # a non-finite estimate fails its cell
+                results[j] = exc
+    return results
+
+
+def _cell_result(truth, clustered, w_hats, trajectories, times) -> RunResult:
+    """The metric of one cell's Stage-III estimates."""
+    state, history = clustered
     pairs = _match_centers(w_hats, truth.centers)
-    d = fleet[0].X.shape[1]
+    d = w_hats.shape[1]
     est_error = max(
         float(np.linalg.norm(w_hats[i] - truth.centers[j])) / np.sqrt(d) for i, j in pairs
     )
@@ -378,7 +406,10 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
     fleet, truth, erms = _local_models(cfg, None, times)
     with _stage(times, "stage2"):
         clustered = _stage2(cfg, erms, truth)
-    return _cell_result(cfg, fleet, truth, clustered, times)
+    (result,) = _cell_results(cfg, [cfg.opt], fleet, truth, clustered, times)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def ingest_layout(spec: IngestSpec, points=None) -> ComponentLayout:
@@ -431,39 +462,33 @@ def materialize_fleet(
 
 def _trial_outcomes(base_cfg, clusterers, optimizers, layout, t: int, seed: int):
     """Every cell of trial t, clusterer-major: the fleet and Stage I once,
-    Stage II once per clusterer, Stage III once per cell. The cells of a
-    clusterer share its clusters and attack seeds, so they share one table
-    of Byzantine reports, dropped when the clusterer is done. A failed
-    stage becomes the error string of every cell that depends on it."""
+    Stage II once per clusterer, then Stage III of the clusterer's cells
+    cluster by cluster (_cell_results). A failed stage becomes the error
+    string of every cell that depends on it."""
     cfg = replace(base_cfg, seed=seed)
 
-    def outcome(cname, oname, result=None, exc=None):
-        error = None if exc is None else repr(exc)
-        return TrialOutcome(f"{cname}+{oname}", cname, oname, t, seed, result, error)
+    def outcome(cname, oname, result):
+        if isinstance(result, Exception):
+            return TrialOutcome(f"{cname}+{oname}", cname, oname, t, seed, None, repr(result))
+        return TrialOutcome(f"{cname}+{oname}", cname, oname, t, seed, result)
 
     times: dict[str, float] = {}
     try:
         fleet, truth, erms = _local_models(cfg, layout, times)
     except Exception as exc:  # a fleet failure fails the trial, not the grid
-        return [outcome(c, o, exc=exc) for c, _ in clusterers for o, _ in optimizers]
+        return [outcome(c, o, exc) for c, _ in clusterers for o, _ in optimizers]
     outcomes = []
     for cname, cspec in clusterers:
         ccfg = replace(cfg, cluster=cspec)
-        try:  # each result keeps a copy of times, so stage2 may be overwritten
-            with _stage(times, "stage2"):
+        ctimes = dict(times)
+        try:
+            with _stage(ctimes, "stage2"):
                 clustered = _stage2(ccfg, erms, truth)
         except Exception as exc:
-            outcomes += [outcome(cname, o, exc=exc) for o, _ in optimizers]
+            outcomes += [outcome(cname, o, exc) for o, _ in optimizers]
             continue
-        draws: dict = {}
-        for oname, ospec in optimizers:
-            try:
-                result = _cell_result(
-                    replace(ccfg, opt=ospec), fleet, truth, clustered, times, draws
-                )
-                outcomes.append(outcome(cname, oname, result))
-            except Exception as exc:  # record and continue per grid contract
-                outcomes.append(outcome(cname, oname, exc=exc))
+        results = _cell_results(ccfg, [o for _, o in optimizers], fleet, truth, clustered, ctimes)
+        outcomes += [outcome(cname, o, r) for (o, _), r in zip(optimizers, results)]
     return outcomes
 
 

@@ -60,15 +60,31 @@ def _trimmed_mean(P, beta):
     k = int(math.floor(beta * t))
     # sort row-contiguous so each coordinate's mean accumulates in the same
     # order as a plain 1-D mean of that sorted coordinate (reproducible
-    # against a per-coordinate reference regardless of input layout)
-    S = np.sort(np.ascontiguousarray(P.T), axis=1)
-    return S[:, k : t - k].mean(axis=1)
+    # against a per-coordinate reference regardless of input layout); the
+    # copy is always new, so it is sorted in place. np.mean's arithmetic:
+    # np.add.reduce, then one division by the count
+    S = P.T.copy()
+    S.sort(axis=1)
+    return np.add.reduce(S[:, k : t - k], axis=1) / (t - 2 * k)
 
 
 def coord_median(points) -> np.ndarray:
     """Coordinate-wise median; an even count averages the two middle values."""
-    P = _as_points(points)
-    return np.median(P, axis=0)
+    return _coord_median(_as_points(points))
+
+
+def _coord_median(P):
+    """np.median(P, axis=0) from one partition of a row-contiguous copy of
+    P.T, with np.median's partition indices. np.median returns np.mean of
+    the middle one or two values, whose sum starts from 0.0 and so turns a
+    -0.0 sum into 0.0; the 0.0 + below does the same."""
+    half, odd = divmod(P.shape[0], 2)
+    S = P.T.copy()
+    if odd:
+        S.partition((half, -1), axis=1)
+        return 0.0 + S[:, half]
+    S.partition((half - 1, half, -1), axis=1)
+    return (0.0 + S[:, half - 1] + S[:, half]) / 2.0
 
 
 def geometric_median(points, tol: float = 1e-7, max_iter: int = 500) -> np.ndarray:
@@ -236,7 +252,7 @@ def aggregate(points, spec: AggregatorSpec) -> np.ndarray:
     if kind == "trimmed_mean":
         return _trimmed_mean(P, spec.beta)
     if kind == "coord_median":
-        return np.median(P, axis=0)
+        return _coord_median(P)
     if kind == "geo_median":
         return _geometric_median(P, spec.tol, spec.max_iter)
     if kind == "iter_filter":

@@ -343,6 +343,35 @@ def test_aggregator_beta_is_checked_for_every_kind(tmp_path, capsys, kind):
     assert load_manifest(out).run_id == _BETA_RUN_IDS[kind]
 
 
+def _synth_run_id(tmp_path, name, config, *flags):
+    argv = ["--seed", "1", *flags]
+    if config is not None:
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    code, out = _synth(tmp_path / name, *argv)
+    assert code == 0
+    return load_manifest(out).run_id
+
+
+def test_default_beta_applies_to_trimmed_mean_only(tmp_path):
+    # the CLI's beta 0.1 is a trimmed mean's default; another kind never
+    # reads beta, so it must not record one that splits its run id
+    gm = {"opt": {"aggregator": {"kind": "geo_median"}}}
+    gm_zero = {"opt": {"aggregator": {"kind": "geo_median", "beta": 0.0}}}
+    ids = {
+        _synth_run_id(tmp_path, "gm", gm),
+        _synth_run_id(tmp_path, "gm_zero", gm_zero),
+        _synth_run_id(tmp_path, "gm_flag", None, "--aggregator", "gm"),
+    }
+    assert len(ids) == 1
+    # synth's default trimmed mean keeps its beta and its run id
+    tm = {"opt": {"aggregator": {"kind": "trimmed_mean"}}}
+    assert _synth_run_id(tmp_path, "default", None) == "e2fc56f385e6"
+    assert _synth_run_id(tmp_path, "tm", tm) == "e2fc56f385e6"
+    assert load_manifest(tmp_path / "tm" / "out").config["opt"]["aggregator"]["beta"] == 0.1
+
+
 @pytest.mark.parametrize(
     "solver",
     [
@@ -600,6 +629,22 @@ def test_ingest_bad_label_column_exits_cleanly(tmp_path, rng, capsys, flags, con
     assert message in err
     assert "Traceback" not in err
     assert not (out / "manifest.json").exists()
+
+
+def test_ingest_constant_attack_of_wrong_length_exits_1_before_any_file(tmp_path, capsys):
+    # the points' dimension is known once the layout exists, which is
+    # before the manifest; two_blobs.csv is 2-D
+    cfg = tmp_path / "attack.json"
+    out = tmp_path / "out"
+    argv = ["ingest", "--csv", str(DATA_DIR / "two_blobs.csv"), "--gamma", "5",
+            "--shard-size", "5", "--n-adv", "6", "--min-cluster", "5",
+            "--config", str(cfg), "--out-dir", str(out)]
+    cfg.write_text(json.dumps({"attack": {"kind": "constant", "vector": [1.0, 2.0, 3.0]}}))
+    assert main(argv) == 1
+    assert "constant attack vector has shape (3,), expected (2,)" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+    cfg.write_text(json.dumps({"attack": {"kind": "constant", "vector": [1.0, 2.0]}}))
+    assert main(argv) == 0
 
 
 def test_ingest_without_surviving_component_exits_2(tmp_path, rng, capsys):

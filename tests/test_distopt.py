@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from byzfed.datagen import FleetConfig, WorkerShard, generate_fleet
-from byzfed.distopt import AttackSpec, OptConfig, fed_avg_robust, pooled_auto_step, robust_gd
+from byzfed.distopt import (
+    AttackSpec,
+    ClusterTable,
+    OptConfig,
+    fed_avg_robust,
+    pooled_auto_step,
+    robust_gd,
+)
 from byzfed.errors import ConfigError
 from byzfed.localsolve import LossSpec, local_erm, shard_stats
 from byzfed.numerics import RngStream, derive_seed
@@ -298,19 +305,26 @@ def test_shared_draws_table_matches_private_draws(rng):
     shards, _ = _honest_cluster(rng, m=6, n=20, d=4, sigma=0.3)
     shards = _with_byzantine(rng, shards, n_byz=2)
     atk = AttackSpec("random_gauss", scale=5.0)
+    # FedAvg writes over the statistics it takes from the table, so the
+    # call after it must rebuild them
     runs = [
         (robust_gd, OptConfig(max_rounds=12, aggregator=AggregatorSpec("coord_median"))),
-        (robust_gd, OptConfig(max_rounds=12, aggregator=AggregatorSpec("geo_median"))),
         (fed_avg_robust,
          OptConfig(max_rounds=12, local_steps=2, aggregator=AggregatorSpec("iter_filter"))),
+        (robust_gd, OptConfig(max_rounds=12, aggregator=AggregatorSpec("geo_median"))),
     ]
-    draws = {}
+    table = ClusterTable()
     for optimizer, cfg in runs:
         _, private = optimizer(shards, SQ, cfg, atk, seed=21)
-        _, shared = optimizer(shards, SQ, cfg, atk, seed=21, draws=draws)
+        _, shared = optimizer(shards, SQ, cfg, atk, seed=21, table=table)
         assert np.array_equal(shared, private)
+    draws = table.reports
     assert set(draws) == {(21, 5.0, i, t) for i in (6, 7) for t in range(12)}
     assert all(not report.flags.writeable and report.shape == (4,) for report in draws.values())
+    # the table's statistics and step are the ones a private call builds
+    stats = shard_stats(shards, SQ)
+    assert np.array_equal(table.stats.A, stats.A) and np.array_equal(table.stats.b, stats.b)
+    assert table.step == pooled_auto_step(stats, SQ)
 
 
 def test_attacks_do_not_touch_honest_reports(rng):

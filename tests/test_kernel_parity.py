@@ -3,8 +3,10 @@
 The references below are verbatim copies of top_eigenpair (a call of
 scipy.linalg.eigh), geometric_median, _mad_scale and iter_filter_mean as
 they were before top_eigenpair called LAPACK's syevr directly and the
-estimators split into a validating wrapper and a kernel. The current code
-must return the same bits and raise the same errors.
+estimators split into a validating wrapper and a kernel, and of
+trimmed_mean and coord_median (np.median) as they were before their
+kernels sorted or partitioned one transposed copy. The current code must
+return the same bits and raise the same errors.
 """
 
 import math
@@ -22,8 +24,10 @@ from byzfed.robust_stats import (
     AggregatorSpec,
     _mad_scale,
     aggregate,
+    coord_median,
     geometric_median,
     iter_filter_mean,
+    trimmed_mean,
 )
 
 # ---------------------------------------------------------------------------
@@ -83,6 +87,24 @@ def _ref_geometric_median(points, tol=1e-7, max_iter=500):
             return y_new
         y = y_new
     return y
+
+
+def _ref_trimmed_mean(points, beta):
+    P = _ref_as_points(points)
+    if not 0.0 <= beta < 0.5:
+        raise ConfigError(f"trim fraction must be in [0, 0.5), got {beta}")
+    t = P.shape[0]
+    k = int(math.floor(beta * t))
+    # sort row-contiguous so each coordinate's mean accumulates in the same
+    # order as a plain 1-D mean of that sorted coordinate (reproducible
+    # against a per-coordinate reference regardless of input layout)
+    S = np.sort(np.ascontiguousarray(P.T), axis=1)
+    return S[:, k : t - k].mean(axis=1)
+
+
+def _ref_coord_median(points):
+    P = _ref_as_points(points)
+    return np.median(P, axis=0)
 
 
 def _ref_mad_scale(values):
@@ -248,6 +270,57 @@ def test_geometric_median_coincident_iterate_equals_reference(d, arms):
         assert np.array_equal(geometric_median(P), _ref_geometric_median(P))
     P = np.tile(center, (5, 1))  # every point coincides
     assert np.array_equal(geometric_median(P), _ref_geometric_median(P))
+
+
+# ---------------------------------------------------------------------------
+# trimmed mean and coordinate median
+
+
+def _same_bits(got, want):
+    # np.array_equal reads -0.0 == 0.0; the kernels must keep the sign too
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _tied_points(rng, t, d, kind):
+    if kind == "zeros":  # signed zeros tie with each other
+        return rng.choice([-0.0, 0.0, -1.0, 1.0, 2.0], size=(t, d))
+    if kind == "rounded":
+        return np.round(rng.standard_normal((t, d)), 1)
+    return rng.standard_normal((t, d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    t=st.integers(1, 60),
+    d=st.integers(1, 12),
+    kind=st.sampled_from(["zeros", "rounded", "normal"]),
+    seed=st.integers(0, 2**32 - 1),
+    layout=st.sampled_from(["c", "fortran", "strided"]),
+    beta=st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.49]),
+)
+def test_trimmed_mean_and_coord_median_equal_reference(t, d, kind, seed, layout, beta):
+    P = _layout(_tied_points(np.random.default_rng(seed), t, d, kind), layout)
+    before = P.copy()
+    want = _ref_trimmed_mean(P, beta)
+    assert _same_bits(trimmed_mean(P, beta), want)
+    assert _same_bits(aggregate(P, AggregatorSpec("trimmed_mean", beta=beta)), want)
+    want = _ref_coord_median(P)
+    assert _same_bits(coord_median(P), want)
+    assert _same_bits(aggregate(P, AggregatorSpec("coord_median")), want)
+    assert _same_bits(P, before)  # the kernels sort or partition a copy
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 19, 20, 24, 25])
+def test_trimmed_mean_and_coord_median_on_odd_and_even_counts(t):
+    rng = np.random.default_rng(t)
+    for kind in ("zeros", "rounded", "normal"):
+        for d in (1, 100):  # d = 1: P.T of a C-ordered P is C-ordered too
+            P = _tied_points(rng, t, d, kind)
+            before = P.copy()
+            for beta in (0.0, 0.2, 0.3):
+                assert _same_bits(trimmed_mean(P, beta), _ref_trimmed_mean(P, beta))
+            assert _same_bits(coord_median(P), _ref_coord_median(P))
+            assert _same_bits(P, before)
 
 
 # ---------------------------------------------------------------------------

@@ -280,10 +280,13 @@ def _assert_same_result(a, b):
     assert np.array_equal(a.cluster_state.centers, b.cluster_state.centers)
 
 
-def _with_fedavg(optimizers):
+def _with_fedavg(optimizers, first=False):
+    """optimizers plus a FedAvg cell, last or first. Run first, FedAvg is
+    the first call on each cluster's shared statistics, so a FedAvg that
+    wrote into them would change the cells after it."""
     tm = AggregatorSpec("trimmed_mean", beta=0.25)
     fa = ("FA", OptConfig(max_rounds=40, local_steps=3, aggregator=tm))
-    return optimizers + [fa]
+    return [fa] + optimizers if first else optimizers + [fa]
 
 
 def _gauss_grid_inputs():
@@ -303,12 +306,19 @@ def _gauss_grid_inputs():
     return base, clusterers, optimizers
 
 
-@pytest.mark.parametrize("inputs", ["synthetic", "ingest", "gauss"])
-def test_grid_cells_equal_run_pipeline(inputs, tmp_path, rng):
+@pytest.mark.parametrize(
+    "inputs, fa_first",
+    [
+        pytest.param(inputs, fa_first, id=inputs + ("-fa-first" if fa_first else ""))
+        for fa_first in (False, True)
+        for inputs in ("synthetic", "ingest", "gauss")
+    ],
+)
+def test_grid_cells_equal_run_pipeline(inputs, fa_first, tmp_path, rng):
     """Each trial task shares the fleet, Stage I and Stage II across cells,
-    and a clusterer's cells share its Byzantine reports; every cell must
-    still equal run_pipeline on its own config with the trial's derived
-    seed."""
+    and a clusterer's cells share each cluster's statistics, pooled step
+    and Byzantine reports; every cell must still equal run_pipeline on its
+    own config with the trial's derived seed."""
     if inputs == "synthetic":
         base, clusterers, optimizers = _grid_inputs()
     elif inputs == "ingest":
@@ -316,7 +326,7 @@ def test_grid_cells_equal_run_pipeline(inputs, tmp_path, rng):
     else:
         base, clusterers, optimizers = _gauss_grid_inputs()
         clusterers = clusterers + [("KM", ClusterSpec(method="lloyd"))]
-    optimizers = _with_fedavg(optimizers)
+    optimizers = _with_fedavg(optimizers, first=fa_first)
     outcomes, _ = run_grid(replace(base, seed=17), clusterers, optimizers, n_trials=2, threads=2)
     specs = {f"{c}+{o}": (cs, os_) for c, cs in clusterers for o, os_ in optimizers}
     assert [o.cell for o in outcomes] == [cell for cell in specs for _ in range(2)]
@@ -328,24 +338,38 @@ def test_grid_cells_equal_run_pipeline(inputs, tmp_path, rng):
 
 
 def test_grid_builds_fleet_once_per_trial_and_clusters_once_per_clusterer(monkeypatch):
+    """One fleet per trial, one Stage II per (trial, clusterer), and one
+    set of shard statistics and one pooled step per (trial, clusterer,
+    non-empty cluster), whatever the number of optimizer cells."""
     base, clusterers, optimizers = _grid_inputs()
     optimizers = _with_fedavg(optimizers)
-    calls = {"materialize_fleet": 0, "run_lloyd_variant": 0}
+    counted = {
+        (pipeline, "materialize_fleet"): 0,
+        (pipeline, "run_lloyd_variant"): 0,
+        (distopt, "shard_stats"): 0,
+        (distopt, "pooled_auto_step"): 0,
+    }
 
-    def counted(name):
-        fn = getattr(pipeline, name)
+    def counting(key):
+        fn = getattr(*key)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            counted[key] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(pipeline, name, counted(name))
+    for key in counted:
+        monkeypatch.setattr(*key, counting(key))
     outcomes, _ = run_grid(replace(base, seed=4), clusterers, optimizers, n_trials=3, threads=2)
     assert all(o.result is not None for o in outcomes)
-    assert calls == {"materialize_fleet": 3, "run_lloyd_variant": 2 * 3}
+    calls = {name: n for (_, name), n in counted.items()}
+    # every cell uses the auto step; the cells of a clusterer share clusters
+    clusters = sum(
+        len(np.unique(o.result.cluster_state.labels)) for o in outcomes if o.optimizer == "SM"
+    )
+    assert calls == {"materialize_fleet": 3, "run_lloyd_variant": 2 * 3,
+                     "shard_stats": clusters, "pooled_auto_step": clusters}
 
 
 def test_grid_draws_each_gaussian_report_once(monkeypatch):
@@ -372,6 +396,44 @@ def test_grid_draws_each_gaussian_report_once(monkeypatch):
     assert len(grid_draws) == len(set(grid_draws)) == len(needed)
     assert set(grid_draws) == needed
     assert len(drawn) > len(needed)  # the cells alone redraw shared reports
+
+
+def test_grid_stage3_failure_fails_its_cell_alone():
+    """m = 3 machines dealt onto K = 2 clusters leaves a one-machine
+    cluster. Iterative filtering needs two reports, so the IF cell fails in
+    Stage III; the SM cell after it, on the same clusters and statistics,
+    equals SM on its own."""
+    base = PipelineConfig(
+        fleet=FleetConfig(m=3, n=30, d=4, K=2, alpha=0.0, sigma=0.0),
+        cluster=ClusterSpec(method="lloyd", warm_fraction=1.0),
+    )
+    optimizers = [
+        ("IF", OptConfig(max_rounds=20, aggregator=AggregatorSpec("iter_filter"))),
+        ("SM", OptConfig(max_rounds=20)),
+    ]
+    outcomes, summary = run_grid(
+        replace(base, seed=6), [("KM", base.cluster)], optimizers, n_trials=2
+    )
+    for o in outcomes:
+        if o.optimizer == "IF":
+            assert o.result is None
+            assert o.error == "ConfigError('stage3: iterative filtering needs at least 2 points')"
+        else:
+            assert sorted(np.bincount(o.result.cluster_state.labels)) == [1, 2]
+            direct = run_pipeline(replace(base, opt=optimizers[1][1], seed=o.seed))
+            _assert_same_result(o.result, direct)
+    assert [r["n_failed"] for r in summary] == [2, 0]
+
+
+def test_grid_statistics_failure_fails_every_cell_of_its_clusterer(monkeypatch):
+    base, clusterers, optimizers = _grid_inputs()
+
+    def failing(shards, loss):
+        raise NumericError("no statistics")
+
+    monkeypatch.setattr(distopt, "shard_stats", failing)
+    outcomes, _ = run_grid(replace(base, seed=4), clusterers, optimizers, n_trials=2)
+    assert all(o.error == "NumericError('stage3: no statistics')" for o in outcomes)
 
 
 def test_grid_stage1_failure_fails_every_cell_of_its_trial():
