@@ -189,11 +189,13 @@ def _apply_overrides(data: dict, args) -> dict:
         target["gamma"] = args.gamma
     opt = data.setdefault("opt", {})
     agg = opt.setdefault("aggregator", {})
+    if not isinstance(agg, dict):  # opt_from_dict rejects it
+        return data
     if args.aggregator is not None:
         agg["kind"] = _alias(_AGGREGATORS, args.aggregator, "aggregator")
     if args.beta is not None:
         agg["beta"] = args.beta
-    if isinstance(agg, dict) and agg.get("kind", "trimmed_mean") == "trimmed_mean":
+    if agg.get("kind", "trimmed_mean") == "trimmed_mean":
         opt["aggregator"] = {**_DEFAULT_AGGREGATOR, **agg}
     return data
 

@@ -1,44 +1,84 @@
 """Connected components of a pairwise-distance threshold graph.
 
-Shared by the ingestion protocol and the edge-cut clusterer. Distances
-come from coordinate differences inside scipy's kd-tree (no Gram-matrix
-cancellation far from the origin).
+Shared by the ingestion protocol and the edge-cut clusterer. Pure numpy:
+every edge is decided on coordinate differences, so there is no
+Gram-matrix cancellation far from the origin.
 
 Edge predicate. Points i and j are joined iff d2(i, j) <= fl(r * r),
-where r = nextafter(gamma, 0), d2 is the squared distance as ckdtree sums
-it and fl rounds to the nearest double. Every listing below
-(`query_pairs`, `sparse_distance_matrix`) applies exactly this test; the
-attach query's strict bound, d2 < fl(r * r), keeps a subset of it. So
-the predicate is "closer than gamma" up to the last bit of d2: the pair
-[[0, 0], [nextafter(4, 0), 4e-8]] is not an edge at gamma 4, although
-its float distance is 3.9999999999999996.
+where r = nextafter(gamma, 0), fl rounds to the nearest double and d2 is
+the squared distance summed in a fixed order, the one scipy's ckdtree
+uses: the coordinate differences are squared, the first 4 * (d // 4)
+squares go into four interleaved partial sums (coordinate k into sum
+k mod 4, in coordinate order), the four sums are added left to right,
+and each remaining square is added in turn. So the predicate is a pure
+function of the pair, "closer than gamma" up to the last bit of d2: the
+pair [[0, 0], [nextafter(4, 0), 4e-8]] is not an edge at gamma 4,
+although its float distance is 3.9999999999999996.
 
-The components need only a spanning forest, not every pair, so the
-points are seeded from a strided sample:
+Sweep. Every listing below is one kernel, `_Sweep`, of a point set X
+against a point set Y or against itself. It sorts both by the
+coordinate with the widest spread, so the rows of Y that lie within r of
+a row of X along it form a window of consecutive rows. A row whose
+window holds at most _NARROW rows has each pair of it tested exactly. The other rows go in blocks of up to _ROWS consecutive rows,
+sized so that block x window has at most _BLOCK entries; that bounds the
+temporary arrays, about 0.5 MB each. Each block is prefiltered with one
+Gram product, and only the pairs that pass it are tested exactly.
 
-1. The kd-tree lists the pairs among every STRIDE-th point, and the
+Prefilter margin. Coordinates are first centred at the midpoint m of
+their range: x' = fl(x - m). The product estimates
+|x'|^2 + |y'|^2 - 2 x'.y' - B, with each squared norm scaled by (1 - c),
+B = fl((fl(r * r) + tiny) * (1 + c)), c = 4 (d + 4) u, u = 2**-53 and
+tiny the smallest normal double. A pair is kept when the estimate is
+<= 0. Rounding bounds:
+- ckdtree's d2 is within a factor (1 +- gamma_{d+2}) of the exact
+  squared distance, where gamma_k = k u / (1 - k u);
+- centring moves each difference by at most u (|x'| + |y'|);
+- a dot product of d + 2 terms is within gamma_{d+2} times the sum of
+  the absolute values of its terms (Higham, Accuracy and Stability of
+  Numerical Algorithms, 2nd ed., eq. 3.5), in any summation order.
+With the rounding of the norms, of the scaling and of B, these bound
+the estimate's error, for a pair with d2 <= fl(r * r), by
+(2d + 8) u fl(r * r) + (3d + 8) u (|x'|^2 + |y'|^2) to first order in
+u. The margin takes c times each; c exceeds both coefficients by
+(d + 8) u or more, room for the higher-order terms, and tiny covers the
+absolute error of underflow. So the prefilter never drops an edge, and
+the exact test decides every pair. When fl(r * r) is infinite every
+pair is an edge, and the exact test is skipped. When the Gram product
+could overflow (coordinates beyond about 1e150), every window pair is
+tested exactly. The window itself is widened by c (r + max |x_a|),
+which covers the same rounding along the sweep axis; the bounding
+boxes of the seeding below are compared with B.
+
+Seeding. The components need only a spanning forest, not every pair, so
+the points are seeded from a strided sample:
+
+1. The sweep lists the pairs among every STRIDE-th point, and the
    sample's components are labelled.
-2. Each other point is attached to its nearest sampled point within r,
-   if there is one, and takes that point's seed: the smallest index of
-   its sampled component. A point no sampled point reaches has no seed.
+2. Each other point takes the seed of a sampled point strictly within r
+   (d2 < fl(r * r)), if the sweep finds one: the smallest index of that
+   point's sampled component. The sweep tries each point's nearest
+   sampled point by the Gram estimate, so a point whose nearest lies
+   within the rounding margin may go without a seed. That is correct,
+   only slower: a point without a seed has all its pairs listed.
 3. Only the pairs that can join two seeds are listed: every pair from a
    point without a seed, in one pass, and for each bit of the seed's
    rank the pairs between the seeded points whose rank has the bit clear
    and those whose rank has it set. Two different ranks differ in some
    bit, so every pair that crosses two seeds is listed at least once.
+   A seed group whose bounding box lies farther than r from every
+   group on the other side of a bit is left out of that pass.
 
 Attach edges and seed roots join only points of one component, and every
 edge the seeds do not already cover is listed, so the components, their
 order and their members are those of the full pair list.
 
-Selection. The sample's pairs decide, before any attach query: seeding
-runs when a sampled point has on average at least _SEED_MIN_DEGREE
-sampled neighbours, that is when the full graph has about
+Selection. The sample's pairs decide, before any attach: seeding runs
+when a sampled point has on average at least _SEED_MIN_DEGREE sampled
+neighbours, that is when the full graph has about
 STRIDE * _SEED_MIN_DEGREE / 2 = 64 pairs per point or more. Below that
 (chains, sparse sets, and any set of fewer than 129 points, whose sample
-of at most 16 cannot reach that degree), many points would find no
-sampled neighbour, and the kd-tree lists every pair as it is: in low
-dimension that costs little more than the output.
+of at most 16 cannot reach that degree and is not listed), many points
+would find no sampled neighbour, and the sweep lists every pair.
 
 Labelling. The edges are labelled by a vectorised union-find, hook and
 compress (Shiloach & Vishkin, 1982). Every point starts as its own
@@ -48,21 +88,28 @@ crossing edge hooks onto the smaller root. Labels only ever fall to a
 smaller index of the same component, so each ends as its component's
 smallest index, the key the components are ordered by.
 
-Cost. All pairs: O(N log N + E) time for the tree and the E pairs within
-gamma (in high dimension the traversal nears N^2 / 2 distance tests
-whatever E is), and 8 bytes a pair once the columns are int32. Seeded:
-the sample's pairs, about E / STRIDE^2, one bounded nearest-neighbour
-query per point, then one pass from the unseeded points and about
-log2(seeds) passes over the seeded points; memory O(N + E / STRIDE^2 +
-crossing pairs). On 6010 ten-dimensional points in four blobs at gamma
-4 (1.67M pairs), the seeded side lists 26k sample pairs and about 60
-crossing ones; at gamma = inf it lists 282k pairs, not 18M.
+Cost. The sweep costs O(N log N) to sort and, per row, its window along
+the sweep axis: d operations a window entry (narrow rows, exactly;
+block rows, in the Gram product), plus O(d) a candidate. In low
+dimension the window holds most of a slab of width 2r across the set,
+which may be far more than the row's neighbours; in high dimension the
+Gram product runs at BLAS speed. Memory is O(N d) for the sorted copies
+plus the pairs listed, E pairs at 8 bytes each once the columns are
+int32. All pairs: the sweep over every point, E the pairs within gamma.
+Seeded: the sample's sweep (about E / STRIDE^2 pairs), one attach sweep
+of the other points against the sample, and the crossing passes, which
+the bounding boxes usually cut to the points between groups; memory
+O(N d + E / STRIDE^2 + crossing pairs). On 6010 ten-dimensional points
+in four blobs at gamma 4 (1.67M pairs), the seeded side lists 26k sample
+pairs and about 60 crossing ones; at gamma = inf it lists the sample's
+282k pairs, not 18M.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ConfigError
 
@@ -70,6 +117,10 @@ __all__ = ["threshold_components"]
 
 STRIDE = 8  # every STRIDE-th point is in the sample
 _SEED_MIN_DEGREE = 16  # mean sampled-neighbour count from which seeding pays
+_BLOCK = 1 << 16  # entries of a block x window product, and pairs tested at once
+_ROWS = 64  # rows of a block, however narrow its window
+_NARROW = 16  # a row with at most this many window entries skips the Gram product
+_U = 2.0**-53  # unit roundoff of a double
 
 
 def threshold_components(points, gamma: float) -> list[np.ndarray]:
@@ -92,44 +143,46 @@ def threshold_components(points, gamma: float) -> list[np.ndarray]:
     n = P.shape[0]
     if n == 0:
         return []
-    # ckdtree keeps d2 <= fl(r*r); r just below gamma drops pairs at exactly gamma
+    # d2 <= fl(r*r) with r just below gamma drops pairs at exactly gamma
     r = np.nextafter(gamma, 0.0)
     dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    seeds = _seed_labels(P, r, dtype)
-    if seeds is None:
-        pairs = cKDTree(P).query_pairs(r, output_type="ndarray")
-        i, j = pairs[:, 0].astype(dtype), pairs[:, 1].astype(dtype)
-        del pairs
-    else:
-        i, j = _seeded_edges(P, r, seeds)
-    labels = _min_labels(i, j, n)
+    with np.errstate(over="ignore"):  # a d2 may overflow to inf, as in C
+        seeds = _seed_labels(P, r, dtype)
+        i, j = _close_pairs(P, None, r) if seeds is None else _seeded_edges(P, r, seeds)
+    labels = _min_labels(*_ordered(i, j, dtype), n)
     order = np.argsort(labels, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
+def _ordered(i: np.ndarray, j: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Edges as (smaller, larger) index columns of the given dtype."""
+    i, j = i.astype(dtype), j.astype(dtype)
+    return np.minimum(i, j), np.maximum(i, j)
+
+
 def _seed_labels(P: np.ndarray, r: float, dtype) -> np.ndarray | None:
-    """Each point's seed, the smallest index of the sampled component its
-    nearest sampled point within r belongs to, or -1 where no sampled
-    point is that close; None when the sample is too sparse to pay."""
-    sample = cKDTree(P[::STRIDE])
-    pairs = sample.query_pairs(r, output_type="ndarray")
-    if 2 * len(pairs) < _SEED_MIN_DEGREE * sample.n:
+    """Each point's seed, the smallest index of the sampled component of
+    a sampled point strictly within r, or -1 where none was found; None
+    when the sample is too sparse to pay."""
+    sample = P[::STRIDE]
+    if len(sample) <= _SEED_MIN_DEGREE:  # its mean degree is below the bar
         return None
-    roots = STRIDE * _min_labels(pairs[:, 0].astype(dtype), pairs[:, 1].astype(dtype), sample.n)
-    del pairs
+    a, b = _close_pairs(sample, None, r)
+    if 2 * len(a) < _SEED_MIN_DEGREE * len(sample):
+        return None
+    roots = STRIDE * _min_labels(*_ordered(a, b, dtype), len(sample))
+    del a, b
     seeds = np.full(P.shape[0], -1, dtype=dtype)
     seeds[::STRIDE] = roots
     rest = np.flatnonzero(seeds < 0)
-    # the bound is strict, d2 < fl(r*r): every attach is an edge
-    _, near = sample.query(P[rest], distance_upper_bound=r)
-    hit = near < sample.n
-    seeds[rest[hit]] = roots[near[hit]]
+    hit, near = _attach(P[rest], sample, r)
+    seeds[rest[hit]] = roots[near]
     return seeds
 
 
 def _seeded_edges(P: np.ndarray, r: float, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Edges (i <= j) with the components of the threshold graph: each
-    seeded point to its seed, plus every pair that crosses two seeds."""
+    """Edges with the components of the threshold graph: each seeded
+    point to its seed, plus every pair that crosses two seeds."""
     seeded = np.flatnonzero(seeds >= 0)
     lone = np.flatnonzero(seeds < 0)
     i, j = [seeds[seeded]], [seeded]
@@ -138,20 +191,199 @@ def _seeded_edges(P: np.ndarray, r: float, seeds: np.ndarray) -> tuple[np.ndarra
         i.append(lone[a])
         j.append(b)
     _, rank = np.unique(seeds[seeded], return_inverse=True)
-    for bit in range(int(rank.max()).bit_length()):
-        high = (rank >> bit) & 1 == 1
-        lo, hi = seeded[~high], seeded[high]
+    groups = int(rank.max()) + 1
+    by_rank = np.argsort(rank, kind="stable")
+    starts = np.searchsorted(rank[by_rank], np.arange(groups))
+    box_lo = np.minimum.reduceat(P[seeded[by_rank]], starts)
+    box_hi = np.maximum.reduceat(P[seeded[by_rank]], starts)
+    for bit in range((groups - 1).bit_length()):
+        high = (np.arange(groups) >> bit) & 1 == 1
+        near_lo, near_hi = _near_boxes(box_lo, box_hi, ~high, high, _bound(r, P.shape[1]))
+        lo, hi = seeded[near_lo[rank]], seeded[near_hi[rank]]
         a, b = _close_pairs(P[lo], P[hi], r)
         i.append(lo[a])
         j.append(hi[b])
-    i, j = np.concatenate(i).astype(seeds.dtype), np.concatenate(j).astype(seeds.dtype)
-    return np.minimum(i, j), np.maximum(i, j)
+    return np.concatenate(i), np.concatenate(j)
 
 
-def _close_pairs(X: np.ndarray, Y: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices (into X, into Y) of the pairs with d2 <= fl(r*r)."""
-    found = cKDTree(X).sparse_distance_matrix(cKDTree(Y), r, output_type="ndarray")
-    return found["i"], found["j"]
+def _near_boxes(lo, hi, a, b, bound):
+    """The groups of side a, and of side b, whose bounding box (rows of
+    lo, hi) comes within the bound of a box of the other side. The box gap
+    is at most the coordinate differences of any pair across the boxes,
+    and its rounding lies within the prefilter's margin, so no edge is
+    cut. Every group is kept when the table of box pairs exceeds a
+    block."""
+    ia, ib = np.flatnonzero(a), np.flatnonzero(b)
+    if ia.size * ib.size * lo.shape[1] > _BLOCK:
+        return a, b
+    gap = np.maximum(lo[ib][None] - hi[ia][:, None], lo[ia][:, None] - hi[ib][None])
+    np.maximum(gap, 0.0, out=gap)
+    near = np.einsum("abk,abk->ab", gap, gap) <= bound
+    keep_a, keep_b = np.zeros_like(a), np.zeros_like(b)
+    keep_a[ia] = near.any(axis=1)
+    keep_b[ib] = near.any(axis=0)
+    return keep_a, keep_b
+
+
+def _margin(d: int) -> float:
+    """The prefilter's relative margin c (module docstring)."""
+    return 4 * (d + 4) * _U
+
+
+def _bound(r: float, d: int) -> float:
+    """B: fl(r * r) raised by the prefilter's margin."""
+    r = float(r)
+    return (r * r + np.finfo(float).tiny) * (1 + _margin(d))
+
+
+def _close_pairs(X: np.ndarray, Y: np.ndarray | None, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices (into X, into Y; Y None: both into X, each pair once)
+    of the pairs with d2 <= fl(r * r)."""
+    if not len(X) or (Y is not None and not len(Y)):
+        return np.empty(0, np.intp), np.empty(0, np.intp)
+    sweep = _Sweep(X, Y, r)
+    ks, ls = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for k, l in sweep.candidates(nearest=False):
+        keep = sweep.within(k, l, strict=False)
+        ks.append(k[keep])
+        ls.append(l[keep])
+    return sweep.ox[np.concatenate(ks)], sweep.oy[np.concatenate(ls)]
+
+
+def _attach(X: np.ndarray, Y: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """(hit, near): rows of X that have a row of Y with d2 < fl(r * r),
+    and for each such row one such row of Y."""
+    r = float(r)  # a Python float squares to inf without a warning
+    if not np.isfinite(r * r):  # every pair is an edge
+        return np.arange(len(X)), np.zeros(len(X), dtype=np.intp)
+    sweep = _Sweep(X, Y, r)
+    found = np.full(len(X), -1, dtype=np.intp)
+    for k, l in sweep.candidates(nearest=True):
+        keep = sweep.within(k, l, strict=True)
+        found[k[keep]] = l[keep]
+    hit = np.flatnonzero(found >= 0)
+    return sweep.ox[hit], sweep.oy[found[hit]]
+
+
+class _Sweep:
+    """X against Y (Y None: X against itself, each pair once) in order of
+    the coordinate with the widest spread (module docstring). Rows and
+    columns are positions in that order; ox and oy map them back to X and
+    Y."""
+
+    def __init__(self, X: np.ndarray, Y: np.ndarray | None, r: float):
+        self.self_mode = Y is None
+        both = X if Y is None else np.vstack([X, Y])
+        self.low, self.high = both.min(axis=0), both.max(axis=0)
+        axis = int(np.argmax(self.high - self.low))
+        self.ox = np.argsort(X[:, axis], kind="stable")
+        self.oy = self.ox if Y is None else np.argsort(Y[:, axis], kind="stable")
+        self.xs = X[self.ox]
+        self.ys = self.xs if Y is None else Y[self.oy]
+        xa, ya = self.xs[:, axis], self.ys[:, axis]
+        self.r = r = float(r)  # Python floats overflow to inf without a warning
+        self.r2 = r * r
+        reach = r + _margin(X.shape[1]) * (r + float(max(-self.low[axis], self.high[axis])))
+        self.hi = np.searchsorted(ya, xa + reach, side="right")
+        self.lo = np.arange(1, len(xa) + 1) if Y is None else np.searchsorted(ya, xa - reach)
+
+    def candidates(self, nearest: bool):
+        """Yield (rows, columns) of candidate pairs, about a block at a
+        time; every pair with d2 <= fl(r * r) is among them. With nearest,
+        a row of a Gram block offers only its column of least estimate."""
+        narrow = self.hi - self.lo <= _NARROW
+        yield from self._window_pairs(np.flatnonzero(narrow))
+        if not narrow.all():
+            yield from self._gram_pairs(np.flatnonzero(~narrow), nearest)
+
+    def within(self, k: np.ndarray, l: np.ndarray, strict: bool) -> np.ndarray:
+        """The exact test: d2 <= fl(r * r), or < with strict."""
+        if not np.isfinite(self.r2):
+            return np.ones(len(k), dtype=bool)
+        d2 = self._d2(k, l)
+        return d2 < self.r2 if strict else d2 <= self.r2
+
+    def _window_pairs(self, rows: np.ndarray):
+        """Each of the rows against every column of its own window."""
+        width = self.hi[rows] - self.lo[rows]
+        ends = np.cumsum(width)
+        if not len(ends) or ends[-1] <= _BLOCK:
+            parts = [np.arange(len(rows))]
+        else:
+            parts = np.split(np.arange(len(rows)), np.searchsorted(ends, np.arange(_BLOCK, ends[-1], _BLOCK)))
+        for part in parts:
+            w = width[part]
+            k = np.repeat(rows[part], w)
+            l = np.arange(len(k)) + np.repeat(self.lo[rows[part]] - (np.cumsum(w) - w), w)
+            yield k, l
+
+    def _gram_pairs(self, rows: np.ndarray, nearest: bool):
+        """The rows in blocks against their block's window, prefiltered by
+        the Gram estimate; every window pair when the estimate could
+        overflow."""
+        xs, ys, d = self.xs, self.ys, self.xs.shape[1]
+        mid = 0.5 * self.low + 0.5 * self.high
+        scale = float(np.max(mid - self.low))
+        bound, c = _bound(self.r, d), _margin(d)
+        if not np.isfinite(2 * bound + 8 * (d + 2) * scale * scale):
+            yield from self._window_pairs(rows)
+            return
+        xc = xs - mid
+        yc = xc if self.self_mode else ys - mid
+        xn = (1 - c) * np.einsum("ij,ij->i", xc, xc)
+        yn = xn if self.self_mode else (1 - c) * np.einsum("ij,ij->i", yc, yc)
+        left = np.hstack([-2.0 * xc, np.ones((len(xc), 1)), (xn - bound)[:, None]])
+        right = np.hstack([yc, yn[:, None], np.ones((len(yc), 1))])
+        del xc, yc
+        lo, hi, n = self.lo[rows], self.hi[rows], len(rows)
+        ks, ls, size = [], [], 0
+        s = 0
+        while s < n:
+            a = int(lo[s])
+            e = s + max(1, bisect_right(range(s + 1, min(n, s + _ROWS) + 1), _BLOCK,
+                                        key=lambda e: (e - s) * (hi[e - 1] - a)))
+            b = int(hi[e - 1])
+            block = rows[s:e]
+            est = left[block] @ right[a:b].T
+            if nearest:
+                l = np.argmin(est, axis=1)
+                k = np.flatnonzero(est[np.arange(e - s), l] <= 0.0)
+                l = l[k]
+            else:
+                k, l = np.divmod((est <= 0.0).ravel().nonzero()[0], b - a)
+            k, l = block[k], l + a
+            if self.self_mode:
+                keep = l > k
+                k, l = k[keep], l[keep]
+            ks.append(k)
+            ls.append(l)
+            size += len(k)
+            s = e
+            if size >= _BLOCK or s == n:
+                yield np.concatenate(ks), np.concatenate(ls)
+                ks, ls, size = [], [], 0
+
+    def _d2(self, k: np.ndarray, l: np.ndarray) -> np.ndarray:
+        """d2 of the pairs (row k, column l), summed in ckdtree's order."""
+        d = self.xs.shape[1]
+        q = d - d % 4
+        step = max(1, _BLOCK // d)
+        out = np.zeros(len(k))
+        for s in range(0, len(k), step):
+            sq = self.xs.take(k[s:s + step], axis=0)
+            sq -= self.ys.take(l[s:s + step], axis=0)
+            sq *= sq
+            part = out[s:s + step]
+            if q:
+                acc = sq[:, :4].copy()
+                for t in range(4, q, 4):
+                    acc += sq[:, t:t + 4]
+                np.add(acc[:, 0], acc[:, 1], out=part)
+                part += acc[:, 2]
+                part += acc[:, 3]
+            for t in range(q, d):
+                part += sq[:, t]
+        return out
 
 
 def _min_labels(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:

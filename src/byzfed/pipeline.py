@@ -558,7 +558,9 @@ def summarize_grid(outcomes: list[TrialOutcome]) -> list[dict]:
 
 def opt_from_dict(data: dict) -> OptConfig:
     d = dict(data)
-    if isinstance(d.get("aggregator"), dict):
+    if "aggregator" in d:
+        if not isinstance(d["aggregator"], dict):
+            raise ConfigError(f"aggregator must be an object, got {d['aggregator']!r}")
         d["aggregator"] = AggregatorSpec(**d["aggregator"])
     return OptConfig(**d)
 

@@ -83,6 +83,19 @@ def test_cli_process_does_not_import_scipy_optimize():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("prefix", ["scipy.spatial", "scipy.sparse"])
+def test_cli_process_does_not_import_scipy_spatial_or_sparse(prefix):
+    # threshold_components is pure numpy; scipy.spatial's kd-tree would
+    # bring scipy.sparse with it, about 9 MB of every command's peak RSS
+    src = str(Path(byzfed.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = f"import byzfed, byzfed.cli, sys; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def _synth(tmp_path, *extra):
     out = tmp_path / "out"
     code = main(["synth", "--out-dir", str(out), *extra])
@@ -425,6 +438,11 @@ def test_bad_solver_parameters_exit_1(tmp_path, capsys, solver):
         ('{"attack": {"kind": "sign_flip", "vector": "abc"}}', []),
         # only sign_flip and random_gauss read a scale
         ('{"attack": {"kind": "own_corrupt_data", "scale": 5.0}}', []),
+        # an aggregator is an object with a kind, not a bare name
+        ('{"opt": {"aggregator": "geo_median"}}', []),
+        ('{"opt": {"aggregator": "geo_median"}}', ["--aggregator", "gm"]),
+        ('{"grid": {"clusterers": [{"name": "KM", "method": "lloyd"}],'
+         ' "optimizers": [{"name": "GM", "aggregator": "geo_median"}]}}', []),
     ],
 )
 def test_bad_config_counts_and_reals_exit_1(tmp_path, capsys, config, flags):

@@ -430,6 +430,66 @@ def test_attach_bound_must_sit_below_gamma():
     assert not np.isfinite(cKDTree(p).query(q, distance_upper_bound=BELOW)[0][0])
 
 
+@pytest.mark.parametrize("pair, joined", PROBES)
+def test_own_attach_is_strict_below_gamma(pair, joined):
+    # the same pin for threshold_components' attach, d2 < fl(r*r): bounded
+    # at gamma itself it would attach the second probe; below gamma it
+    # attaches neither probe, not even the first, which the listings join
+    p, q = pair[:1], pair[1:]
+    assert len(components._attach(q, p, np.float64(PROBE_GAMMA))[0]) == 1
+    assert len(components._attach(q, p, BELOW)[0]) == 0
+    assert len(components._close_pairs(q, p, BELOW)[0]) == (1 if joined else 0)
+
+
+def _kdtree_components(pts, gamma):
+    """Reference: scipy's kd-tree lists the pairs with d2 <= fl(r*r) in
+    its own arithmetic, csgraph labels them."""
+    pairs = cKDTree(pts).query_pairs(np.nextafter(gamma, 0.0), output_type="ndarray")
+    n = len(pts)
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    k, labels = connected_components(graph, directed=False)
+    return {frozenset(np.flatnonzero(labels == c).tolist()) for c in range(k)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 4, 7, 8, 10, 50]),
+    st.floats(min_value=0.01, max_value=100.0),
+    st.lists(st.integers(min_value=-4, max_value=4), min_size=4, max_size=4),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["all-pairs", "seeded"]),
+)
+def test_near_threshold_pairs_match_kdtree(d, gamma, ulps, seed, side):
+    # four pairs (p, q), 20 gamma apart, whose d2 lies within a few ulps
+    # of fl(nextafter(gamma, 0)**2), where summation orders can disagree.
+    # On the seeded side each pair sits between two dense segments, one
+    # running back from p and one on from q, so no other pair comes
+    # within gamma across them; p and q are then sampled, attached or
+    # lone, and the pair is decided in the sample's listing, a crossing
+    # pass (whose bounding boxes meet at the threshold) or the lone pass.
+    # A kd-tree node around p or q also holds points farther out, so the
+    # reference decides each such pair on its own d2, not on the bounding
+    # box of a node pair, which it takes whole when the box lies within r.
+    rng = np.random.default_rng(seed)
+    below = np.nextafter(gamma, 0.0)
+    pts = []
+    for k, shift in enumerate(ulps):
+        p = 0.5 * gamma * rng.standard_normal(d)
+        p[0] += 20.0 * gamma * k
+        u = rng.standard_normal(d)
+        u /= np.linalg.norm(u)
+        q = p + below * u
+        at = int(rng.integers(d))
+        q[at] = q[at] + shift * np.spacing(q[at])
+        pts += [p, q]
+        if side == "seeded":
+            t = np.linspace(0.0025, 0.5, 200)[:, None] * gamma
+            pts += [*(p - t * u), *(q + t * u)]
+    pts = np.array(pts)[rng.permutation(len(pts))]
+    assert (_seeds(pts, gamma) is None) == (side == "all-pairs")
+    assert _as_partition(threshold_components(pts, gamma)) == _kdtree_components(pts, gamma)
+
+
 @pytest.mark.parametrize("gamma", [np.inf, 1e300])
 def test_unbounded_gamma_lists_no_quadratic_pair_array(rng, gamma):
     # every pair of 6000 points is an edge: 18M pairs, whose index array
