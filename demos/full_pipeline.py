@@ -42,8 +42,8 @@ def main():
     print(f"  stage II iterations: {result.cluster_state.iteration}")
     for rep in result.clustering_history:
         print(f"    iter {rep.iteration}: A_s={rep.miscluster_rate:.3f}")
-    print(f"  stage III: {len(result.opt_trajectories)} clusters optimized, "
-          f"{sum(t.shape[0] - 1 for t in result.opt_trajectories)} total rounds")
+    print(f"  stage III: {len(result.update_norm)} clusters optimized, "
+          f"{sum(len(u) for u in result.update_norm)} total rounds")
     print(f"  est_error (max over clusters, per-coordinate scale): {result.est_error:.4f}")
     print()
 

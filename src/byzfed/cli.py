@@ -79,9 +79,9 @@ _AGGREGATORS = {
     "iter_filter": "IF",
 }
 
-# the CLI's own default, merged under the top-level aggregator when its
-# kind is trimmed_mean or unset; every other field defaults in its config
-# class
+# the CLI's own default: its kind names the aggregator the CLI creates
+# when the config has none, and its beta fills a top-level trimmed mean's;
+# every other field defaults in its config class
 _DEFAULT_AGGREGATOR = {"kind": "trimmed_mean", "beta": 0.1}
 
 _SYNTHETIC_FLEET = {"type": "synthetic", "m": 20, "n": 20, "d": 5, "K": 2}
@@ -188,14 +188,15 @@ def _apply_overrides(data: dict, args) -> dict:
         target = fleet if fleet.get("type") == "ingest" else cluster
         target["gamma"] = args.gamma
     opt = data.setdefault("opt", {})
-    agg = opt.setdefault("aggregator", {})
+    # a config's aggregator needs a kind, as a grid optimizer's does
+    agg = opt.setdefault("aggregator", {"kind": _DEFAULT_AGGREGATOR["kind"]})
     if not isinstance(agg, dict):  # opt_from_dict rejects it
         return data
     if args.aggregator is not None:
         agg["kind"] = _alias(_AGGREGATORS, args.aggregator, "aggregator")
     if args.beta is not None:
         agg["beta"] = args.beta
-    if agg.get("kind", "trimmed_mean") == "trimmed_mean":
+    if agg.get("kind") == "trimmed_mean":
         opt["aggregator"] = {**_DEFAULT_AGGREGATOR, **agg}
     return data
 

@@ -42,8 +42,10 @@ the estimate's error, for a pair with d2 <= fl(r * r), by
 u. The margin takes c times each; c exceeds both coefficients by
 (d + 8) u or more, room for the higher-order terms, and tiny covers the
 absolute error of underflow. So the prefilter never drops an edge, and
-the exact test decides every pair. When fl(r * r) is infinite every
-pair is an edge, and the exact test is skipped. When the Gram product
+the exact test decides every pair. When fl(r * r) overflows (gamma =
+inf, 1e300, ...) every pair of finite points is an edge, so
+threshold_components returns one component before any sweep; the
+kernels below take a finite fl(r * r). When the Gram product
 could overflow (coordinates beyond about 1e150), every window pair is
 tested exactly. The window itself is widened by c (r + max |x_a|),
 which covers the same rounding along the sweep axis; the bounding
@@ -101,12 +103,12 @@ of the other points against the sample, and the crossing passes, which
 the bounding boxes usually cut to the points between groups; memory
 O(N d + E / STRIDE^2 + crossing pairs). On 6010 ten-dimensional points
 in four blobs at gamma 4 (1.67M pairs), the seeded side lists 26k sample
-pairs and about 60 crossing ones; at gamma = inf it lists the sample's
-282k pairs, not 18M.
+pairs and about 60 crossing ones; at gamma = inf it lists none.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 
 import numpy as np
@@ -145,6 +147,8 @@ def threshold_components(points, gamma: float) -> list[np.ndarray]:
         return []
     # d2 <= fl(r*r) with r just below gamma drops pairs at exactly gamma
     r = np.nextafter(gamma, 0.0)
+    if math.isinf(float(r) * float(r)):  # fl(r*r) overflows: every pair is an edge
+        return [np.arange(n)]
     dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     with np.errstate(over="ignore"):  # a d2 may overflow to inf, as in C
         seeds = _seed_labels(P, r, dtype)
@@ -253,9 +257,6 @@ def _close_pairs(X: np.ndarray, Y: np.ndarray | None, r: float) -> tuple[np.ndar
 def _attach(X: np.ndarray, Y: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
     """(hit, near): rows of X that have a row of Y with d2 < fl(r * r),
     and for each such row one such row of Y."""
-    r = float(r)  # a Python float squares to inf without a warning
-    if not np.isfinite(r * r):  # every pair is an edge
-        return np.arange(len(X)), np.zeros(len(X), dtype=np.intp)
     sweep = _Sweep(X, Y, r)
     found = np.full(len(X), -1, dtype=np.intp)
     for k, l in sweep.candidates(nearest=True):
@@ -298,8 +299,6 @@ class _Sweep:
 
     def within(self, k: np.ndarray, l: np.ndarray, strict: bool) -> np.ndarray:
         """The exact test: d2 <= fl(r * r), or < with strict."""
-        if not np.isfinite(self.r2):
-            return np.ones(len(k), dtype=bool)
         d2 = self._d2(k, l)
         return d2 < self.r2 if strict else d2 <= self.r2
 

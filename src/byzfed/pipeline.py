@@ -13,9 +13,13 @@ each cluster, the optimizer cells of the clusterer run in config order on
 one distopt.ClusterTable: the cluster's shard statistics and pooled step,
 each built once when first needed (the statistics again after a FedAvg
 cell, which writes over them), and its Byzantine reports, each drawn
-once. The table is dropped before the next cluster, so at most one
-cluster's statistics are held at a time. run_pipeline is the one-cell
-composition of the same stage helpers.
+once. The table is dropped before the next cluster.
+
+So a trial holds its fleet plus one stage's working set: Stage I builds
+one machine's statistics at a time, Stage III at most one cluster's,
+and a cell's trajectories live only until its clusters are matched,
+when each is reduced to its per-round records (RunResult). run_pipeline
+is the one-cell composition of the same stage helpers.
 
 All randomness is derived from PipelineConfig.seed before any parallel
 dispatch, so results are independent of scheduling and thread count.
@@ -170,8 +174,10 @@ class RunResult:
 
     matched_pairs lists (estimated cluster, true cluster) index pairs used
     for est_error; estimated clusters beyond the matching are counted in
-    n_unmatched and excluded from the metric. true_centers are the fleet's
-    ground-truth centers, indexed by the second entry of each pair.
+    n_unmatched and excluded from the metric. Stage III keeps per-round
+    records, not iterates: update_norm[k][r - 1] is ||w_r - w_{r-1}|| of
+    estimated cluster k in round r, and dist_to_truth[k][r - 1] is
+    ||w_r - w*|| to its matched true center, empty when k is unmatched.
     wall_times has the seconds of stage1..3; in a grid, stage1 is shared
     by the cells of a trial and stage2 (like the Stage-II state and
     history) by the cells of a clusterer. A cell's stage3 is the sum of
@@ -181,12 +187,12 @@ class RunResult:
     per_cluster_w_hat: np.ndarray
     est_error: float
     clustering_history: list[MisclusterReport]
-    opt_trajectories: list[np.ndarray]
+    update_norm: list[np.ndarray]
+    dist_to_truth: list[np.ndarray]
     wall_times: dict[str, float]
     cluster_state: ClusteringState
     matched_pairs: list[tuple[int, int]]
     n_unmatched: int
-    true_centers: np.ndarray
 
 
 @dataclass
@@ -250,7 +256,8 @@ def stage1_erms(shards: list[WorkerShard], solver: SolverSpec) -> np.ndarray:
     iterate has a closed form in the eigenbasis of A_i (_gd_from_origin):
     one LAPACK eigendecomposition per machine and no iteration. For the
     location loss A_i = I, so the auto step returns the shard mean b_i
-    exactly. Each machine's row depends on its own shard only. Raises
+    exactly. Each machine's row depends on its own shard only, and GD
+    builds one machine's A_i, b_i at a time (_gd_erm). Raises
     NumericError if the iterate is not finite or its norm exceeds 1e12.
     """
     loss = solver.loss_spec
@@ -260,26 +267,29 @@ def stage1_erms(shards: list[WorkerShard], solver: SolverSpec) -> np.ndarray:
         return np.stack(
             [online_to_batch(s, loss, lam=solver.lam, radius=solver.radius) for s in shards]
         )
-    stats = shard_stats(shards, loss)
-    m, d = stats.b.shape
-    W = np.empty((m, d))
-    for i in range(m):
-        if loss.kind == "location":
-            lam, V = np.ones(d), np.eye(d)  # products with I are exact
-        else:
-            lam, V = eigh(stats.A[i], overwrite_a=True, driver="evd")
-        step = solver.step
-        if step is None:
-            step = 1.0 / lam[-1] if lam[-1] > 0 else 1.0
-        coords = _gd_from_origin(lam, V.T @ stats.b[i], step, solver.iters)
-        w = None if coords is None else V @ coords
-        if w is None or not np.all(np.isfinite(w)) or np.linalg.norm(w) > _DIVERGENCE_NORM:
-            raise NumericError(
-                f"stage-I gradient descent diverged on machine {i}: step {step:.6g} takes "
-                f"the iterate past norm {_DIVERGENCE_NORM:g} within {solver.iters} iterations"
-            )
-        W[i] = w
-    return W
+    return np.stack([_gd_erm(s, loss, solver, i) for i, s in enumerate(shards)])
+
+
+def _gd_erm(shard: WorkerShard, loss: LossSpec, solver: SolverSpec, i: int) -> np.ndarray:
+    """Machine i's Stage-I GD iterate (stage1_erms), from its own A_i, b_i
+    only, so no stack of every machine's statistics is held."""
+    stats = shard_stats([shard], loss)
+    d = stats.b.shape[1]
+    if loss.kind == "location":
+        lam, V = np.ones(d), np.eye(d)  # products with I are exact
+    else:
+        lam, V = eigh(stats.A[0], overwrite_a=True, driver="evd")
+    step = solver.step
+    if step is None:
+        step = 1.0 / lam[-1] if lam[-1] > 0 else 1.0
+    coords = _gd_from_origin(lam, V.T @ stats.b[0], step, solver.iters)
+    w = None if coords is None else V @ coords
+    if w is None or not np.all(np.isfinite(w)) or np.linalg.norm(w) > _DIVERGENCE_NORM:
+        raise NumericError(
+            f"stage-I gradient descent diverged on machine {i}: step {step:.6g} takes "
+            f"the iterate past norm {_DIVERGENCE_NORM:g} within {solver.iters} iterations"
+        )
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -378,24 +388,36 @@ def _cell_results(cfg: PipelineConfig, optimizers, fleet, truth, clustered, time
     return results
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """||x|| of each row as math.sqrt(x.dot(x)), np.linalg.norm's
+    arithmetic for a 1-D float64 row."""
+    return np.array([math.sqrt(x.dot(x)) for x in rows], dtype=float)
+
+
 def _cell_result(truth, clustered, w_hats, trajectories, times) -> RunResult:
-    """The metric of one cell's Stage-III estimates."""
+    """The metric and per-round records of one cell's Stage-III estimates;
+    the trajectories are not kept."""
     state, history = clustered
     pairs = _match_centers(w_hats, truth.centers)
     d = w_hats.shape[1]
     est_error = max(
         float(np.linalg.norm(w_hats[i] - truth.centers[j])) / np.sqrt(d) for i, j in pairs
     )
+    matched = dict(pairs)
+    dists = [
+        _row_norms(traj[1:] - truth.centers[matched[k]]) if k in matched else np.empty(0)
+        for k, traj in enumerate(trajectories)
+    ]
     return RunResult(
         per_cluster_w_hat=w_hats,
         est_error=est_error,
         clustering_history=history,
-        opt_trajectories=trajectories,
+        update_norm=[_row_norms(np.diff(traj, axis=0)) for traj in trajectories],
+        dist_to_truth=dists,
         wall_times=times,
         cluster_state=state,
         matched_pairs=pairs,
         n_unmatched=w_hats.shape[0] - len(pairs),
-        true_centers=truth.centers.copy(),
     )
 
 

@@ -21,14 +21,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ConfigError, DataError
 from .pipeline import TrialOutcome
@@ -125,69 +122,48 @@ def _fmt(v) -> str:
     return repr(f)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write the header, then each row of the iterable as it is produced."""
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def emit_grid_outputs(out_dir, run_id: str, outcomes: list[TrialOutcome], summary: list[dict]) -> list[str]:
-    """Write the four result CSVs; returns the file names written.
-
-    Rows follow the outcomes' order (cell-major, then trial), which the
-    grid fixes independently of scheduling. Clustering histories are
-    identical across optimizer cells of one clusterer and trial, so they
-    are emitted once per (clusterer, trial).
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    result_rows = []
+def _result_rows(run_id: str, outcomes: list[TrialOutcome]):
     for o in outcomes:
         err = o.result.est_error if o.result is not None else float("nan")
-        result_rows.append([run_id, o.cell, o.trial, "est_error", _fmt(err)])
+        yield [run_id, o.cell, o.trial, "est_error", _fmt(err)]
         # wall times deliberately stay out: result files must be
         # byte-identical for identical seeds
         if o.result is not None and o.result.clustering_history:
             final = o.result.clustering_history[-1].miscluster_rate
-            result_rows.append([run_id, o.cell, o.trial, "final_miscluster", _fmt(final)])
-    _write_csv(out_dir / "results.csv", ["run_id", "cell", "trial", "metric", "value"], result_rows)
+            yield [run_id, o.cell, o.trial, "final_miscluster", _fmt(final)]
 
-    mis_rows = []
+
+def _misclustering_rows(outcomes: list[TrialOutcome]):
     seen: set[tuple[str, int]] = set()
     for o in outcomes:
         if o.result is None or (o.clusterer, o.trial) in seen:
             continue
         seen.add((o.clusterer, o.trial))
         for rep in o.result.clustering_history:
-            mis_rows.append([o.clusterer, o.trial, rep.iteration, _fmt(rep.miscluster_rate)])
-    _write_csv(out_dir / "misclustering.csv", ["variant", "trial", "iter", "A_s"], mis_rows)
+            yield [o.clusterer, o.trial, rep.iteration, _fmt(rep.miscluster_rate)]
 
-    opt_rows = []
+
+def _optimization_rows(outcomes: list[TrialOutcome]):
     for o in outcomes:
         if o.result is None:
             continue
-        matched = dict(o.result.matched_pairs)
-        for k, traj in enumerate(o.result.opt_trajectories):
-            # row norms as math.sqrt(x.dot(x)), np.linalg.norm's arithmetic
-            # for a 1-D float64 row
-            upds = [_fmt(math.sqrt(x.dot(x))) for x in np.diff(traj, axis=0)]
-            if k in matched:
-                gaps = traj[1:] - o.result.true_centers[matched[k]]
-                dists = [_fmt(math.sqrt(x.dot(x))) for x in gaps]
-            else:
-                dists = [""] * len(upds)
-            for r, (upd, dist) in enumerate(zip(upds, dists), start=1):
-                opt_rows.append([o.cell, o.trial, k, r, upd, dist])
-    _write_csv(
-        out_dir / "optimization.csv",
-        ["cell", "trial", "cluster", "round", "update_norm", "dist_to_truth"],
-        opt_rows,
-    )
+        for k, (upds, dists) in enumerate(zip(o.result.update_norm, o.result.dist_to_truth)):
+            for r, upd in enumerate(upds, start=1):
+                dist = _fmt(dists[r - 1]) if len(dists) else ""  # empty: k is unmatched
+                yield [o.cell, o.trial, k, r, _fmt(upd), dist]
 
-    summary_rows = [
-        [
+
+def _summary_rows(summary: list[dict]):
+    for s in summary:
+        yield [
             s["cell"],
             s["clusterer"],
             s["optimizer"],
@@ -196,11 +172,37 @@ def emit_grid_outputs(out_dir, run_id: str, outcomes: list[TrialOutcome], summar
             _fmt(s["est_error_mean"]),
             _fmt(s["est_error_sd"]),
         ]
-        for s in summary
-    ]
+
+
+def emit_grid_outputs(out_dir, run_id: str, outcomes: list[TrialOutcome], summary: list[dict]) -> list[str]:
+    """Write the four result CSVs; returns the file names written.
+
+    Rows follow the outcomes' order (cell-major, then trial), which the
+    grid fixes independently of scheduling, and are written as they are
+    generated, so no table is held in memory. Clustering histories are
+    identical across optimizer cells of one clusterer and trial, so they
+    are emitted once per (clusterer, trial).
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_csv(
+        out_dir / "results.csv",
+        ["run_id", "cell", "trial", "metric", "value"],
+        _result_rows(run_id, outcomes),
+    )
+    _write_csv(
+        out_dir / "misclustering.csv",
+        ["variant", "trial", "iter", "A_s"],
+        _misclustering_rows(outcomes),
+    )
+    _write_csv(
+        out_dir / "optimization.csv",
+        ["cell", "trial", "cluster", "round", "update_norm", "dist_to_truth"],
+        _optimization_rows(outcomes),
+    )
     _write_csv(
         out_dir / "summary.csv",
         ["cell", "clusterer", "optimizer", "n_trials", "n_failed", "est_error_mean", "est_error_sd"],
-        summary_rows,
+        _summary_rows(summary),
     )
     return list(RESULT_FILES)

@@ -386,6 +386,27 @@ def test_default_beta_applies_to_trimmed_mean_only(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "aggregator", [{}, {"beta": 0.2}, {"beta": 0.2, "max_iter": 50}]
+)
+def test_config_aggregator_without_kind_exits_1(tmp_path, capsys, aggregator):
+    # the same rule as a grid optimizer's: an aggregator the config writes
+    # names its kind; the CLI's trimmed-mean default fills only its own
+    cfg = tmp_path / "agg.json"
+    cfg.write_text(json.dumps({"opt": {"aggregator": aggregator}}))
+    code, out = _synth(tmp_path, "--config", str(cfg))
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_beta_flag_alone_sets_the_cli_made_trimmed_mean(tmp_path):
+    code, out = _synth(tmp_path, "--seed", "1", "--beta", "0.2")
+    assert code == 0
+    agg = load_manifest(out).config["opt"]["aggregator"]
+    assert (agg["kind"], agg["beta"]) == ("trimmed_mean", 0.2)
+
+
+@pytest.mark.parametrize(
     "solver",
     [
         '"iters": 2.5',

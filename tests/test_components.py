@@ -504,3 +504,23 @@ def test_unbounded_gamma_lists_no_quadratic_pair_array(rng, gamma):
     assert len(comps) == 1
     np.testing.assert_array_equal(comps[0], np.arange(6000))
     assert peak < 32e6
+
+
+@pytest.mark.parametrize("gamma", [np.inf, 1e300])
+@pytest.mark.parametrize("n", [1, 40, 3000])
+def test_overflowing_gamma_returns_one_component_without_listing_pairs(
+    rng, monkeypatch, gamma, n
+):
+    # fl(r * r) overflows, so every pair of finite points is an edge, also
+    # pairs whose own d2 overflows; no pair is listed and nothing warns
+    def never(*args):
+        raise AssertionError("_close_pairs called")
+
+    monkeypatch.setattr(components, "_close_pairs", never)
+    pts = rng.standard_normal((n, 4))
+    pts[-1] = 1e200
+    with np.errstate(all="raise"):
+        comps = threshold_components(pts, gamma)
+    assert len(comps) == 1
+    assert comps[0].dtype == np.intp
+    np.testing.assert_array_equal(comps[0], np.arange(n))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -285,6 +287,22 @@ def test_stage1_gd_machine_independent_of_its_stack(sizes, seed, loss):
         alone = stage1_erms([s], solver)[0]
         np.testing.assert_array_equal(stacked[i], alone)
         np.testing.assert_array_equal(reversed_stack[i], alone)
+
+
+def test_stage1_gd_holds_one_machine_statistics_at_a_time(rng):
+    # the (m, d, d) stack of every machine's A_i is 768 kB here; Stage-I GD
+    # builds each machine's A_i, b_i inside its own solve instead
+    m, d = 60, 40
+    shards = _ragged_shards(rng, [50] * m, d)
+    solver = SolverSpec(kind="gd")
+    tracemalloc.start()
+    try:
+        W = stage1_erms(shards, solver)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert W.shape == (m, d)
+    assert peak < m * d * d * 8 / 4
 
 
 # ---------------------------------------------------------------------------

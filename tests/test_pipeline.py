@@ -23,7 +23,7 @@ from byzfed.pipeline import (
     summarize_grid,
     TrialOutcome,
 )
-from byzfed.reporting import compute_run_id
+from byzfed.reporting import compute_run_id, emit_grid_outputs
 from byzfed.robust_stats import AggregatorSpec
 
 from dataclasses import fields, replace
@@ -80,6 +80,52 @@ def test_pipeline_composes_documented_stages():
 
     np.testing.assert_array_equal(got.per_cluster_w_hat, w_hats)
     np.testing.assert_array_equal(got.cluster_state.labels, state.labels)
+
+
+def test_round_records_are_the_norms_of_robust_gds_own_trajectory(monkeypatch):
+    cfg = _adversarial_config(seed=77)
+    trajectories = []
+
+    def recording(*args, **kwargs):
+        w, traj = robust_gd(*args, **kwargs)
+        trajectories.append(traj)
+        return w, traj
+
+    monkeypatch.setattr(pipeline, "robust_gd", recording)
+    got = run_pipeline(cfg)
+    _, truth = materialize_fleet(cfg)
+    matched = dict(got.matched_pairs)
+    assert len(trajectories) == len(got.update_norm) == len(got.dist_to_truth) == 2
+    for k, traj in enumerate(trajectories):
+        assert len(traj) > 2
+        upd = [np.linalg.norm(x) for x in np.diff(traj, axis=0)]
+        dist = [np.linalg.norm(x - truth.centers[matched[k]]) for x in traj[1:]]
+        np.testing.assert_array_equal(got.update_norm[k], upd)
+        np.testing.assert_array_equal(got.dist_to_truth[k], dist)
+
+
+def test_unmatched_cluster_records_no_distance(tmp_path):
+    # three estimated clusters, two true ones: cluster 2 stays unmatched,
+    # keeps its update norms and emits empty dist_to_truth cells
+    truth = SimpleNamespace(centers=np.array([[0.0, 0.0], [10.0, 0.0]]))
+    trajectories = [
+        np.array([[0.0, 1.0], [0.0, 0.5], [0.0, 0.25]]),
+        np.array([[9.0, 0.0], [10.0, 0.0]]),
+        np.array([[50.0, 50.0], [51.0, 50.0]]),
+    ]
+    w_hats = np.array([t[-1] for t in trajectories])
+    result = pipeline._cell_result(truth, (None, []), w_hats, trajectories, {})
+    assert result.matched_pairs == [(0, 0), (1, 1)] and result.n_unmatched == 1
+    assert [u.tolist() for u in result.update_norm] == [[0.5, 0.25], [1.0], [1.0]]
+    assert [t.tolist() for t in result.dist_to_truth] == [[0.5, 0.25], [0.0], []]
+    outcomes = [TrialOutcome("C+O", "C", "O", 0, 0, result)]
+    emit_grid_outputs(tmp_path, "rid", outcomes, summarize_grid(outcomes))
+    assert (tmp_path / "optimization.csv").read_text().splitlines()[1:] == [
+        "C+O,0,0,1,0.5,0.5",
+        "C+O,0,0,2,0.25,0.25",
+        "C+O,0,1,1,1.0,0.0",
+        "C+O,0,2,1,1.0,",
+    ]
 
 
 def test_ingest_fleet_requires_location_loss(tmp_path):
@@ -269,9 +315,10 @@ def _assert_same_outcomes(a, b):
 def _assert_same_result(a, b):
     assert a.est_error == b.est_error
     assert np.array_equal(a.per_cluster_w_hat, b.per_cluster_w_hat)
-    assert len(a.opt_trajectories) == len(b.opt_trajectories)
-    for ta, tb in zip(a.opt_trajectories, b.opt_trajectories):
-        assert np.array_equal(ta, tb)
+    for name in ("update_norm", "dist_to_truth"):
+        assert len(getattr(a, name)) == len(getattr(b, name))
+        for ra, rb in zip(getattr(a, name), getattr(b, name)):
+            assert np.array_equal(ra, rb)
     assert len(a.clustering_history) == len(b.clustering_history)
     for ra, rb in zip(a.clustering_history, b.clustering_history):
         for f in fields(ra):
