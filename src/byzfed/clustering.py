@@ -128,8 +128,9 @@ class ClusterSpec:
 
     lloyd, kgeomedian and trimmed_kmeans are run_lloyd_variant's center
     rules, iterated at most max_iter times; trimmed_kmeans reads C (ball
-    radius multiplier; infinite = no trimming) and sigma_hat (None =
-    per-bucket estimate 1.4826 * median ||x - geomedian|| / sqrt(d)).
+    radius multiplier; infinite = no trimming) and sigma_hat (positive;
+    None = per-bucket estimate 1.4826 * median ||x - geomedian|| /
+    sqrt(d)).
     warm_fraction configures the partially-correct initialization used by
     the Lloyd-family methods; gamma/min_cluster belong to edge_cut. The
     counts are integers.
@@ -154,7 +155,7 @@ class ClusterSpec:
         if self.warm_fraction > 1.0:
             raise ConfigError(f"warm_fraction must be in [0, 1], got {self.warm_fraction!r}")
         require_real("C", self.C, positive=True, finite=False)
-        require_real("sigma_hat", self.sigma_hat, finite=False, optional=True)
+        require_real("sigma_hat", self.sigma_hat, positive=True, finite=False, optional=True)
         require_real("gamma", self.gamma, positive=True, finite=False, optional=True)
         require_int("max_iter", self.max_iter, 0)
         require_int("min_cluster", self.min_cluster, 1)
@@ -267,9 +268,11 @@ def run_lloyd_variant(
 def edge_cut_cluster(points, gamma: float, min_cluster: int = 1) -> ClusteringState:
     """Cluster by cutting all pairwise edges of length >= gamma.
 
-    Connected components with at least min_cluster points become clusters
-    (center = component mean); points of smaller components are attached
-    to the nearest surviving center.
+    Two points are joined iff ||p_i - p_j|| < gamma, decided exactly on
+    the float inputs (components.threshold_components); a pair at exactly
+    gamma is cut. Connected components with at least min_cluster points
+    become clusters (center = component mean); points of smaller
+    components are attached to the nearest surviving center.
     """
     points = np.asarray(points, dtype=float)
     comps = threshold_components(points, gamma)

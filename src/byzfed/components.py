@@ -1,64 +1,72 @@
 """Connected components of a pairwise-distance threshold graph.
 
-Shared by the ingestion protocol and the edge-cut clusterer. Pure numpy:
-every edge is decided on coordinate differences, so there is no
-Gram-matrix cancellation far from the origin.
+Shared by the ingestion protocol and the edge-cut clusterer. Pure numpy,
+with exact rational arithmetic for the few pairs rounding cannot decide.
 
-Edge predicate. Points i and j are joined iff d2(i, j) <= fl(r * r),
-where r = nextafter(gamma, 0), fl rounds to the nearest double and d2 is
-the squared distance summed in a fixed order, the one scipy's ckdtree
-uses: the coordinate differences are squared, the first 4 * (d // 4)
-squares go into four interleaved partial sums (coordinate k into sum
-k mod 4, in coordinate order), the four sums are added left to right,
-and each remaining square is added in turn. So the predicate is a pure
-function of the pair, "closer than gamma" up to the last bit of d2: the
-pair [[0, 0], [nextafter(4, 0), 4e-8]] is not an edge at gamma 4,
-although its float distance is 3.9999999999999996.
+Edge predicate. Points i and j are joined iff ||p_i - p_j|| < gamma in
+exact arithmetic on the float inputs: the exact sum of the squared
+coordinate differences is below the exact square of gamma. A pair at
+exactly gamma is not joined; the pair [[0, 0], [3.9999999999999996,
+4e-8]], whose exact squared distance is 15.999999999999998..., is
+joined at gamma 4.
+
+Exact test. Each candidate pair's d2 is summed in floats, in whatever
+order einsum takes. Summed in any order, d2 lies within a factor
+(1 +- gamma_{d+2}) of the exact squared distance, where gamma_k =
+k u / (1 - k u) and u = 2**-53 is the unit roundoff (Higham, Accuracy
+and Stability of Numerical Algorithms, 2nd ed., eq. 3.5: one rounding
+for each difference, one for each square, d - 1 for the sum), give or
+take d * 2**-1075 of underflow. With g2 = fl(gamma * gamma), the pair is
+an edge when d2 < g2 (1 - c) - tiny and no edge when d2 > g2 (1 + c) +
+tiny, where c = 4 (d + 4) u and tiny is the smallest normal double; c
+exceeds the (d + 6) u those comparisons need, tiny the underflow. The
+pairs in between, within the rounding margin of gamma**2, are decided
+in Fraction arithmetic over their d coordinates. When g2 overflows, it
+is capped at the largest double, so finite d2s still decide below the
+band and every other pair goes to the Fraction test.
 
 Sweep. Every listing below is one kernel, `_Sweep`, of a point set X
 against a point set Y or against itself. It sorts both by the
-coordinate with the widest spread, so the rows of Y that lie within r of
-a row of X along it form a window of consecutive rows. A row whose
-window holds at most _NARROW rows has each pair of it tested exactly. The other rows go in blocks of up to _ROWS consecutive rows,
-sized so that block x window has at most _BLOCK entries; that bounds the
-temporary arrays, about 0.5 MB each. Each block is prefiltered with one
-Gram product, and only the pairs that pass it are tested exactly.
+coordinate with the widest spread, so the rows of Y that lie within
+gamma of a row of X along it form a window of consecutive rows. A row
+whose window holds at most _NARROW rows has each pair of it tested. The
+other rows go in blocks of up to _ROWS consecutive rows, sized so that
+block x window has at most _BLOCK entries; that bounds the temporary
+arrays, about 0.5 MB each. Each block is prefiltered with one Gram
+product, and only the pairs that pass it are tested.
 
 Prefilter margin. Coordinates are first centred at the midpoint m of
 their range: x' = fl(x - m). The product estimates
 |x'|^2 + |y'|^2 - 2 x'.y' - B, with each squared norm scaled by (1 - c),
-B = fl((fl(r * r) + tiny) * (1 + c)), c = 4 (d + 4) u, u = 2**-53 and
-tiny the smallest normal double. A pair is kept when the estimate is
-<= 0. Rounding bounds:
-- ckdtree's d2 is within a factor (1 +- gamma_{d+2}) of the exact
-  squared distance, where gamma_k = k u / (1 - k u);
+B = fl((g2 + tiny) * (1 + c)) and c as above. A pair is kept when the
+estimate is <= 0. Rounding bounds:
+- an edge's exact squared distance is below gamma**2 <= g2 (1 + u);
 - centring moves each difference by at most u (|x'| + |y'|);
 - a dot product of d + 2 terms is within gamma_{d+2} times the sum of
-  the absolute values of its terms (Higham, Accuracy and Stability of
-  Numerical Algorithms, 2nd ed., eq. 3.5), in any summation order.
+  the absolute values of its terms (Higham, eq. 3.5), in any summation
+  order.
 With the rounding of the norms, of the scaling and of B, these bound
-the estimate's error, for a pair with d2 <= fl(r * r), by
-(2d + 8) u fl(r * r) + (3d + 8) u (|x'|^2 + |y'|^2) to first order in
-u. The margin takes c times each; c exceeds both coefficients by
-(d + 8) u or more, room for the higher-order terms, and tiny covers the
-absolute error of underflow. So the prefilter never drops an edge, and
-the exact test decides every pair. When fl(r * r) overflows (gamma =
-inf, 1e300, ...) every pair of finite points is an edge, so
-threshold_components returns one component before any sweep; the
-kernels below take a finite fl(r * r). When the Gram product
-could overflow (coordinates beyond about 1e150), every window pair is
-tested exactly. The window itself is widened by c (r + max |x_a|),
-which covers the same rounding along the sweep axis; the bounding
-boxes of the seeding below are compared with B.
+the estimate's error, for an edge, by (d + 6) u g2 + (3d + 8) u
+(|x'|^2 + |y'|^2) to first order in u. The margin takes c times each; c
+exceeds both coefficients by (d + 8) u or more, room for the
+higher-order terms, and tiny covers the absolute error of underflow. So
+the prefilter never drops an edge, and the exact test decides every
+pair. When gamma = inf, or when g2 overflows and the bounding box's
+longest side times sqrt(d) is below gamma, every pair is an edge, so
+threshold_components returns one component before any sweep. When the
+Gram product could overflow (coordinates beyond about 1e150, or g2
+itself), every window pair is tested. The window itself is widened by
+c (gamma + max |x_a|), which covers the same rounding along the sweep
+axis; the bounding boxes of the seeding below are compared with B.
 
 Seeding. The components need only a spanning forest, not every pair, so
 the points are seeded from a strided sample:
 
 1. The sweep lists the pairs among every STRIDE-th point, and the
    sample's components are labelled.
-2. Each other point takes the seed of a sampled point strictly within r
-   (d2 < fl(r * r)), if the sweep finds one: the smallest index of that
-   point's sampled component. The sweep tries each point's nearest
+2. Each other point takes the seed of a sampled point within gamma, if
+   the sweep finds one: the smallest index of that point's sampled
+   component. The sweep tries each point's nearest
    sampled point by the Gram estimate, so a point whose nearest lies
    within the rounding margin may go without a seed. That is correct,
    only slower: a point without a seed has all its pairs listed.
@@ -67,8 +75,9 @@ the points are seeded from a strided sample:
    rank the pairs between the seeded points whose rank has the bit clear
    and those whose rank has it set. Two different ranks differ in some
    bit, so every pair that crosses two seeds is listed at least once.
-   A seed group whose bounding box lies farther than r from every
+   A seed group whose bounding box lies farther than gamma from every
    group on the other side of a bit is left out of that pass.
+All three use the one exact test above.
 
 Attach edges and seed roots join only points of one component, and every
 edge the seeds do not already cover is listed, so the components, their
@@ -91,9 +100,10 @@ smaller index of the same component, so each ends as its component's
 smallest index, the key the components are ordered by.
 
 Cost. The sweep costs O(N log N) to sort and, per row, its window along
-the sweep axis: d operations a window entry (narrow rows, exactly;
-block rows, in the Gram product), plus O(d) a candidate. In low
-dimension the window holds most of a slab of width 2r across the set,
+the sweep axis: d operations a window entry (narrow rows, in d2; block
+rows, in the Gram product), plus O(d) a candidate, and O(d) Fraction
+operations for each pair within the rounding margin of gamma**2. In low
+dimension the window holds most of a slab of width 2 gamma across the set,
 which may be far more than the row's neighbours; in high dimension the
 Gram product runs at BLAS speed. Memory is O(N d) for the sorted copies
 plus the pairs listed, E pairs at 8 bytes each once the columns are
@@ -109,6 +119,7 @@ pairs and about 60 crossing ones; at gamma = inf it lists none.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 
 import numpy as np
@@ -126,10 +137,9 @@ _U = 2.0**-53  # unit roundoff of a double
 
 
 def threshold_components(points, gamma: float) -> list[np.ndarray]:
-    """Components of the graph with an edge iff d2(i, j) <= fl(r * r),
-    r = nextafter(gamma, 0): closer than gamma up to the last bit of d2
-    (see the module docstring's edge predicate). A pair at exactly gamma
-    is not connected.
+    """Components of the graph with an edge iff ||p_i - p_j|| < gamma,
+    exactly on the float inputs (see the module docstring's edge
+    predicate). A pair at exactly gamma is not connected.
 
     Returns a list of index arrays, each sorted ascending, ordered by the
     smallest index they contain (deterministic).
@@ -145,17 +155,23 @@ def threshold_components(points, gamma: float) -> list[np.ndarray]:
     n = P.shape[0]
     if n == 0:
         return []
-    # d2 <= fl(r*r) with r just below gamma drops pairs at exactly gamma
-    r = np.nextafter(gamma, 0.0)
-    if math.isinf(float(r) * float(r)):  # fl(r*r) overflows: every pair is an edge
-        return [np.arange(n)]
+    gamma = float(gamma)  # Python floats overflow to inf without a warning
     dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    with np.errstate(over="ignore"):  # a d2 may overflow to inf, as in C
-        seeds = _seed_labels(P, r, dtype)
-        i, j = _close_pairs(P, None, r) if seeds is None else _seeded_edges(P, r, seeds)
+    with np.errstate(over="ignore"):  # a box side or a d2 may overflow to inf, as in C
+        if math.isinf(gamma * gamma) and _all_within(P, gamma):
+            return [np.arange(n)]
+        seeds = _seed_labels(P, gamma, dtype)
+        i, j = _close_pairs(P, None, gamma) if seeds is None else _seeded_edges(P, gamma, seeds)
     labels = _min_labels(*_ordered(i, j, dtype), n)
     order = np.argsort(labels, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+
+
+def _all_within(P: np.ndarray, gamma: float) -> bool:
+    """Whether every pair is provably closer than gamma: the longest side
+    of the bounding box, times sqrt(d), bounds every distance."""
+    side = float(np.max(P.max(axis=0) - P.min(axis=0)))
+    return gamma == math.inf or side * math.sqrt(P.shape[1]) * (1 + 8 * _U) < gamma
 
 
 def _ordered(i: np.ndarray, j: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -164,14 +180,14 @@ def _ordered(i: np.ndarray, j: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarra
     return np.minimum(i, j), np.maximum(i, j)
 
 
-def _seed_labels(P: np.ndarray, r: float, dtype) -> np.ndarray | None:
+def _seed_labels(P: np.ndarray, gamma: float, dtype) -> np.ndarray | None:
     """Each point's seed, the smallest index of the sampled component of
-    a sampled point strictly within r, or -1 where none was found; None
-    when the sample is too sparse to pay."""
+    a sampled point within gamma, or -1 where none was found; None when
+    the sample is too sparse to pay."""
     sample = P[::STRIDE]
     if len(sample) <= _SEED_MIN_DEGREE:  # its mean degree is below the bar
         return None
-    a, b = _close_pairs(sample, None, r)
+    a, b = _close_pairs(sample, None, gamma)
     if 2 * len(a) < _SEED_MIN_DEGREE * len(sample):
         return None
     roots = STRIDE * _min_labels(*_ordered(a, b, dtype), len(sample))
@@ -179,19 +195,19 @@ def _seed_labels(P: np.ndarray, r: float, dtype) -> np.ndarray | None:
     seeds = np.full(P.shape[0], -1, dtype=dtype)
     seeds[::STRIDE] = roots
     rest = np.flatnonzero(seeds < 0)
-    hit, near = _attach(P[rest], sample, r)
+    hit, near = _attach(P[rest], sample, gamma)
     seeds[rest[hit]] = roots[near]
     return seeds
 
 
-def _seeded_edges(P: np.ndarray, r: float, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _seeded_edges(P: np.ndarray, gamma: float, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Edges with the components of the threshold graph: each seeded
     point to its seed, plus every pair that crosses two seeds."""
     seeded = np.flatnonzero(seeds >= 0)
     lone = np.flatnonzero(seeds < 0)
     i, j = [seeds[seeded]], [seeded]
     if lone.size:
-        a, b = _close_pairs(P[lone], P, r)
+        a, b = _close_pairs(P[lone], P, gamma)
         i.append(lone[a])
         j.append(b)
     _, rank = np.unique(seeds[seeded], return_inverse=True)
@@ -202,9 +218,9 @@ def _seeded_edges(P: np.ndarray, r: float, seeds: np.ndarray) -> tuple[np.ndarra
     box_hi = np.maximum.reduceat(P[seeded[by_rank]], starts)
     for bit in range((groups - 1).bit_length()):
         high = (np.arange(groups) >> bit) & 1 == 1
-        near_lo, near_hi = _near_boxes(box_lo, box_hi, ~high, high, _bound(r, P.shape[1]))
+        near_lo, near_hi = _near_boxes(box_lo, box_hi, ~high, high, _bound(gamma, P.shape[1]))
         lo, hi = seeded[near_lo[rank]], seeded[near_hi[rank]]
-        a, b = _close_pairs(P[lo], P[hi], r)
+        a, b = _close_pairs(P[lo], P[hi], gamma)
         i.append(lo[a])
         j.append(hi[b])
     return np.concatenate(i), np.concatenate(j)
@@ -230,37 +246,37 @@ def _near_boxes(lo, hi, a, b, bound):
 
 
 def _margin(d: int) -> float:
-    """The prefilter's relative margin c (module docstring)."""
+    """The relative margin c of the exact test and the prefilter (module
+    docstring)."""
     return 4 * (d + 4) * _U
 
 
-def _bound(r: float, d: int) -> float:
-    """B: fl(r * r) raised by the prefilter's margin."""
-    r = float(r)
-    return (r * r + np.finfo(float).tiny) * (1 + _margin(d))
+def _bound(gamma: float, d: int) -> float:
+    """B: fl(gamma * gamma) raised by the prefilter's margin."""
+    return (gamma * gamma + sys.float_info.min) * (1 + _margin(d))
 
 
-def _close_pairs(X: np.ndarray, Y: np.ndarray | None, r: float) -> tuple[np.ndarray, np.ndarray]:
+def _close_pairs(X: np.ndarray, Y: np.ndarray | None, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Row indices (into X, into Y; Y None: both into X, each pair once)
-    of the pairs with d2 <= fl(r * r)."""
+    of the pairs closer than gamma."""
     if not len(X) or (Y is not None and not len(Y)):
         return np.empty(0, np.intp), np.empty(0, np.intp)
-    sweep = _Sweep(X, Y, r)
+    sweep = _Sweep(X, Y, gamma)
     ks, ls = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     for k, l in sweep.candidates(nearest=False):
-        keep = sweep.within(k, l, strict=False)
+        keep = sweep.within(k, l)
         ks.append(k[keep])
         ls.append(l[keep])
     return sweep.ox[np.concatenate(ks)], sweep.oy[np.concatenate(ls)]
 
 
-def _attach(X: np.ndarray, Y: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """(hit, near): rows of X that have a row of Y with d2 < fl(r * r),
-    and for each such row one such row of Y."""
-    sweep = _Sweep(X, Y, r)
+def _attach(X: np.ndarray, Y: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """(hit, near): rows of X that have a row of Y closer than gamma, and
+    for each such row one such row of Y."""
+    sweep = _Sweep(X, Y, gamma)
     found = np.full(len(X), -1, dtype=np.intp)
     for k, l in sweep.candidates(nearest=True):
-        keep = sweep.within(k, l, strict=True)
+        keep = sweep.within(k, l)
         found[k[keep]] = l[keep]
     hit = np.flatnonzero(found >= 0)
     return sweep.ox[hit], sweep.oy[found[hit]]
@@ -272,7 +288,7 @@ class _Sweep:
     columns are positions in that order; ox and oy map them back to X and
     Y."""
 
-    def __init__(self, X: np.ndarray, Y: np.ndarray | None, r: float):
+    def __init__(self, X: np.ndarray, Y: np.ndarray | None, gamma: float):
         self.self_mode = Y is None
         both = X if Y is None else np.vstack([X, Y])
         self.low, self.high = both.min(axis=0), both.max(axis=0)
@@ -282,25 +298,36 @@ class _Sweep:
         self.xs = X[self.ox]
         self.ys = self.xs if Y is None else Y[self.oy]
         xa, ya = self.xs[:, axis], self.ys[:, axis]
-        self.r = r = float(r)  # Python floats overflow to inf without a warning
-        self.r2 = r * r
-        reach = r + _margin(X.shape[1]) * (r + float(max(-self.low[axis], self.high[axis])))
+        self.gamma = gamma
+        c, tiny = _margin(X.shape[1]), sys.float_info.min
+        g2 = min(gamma * gamma, sys.float_info.max)
+        # d2 below d2_in: an edge; above d2_out: none; between: Fraction test
+        self.d2_in, self.d2_out = g2 * (1 - c) - tiny, g2 * (1 + c) + tiny
+        reach = gamma + c * (gamma + float(max(-self.low[axis], self.high[axis])))
         self.hi = np.searchsorted(ya, xa + reach, side="right")
         self.lo = np.arange(1, len(xa) + 1) if Y is None else np.searchsorted(ya, xa - reach)
 
     def candidates(self, nearest: bool):
         """Yield (rows, columns) of candidate pairs, about a block at a
-        time; every pair with d2 <= fl(r * r) is among them. With nearest,
-        a row of a Gram block offers only its column of least estimate."""
+        time; every pair closer than gamma is among them. With nearest, a
+        row of a Gram block offers only its column of least estimate."""
         narrow = self.hi - self.lo <= _NARROW
         yield from self._window_pairs(np.flatnonzero(narrow))
         if not narrow.all():
             yield from self._gram_pairs(np.flatnonzero(~narrow), nearest)
 
-    def within(self, k: np.ndarray, l: np.ndarray, strict: bool) -> np.ndarray:
-        """The exact test: d2 <= fl(r * r), or < with strict."""
+    def within(self, k: np.ndarray, l: np.ndarray) -> np.ndarray:
+        """The exact test, ||x_k - y_l|| < gamma: d2 decides outside its
+        rounding margin of gamma**2, Fraction arithmetic inside it."""
         d2 = self._d2(k, l)
-        return d2 < self.r2 if strict else d2 <= self.r2
+        keep = d2 < self.d2_in
+        near = np.flatnonzero(~keep & (d2 <= self.d2_out))
+        if near.size:
+            from fractions import Fraction  # on demand: with decimal it adds about 0.5 MB
+            g2 = Fraction(self.gamma) ** 2
+            keep[near] = [sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(x, y)) < g2
+                          for x, y in zip(self.xs[k[near]].tolist(), self.ys[l[near]].tolist())]
+        return keep
 
     def _window_pairs(self, rows: np.ndarray):
         """Each of the rows against every column of its own window."""
@@ -323,7 +350,7 @@ class _Sweep:
         xs, ys, d = self.xs, self.ys, self.xs.shape[1]
         mid = 0.5 * self.low + 0.5 * self.high
         scale = float(np.max(mid - self.low))
-        bound, c = _bound(self.r, d), _margin(d)
+        bound, c = _bound(self.gamma, d), _margin(d)
         if not np.isfinite(2 * bound + 8 * (d + 2) * scale * scale):
             yield from self._window_pairs(rows)
             return
@@ -363,25 +390,13 @@ class _Sweep:
                 ks, ls, size = [], [], 0
 
     def _d2(self, k: np.ndarray, l: np.ndarray) -> np.ndarray:
-        """d2 of the pairs (row k, column l), summed in ckdtree's order."""
-        d = self.xs.shape[1]
-        q = d - d % 4
-        step = max(1, _BLOCK // d)
-        out = np.zeros(len(k))
+        """d2 of the pairs (row k, column l), one einsum a block."""
+        step = max(1, _BLOCK // self.xs.shape[1])
+        out = np.empty(len(k))
         for s in range(0, len(k), step):
-            sq = self.xs.take(k[s:s + step], axis=0)
-            sq -= self.ys.take(l[s:s + step], axis=0)
-            sq *= sq
-            part = out[s:s + step]
-            if q:
-                acc = sq[:, :4].copy()
-                for t in range(4, q, 4):
-                    acc += sq[:, t:t + 4]
-                np.add(acc[:, 0], acc[:, 1], out=part)
-                part += acc[:, 2]
-                part += acc[:, 3]
-            for t in range(q, d):
-                part += sq[:, t]
+            diff = self.xs.take(k[s:s + step], axis=0)
+            diff -= self.ys.take(l[s:s + step], axis=0)
+            out[s:s + step] = np.einsum("ij,ij->i", diff, diff)
         return out
 
 

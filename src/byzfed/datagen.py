@@ -53,6 +53,9 @@ _STREAM_CENTERS = 0
 _STREAM_ASSIGN = 1
 _STREAM_MACHINE_BASE = 1000
 
+# entries of the pair differences percentile_gamma holds at once (0.5 MB)
+_GAMMA_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class FleetConfig:
@@ -365,7 +368,9 @@ def ingest_threshold_graph(
 
 def percentile_gamma(points, q: float = 10.0, max_pairs: int = 200_000, seed: int = 0) -> float:
     """Distance threshold default: the q-th percentile of pairwise
-    distances, estimated on a random sample of pairs for large N."""
+    distances, estimated on a random sample of pairs for large N. The
+    distances are computed a block of pairs at a time, each row as
+    np.linalg.norm computes it, so memory stays O(max_pairs + N d)."""
     P = np.asarray(points, dtype=float)
     N = P.shape[0]
     if N < 2:
@@ -379,7 +384,10 @@ def percentile_gamma(points, q: float = 10.0, max_pairs: int = 200_000, seed: in
         jj = rng.integers(0, N, size=max_pairs)
         keep = ii != jj
         ii, jj = ii[keep], jj[keep]
-    dists = np.linalg.norm(P[ii] - P[jj], axis=1)
+    dists = np.empty(len(ii))
+    step = max(1, _GAMMA_BLOCK // max(1, P.shape[1]))
+    for s in range(0, len(ii), step):
+        dists[s:s + step] = np.linalg.norm(P[ii[s:s + step]] - P[jj[s:s + step]], axis=1)
     return float(np.percentile(dists, q))
 
 

@@ -123,8 +123,9 @@ class SolverSpec:
 @dataclass(frozen=True)
 class IngestSpec:
     """External dataset: CSV of points, threshold-graph clustering into
-    shards plus synthetic adversarial shards. Pairs with the location
-    loss."""
+    shards plus synthetic adversarial shards. Two points are joined iff
+    ||p_i - p_j|| < gamma, decided exactly on the float inputs
+    (components.threshold_components). Pairs with the location loss."""
 
     path: str
     gamma: float

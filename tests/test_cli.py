@@ -464,6 +464,8 @@ def test_bad_solver_parameters_exit_1(tmp_path, capsys, solver):
         ('{"opt": {"aggregator": "geo_median"}}', ["--aggregator", "gm"]),
         ('{"grid": {"clusterers": [{"name": "KM", "method": "lloyd"}],'
          ' "optimizers": [{"name": "GM", "aggregator": "geo_median"}]}}', []),
+        # a zero sigma_hat would trim every member of every bucket
+        ('{"cluster": {"sigma_hat": 0}}', []),
     ],
 )
 def test_bad_config_counts_and_reals_exit_1(tmp_path, capsys, config, flags):

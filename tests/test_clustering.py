@@ -63,6 +63,11 @@ def test_variant_validation():
         ClusterSpec(method="trimmed_kmeans", C=0.0)
     with pytest.raises(ConfigError):
         ClusterSpec(method="trimmed_kmeans", sigma_hat=-1.0)
+    # a zero radius would trim every member, and the centers never move
+    with pytest.raises(ConfigError):
+        ClusterSpec(method="trimmed_kmeans", sigma_hat=0.0)
+    ClusterSpec(method="trimmed_kmeans", sigma_hat=float("inf"))
+    ClusterSpec(method="trimmed_kmeans", sigma_hat=None)
 
 
 def test_assign_tie_goes_to_lowest_index():
@@ -102,9 +107,10 @@ def test_trimmed_step_matches_recompute_oracle(rng):
 
 
 def test_trimmed_step_all_trimmed_keeps_previous_center():
+    # both points lie 1 from their geometric median, outside the radius 0.2
     points = np.array([[0.0], [2.0]])
     state = ClusteringState(labels=np.zeros(2, int), centers=np.array([[5.0]]))
-    nxt = _trimmed_step(points, state, sigma_hat=0.0, C=2.0)
+    nxt = _trimmed_step(points, state, sigma_hat=0.1, C=2.0)
     np.testing.assert_array_equal(nxt.centers, [[5.0]])
     assert nxt.trimmed.all()
 

@@ -6,6 +6,7 @@ Each oracle case that depends on the side asserts which one it takes.
 """
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from byzfed import components
@@ -22,11 +22,14 @@ from byzfed.errors import ConfigError
 
 PROBE_GAMMA = 4.0
 BELOW = np.nextafter(PROBE_GAMMA, 0.0)
-# the edge predicate, pinned: d2 <= fl(BELOW**2) joins the first pair and
-# not the second, whose float distance still reads below 4
+# the edge predicate, pinned: ||p - q|| < 4 exactly. It joins the first
+# pair and the second, whose float d2 lies just past fl(BELOW**2) but
+# whose exact squared distance, 15.999999999999998..., is below 16; it
+# does not join the third, at exactly 4
 PROBES = [
     pytest.param(np.array([[0.0], [BELOW]]), True, id="at-nextafter"),
-    pytest.param(np.array([[0.0, 0.0], [BELOW, 4e-8]]), False, id="just-past"),
+    pytest.param(np.array([[0.0, 0.0], [BELOW, 4e-8]]), True, id="just-past"),
+    pytest.param(np.array([[0.0, 0.0], [PROBE_GAMMA, 0.0]]), False, id="at-gamma"),
 ]
 
 
@@ -69,7 +72,7 @@ def _check_against_bfs(pts, gamma):
 def _seeds(pts, gamma):
     """The seed labels threshold_components uses, or None on the all-pairs side."""
     P = np.asarray(pts, dtype=float)
-    return components._seed_labels(P, np.nextafter(gamma, 0.0), np.int32)
+    return components._seed_labels(P, float(gamma), np.int32)
 
 
 def _chain(order, step=0.9, breaks=()):
@@ -390,7 +393,7 @@ def _probe_layout(pair, layout):
     e[0] = 1.0
     behind = p - np.outer(np.linspace(0.01, 2.0, 200), e)
     beyond = q + np.outer(np.linspace(0.01, 2.0, 200), e)
-    slots = {"sampled": (0, STRIDE), "crossing": (1, 2), "lone": (0, 1)}[layout]
+    slots = {"sampled": (0, STRIDE), "crossing": (1, 2), "lone": (1, 2)}[layout]
     rest = [behind] if layout == "lone" else [behind, beyond]
     pts = np.vstack([pair, *rest])
     return pts[_place(len(pts), slots)], slots
@@ -406,9 +409,9 @@ def test_probe_pairs_when_every_pair_is_listed(pair, joined):
 @pytest.mark.parametrize("pair, joined", PROBES)
 def test_probe_pairs_when_seeded(pair, joined, layout):
     # sampled: the sample's own pairs list (p, q); crossing: p and q attach
-    # to different seeds and a rank bit lists the pair; lone: q has no
-    # seed, the strict attach query passes it by, and the pass from the
-    # unseeded points lists it
+    # to different seeds and a rank bit lists the pair; lone: q's only
+    # neighbour is p, which is not sampled, so q has no seed and the pass
+    # from the unseeded points lists the pair
     pts, (ip, iq) = _probe_layout(pair, layout)
     seeds = _seeds(pts, PROBE_GAMMA)
     assert seeds is not None
@@ -422,72 +425,91 @@ def test_probe_pairs_when_seeded(pair, joined, layout):
     assert len(comps) == (1 if joined else 2)
 
 
-def test_attach_bound_must_sit_below_gamma():
-    # a strict query bounded at gamma itself would attach the second probe,
-    # an edge the listings do not have; the bound below gamma does not
-    p, q = np.array([[0.0, 0.0]]), np.array([[BELOW, 4e-8]])
-    assert np.isfinite(cKDTree(p).query(q, distance_upper_bound=PROBE_GAMMA)[0][0])
-    assert not np.isfinite(cKDTree(p).query(q, distance_upper_bound=BELOW)[0][0])
-
-
 @pytest.mark.parametrize("pair, joined", PROBES)
 def test_own_attach_is_strict_below_gamma(pair, joined):
-    # the same pin for threshold_components' attach, d2 < fl(r*r): bounded
-    # at gamma itself it would attach the second probe; below gamma it
-    # attaches neither probe, not even the first, which the listings join
+    # the attach joins exactly the pairs the listings join: strictly
+    # closer than gamma, so not the pair at gamma itself
     p, q = pair[:1], pair[1:]
-    assert len(components._attach(q, p, np.float64(PROBE_GAMMA))[0]) == 1
-    assert len(components._attach(q, p, BELOW)[0]) == 0
-    assert len(components._close_pairs(q, p, BELOW)[0]) == (1 if joined else 0)
+    assert len(components._attach(q, p, PROBE_GAMMA)[0]) == (1 if joined else 0)
+    assert len(components._close_pairs(q, p, PROBE_GAMMA)[0]) == (1 if joined else 0)
 
 
-def _kdtree_components(pts, gamma):
-    """Reference: scipy's kd-tree lists the pairs with d2 <= fl(r*r) in
-    its own arithmetic, csgraph labels them."""
-    pairs = cKDTree(pts).query_pairs(np.nextafter(gamma, 0.0), output_type="ndarray")
-    n = len(pts)
-    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    k, labels = connected_components(graph, directed=False)
-    return {frozenset(np.flatnonzero(labels == c).tolist()) for c in range(k)}
+def _exact_d2(p, q):
+    return sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(p.tolist(), q.tolist()))
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.sampled_from([1, 2, 3, 4, 7, 8, 10, 50]),
-    st.floats(min_value=0.01, max_value=100.0),
-    st.lists(st.integers(min_value=-4, max_value=4), min_size=4, max_size=4),
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.sampled_from(["all-pairs", "seeded"]),
-)
-def test_near_threshold_pairs_match_kdtree(d, gamma, ulps, seed, side):
-    # four pairs (p, q), 20 gamma apart, whose d2 lies within a few ulps
-    # of fl(nextafter(gamma, 0)**2), where summation orders can disagree.
-    # On the seeded side each pair sits between two dense segments, one
-    # running back from p and one on from q, so no other pair comes
-    # within gamma across them; p and q are then sampled, attached or
-    # lone, and the pair is decided in the sample's listing, a crossing
-    # pass (whose bounding boxes meet at the threshold) or the lone pass.
-    # A kd-tree node around p or q also holds points farther out, so the
-    # reference decides each such pair on its own d2, not on the bounding
-    # box of a node pair, which it takes whole when the box lies within r.
-    rng = np.random.default_rng(seed)
-    below = np.nextafter(gamma, 0.0)
-    pts = []
+def _exact_components(pts, gamma):
+    """Reference: every pair whose float d2 lies within a relative 1e-6 of
+    gamma**2 is decided in Fraction arithmetic, the others by cdist's d2
+    (whose rounding is far below 1e-6); csgraph labels the edges. Also
+    returns how many pairs the Fraction test decided."""
+    d2 = cdist(pts, pts, "sqeuclidean")
+    adj = d2 < gamma**2
+    near = np.argwhere(np.abs(d2 - gamma**2) <= 1e-6 * gamma**2)
+    for a, b in near:
+        adj[a, b] = _exact_d2(pts[a], pts[b]) < Fraction(gamma) ** 2
+    k, labels = connected_components(coo_matrix(adj), directed=False)
+    return {frozenset(np.flatnonzero(labels == c).tolist()) for c in range(k)}, len(near) // 2
+
+
+def _near_threshold_pairs(rng, d, gamma, ulps, dense):
+    """Pairs (p, q), 20 gamma apart, whose d2 lies within a few ulps of
+    gamma**2: q is p plus gamma along a random direction, with one
+    coordinate moved by the given number of ulps. With dense, each pair
+    sits between two dense segments, one running back from p and one on
+    from q, so no other pair comes within gamma across them."""
+    ps, qs, rest = [], [], []
     for k, shift in enumerate(ulps):
         p = 0.5 * gamma * rng.standard_normal(d)
         p[0] += 20.0 * gamma * k
         u = rng.standard_normal(d)
         u /= np.linalg.norm(u)
-        q = p + below * u
+        q = p + gamma * u
         at = int(rng.integers(d))
         q[at] = q[at] + shift * np.spacing(q[at])
-        pts += [p, q]
-        if side == "seeded":
+        ps.append(p)
+        qs.append(q)
+        if dense:
             t = np.linspace(0.0025, 0.5, 200)[:, None] * gamma
-            pts += [*(p - t * u), *(q + t * u)]
-    pts = np.array(pts)[rng.permutation(len(pts))]
+            rest += [*(p - t * u), *(q + t * u)]
+    return np.array(ps), np.array(qs), np.array(rest).reshape(-1, d)
+
+
+NEAR_THRESHOLD = [
+    st.sampled_from([1, 2, 3, 4, 7, 8, 10, 50]),
+    st.floats(min_value=0.01, max_value=100.0),
+    st.lists(st.integers(min_value=-4, max_value=4), min_size=4, max_size=4),
+    st.integers(min_value=0, max_value=2**32 - 1),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(*NEAR_THRESHOLD, st.sampled_from(["all-pairs", "seeded"]))
+def test_near_threshold_pairs_match_exact_oracle(d, gamma, ulps, seed, side):
+    # four pairs whose d2 lies within a few ulps of gamma**2, where float
+    # d2 in any summation order may fall on either side. On the seeded
+    # side p and q are then sampled, attached or lone, and the pair is
+    # decided in the sample's listing, a crossing pass (whose bounding
+    # boxes meet at the threshold) or the lone pass.
+    rng = np.random.default_rng(seed)
+    ps, qs, rest = _near_threshold_pairs(rng, d, gamma, ulps, side == "seeded")
+    pts = np.vstack([ps, qs, rest])[rng.permutation(2 * len(ps) + len(rest))]
     assert (_seeds(pts, gamma) is None) == (side == "all-pairs")
-    assert _as_partition(threshold_components(pts, gamma)) == _kdtree_components(pts, gamma)
+    want, decided = _exact_components(pts, gamma)
+    assert decided >= len(ps)
+    assert _as_partition(threshold_components(pts, gamma)) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(*NEAR_THRESHOLD)
+def test_attach_adds_only_true_edges(d, gamma, ulps, seed):
+    # each p against the q's: every attach is an exact edge, and since
+    # the q's lie 20 gamma apart, each p that has one is attached to it
+    ps, qs, _ = _near_threshold_pairs(np.random.default_rng(seed), d, gamma, ulps, False)
+    hit, near = components._attach(ps, qs, gamma)
+    edges = [k for k in range(len(ps)) if _exact_d2(ps[k], qs[k]) < Fraction(gamma) ** 2]
+    assert hit.tolist() == edges
+    assert near.tolist() == edges
 
 
 @pytest.mark.parametrize("gamma", [np.inf, 1e300])
@@ -511,8 +533,9 @@ def test_unbounded_gamma_lists_no_quadratic_pair_array(rng, gamma):
 def test_overflowing_gamma_returns_one_component_without_listing_pairs(
     rng, monkeypatch, gamma, n
 ):
-    # fl(r * r) overflows, so every pair of finite points is an edge, also
-    # pairs whose own d2 overflows; no pair is listed and nothing warns
+    # gamma**2 overflows and the points lie far closer than gamma, so every
+    # pair is an edge, also pairs whose own d2 overflows; no pair is
+    # listed and nothing warns
     def never(*args):
         raise AssertionError("_close_pairs called")
 
@@ -524,3 +547,18 @@ def test_overflowing_gamma_returns_one_component_without_listing_pairs(
     assert len(comps) == 1
     assert comps[0].dtype == np.intp
     np.testing.assert_array_equal(comps[0], np.arange(n))
+
+
+@pytest.mark.parametrize("gamma", [1e300, np.nextafter(np.sqrt(np.finfo(float).max), np.inf)])
+def test_overflowing_gamma_on_points_as_far_apart_is_exact(gamma):
+    # gamma**2 overflows, but these pairs lie about gamma apart: each is
+    # decided exactly, also where its own d2 overflows
+    below = np.nextafter(gamma, 0.0)
+    assert len(threshold_components(np.array([[-gamma], [gamma]]), gamma)) == 2
+    assert len(threshold_components(np.array([[0.0], [gamma]]), gamma)) == 2
+    assert len(threshold_components(np.array([[0.0], [below]]), gamma)) == 1
+    # (gamma - ulp)**2 + (gamma / 2**28)**2 is below gamma**2: 2**-56 < 2**-52
+    pair = np.array([[0.0, 0.0], [below, gamma * 2.0**-28]])
+    assert len(threshold_components(pair, gamma)) == 1
+    pair[1, 1] = gamma * 2.0**-25
+    assert len(threshold_components(pair, gamma)) == 2

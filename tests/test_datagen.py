@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,6 +348,45 @@ def test_percentile_gamma_sampled_close_to_exact(rng):
     exact = percentile_gamma(P, q=10)
     sampled = percentile_gamma(P, q=10, max_pairs=50_000, seed=0)
     assert abs(exact - sampled) / exact < 0.05
+
+
+def _percentile_gamma_one_shot(P, q=10.0, max_pairs=200_000, seed=0):
+    """Reference: every pair's difference in one array, as percentile_gamma
+    computed it before it went in blocks."""
+    N = len(P)
+    if N * (N - 1) // 2 <= max_pairs:
+        ii, jj = np.triu_indices(N, k=1)
+    else:
+        rng = RngStream(seed, 0).generator()
+        ii = rng.integers(0, N, size=max_pairs)
+        jj = rng.integers(0, N, size=max_pairs)
+        keep = ii != jj
+        ii, jj = ii[keep], jj[keep]
+    return float(np.percentile(np.linalg.norm(P[ii] - P[jj], axis=1), q))
+
+
+@pytest.mark.parametrize("n, d, max_pairs", [
+    (2, 1, 20_000), (200, 50, 20_000), (1000, 50, 20_000), (1000, 7, 20_000), (700, 5, 200_000),
+])
+def test_percentile_gamma_in_blocks_is_bit_equal_to_one_shot(rng, n, d, max_pairs):
+    # (2, 1) and (200, 50) take every pair, the others sample max_pairs
+    # pairs; all but the first span several blocks, the last one short
+    P = rng.standard_normal((n, d)) * 3.0
+    for q in (10.0, 50.0):
+        got = percentile_gamma(P, q=q, max_pairs=max_pairs, seed=5)
+        assert got == _percentile_gamma_one_shot(P, q=q, max_pairs=max_pairs, seed=5)
+
+
+def test_percentile_gamma_memory_is_bounded(rng):
+    # in one shot, the 200k sampled pairs' differences take 160 MB an array
+    P = rng.standard_normal((1000, 100))
+    tracemalloc.start()
+    try:
+        percentile_gamma(P)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_percentile_gamma_needs_two_points():
