@@ -19,6 +19,7 @@ import argparse
 import numpy as np
 
 from byzfed import ClusterSpec, FleetConfig, generate_fleet, run_lloyd_variant, warm_start_init
+from byzfed.localsolve import LossSpec
 from byzfed.numerics import derive_seed
 from byzfed.pipeline import SolverSpec, stage1_erms
 
@@ -33,7 +34,7 @@ def main():
 
     cfg = FleetConfig(m=100, n=100, d=100, K=5, alpha=args.alpha, sigma=args.sigma)
     shards, truth = generate_fleet(cfg, seed=derive_seed(args.seed, 0))
-    erms = stage1_erms(shards, SolverSpec(kind="gd", iters=1000))
+    erms = stage1_erms(shards, SolverSpec(kind="gd", iters=1000), LossSpec("squared_error"))
     init = warm_start_init(erms, truth, 0.6, seed=derive_seed(args.seed, 1))
 
     _, trimmed = run_lloyd_variant(

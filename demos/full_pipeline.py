@@ -30,14 +30,16 @@ def main():
     cfg = PipelineConfig(
         fleet=FleetConfig(m=60, n=50, d=20, K=3, alpha=0.2, sigma=1.0),
         solver=SolverSpec(kind="erm"),
-        cluster=ClusterSpec(method="trimmed_kmeans", C=2.0, sigma_hat=0.3),
-        opt=OptConfig(max_rounds=150, aggregator=AggregatorSpec("trimmed_mean", beta=0.25)),
         seed=args.seed,
     )
+    # the fleet, solver and seed are the config; the clusterer and the
+    # optimizer name one cell of it
+    tkm = ClusterSpec(method="trimmed_kmeans", C=2.0, sigma_hat=0.3)
+    tm = OptConfig(max_rounds=150, aggregator=AggregatorSpec("trimmed_mean", beta=0.25))
 
     # ------------------------------------------------------------------
     # one run, narrated
-    result = run_pipeline(cfg)
+    result = run_pipeline(cfg, tkm, tm)
     print("single run")
     print(f"  stage II iterations: {result.cluster_state.iteration}")
     for rep in result.clustering_history:
@@ -51,11 +53,11 @@ def main():
     # grid: which stage contributes what
     clusterers = [
         ("KM", ClusterSpec(method="lloyd")),
-        ("TKM", ClusterSpec(method="trimmed_kmeans", C=2.0, sigma_hat=0.3)),
+        ("TKM", tkm),
     ]
     optimizers = [
         ("SM", OptConfig(max_rounds=150)),
-        ("TM", OptConfig(max_rounds=150, aggregator=AggregatorSpec("trimmed_mean", beta=0.25))),
+        ("TM", tm),
     ]
     _, summary = run_grid(cfg, clusterers, optimizers, n_trials=args.trials)
 

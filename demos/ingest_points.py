@@ -3,8 +3,8 @@
 Writes a small CSV of clustered points, cuts all pairwise edges longer
 than gamma to find the clusters, splits each cluster into machine
 shards, and adds a few adversarial shards built from the leftover
-points. Then the usual pipeline runs on the result with the location
-loss (a shard's local solution is its mean).
+points. Then the usual pipeline runs on the result; an ingest fleet
+carries the location loss, so a shard's local solution is its mean.
 
 Run: python demos/ingest_points.py [--seed 0] [--n-adv 4]
 """
@@ -17,7 +17,7 @@ import numpy as np
 
 from byzfed.datagen import ingest_threshold_graph, percentile_gamma, read_points_csv
 from byzfed.distopt import OptConfig
-from byzfed.pipeline import ClusterSpec, IngestSpec, PipelineConfig, SolverSpec, run_pipeline
+from byzfed.pipeline import ClusterSpec, IngestSpec, PipelineConfig, run_pipeline
 from byzfed.robust_stats import AggregatorSpec
 
 
@@ -53,12 +53,13 @@ def main():
 
     cfg = PipelineConfig(
         fleet=IngestSpec(path=str(csv_path), gamma=gamma, shard_size=5, n_adv=args.n_adv),
-        solver=SolverSpec(loss="location"),
-        cluster=ClusterSpec(method="trimmed_kmeans", C=2.0, sigma_hat=0.4),
-        opt=OptConfig(max_rounds=100, aggregator=AggregatorSpec("trimmed_mean", beta=0.3)),
         seed=args.seed,
     )
-    result = run_pipeline(cfg)
+    result = run_pipeline(
+        cfg,
+        ClusterSpec(method="trimmed_kmeans", C=2.0, sigma_hat=0.4),
+        OptConfig(max_rounds=100, aggregator=AggregatorSpec("trimmed_mean", beta=0.3)),
+    )
     print(f"pipeline est_error: {result.est_error:.4f} "
           f"(distance of recovered centers to component means, per coordinate)")
     for k, (i, j) in enumerate(result.matched_pairs):

@@ -15,9 +15,12 @@ An ingest fleet's points are read and their threshold-graph components
 computed once per run, before manifest.json is written, so a bad points
 file exits 2 with no manifest, and a constant attack vector whose length
 is not the points' dimension exits 1 with no manifest; each trial only
-draws its own shards.
-Configs are JSON; flags override file values, but a grid section
-rejects the per-cell flags, which would reach no cell. A method is named
+draws its own shards. The run id names an ingest fleet by the digest of
+its parsed points, not by its path, and replay of points that changed
+exits 2 before writing any file.
+Configs are JSON; flags override file values. A grid section holds the
+cells, so a top-level cluster or opt beside it, or a per-cell flag,
+would reach no cell and exits 1. A method is named
 by its full or short name, in any case, underscores optional: lloyd/KM,
 kgeomedian/KGM, trimmed_kmeans/TKM, edge_cut/EC; sample_mean/SM,
 trimmed_mean/TM, coord_median/CM, geo_median/GM, iter_filter/IF.
@@ -41,11 +44,10 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .datagen import percentile_gamma, read_points_csv
-from .errors import ByzfedError, ConfigError, require_int, require_real
+from .errors import ByzfedError, ConfigError, DataError, require_int, require_real
 from .pipeline import (
     ClusterSpec,
     IngestSpec,
-    PipelineConfig,
     config_from_dict,
     config_to_dict,
     ingest_layout,
@@ -54,6 +56,7 @@ from .pipeline import (
 )
 from .reporting import (
     RunManifest,
+    array_sha256,
     compute_run_id,
     emit_grid_outputs,
     file_sha256,
@@ -85,6 +88,10 @@ _AGGREGATORS = {
 _DEFAULT_AGGREGATOR = {"kind": "trimmed_mean", "beta": 0.1}
 
 _SYNTHETIC_FLEET = {"type": "synthetic", "m": 20, "n": 20, "d": 5, "K": 2}
+
+# the object-valued sections of a config, then its plain values
+_SECTIONS = ("fleet", "solver", "cluster", "opt", "attack", "grid")
+_CONFIG_KEYS = (*_SECTIONS, "trials", "seed")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,14 +135,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> dict:
-    """The --config file, if any. Each section present must be an object."""
+    """The --config file, if any (see _check_keys)."""
     data = _load_config_file(args.config) if args.config else {}
-    for section in ("fleet", "solver", "cluster", "opt", "attack", "grid"):
+    _check_keys(data)
+    return data
+
+
+def _check_keys(data: dict) -> None:
+    """A config names only known keys, and each section present is an
+    object."""
+    unknown = sorted(key for key in data if key not in _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}; expected one of {list(_CONFIG_KEYS)}")
+    for section in _SECTIONS:
         if section in data and not isinstance(data[section], dict):
             raise ConfigError(
                 f"config section {section!r} must be an object, got {json.dumps(data[section])}"
             )
-    return data
 
 
 def _load_config_file(path) -> dict:
@@ -163,8 +179,9 @@ def _alias(table: dict, value: str, what: str) -> str:
 
 def _apply_overrides(data: dict, args) -> dict:
     fleet = data.setdefault("fleet", {})
-    if data.get("grid"):
-        gamma = None if fleet.get("type") == "ingest" else args.gamma  # ingest's is the fleet's
+    ingest = fleet.get("type") == "ingest"
+    if "grid" in data:
+        gamma = None if ingest else args.gamma  # ingest's is the fleet's
         cell_flags = {"--clusterer": args.clusterer, "--aggregator": args.aggregator,
                       "--beta": args.beta, "--gamma": gamma}
         given = [flag for flag, value in cell_flags.items() if value is not None]
@@ -181,12 +198,15 @@ def _apply_overrides(data: dict, args) -> dict:
         fleet["alpha"] = args.alpha
     if args.sigma is not None:
         fleet["sigma"] = args.sigma
+    if ingest and args.gamma is not None:
+        fleet["gamma"] = args.gamma
+    if "grid" in data:  # only a config without one names its cell at top level
+        return data
     cluster = data.setdefault("cluster", {})
     if args.clusterer is not None:
         cluster["method"] = _alias(_CLUSTERERS, args.clusterer, "clusterer")
-    if args.gamma is not None:  # an ingest fleet's threshold, else edge_cut's
-        target = fleet if fleet.get("type") == "ingest" else cluster
-        target["gamma"] = args.gamma
+    if not ingest and args.gamma is not None:  # edge_cut's threshold
+        cluster["gamma"] = args.gamma
     opt = data.setdefault("opt", {})
     # a config's aggregator needs a kind, as a grid optimizer's does
     agg = opt.setdefault("aggregator", {"kind": _DEFAULT_AGGREGATOR["kind"]})
@@ -210,24 +230,28 @@ def _named(entry) -> tuple[str, dict]:
     return str(name), fields
 
 
-def _grid_specs(data: dict, base_cfg: PipelineConfig):
-    """(clusterers, optimizers, trials) of the config's grid section, or a
-    1x1 grid around the base config. Every cell's config is checked here,
-    before any output exists."""
+def _grid_specs(data: dict):
+    """(clusterers, optimizers, trials) of the config's grid section, which
+    must name both, or the one cell of its top-level cluster and opt.
+    Every cell's config is checked here, before any output exists."""
     grid = data.get("grid")
-    trials = data.get("trials", 1)
-    if grid:
-        try:
+    stray = [key for key in ("cluster", "opt") if key in data and grid is not None]
+    if stray:
+        raise ConfigError(f"top-level {' and '.join(stray)} cannot sit beside a grid section; "
+                          "set them in its clusterers or optimizers")
+    try:
+        if grid is not None:
             clusterers = [(name, ClusterSpec(**f)) for name, f in map(_named, grid["clusterers"])]
             optimizers = [(name, opt_from_dict(f)) for name, f in map(_named, grid["optimizers"])]
-            trials = grid.get("trials", trials)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad grid section: {exc}") from exc
-    else:
-        opt = base_cfg.opt
-        oname = "FA" if opt.local_steps > 1 else _AGGREGATORS[opt.aggregator.kind]
-        clusterers = [(_CLUSTERERS[base_cfg.cluster.method], base_cfg.cluster)]
-        optimizers = [(oname, opt)]
+        else:
+            cluster, opt = ClusterSpec(**data.get("cluster", {})), opt_from_dict(data.get("opt", {}))
+            oname = "FA" if opt.local_steps > 1 else _AGGREGATORS[opt.aggregator.kind]
+            clusterers, optimizers = [(_CLUSTERERS[cluster.method], cluster)], [(oname, opt)]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {'config' if grid is None else 'grid section'}: {exc}") from exc
+    if not clusterers or not optimizers:
+        raise ConfigError("a grid section must name clusterers and optimizers")
+    trials = (grid or {}).get("trials", data.get("trials", 1))
     require_int("trials", trials, 1)
     return clusterers, optimizers, trials
 
@@ -241,18 +265,28 @@ def _version() -> str:
         return "unknown"
 
 
-def _execute(data: dict, command: str, out_dir, threads, points=None) -> tuple[int, str]:
+def _execute(data: dict, command: str, out_dir, threads, points=None,
+             replaying: RunManifest | None = None) -> tuple[int, str]:
     """Run the grid the config describes into out_dir; return the exit
-    code and the run id. An ingest fleet's component layout is built here,
-    from points if the caller already read the fleet's CSV, so a bad
-    points file fails before manifest.json exists."""
+    code and the run id. An ingest fleet's points (read here unless the
+    caller already holds them) are hashed and their component layout is
+    built here, so a bad points file fails before manifest.json exists,
+    and so does the replay of a manifest whose points digest they no
+    longer match."""
     base_cfg = config_from_dict(data)
-    clusterers, optimizers, trials = _grid_specs(data, base_cfg)
+    clusterers, optimizers, trials = _grid_specs(data)
     require_int("threads", threads, 1)
     out_dir = Path(out_dir)
-    layout = None
+    layout = points_sha256 = None
     if isinstance(base_cfg.fleet, IngestSpec):
-        layout = ingest_layout(base_cfg.fleet, points)
+        spec = base_cfg.fleet
+        if points is None:
+            points = read_points_csv(spec.path, label_column=spec.label_column)
+        points_sha256 = array_sha256(points)
+        if replaying is not None and points_sha256 != replaying.points_sha256:
+            raise DataError(f"input changed: the points of {spec.path} have digest "
+                            f"{points_sha256}, the manifest records {replaying.points_sha256}")
+        layout = ingest_layout(spec, points)
         base_cfg.attack.require_dim(layout.points.shape[1])
 
     grid_dict = {
@@ -261,11 +295,17 @@ def _execute(data: dict, command: str, out_dir, threads, points=None) -> tuple[i
         "trials": trials,
     }
     config_dict = config_to_dict(base_cfg)
-    run_id = compute_run_id({"config": config_dict, "grid": grid_dict})
+    identity = {"config": config_dict, "grid": grid_dict}
+    if points_sha256 is not None:  # an ingest run is named by its points, not their path
+        fleet = {key: value for key, value in config_dict["fleet"].items() if key != "path"}
+        identity = {**identity, "config": {**config_dict, "fleet": fleet},
+                    "points_sha256": points_sha256}
+    run_id = compute_run_id(identity)
     manifest = RunManifest(
         run_id=run_id,
         config=config_dict,
         grid=grid_dict,
+        points_sha256=points_sha256,
         command=command,
         version=_version(),
         threads=threads,
@@ -301,7 +341,7 @@ def cmd_synth(args) -> int:
     fleet = data.setdefault("fleet", {})
     if fleet.get("type", "synthetic") == "synthetic":
         data["fleet"] = {**_SYNTHETIC_FLEET, **fleet}
-    if args.command == "grid" and not data.get("grid"):
+    if args.command == "grid" and "grid" not in data:
         raise ConfigError("the grid command needs a 'grid' section in the config")
     _apply_overrides(data, args)
     return _execute(data, args.command, args.out_dir, args.threads)[0]
@@ -319,12 +359,15 @@ def cmd_ingest(args) -> int:
     gamma = fleet.get("gamma")
     if gamma is None:
         gamma = percentile_gamma(points)
+        if gamma == 0:
+            raise DataError(f"no default gamma for {args.csv}: at least 10% of the sampled "
+                            "point pairs are coincident points, so the 10th percentile of "
+                            "their distances is 0; set --gamma")
         print(f"[byzfed] gamma defaulted to {gamma:.6g} "
               "(10th percentile of sampled pairwise distances)", flush=True)
     require_real("gamma", gamma, positive=True, finite=False)
     fleet["gamma"] = float(gamma)  # an int gamma keeps the run id of its float
     data["fleet"] = {"type": "ingest", "path": str(args.csv), **fleet}
-    data.setdefault("solver", {})["loss"] = "location"
     _apply_overrides(data, args)
     return _execute(data, "ingest", args.out_dir, args.threads, points)[0]
 
@@ -343,9 +386,10 @@ def cmd_replay(args) -> int:
         raise ConfigError(f"replay would overwrite the run it checks in {out_dir}")
     threads = manifest.threads if args.threads is None else args.threads
 
+    data = {**manifest.config, "grid": manifest.grid}
+    _check_keys(data)
     print(f"[byzfed] replaying run {manifest.run_id} into {out_dir}", flush=True)
-    _, run_id = _execute({**manifest.config, "grid": manifest.grid}, manifest.command,
-                         out_dir, threads)
+    _, run_id = _execute(data, manifest.command, out_dir, threads, replaying=manifest)
     if run_id != manifest.run_id:
         raise ByzfedError(f"the manifest's config and grid give run id {run_id}, "
                           f"but the manifest records {manifest.run_id}")

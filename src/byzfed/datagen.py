@@ -398,7 +398,7 @@ def read_points_csv(path, delimiter: str = ",", label_column: int | None = None)
     float parsing. label_column (if given) is the 0-based index of a
     column to drop; the data are treated as unsupervised. Raises
     ConfigError unless label_column is an integer >= 0, and DataError if
-    the file has no such column.
+    the file has no such column or a row that does not parse.
     """
     if label_column is not None:
         require_int("label_column", label_column, 0)
@@ -418,7 +418,10 @@ def read_points_csv(path, delimiter: str = ",", label_column: int | None = None)
             return False
 
     skip = 0 if _is_float_row(first) else 1
-    data = np.loadtxt(path, delimiter=delimiter, skiprows=skip, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=delimiter, skiprows=skip, ndmin=2)
+    except ValueError as exc:  # a ragged row or a field that is not a number
+        raise DataError(f"cannot parse {path}: {exc}") from exc
     if label_column is not None:
         if label_column >= data.shape[1]:
             raise DataError(

@@ -100,7 +100,6 @@ class SolverSpec:
     """
 
     kind: str = "erm"
-    loss: str = "squared_error"
     step: float | None = None
     iters: int = 100
     lam: float = 1.0
@@ -109,15 +108,10 @@ class SolverSpec:
     def __post_init__(self):
         if self.kind not in _SOLVER_KINDS:
             raise ConfigError(f"unknown solver {self.kind!r}; expected one of {_SOLVER_KINDS}")
-        LossSpec(self.loss)  # validates
         require_int("iters", self.iters, 1)
         require_real("lam", self.lam, positive=True)
         for name in ("step", "radius"):  # None selects the default
             require_real(name, getattr(self, name), positive=True, optional=True)
-
-    @property
-    def loss_spec(self) -> LossSpec:
-        return LossSpec(self.loss)
 
 
 @dataclass(frozen=True)
@@ -145,7 +139,8 @@ class IngestSpec:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Complete description of one seeded run.
+    """What every cell of a seeded trial shares; a cell's clusterer and
+    optimizer are arguments of run_pipeline and run_grid.
 
     seed, an integer >= 0, governs every random draw (fleet,
     initialization, attacks). The pipeline derives the fleet's and the
@@ -156,17 +151,18 @@ class PipelineConfig:
 
     fleet: FleetConfig | IngestSpec
     solver: SolverSpec = field(default_factory=SolverSpec)
-    cluster: ClusterSpec = field(default_factory=ClusterSpec)
-    opt: OptConfig = field(default_factory=OptConfig)
     attack: AttackSpec = field(default_factory=AttackSpec)
     seed: int = 0
 
     def __post_init__(self):
         require_int("seed", self.seed, 0)
-        if isinstance(self.fleet, IngestSpec) and self.solver.loss != "location":
-            raise ConfigError("ingested fleets carry raw points; use the location loss")
         if isinstance(self.fleet, FleetConfig):  # an ingest fleet's d comes with its layout
             self.attack.require_dim(self.fleet.d)
+
+    @property
+    def loss(self) -> LossSpec:
+        """The fleet's local loss: location for raw points, else squared error."""
+        return LossSpec("location" if isinstance(self.fleet, IngestSpec) else "squared_error")
 
 
 @dataclass
@@ -248,7 +244,7 @@ def _gd_from_origin(lam, c, step, iters):
     return gain * c
 
 
-def stage1_erms(shards: list[WorkerShard], solver: SolverSpec) -> np.ndarray:
+def stage1_erms(shards: list[WorkerShard], solver: SolverSpec, loss: LossSpec) -> np.ndarray:
     """Local model estimates for every machine, stacked (m, d).
 
     GD returns the solver.iters-th iterate of w <- w - step_i (A_i w - b_i)
@@ -261,7 +257,6 @@ def stage1_erms(shards: list[WorkerShard], solver: SolverSpec) -> np.ndarray:
     builds one machine's A_i, b_i at a time (_gd_erm). Raises
     NumericError if the iterate is not finite or its norm exceeds 1e12.
     """
-    loss = solver.loss_spec
     if solver.kind == "erm":
         return np.stack([local_erm(s, loss) for s in shards])
     if solver.kind == "ogd":
@@ -297,14 +292,13 @@ def _gd_erm(shard: WorkerShard, loss: LossSpec, solver: SolverSpec, i: int) -> n
 # stage II
 
 
-def _stage2(cfg: PipelineConfig, erms, truth):
+def _stage2(spec: ClusterSpec, seed: int, erms, truth):
     """Stage II: (final state, misclustering reports against truth)."""
-    spec = cfg.cluster
     if spec.method == "edge_cut":
         state = edge_cut_cluster(erms, spec.gamma, spec.min_cluster)
         return state, [mismetrics(state, truth)] if state.K == truth.K else []
 
-    init = warm_start_init(erms, truth, spec.warm_fraction, seed=derive_seed(cfg.seed, 1))
+    init = warm_start_init(erms, truth, spec.warm_fraction, seed=derive_seed(seed, 1))
     return run_lloyd_variant(erms, init, spec, ground_truth=truth)
 
 
@@ -338,7 +332,7 @@ def _local_models(cfg: PipelineConfig, layout: ComponentLayout | None, times):
     """Stage I: the fleet named by cfg, its ground truth and its ERMs."""
     with _stage(times, "stage1"):
         fleet, truth = materialize_fleet(cfg, layout)
-        return fleet, truth, stage1_erms(fleet, cfg.solver)
+        return fleet, truth, stage1_erms(fleet, cfg.solver, cfg.loss)
 
 
 def _cell_results(cfg: PipelineConfig, optimizers, fleet, truth, clustered, times) -> list:
@@ -352,7 +346,7 @@ def _cell_results(cfg: PipelineConfig, optimizers, fleet, truth, clustered, time
     on. times holds the stages before Stage III.
     """
     state, history = clustered
-    loss = cfg.solver.loss_spec
+    loss = cfg.loss
     n = len(optimizers)
     w_hats = [np.empty_like(state.centers) for _ in range(n)]
     trajectories: list[list[np.ndarray]] = [[] for _ in range(n)]
@@ -422,14 +416,16 @@ def _cell_result(truth, clustered, w_hats, trajectories, times) -> RunResult:
     )
 
 
-def run_pipeline(cfg: PipelineConfig) -> RunResult:
-    """Run the three stages for one config and seed: one cell of one trial
-    of run_grid, composed from the same stage helpers."""
+def run_pipeline(
+    cfg: PipelineConfig, cluster: ClusterSpec = ClusterSpec(), opt: OptConfig = OptConfig()
+) -> RunResult:
+    """Run the three stages of one cell for one config and seed: one trial
+    of a run_grid cell, composed from the same stage helpers."""
     times: dict[str, float] = {}
     fleet, truth, erms = _local_models(cfg, None, times)
     with _stage(times, "stage2"):
-        clustered = _stage2(cfg, erms, truth)
-    (result,) = _cell_results(cfg, [cfg.opt], fleet, truth, clustered, times)
+        clustered = _stage2(cluster, cfg.seed, erms, truth)
+    (result,) = _cell_results(cfg, [opt], fleet, truth, clustered, times)
     if isinstance(result, Exception):
         raise result
     return result
@@ -502,15 +498,14 @@ def _trial_outcomes(base_cfg, clusterers, optimizers, layout, t: int, seed: int)
         return [outcome(c, o, exc) for c, _ in clusterers for o, _ in optimizers]
     outcomes = []
     for cname, cspec in clusterers:
-        ccfg = replace(cfg, cluster=cspec)
         ctimes = dict(times)
         try:
             with _stage(ctimes, "stage2"):
-                clustered = _stage2(ccfg, erms, truth)
+                clustered = _stage2(cspec, seed, erms, truth)
         except Exception as exc:
             outcomes += [outcome(cname, o, exc) for o, _ in optimizers]
             continue
-        results = _cell_results(ccfg, [o for _, o in optimizers], fleet, truth, clustered, ctimes)
+        results = _cell_results(cfg, [o for _, o in optimizers], fleet, truth, clustered, ctimes)
         outcomes += [outcome(cname, o, r) for (o, _), r in zip(optimizers, results)]
     return outcomes
 
@@ -601,8 +596,6 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
     return {
         "fleet": fleet,
         "solver": asdict(cfg.solver),
-        "cluster": asdict(cfg.cluster),
-        "opt": asdict(cfg.opt),
         "attack": attack,
         "seed": cfg.seed,
     }
@@ -622,8 +615,6 @@ def config_from_dict(data: dict) -> PipelineConfig:
         return PipelineConfig(
             fleet=fleet,
             solver=SolverSpec(**data.get("solver", {})),
-            cluster=ClusterSpec(**data.get("cluster", {})),
-            opt=opt_from_dict(data.get("opt", {})),
             attack=AttackSpec(**attack_data),
             seed=data.get("seed", 0),
         )

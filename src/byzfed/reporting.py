@@ -27,6 +27,8 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError, DataError
 from .pipeline import TrialOutcome
 
@@ -38,6 +40,7 @@ __all__ = [
     "emit_grid_outputs",
     "compute_run_id",
     "file_sha256",
+    "array_sha256",
 ]
 
 SCHEMA_VERSION = 1
@@ -47,11 +50,14 @@ RESULT_FILES = ("results.csv", "misclustering.csv", "optimization.csv", "summary
 
 @dataclass
 class RunManifest:
-    """Replayable description of one invocation."""
+    """Replayable description of one invocation. points_sha256 is the
+    digest of an ingest fleet's parsed points (array_sha256), None for a
+    synthetic fleet."""
 
     run_id: str
     config: dict
     grid: dict
+    points_sha256: str | None = None
     command: str = ""
     version: str = ""
     created_at: str = ""
@@ -102,6 +108,14 @@ def load_manifest(path) -> RunManifest:
         raise DataError(f"manifest not found: {path}") from exc
     except (json.JSONDecodeError, TypeError) as exc:
         raise ConfigError(f"bad manifest {path}: {exc}") from exc
+
+
+def array_sha256(a: np.ndarray) -> str:
+    """Digest of an array's shape, then its C-order buffer, read in place
+    when the array is C-contiguous."""
+    h = hashlib.sha256(repr(a.shape).encode("ascii"))
+    h.update(np.ascontiguousarray(a).data)
+    return h.hexdigest()
 
 
 def file_sha256(path) -> str:

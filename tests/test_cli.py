@@ -19,9 +19,9 @@ an intentional behavior change:
 
 tests/data/golden_ingest/ pins all four result files of an ingest run on
 tests/data/two_blobs.csv, with a TKM and an edge_cut clusterer, so both
-callers of threshold_components are covered. The manifest records the
-CSV path as given and the run id hashes it, so run this from the
-repository root, only after an intentional behavior change:
+callers of threshold_components are covered. The run id hashes the
+parsed points, not the CSV path, so any path to the file gives the same
+files. Regenerate it only after an intentional behavior change:
 
     python -m byzfed.cli ingest --csv tests/data/two_blobs.csv --gamma 5 \
         --shard-size 5 --n-adv 6 --min-cluster 5 \
@@ -133,11 +133,11 @@ def test_golden_attack_files(tmp_path):
 
 
 @pytest.mark.parametrize("gamma", ["flag", "config_int"])
-def test_golden_ingest_files(tmp_path, monkeypatch, gamma):
+def test_golden_ingest_files(tmp_path, gamma):
     # an integer gamma in the config runs as the float the flag gives, so
-    # its run id (in results.csv) is the golden one too
+    # its run id (in results.csv) is the golden one too; the absolute path
+    # gives the run id of any other path to the same points
     golden = DATA_DIR / "golden_ingest"
-    monkeypatch.chdir(DATA_DIR.parent.parent)
     cfg = golden / "config.json"
     flags = ["--gamma", "5"]
     if gamma == "config_int":
@@ -146,7 +146,7 @@ def test_golden_ingest_files(tmp_path, monkeypatch, gamma):
                                    "fleet": {"gamma": 5}}))
         flags = []
     out = tmp_path / "out"
-    code = main(["ingest", "--csv", "tests/data/two_blobs.csv", *flags, "--shard-size", "5",
+    code = main(["ingest", "--csv", str(DATA_DIR / "two_blobs.csv"), *flags, "--shard-size", "5",
                  "--n-adv", "6", "--min-cluster", "5", "--config", str(cfg), "--threads", "2",
                  "--out-dir", str(out)])
     assert code == 0
@@ -200,8 +200,10 @@ def test_manifest_config_round_trips(tmp_path):
     manifest = load_manifest(out)
     cfg = config_from_dict(manifest.config)
     assert cfg.seed == 2
-    assert cfg.opt.aggregator.kind == "trimmed_mean"
-    assert cfg.opt.aggregator.beta == 0.2
+    # a one-cell run stores its cell once, in the grid
+    assert sorted(manifest.config) == ["attack", "fleet", "seed", "solver"]
+    [(name, opt)] = manifest.grid["optimizers"]
+    assert (name, opt["aggregator"]["kind"], opt["aggregator"]["beta"]) == ("TM", "trimmed_mean", 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +224,7 @@ def test_unknown_clusterer_exits_1(tmp_path):
 
 
 _SPELLINGS = [
-    ("clusterer", ("cluster", "method"), spelling, name)
+    ("clusterer", ("grid", "clusterers", 0, 1, "method"), spelling, name)
     for name, spellings in [
         ("lloyd", ["km", "lloyd"]),
         ("kgeomedian", ["kgm", "kgeomedian"]),
@@ -231,7 +233,7 @@ _SPELLINGS = [
     ]
     for spelling in spellings
 ] + [
-    ("aggregator", ("opt", "aggregator", "kind"), spelling, name)
+    ("aggregator", ("grid", "optimizers", 0, 1, "aggregator", "kind"), spelling, name)
     for name, spellings in [
         ("sample_mean", ["sm", "sample_mean"]),
         ("trimmed_mean", ["tm", "trimmed_mean"]),
@@ -258,7 +260,7 @@ def test_method_spellings_reach_the_manifest_by_canonical_name(tmp_path, flag, p
         gamma = ["--gamma", "1.0"] if name == "edge_cut" else []
         assert main(["synth", f"--{flag}", value, *gamma, "--config", str(_one_round(tmp_path)),
                      "--out-dir", str(out)]) == 0
-        recorded = load_manifest(out).config
+        recorded = json.loads((out / "manifest.json").read_text())
         for key in path:
             recorded = recorded[key]
         assert recorded == name
@@ -331,11 +333,11 @@ def test_bad_aggregator_parameters_exit_1(tmp_path, capsys, aggregator):
 # the manifest run id of each kind's valid config; keyed by kind, so a
 # regenerated run id renames no test
 _BETA_RUN_IDS = {
-    "sample_mean": "b0efc5f75c2d",
-    "trimmed_mean": "ca88405b25d7",
-    "coord_median": "d6c58bf8b12c",
-    "geo_median": "4fe1657cd295",
-    "iter_filter": "48a5d44caea3",
+    "sample_mean": "5ccd1e88a2a3",
+    "trimmed_mean": "af9d3ec432d3",
+    "coord_median": "4f8de11494c6",
+    "geo_median": "d2b0dbbe73b5",
+    "iter_filter": "da24a6fbaa32",
 }
 
 
@@ -380,9 +382,10 @@ def test_default_beta_applies_to_trimmed_mean_only(tmp_path):
     assert len(ids) == 1
     # synth's default trimmed mean keeps its beta and its run id
     tm = {"opt": {"aggregator": {"kind": "trimmed_mean"}}}
-    assert _synth_run_id(tmp_path, "default", None) == "e2fc56f385e6"
-    assert _synth_run_id(tmp_path, "tm", tm) == "e2fc56f385e6"
-    assert load_manifest(tmp_path / "tm" / "out").config["opt"]["aggregator"]["beta"] == 0.1
+    assert _synth_run_id(tmp_path, "default", None) == "24603953d922"
+    assert _synth_run_id(tmp_path, "tm", tm) == "24603953d922"
+    [(_, opt)] = load_manifest(tmp_path / "tm" / "out").grid["optimizers"]
+    assert opt["aggregator"]["beta"] == 0.1
 
 
 @pytest.mark.parametrize(
@@ -402,8 +405,8 @@ def test_config_aggregator_without_kind_exits_1(tmp_path, capsys, aggregator):
 def test_beta_flag_alone_sets_the_cli_made_trimmed_mean(tmp_path):
     code, out = _synth(tmp_path, "--seed", "1", "--beta", "0.2")
     assert code == 0
-    agg = load_manifest(out).config["opt"]["aggregator"]
-    assert (agg["kind"], agg["beta"]) == ("trimmed_mean", 0.2)
+    [(_, opt)] = load_manifest(out).grid["optimizers"]
+    assert (opt["aggregator"]["kind"], opt["aggregator"]["beta"]) == ("trimmed_mean", 0.2)
 
 
 @pytest.mark.parametrize(
@@ -560,7 +563,7 @@ def test_replay_rejects_non_integer_trials_and_threads(tmp_path, capsys, manifes
         (("config", "fleet"), "seed", 7),
         (("config", "fleet"), "adversary_kind", "corrupt_coefficients"),
         (("config", "attack"), "seed", 0),
-        (("config", "opt"), "init", None),
+        (("grid", "optimizers", 0, 1), "init", None),
     ],
     ids=["seed", "fleet.seed", "fleet.adversary_kind", "attack.seed", "opt.init"],
 )
@@ -761,6 +764,51 @@ def test_cell_flags_with_grid_section_exit_1(tmp_path, capsys, command, flag):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command", ["grid", "synth"])
+@pytest.mark.parametrize(
+    "extra", [{"cluster": {"C": 5.0}}, {"opt": {"max_rounds": 7}},
+              {"cluster": {}, "opt": {"aggregator": {"kind": "geo_median"}}}]
+)
+def test_top_level_cell_sections_beside_a_grid_exit_1(tmp_path, capsys, command, extra):
+    # a grid's cells carry their own clusterer and optimizer, so a top-level
+    # cluster or opt would reach no cell and only change the run id
+    cfg = _write_grid_config(tmp_path)
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), **extra}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert all(key in err for key in extra) and "cannot sit beside a grid" in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["grid", "synth"])
+@pytest.mark.parametrize("trials", [[], ["--trials", "2"]])
+@pytest.mark.parametrize(
+    "grid", [{}, {"clusterers": [], "optimizers": [{"name": "SM"}]},
+             {"clusterers": [{"name": "KM", "method": "lloyd"}], "optimizers": []}]
+)
+def test_grid_section_without_cells_exits_1(tmp_path, capsys, command, trials, grid):
+    # a grid section that is present names its cells, with or without --trials
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"grid": grid}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out-dir", str(out), *trials]) == 1
+    assert "grid section" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "ingest"])
+def test_unknown_top_level_config_key_exits_1(tmp_path, rng, capsys, command):
+    # a misspelt section would otherwise run with its defaults
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({"atack": {"kind": "sign_flip", "scale": 5}, "seeed": 3}))
+    out = tmp_path / "out"
+    flags = ["--csv", str(_blob_csv(tmp_path, rng))] if command == "ingest" else []
+    assert main([command, "--config", str(cfg), "--out-dir", str(out), *flags]) == 1
+    assert "unknown config key 'atack'" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # ingest and replay
 
@@ -804,6 +852,76 @@ def test_ingest_defaults_gamma_from_percentile(tmp_path, rng, capsys):
     code = main(["ingest", "--csv", str(csv), "--shard-size", "5", "--out-dir", str(out)])
     assert code == 0
     assert "gamma defaulted" in capsys.readouterr().out
+
+
+def test_ingest_default_gamma_of_0_is_a_data_error(tmp_path, rng, capsys):
+    # 30 copies of one point make over 10% of the pairs coincide; the data,
+    # not a setting the user never gave, is what leaves no default
+    pts = rng.standard_normal((30, 3))
+    path = tmp_path / "dup.csv"
+    np.savetxt(path, np.vstack([pts, np.repeat(pts[:1], 30, axis=0)]), delimiter=",")
+    out = tmp_path / "out"
+    assert main(["ingest", "--csv", str(path), "--shard-size", "5", "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "coincident points" in captured.err and "--gamma" in captured.err
+    assert "gamma defaulted" not in captured.out
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("bad_line", ["1.0,2.0", "1.0,abc,3.0"], ids=["ragged", "not-a-number"])
+def test_ingest_malformed_csv_exits_2_without_traceback(tmp_path, rng, capsys, bad_line):
+    csv = _blob_csv(tmp_path, rng)
+    lines = csv.read_text().splitlines()
+    lines[4] = bad_line
+    csv.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["ingest", "--csv", str(csv), "--gamma", "10", "--shard-size", "5",
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        next(line for line in err.splitlines() if line.startswith("error:"))
+    ]
+    assert f"cannot parse {csv}" in err
+    assert "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
+def _ingest_run_id(tmp_path, csv, name):
+    out = tmp_path / name
+    assert main(["ingest", "--csv", str(csv), "--gamma", "10", "--shard-size", "5",
+                 "--n-adv", "1", "--out-dir", str(out)]) == 0
+    return out, load_manifest(out).run_id
+
+
+def test_ingest_run_id_follows_the_points_not_the_path(tmp_path, rng):
+    csv = _blob_csv(tmp_path, rng)
+    copy = tmp_path / "elsewhere" / "copy.csv"
+    copy.parent.mkdir()
+    copy.write_bytes(csv.read_bytes())
+    first, run_id = _ingest_run_id(tmp_path, csv, "a")
+    second, copy_id = _ingest_run_id(tmp_path, copy, "b")
+    assert copy_id == run_id
+    assert load_manifest(first).points_sha256 == load_manifest(second).points_sha256
+    for name in RESULT_FILES:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    # one value moved by 0.001 is another experiment
+    pts = np.loadtxt(copy, delimiter=",")
+    pts[3, 1] += 0.001
+    np.savetxt(copy, pts, delimiter=",")
+    assert _ingest_run_id(tmp_path, copy, "c")[1] != run_id
+
+
+def test_replay_of_changed_points_exits_2_before_any_file(tmp_path, rng, capsys):
+    csv = _blob_csv(tmp_path, rng)
+    out, _ = _ingest_run_id(tmp_path, csv, "out")
+    pts = np.loadtxt(csv, delimiter=",")
+    pts[3, 1] += 0.001
+    np.savetxt(csv, pts, delimiter=",")
+    capsys.readouterr()
+    re_dir = tmp_path / "re"
+    assert main(["replay", "--manifest", str(out), "--out-dir", str(re_dir)]) == 2
+    assert "input changed" in capsys.readouterr().err
+    assert not re_dir.exists()
 
 
 @pytest.mark.parametrize("gamma_flag", [[], ["--gamma", "10"]])
@@ -864,7 +982,7 @@ def _ingest_fleet_config(tmp_path, csv, **fleet):
              "n_adv": 1, "min_cluster": 1, "label_column": None, **fleet}
     grid = json.loads(_write_grid_config(tmp_path).read_text())["grid"]
     path = tmp_path / "ingest_grid.json"
-    path.write_text(json.dumps({"fleet": fleet, "solver": {"loss": "location"}, "grid": grid}))
+    path.write_text(json.dumps({"fleet": fleet, "grid": grid}))
     return path
 
 
@@ -937,7 +1055,7 @@ def test_replay_refuses_to_overwrite_the_run_it_checks(tmp_path, capsys):
 def test_replay_of_edited_config_names_both_run_ids(tmp_path, capsys):
     _, out = _synth(tmp_path, "--seed", "1")
     manifest = json.loads((out / "manifest.json").read_text())
-    manifest["config"]["opt"]["max_rounds"] = 7
+    manifest["grid"]["optimizers"][0][1]["max_rounds"] = 7
     (out / "manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
     re_dir = tmp_path / "re"
@@ -977,13 +1095,28 @@ def test_replay_of_manifest_naming_removed_cluster_fields_exits_1(tmp_path, caps
     # knobs; ClusterSpec no longer has them, so the replay is a bad config
     _, out = _synth(tmp_path, "--seed", "1")
     manifest = json.loads((out / "manifest.json").read_text())
-    manifest["config"]["cluster"].update(T=5, variance_bound=None)
+    manifest["grid"]["clusterers"][0][1].update(T=5, variance_bound=None)
     (out / "manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
     re_dir = tmp_path / "re"
     assert main(["replay", "--manifest", str(out), "--out-dir", str(re_dir)]) == 1
-    assert "bad config" in capsys.readouterr().err
+    assert "bad grid section" in capsys.readouterr().err
     assert not (re_dir / "manifest.json").exists()
+
+
+def test_replay_of_manifest_with_cells_in_its_config_exits_1(tmp_path, capsys):
+    # manifests written while PipelineConfig held a cluster and an opt
+    # store the cell in config too; beside the grid, those sections exit 1
+    _, out = _synth(tmp_path, "--seed", "1")
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["config"]["cluster"] = manifest["grid"]["clusterers"][0][1]
+    manifest["config"]["opt"] = manifest["grid"]["optimizers"][0][1]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    re_dir = tmp_path / "re"
+    assert main(["replay", "--manifest", str(out), "--out-dir", str(re_dir)]) == 1
+    assert "top-level cluster and opt cannot sit beside a grid" in capsys.readouterr().err
+    assert not re_dir.exists()
 
 
 def test_replay_missing_manifest_exits_2(tmp_path):

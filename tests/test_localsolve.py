@@ -145,21 +145,21 @@ def test_kernel_matches_raw_row_gradients(sizes, d, seed):
 
 def test_gd_erm_converges_to_exact_solution(rng):
     shard, _ = _shard(rng, n=50, d=5)
-    w_gd = stage1_erms([shard], SolverSpec(kind="gd", iters=4000))[0]
+    w_gd = stage1_erms([shard], SolverSpec(kind="gd", iters=4000), SQ)[0]
     w_exact = local_erm(shard, SQ)
     assert np.linalg.norm(w_gd - w_exact) < 1e-6
 
 
 def test_gd_erm_location_converges_to_mean(rng):
     shard, _ = _shard(rng)
-    w = stage1_erms([shard], SolverSpec(kind="gd", loss="location", iters=60))[0]
+    w = stage1_erms([shard], SolverSpec(kind="gd", iters=60), LOC)[0]
     np.testing.assert_allclose(w, shard.X.mean(axis=0), atol=1e-9)
 
 
 def test_gd_erm_diverges_with_large_step(rng):
     shard, _ = _shard(rng, n=40, d=4)
     with pytest.raises(NumericError):
-        stage1_erms([shard], SolverSpec(kind="gd", step=10.0, iters=500))
+        stage1_erms([shard], SolverSpec(kind="gd", step=10.0, iters=500), SQ)
 
 
 def test_gd_erm_validation(rng):
@@ -232,7 +232,7 @@ def test_stage1_gd_closed_form_matches_raw_row_recursion(n, d, seed, mode, loss_
         "edge": 2.0 / lam_max,
     }[mode]
     with np.errstate(all="raise"):
-        got = stage1_erms([shard], SolverSpec(kind="gd", loss=loss_kind, step=step, iters=iters))
+        got = stage1_erms([shard], SolverSpec(kind="gd", step=step, iters=iters), loss)
         ref = _raw_row_gd(shard, loss, 1.0 / lam_max if step is None else step, iters)
     assert np.linalg.norm(got[0] - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -240,7 +240,7 @@ def test_stage1_gd_closed_form_matches_raw_row_recursion(n, d, seed, mode, loss_
 def test_stage1_gd_location_auto_step_returns_the_mean_exactly(rng):
     shards = _ragged_shards(rng, [7, 30, 1], 5)
     with np.errstate(all="raise"):
-        got = stage1_erms(shards, SolverSpec(kind="gd", loss="location", iters=1000))
+        got = stage1_erms(shards, SolverSpec(kind="gd", iters=1000), LOC)
     np.testing.assert_array_equal(got, shard_stats(shards, LOC).b)
 
 
@@ -260,15 +260,15 @@ def test_stage1_gd_diverging_step_raises(n, d, seed, factor, loss_kind):
     lam_max = 1.0
     if loss_kind == "squared_error":
         lam_max = np.linalg.eigvalsh(shard.X.T @ shard.X / shard.n)[-1]
-    solver = SolverSpec(kind="gd", loss=loss_kind, step=factor / lam_max, iters=400)
+    solver = SolverSpec(kind="gd", step=factor / lam_max, iters=400)
     with np.errstate(all="raise"), pytest.raises(NumericError):
-        stage1_erms([shard], solver)
+        stage1_erms([shard], solver, LossSpec(loss_kind))
 
 
 def test_gd_erm_deterministic(rng):
     shard, _ = _shard(rng)
     solver = SolverSpec(kind="gd", iters=100)
-    np.testing.assert_array_equal(stage1_erms([shard], solver), stage1_erms([shard], solver))
+    np.testing.assert_array_equal(stage1_erms([shard], solver, SQ), stage1_erms([shard], solver, SQ))
 
 
 @settings(max_examples=15, deadline=None)
@@ -280,11 +280,11 @@ def test_gd_erm_deterministic(rng):
 def test_stage1_gd_machine_independent_of_its_stack(sizes, seed, loss):
     gen = np.random.default_rng(seed)
     shards = _ragged_shards(gen, sizes, 3)
-    solver = SolverSpec(kind="gd", loss=loss, iters=30)
-    stacked = stage1_erms(shards, solver)
-    reversed_stack = stage1_erms(shards[::-1], solver)[::-1]
+    solver, loss = SolverSpec(kind="gd", iters=30), LossSpec(loss)
+    stacked = stage1_erms(shards, solver, loss)
+    reversed_stack = stage1_erms(shards[::-1], solver, loss)[::-1]
     for i, s in enumerate(shards):
-        alone = stage1_erms([s], solver)[0]
+        alone = stage1_erms([s], solver, loss)[0]
         np.testing.assert_array_equal(stacked[i], alone)
         np.testing.assert_array_equal(reversed_stack[i], alone)
 
@@ -297,7 +297,7 @@ def test_stage1_gd_holds_one_machine_statistics_at_a_time(rng):
     solver = SolverSpec(kind="gd")
     tracemalloc.start()
     try:
-        W = stage1_erms(shards, solver)
+        W = stage1_erms(shards, solver, SQ)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -5,6 +5,7 @@ from byzfed.clustering import run_lloyd_variant, warm_start_init
 from byzfed.datagen import FleetConfig, generate_fleet
 from byzfed.distopt import AttackSpec, OptConfig, robust_gd
 from byzfed.errors import ConfigError, DataError, NumericError
+from byzfed.localsolve import LossSpec
 from byzfed.numerics import derive_seed
 from byzfed import distopt, pipeline
 from byzfed.pipeline import (
@@ -16,6 +17,7 @@ from byzfed.pipeline import (
     config_from_dict,
     config_to_dict,
     ingest_layout,
+    opt_from_dict,
     materialize_fleet,
     run_grid,
     run_pipeline,
@@ -31,20 +33,19 @@ from types import SimpleNamespace
 
 
 def _clean_config(seed=0):
-    return PipelineConfig(
-        fleet=FleetConfig(m=12, n=30, d=6, K=2, alpha=0.0, sigma=0.0),
-        cluster=ClusterSpec(method="trimmed_kmeans", warm_fraction=1.0),
-        seed=seed,
-    )
+    return PipelineConfig(fleet=FleetConfig(m=12, n=30, d=6, K=2, alpha=0.0, sigma=0.0), seed=seed)
+
+
+_CLEAN_CLUSTER = ClusterSpec(method="trimmed_kmeans", warm_fraction=1.0)
 
 
 def _adversarial_config(seed=3):
-    return PipelineConfig(
-        fleet=FleetConfig(m=20, n=40, d=8, K=2, alpha=0.2, sigma=0.5),
-        cluster=ClusterSpec(method="trimmed_kmeans", C=2.0, sigma_hat=0.55, warm_fraction=0.6),
-        opt=OptConfig(max_rounds=100, aggregator=AggregatorSpec("trimmed_mean", beta=0.25)),
-        seed=seed,
-    )
+    return PipelineConfig(fleet=FleetConfig(m=20, n=40, d=8, K=2, alpha=0.2, sigma=0.5), seed=seed)
+
+
+# the cell _adversarial_config runs in
+_ADV_CLUSTER = ClusterSpec(method="trimmed_kmeans", C=2.0, sigma_hat=0.55, warm_fraction=0.6)
+_ADV_OPT = OptConfig(max_rounds=100, aggregator=AggregatorSpec("trimmed_mean", beta=0.25))
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +53,7 @@ def _adversarial_config(seed=3):
 
 
 def test_clean_problem_is_solved_exactly():
-    result = run_pipeline(_clean_config())
+    result = run_pipeline(_clean_config(), _CLEAN_CLUSTER)
     assert result.est_error <= 1e-6
     assert result.per_cluster_w_hat.shape == (2, 6)
     assert result.n_unmatched == 0
@@ -65,17 +66,17 @@ def test_pipeline_composes_documented_stages():
     derived seeds it documents: fleet at (seed, 0), the warm start at
     (seed, 1), the cluster-k attack at (seed, 2, k)."""
     cfg = _adversarial_config(seed=77)
-    got = run_pipeline(cfg)
+    got = run_pipeline(cfg, _ADV_CLUSTER, _ADV_OPT)
 
     fleet, truth = generate_fleet(cfg.fleet, seed=derive_seed(cfg.seed, 0))
-    erms = stage1_erms(fleet, cfg.solver)
-    init = warm_start_init(erms, truth, cfg.cluster.warm_fraction,
+    erms = stage1_erms(fleet, cfg.solver, LossSpec("squared_error"))
+    init = warm_start_init(erms, truth, _ADV_CLUSTER.warm_fraction,
                            seed=derive_seed(cfg.seed, 1))
-    state, _ = run_lloyd_variant(erms, init, cfg.cluster, ground_truth=truth)
+    state, _ = run_lloyd_variant(erms, init, _ADV_CLUSTER, ground_truth=truth)
     w_hats = np.empty_like(state.centers)
     for k in range(state.K):
         members = [fleet[i] for i in np.flatnonzero(state.labels == k)]
-        w_hats[k], _ = robust_gd(members, cfg.solver.loss_spec, cfg.opt, cfg.attack,
+        w_hats[k], _ = robust_gd(members, LossSpec("squared_error"), _ADV_OPT, cfg.attack,
                                  init=state.centers[k], seed=derive_seed(cfg.seed, 2, k))
 
     np.testing.assert_array_equal(got.per_cluster_w_hat, w_hats)
@@ -92,7 +93,7 @@ def test_round_records_are_the_norms_of_robust_gds_own_trajectory(monkeypatch):
         return w, traj
 
     monkeypatch.setattr(pipeline, "robust_gd", recording)
-    got = run_pipeline(cfg)
+    got = run_pipeline(cfg, _ADV_CLUSTER, _ADV_OPT)
     _, truth = materialize_fleet(cfg)
     matched = dict(got.matched_pairs)
     assert len(trajectories) == len(got.update_norm) == len(got.dist_to_truth) == 2
@@ -128,11 +129,16 @@ def test_unmatched_cluster_records_no_distance(tmp_path):
     ]
 
 
-def test_ingest_fleet_requires_location_loss(tmp_path):
-    f = tmp_path / "p.csv"
-    f.write_text("0.0,0.0\n")
-    with pytest.raises(ConfigError):
-        PipelineConfig(fleet=IngestSpec(path=str(f), gamma=1.0))
+def test_loss_follows_the_fleet():
+    # ingested machines hold raw points, synthetic ones regression shards;
+    # a cell's clusterer and optimizer are arguments, not config fields
+    ingest = PipelineConfig(fleet=IngestSpec(path="p.csv", gamma=1.0))
+    synthetic = PipelineConfig(fleet=FleetConfig(m=4, n=5, d=2, K=2))
+    assert (ingest.loss, synthetic.loss) == (LossSpec("location"), LossSpec("squared_error"))
+    assert [f.name for f in fields(PipelineConfig)] == ["fleet", "solver", "attack", "seed"]
+    assert "loss" not in [f.name for f in fields(SolverSpec)]
+    with pytest.raises(ConfigError, match="'loss'"):
+        config_from_dict({**config_to_dict(ingest), "solver": {"loss": "location"}})
 
 
 def test_ingest_pipeline_end_to_end(tmp_path, rng):
@@ -142,13 +148,13 @@ def test_ingest_pipeline_end_to_end(tmp_path, rng):
     f = tmp_path / "blobs.csv"
     np.savetxt(f, pts, delimiter=",")
     cfg = PipelineConfig(
-        fleet=IngestSpec(path=str(f), gamma=10.0, shard_size=5, n_adv=2, min_cluster=5),
-        solver=SolverSpec(loss="location"),
-        cluster=ClusterSpec(method="edge_cut", gamma=10.0, min_cluster=2),
-        opt=OptConfig(max_rounds=50, aggregator=AggregatorSpec("trimmed_mean", beta=0.25)),
-        seed=4,
+        fleet=IngestSpec(path=str(f), gamma=10.0, shard_size=5, n_adv=2, min_cluster=5), seed=4
     )
-    result = run_pipeline(cfg)
+    result = run_pipeline(
+        cfg,
+        ClusterSpec(method="edge_cut", gamma=10.0, min_cluster=2),
+        OptConfig(max_rounds=50, aggregator=AggregatorSpec("trimmed_mean", beta=0.25)),
+    )
     assert result.cluster_state.K == 2
     assert np.isfinite(result.est_error)
     assert result.est_error < 1.0
@@ -161,7 +167,7 @@ def test_ingest_pipeline_end_to_end(tmp_path, rng):
 def test_stage1_batched_gd_matches_per_machine(rng):
     fleet, _ = generate_fleet(FleetConfig(m=6, n=20, d=5, K=2, sigma=0.4), seed=1)
     solver = SolverSpec(kind="gd", iters=80)
-    batched = stage1_erms(fleet, solver)
+    batched = stage1_erms(fleet, solver, LossSpec("squared_error"))
     for i, s in enumerate(fleet):
         # raw-row recursion from the origin at step 1/lambda_max(X'X/n)
         lam = np.linalg.eigvalsh(s.X.T @ s.X / s.n)[-1]
@@ -189,7 +195,7 @@ def test_match_centers_rejects_a_non_finite_estimate():
 
 def test_stage1_online_solver_runs(rng):
     fleet, _ = generate_fleet(FleetConfig(m=4, n=25, d=3, K=2, sigma=0.2), seed=2)
-    out = stage1_erms(fleet, SolverSpec(kind="ogd", lam=0.5))
+    out = stage1_erms(fleet, SolverSpec(kind="ogd", lam=0.5), LossSpec("squared_error"))
     assert out.shape == (4, 3)
     assert np.all(np.isfinite(out))
 
@@ -199,11 +205,7 @@ def test_stage1_online_solver_runs(rng):
 
 
 def _grid_inputs():
-    base = PipelineConfig(
-        fleet=FleetConfig(m=12, n=20, d=4, K=2, alpha=0.1, sigma=0.5),
-        opt=OptConfig(max_rounds=40),
-        seed=0,
-    )
+    base = PipelineConfig(fleet=FleetConfig(m=12, n=20, d=4, K=2, alpha=0.1, sigma=0.5))
     clusterers = [
         ("KM", ClusterSpec(method="lloyd")),
         ("TKM", ClusterSpec(method="trimmed_kmeans", sigma_hat=0.55)),
@@ -230,7 +232,7 @@ def test_grid_single_cell_equals_run_pipeline():
     base, clusterers, optimizers = _grid_inputs()
     outcomes, _ = run_grid(replace(base, seed=21), clusterers[:1], optimizers[:1], n_trials=1)
     direct = run_pipeline(
-        replace(base, cluster=clusterers[0][1], opt=optimizers[0][1], seed=derive_seed(21, 0))
+        replace(base, seed=derive_seed(21, 0)), clusterers[0][1], optimizers[0][1]
     )
     assert outcomes[0].result.est_error == direct.est_error
     np.testing.assert_array_equal(
@@ -295,8 +297,6 @@ def _ingest_grid_inputs(tmp_path, rng, **spec):
     np.savetxt(f, pts, delimiter=",")
     base = PipelineConfig(
         fleet=IngestSpec(path=str(f), **{"gamma": 10.0, "shard_size": 5, "n_adv": 2, **spec}),
-        solver=SolverSpec(loss="location"),
-        seed=0,
     )
     _, clusterers, optimizers = _grid_inputs()
     return base, clusterers, optimizers
@@ -380,7 +380,7 @@ def test_grid_cells_equal_run_pipeline(inputs, fa_first, tmp_path, rng):
     for o in outcomes:
         cspec, ospec = specs[o.cell]
         assert o.seed == derive_seed(17, o.trial)
-        direct = run_pipeline(replace(base, cluster=cspec, opt=ospec, seed=o.seed))
+        direct = run_pipeline(replace(base, seed=o.seed), cspec, ospec)
         _assert_same_result(o.result, direct)
 
 
@@ -438,7 +438,7 @@ def test_grid_draws_each_gaussian_report_once(monkeypatch):
     (_, cspec), = clusterers
     specs = dict(optimizers)
     for o in outcomes:  # each cell on its own draws privately
-        run_pipeline(replace(base, cluster=cspec, opt=specs[o.optimizer], seed=o.seed))
+        run_pipeline(replace(base, seed=o.seed), cspec, specs[o.optimizer])
     needed = set(drawn)
     assert len(grid_draws) == len(set(grid_draws)) == len(needed)
     assert set(grid_draws) == needed
@@ -450,24 +450,20 @@ def test_grid_stage3_failure_fails_its_cell_alone():
     cluster. Iterative filtering needs two reports, so the IF cell fails in
     Stage III; the SM cell after it, on the same clusters and statistics,
     equals SM on its own."""
-    base = PipelineConfig(
-        fleet=FleetConfig(m=3, n=30, d=4, K=2, alpha=0.0, sigma=0.0),
-        cluster=ClusterSpec(method="lloyd", warm_fraction=1.0),
-    )
+    base = PipelineConfig(fleet=FleetConfig(m=3, n=30, d=4, K=2, alpha=0.0, sigma=0.0))
+    cluster = ClusterSpec(method="lloyd", warm_fraction=1.0)
     optimizers = [
         ("IF", OptConfig(max_rounds=20, aggregator=AggregatorSpec("iter_filter"))),
         ("SM", OptConfig(max_rounds=20)),
     ]
-    outcomes, summary = run_grid(
-        replace(base, seed=6), [("KM", base.cluster)], optimizers, n_trials=2
-    )
+    outcomes, summary = run_grid(replace(base, seed=6), [("KM", cluster)], optimizers, n_trials=2)
     for o in outcomes:
         if o.optimizer == "IF":
             assert o.result is None
             assert o.error == "ConfigError('stage3: iterative filtering needs at least 2 points')"
         else:
             assert sorted(np.bincount(o.result.cluster_state.labels)) == [1, 2]
-            direct = run_pipeline(replace(base, opt=optimizers[1][1], seed=o.seed))
+            direct = run_pipeline(replace(base, seed=o.seed), cluster, optimizers[1][1])
             _assert_same_result(o.result, direct)
     assert [r["n_failed"] for r in summary] == [2, 0]
 
@@ -561,7 +557,11 @@ def test_grid_validation():
 def test_pipeline_config_rejects_bad_seed_and_derived_fields(change, field):
     data = config_to_dict(_clean_config())
     for section, value in change.items():
-        data[section] = {**data[section], **value} if isinstance(value, dict) else value
+        data[section] = {**data.get(section, {}), **value} if isinstance(value, dict) else value
+    if "opt" in data:  # a cell's optimizer is an argument, not part of the config
+        with pytest.raises(TypeError, match="'init'"):
+            opt_from_dict(data["opt"])
+        return
     with pytest.raises(ConfigError) as exc:
         config_from_dict(data)
     assert field.rpartition(".")[2] in str(exc.value)
@@ -581,12 +581,6 @@ def _fancy_config(tmp_path):
     return PipelineConfig(
         fleet=FleetConfig(m=10, n=5, d=3, K=2, alpha=0.2, sigma=1.5),
         solver=SolverSpec(kind="gd", step=0.05, iters=20),
-        cluster=ClusterSpec(method="trimmed_kmeans", C=1.5, sigma_hat=0.7, warm_fraction=0.4),
-        opt=OptConfig(
-            step_size=0.1,
-            max_rounds=17,
-            aggregator=AggregatorSpec("trimmed_mean", beta=0.15),
-        ),
         attack=AttackSpec("constant", vector=np.array([9.0, 9.0, 9.0])),
         seed=31,
     )
@@ -605,7 +599,6 @@ def test_config_round_trip(tmp_path):
 def test_config_round_trip_ingest(tmp_path):
     cfg = PipelineConfig(
         fleet=IngestSpec(path="pts.csv", gamma=2.5, shard_size=10, n_adv=1),
-        solver=SolverSpec(loss="location"),
         seed=7,
     )
     assert config_to_dict(config_from_dict(config_to_dict(cfg))) == config_to_dict(cfg)

@@ -24,7 +24,8 @@ def test_readme_quick_tour_runs(capsys):
 def test_readme_example_grid_config_builds():
     text = README.read_text(encoding="utf-8")
     data = json.loads(re.search(r"```json\n(.*?)```", text, re.DOTALL).group(1))
-    clusterers, optimizers, trials = _grid_specs(data, config_from_dict(data))
+    config_from_dict(data)
+    clusterers, optimizers, trials = _grid_specs(data)
     grid = data["grid"]
     assert [name for name, _ in clusterers] == [c["name"] for c in grid["clusterers"]]
     assert [name for name, _ in optimizers] == [o["name"] for o in grid["optimizers"]]
