@@ -16,8 +16,9 @@ computed once per run, before manifest.json is written, so a bad points
 file exits 2 with no manifest, and a constant attack vector whose length
 is not the points' dimension exits 1 with no manifest; each trial only
 draws its own shards. The run id names an ingest fleet by the digest of
-its parsed points, not by its path, and replay of points that changed
-exits 2 before writing any file.
+its parsed points, not by its path; manifest.json records the absolute
+path, so replay finds the points from any directory, and replay of
+points that changed exits 2 before writing any file.
 Configs are JSON; flags override file values. A grid section holds the
 cells, so a top-level cluster or opt beside it, or a per-cell flag,
 would reach no cell and exits 1. A method is named
@@ -37,10 +38,12 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
+import shutil
 import sys
 import tempfile
 import traceback
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .datagen import percentile_gamma, read_points_csv
@@ -221,13 +224,10 @@ def _apply_overrides(data: dict, args) -> dict:
     return data
 
 
-def _named(entry) -> tuple[str, dict]:
-    """A grid entry as (name, fields): a config writes an object with a
-    name key, a manifest a [name, fields] pair."""
-    if isinstance(entry, dict):
-        return str(entry["name"]), {k: v for k, v in entry.items() if k != "name"}
-    name, fields = entry
-    return str(name), fields
+def _cell(entry) -> tuple[str, dict]:
+    """A grid entry, an object {"name": ..., **fields}, as (name, fields)."""
+    fields = {**entry}  # TypeError unless the entry is an object
+    return str(fields.pop("name")), fields
 
 
 def _grid_specs(data: dict):
@@ -241,8 +241,8 @@ def _grid_specs(data: dict):
                           "set them in its clusterers or optimizers")
     try:
         if grid is not None:
-            clusterers = [(name, ClusterSpec(**f)) for name, f in map(_named, grid["clusterers"])]
-            optimizers = [(name, opt_from_dict(f)) for name, f in map(_named, grid["optimizers"])]
+            clusterers = [(name, ClusterSpec(**f)) for name, f in map(_cell, grid["clusterers"])]
+            optimizers = [(name, opt_from_dict(f)) for name, f in map(_cell, grid["optimizers"])]
         else:
             cluster, opt = ClusterSpec(**data.get("cluster", {})), opt_from_dict(data.get("opt", {}))
             oname = "FA" if opt.local_steps > 1 else _AGGREGATORS[opt.aggregator.kind]
@@ -279,7 +279,10 @@ def _execute(data: dict, command: str, out_dir, threads, points=None,
     out_dir = Path(out_dir)
     layout = points_sha256 = None
     if isinstance(base_cfg.fleet, IngestSpec):
-        spec = base_cfg.fleet
+        # the manifest records the absolute path, so replay finds the points
+        # from any working directory; the run id does not depend on it
+        spec = replace(base_cfg.fleet, path=os.path.abspath(base_cfg.fleet.path))
+        base_cfg = replace(base_cfg, fleet=spec)
         if points is None:
             points = read_points_csv(spec.path, label_column=spec.label_column)
         points_sha256 = array_sha256(points)
@@ -290,8 +293,8 @@ def _execute(data: dict, command: str, out_dir, threads, points=None,
         base_cfg.attack.require_dim(layout.points.shape[1])
 
     grid_dict = {
-        "clusterers": [[name, asdict(spec)] for name, spec in clusterers],
-        "optimizers": [[name, asdict(opt)] for name, opt in optimizers],
+        "clusterers": [{"name": name, **asdict(cluster)} for name, cluster in clusterers],
+        "optimizers": [{"name": name, **asdict(opt)} for name, opt in optimizers],
         "trials": trials,
     }
     config_dict = config_to_dict(base_cfg)
@@ -379,17 +382,22 @@ def cmd_replay(args) -> int:
     src_dir = Path(args.manifest)
     if src_dir.is_file():
         src_dir = src_dir.parent
-    out_dir = Path(args.out_dir) if args.out_dir else Path(
-        tempfile.mkdtemp(prefix=f"byzfed_replay_{manifest.run_id}_")
-    )
-    if out_dir.resolve() == src_dir.resolve():
-        raise ConfigError(f"replay would overwrite the run it checks in {out_dir}")
+    if args.out_dir:
+        out_dir = Path(args.out_dir)
+        if out_dir.resolve() == src_dir.resolve():
+            raise ConfigError(f"replay would overwrite the run it checks in {out_dir}")
+    else:
+        out_dir = Path(tempfile.mkdtemp(prefix=f"byzfed_replay_{manifest.run_id}_"))
     threads = manifest.threads if args.threads is None else args.threads
 
     data = {**manifest.config, "grid": manifest.grid}
-    _check_keys(data)
-    print(f"[byzfed] replaying run {manifest.run_id} into {out_dir}", flush=True)
-    _, run_id = _execute(data, manifest.command, out_dir, threads, replaying=manifest)
+    try:
+        _check_keys(data)
+        print(f"[byzfed] replaying run {manifest.run_id} into {out_dir}", flush=True)
+        _, run_id = _execute(data, manifest.command, out_dir, threads, replaying=manifest)
+    finally:
+        if not args.out_dir and not (out_dir / "manifest.json").exists():
+            shutil.rmtree(out_dir)  # made above, and no run reached it
     if run_id != manifest.run_id:
         raise ByzfedError(f"the manifest's config and grid give run id {run_id}, "
                           f"but the manifest records {manifest.run_id}")

@@ -130,17 +130,14 @@ class ClusterSpec:
     rules, iterated at most max_iter times; trimmed_kmeans reads C (ball
     radius multiplier; infinite = no trimming) and sigma_hat (positive;
     None = per-bucket estimate 1.4826 * median ||x - geomedian|| /
-    sqrt(d)).
-    warm_fraction configures the partially-correct initialization used by
-    the Lloyd-family methods; gamma/min_cluster belong to edge_cut. The
-    counts are integers.
+    sqrt(d)). gamma/min_cluster belong to edge_cut. The counts are
+    integers.
     """
 
     method: str = "trimmed_kmeans"
     C: float = 2.0
     sigma_hat: float | None = None
     max_iter: int = 15
-    warm_fraction: float = 0.6
     gamma: float | None = None
     min_cluster: int = 1
 
@@ -151,9 +148,6 @@ class ClusterSpec:
             )
         if self.method == "edge_cut" and self.gamma is None:
             raise ConfigError("edge_cut needs gamma")
-        require_real("warm_fraction", self.warm_fraction)
-        if self.warm_fraction > 1.0:
-            raise ConfigError(f"warm_fraction must be in [0, 1], got {self.warm_fraction!r}")
         require_real("C", self.C, positive=True, finite=False)
         require_real("sigma_hat", self.sigma_hat, positive=True, finite=False, optional=True)
         require_real("gamma", self.gamma, positive=True, finite=False, optional=True)

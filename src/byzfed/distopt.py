@@ -38,7 +38,7 @@ import numpy as np
 
 from .datagen import WorkerShard
 from .errors import ConfigError, require_int, require_real
-from .localsolve import _DIVERGENCE_NORM, LossSpec, ShardStats, local_gradient, shard_stats
+from .localsolve import LossSpec, ShardStats, local_gradient, shard_stats
 from .numerics import RngStream, derive_seed, top_eigenpair
 from .robust_stats import AggregatorSpec, aggregate
 
@@ -52,6 +52,9 @@ __all__ = [
 ]
 
 _ATTACK_KINDS = ("none", "own_corrupt_data", "sign_flip", "random_gauss", "constant")
+
+# a run whose iterate passes this norm has diverged and stops
+_DIVERGENCE_NORM = 1e12
 
 
 @dataclass(frozen=True)
@@ -99,20 +102,18 @@ class AttackSpec:
 class OptConfig:
     """Distributed optimization settings.
 
-    step_size=None derives 1/lambda_max of the pooled covariance across
-    the cluster's shards (1.0 for the location loss). local_steps is the
-    number of local steps per round of fed_avg_robust; robust_gd takes one
-    gradient per round and rejects local_steps > 1.
+    Every step is 1/lambda_max of the pooled covariance across the
+    cluster's shards (pooled_auto_step). local_steps is the number of
+    local steps per round of fed_avg_robust; robust_gd takes one gradient
+    per round and rejects local_steps > 1.
     """
 
-    step_size: float | None = None
     max_rounds: int = 300
     aggregator: AggregatorSpec = field(default_factory=partial(AggregatorSpec, "sample_mean"))
     local_steps: int = 1
     stop_tol: float = 1e-8
 
     def __post_init__(self):
-        require_real("step_size", self.step_size, positive=True, optional=True)
         require_int("max_rounds", self.max_rounds, 1)
         require_int("local_steps", self.local_steps, 1)
         require_real("stop_tol", self.stop_tol)
@@ -211,11 +212,9 @@ def _descend(shards, loss, cfg, attack, local_steps, init, seed, table):
         table.stats = shard_stats(shards, loss)
     stats = table.stats
     d = stats.b.shape[1]
-    step = cfg.step_size
-    if step is None:
-        if table.step is None:
-            table.step = pooled_auto_step(stats, loss)
-        step = table.step
+    if table.step is None:
+        table.step = pooled_auto_step(stats, loss)
+    step = table.step
     w = np.zeros(d) if init is None else np.array(init, dtype=float)
     if w.shape != (d,):
         raise ConfigError(f"init has shape {w.shape}, expected ({d},)")

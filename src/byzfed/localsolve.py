@@ -46,9 +46,6 @@ __all__ = [
 
 _KINDS = ("squared_error", "location")
 
-# iterates beyond this norm are treated as divergence of the recursion
-_DIVERGENCE_NORM = 1e12
-
 
 @dataclass(frozen=True)
 class LossSpec:

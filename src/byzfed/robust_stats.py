@@ -30,6 +30,12 @@ __all__ = [
     "aggregate",
 ]
 
+# the parameters aggregate runs geometric_median and iter_filter_mean at,
+# and their defaults
+_GEO_MEDIAN_TOL = 1e-7
+_GEO_MEDIAN_MAX_ITER = 500
+_FILTER_MAX_ROUNDS = 20
+
 
 def _as_points(points) -> np.ndarray:
     P = np.asarray(points, dtype=float)
@@ -87,14 +93,19 @@ def _coord_median(P):
     return (0.0 + S[:, half - 1] + S[:, half]) / 2.0
 
 
-def geometric_median(points, tol: float = 1e-7, max_iter: int = 500) -> np.ndarray:
+def geometric_median(
+    points, tol: float = _GEO_MEDIAN_TOL, max_iter: int = _GEO_MEDIAN_MAX_ITER
+) -> np.ndarray:
     """Point minimizing the sum of Euclidean distances (Weiszfeld iteration).
 
     When the iterate coincides with a data point the singularity-free
     update of Vardi and Zhang is used instead of the raw reweighting, so
     the iteration cannot get stuck dividing by zero. Exact for t = 1 or
-    when all points coincide.
+    when all points coincide. tol is finite and >= 0; max_iter is an
+    integer >= 1.
     """
+    require_real("tol", tol)
+    require_int("max_iter", max_iter, 1)
     return _geometric_median(_as_points(points), tol, max_iter)
 
 
@@ -147,7 +158,9 @@ def _mad_scale(values: np.ndarray) -> float:
     return 1.4826 * float(_median(np.abs(values - med)))
 
 
-def iter_filter_mean(points, variance_bound: float | None = None, max_rounds: int = 20) -> np.ndarray:
+def iter_filter_mean(
+    points, variance_bound: float | None = None, max_rounds: int = _FILTER_MAX_ROUNDS
+) -> np.ndarray:
     """Spectral filtering mean.
 
     Repeat up to max_rounds: compute the survivors' mean and the exact
@@ -164,8 +177,11 @@ def iter_filter_mean(points, variance_bound: float | None = None, max_rounds: in
     s < d decomposes the s x s Gram matrix CC'/s instead: it has the same
     top eigenvalue, and its unit eigenvector u gives v = C'u / ||C'u||.
     When the survivors coincide (lam = 0) v is left zero, so every
-    projection is 0 and the round returns the mean.
+    projection is 0 and the round returns the mean. variance_bound, when
+    given, is finite and >= 0; max_rounds is an integer >= 1.
     """
+    require_real("variance_bound", variance_bound, optional=True)
+    require_int("max_rounds", max_rounds, 1)
     return _iter_filter_mean(_as_points(points), variance_bound, max_rounds)
 
 
@@ -173,7 +189,6 @@ def _iter_filter_mean(P, variance_bound, max_rounds):
     t, d = P.shape
     if t < 2:
         raise ConfigError("iterative filtering needs at least 2 points")
-    require_int("max_rounds", max_rounds, 1)
     drop_per_round = math.ceil(0.05 * t)
     min_survivors = math.ceil(t / 2)
     alive = np.arange(t)
@@ -214,18 +229,16 @@ def _iter_filter_mean(P, variance_bound, max_rounds):
 
 @dataclass(frozen=True)
 class AggregatorSpec:
-    """Which robust estimator to use, with its parameters.
+    """Which robust estimator to use.
 
     kind is one of sample_mean, trimmed_mean, coord_median, geo_median,
-    iter_filter.
+    iter_filter. beta is the trimmed mean's trim fraction, in [0, 0.5);
+    the other kinds never read it, and it stays 0.0 for them. The
+    geometric median and the filter run at their functions' defaults.
     """
 
     kind: str
     beta: float = 0.0
-    tol: float = 1e-7
-    max_iter: int = 500
-    variance_bound: float | None = None
-    max_rounds: int = 20
 
     _KINDS = ("sample_mean", "trimmed_mean", "coord_median", "geo_median", "iter_filter")
 
@@ -235,10 +248,8 @@ class AggregatorSpec:
         require_real("beta", self.beta)  # every kind: manifest.json records it
         if self.kind == "trimmed_mean" and self.beta >= 0.5:
             raise ConfigError(f"trim fraction must be in [0, 0.5), got {self.beta}")
-        require_int("max_iter", self.max_iter, 1)
-        require_int("max_rounds", self.max_rounds, 1)
-        require_real("tol", self.tol)
-        require_real("variance_bound", self.variance_bound, optional=True)
+        if self.kind != "trimmed_mean" and self.beta != 0.0:
+            raise ConfigError(f"aggregator kind {self.kind!r} takes no beta; only 'trimmed_mean' does")
 
 
 def aggregate(points, spec: AggregatorSpec) -> np.ndarray:
@@ -254,7 +265,7 @@ def aggregate(points, spec: AggregatorSpec) -> np.ndarray:
     if kind == "coord_median":
         return _coord_median(P)
     if kind == "geo_median":
-        return _geometric_median(P, spec.tol, spec.max_iter)
+        return _geometric_median(P, _GEO_MEDIAN_TOL, _GEO_MEDIAN_MAX_ITER)
     if kind == "iter_filter":
-        return _iter_filter_mean(P, spec.variance_bound, spec.max_rounds)
+        return _iter_filter_mean(P, None, _FILTER_MAX_ROUNDS)
     raise ConfigError(f"unknown aggregator kind {kind!r}")

@@ -276,8 +276,8 @@ def _fixture_grid():
         seed=0,
     )
     clusterers = [
-        ("KM", ClusterSpec(method="lloyd", warm_fraction=0.6)),
-        ("TKM", ClusterSpec(method="trimmed_kmeans", C=2.0, sigma_hat=0.3, warm_fraction=0.6)),
+        ("KM", ClusterSpec(method="lloyd")),
+        ("TKM", ClusterSpec(method="trimmed_kmeans", C=2.0, sigma_hat=0.3)),
     ]
     optimizers = [
         ("SM", OptConfig(max_rounds=100)),

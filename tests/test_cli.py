@@ -56,6 +56,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -202,8 +203,8 @@ def test_manifest_config_round_trips(tmp_path):
     assert cfg.seed == 2
     # a one-cell run stores its cell once, in the grid
     assert sorted(manifest.config) == ["attack", "fleet", "seed", "solver"]
-    [(name, opt)] = manifest.grid["optimizers"]
-    assert (name, opt["aggregator"]["kind"], opt["aggregator"]["beta"]) == ("TM", "trimmed_mean", 0.2)
+    [opt] = manifest.grid["optimizers"]
+    assert (opt["name"], opt["aggregator"]["kind"], opt["aggregator"]["beta"]) == ("TM", "trimmed_mean", 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +225,7 @@ def test_unknown_clusterer_exits_1(tmp_path):
 
 
 _SPELLINGS = [
-    ("clusterer", ("grid", "clusterers", 0, 1, "method"), spelling, name)
+    ("clusterer", ("grid", "clusterers", 0, "method"), spelling, name)
     for name, spellings in [
         ("lloyd", ["km", "lloyd"]),
         ("kgeomedian", ["kgm", "kgeomedian"]),
@@ -233,7 +234,7 @@ _SPELLINGS = [
     ]
     for spelling in spellings
 ] + [
-    ("aggregator", ("grid", "optimizers", 0, 1, "aggregator", "kind"), spelling, name)
+    ("aggregator", ("grid", "optimizers", 0, "aggregator", "kind"), spelling, name)
     for name, spellings in [
         ("sample_mean", ["sm", "sample_mean"]),
         ("trimmed_mean", ["tm", "trimmed_mean"]),
@@ -322,37 +323,45 @@ def test_grid_aggregator_without_kind_exits_1(tmp_path, capsys):
     ],
 )
 def test_bad_aggregator_parameters_exit_1(tmp_path, capsys, aggregator):
+    # aggregate runs the geometric median and the filter at their
+    # functions' defaults, so no aggregator field sets their parameters
     cfg = tmp_path / "agg.json"
     cfg.write_text(json.dumps({"opt": {"aggregator": aggregator}}))
     code, out = _synth(tmp_path, "--config", str(cfg))
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    [field] = [key for key in aggregator if key != "kind"]
+    err = capsys.readouterr().err
+    assert "error:" in err and f"'{field}'" in err
     assert not (out / "manifest.json").exists()
 
 
 # the manifest run id of each kind's valid config; keyed by kind, so a
 # regenerated run id renames no test
 _BETA_RUN_IDS = {
-    "sample_mean": "5ccd1e88a2a3",
-    "trimmed_mean": "af9d3ec432d3",
-    "coord_median": "4f8de11494c6",
-    "geo_median": "d2b0dbbe73b5",
-    "iter_filter": "da24a6fbaa32",
+    "sample_mean": "9fb50b2a5871",
+    "trimmed_mean": "453f27545371",
+    "coord_median": "d253f927fd17",
+    "geo_median": "5899938ec30d",
+    "iter_filter": "47a1a82f6904",
 }
 
 
 @pytest.mark.parametrize("kind", list(_BETA_RUN_IDS))
 def test_aggregator_beta_is_checked_for_every_kind(tmp_path, capsys, kind):
-    # manifest.json records beta whatever the kind, so an unused bool beta
-    # would give the same run a run id of its own
+    # manifest.json records beta whatever the kind, so an unused bool beta,
+    # or any beta but 0.0 on a kind other than the trimmed mean, would give
+    # the same run a run id of its own
     cfg = tmp_path / "agg.json"
-    cfg.write_text(json.dumps({"opt": {"max_rounds": 1, "aggregator": {"kind": kind, "beta": True}}}))
-    code, out = _synth(tmp_path / "bool", "--seed", "1", "--config", str(cfg))
-    assert code == 1
-    assert "beta" in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
+    unread = [] if kind == "trimmed_mean" else [0.3]
+    for beta in [True, *unread]:
+        cfg.write_text(json.dumps({"opt": {"max_rounds": 1, "aggregator": {"kind": kind, "beta": beta}}}))
+        code, out = _synth(tmp_path / f"bad{beta}", "--seed", "1", "--config", str(cfg))
+        assert code == 1
+        assert "beta" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
     # a valid beta runs under the pinned run id (see the module docstring)
-    cfg.write_text(json.dumps({"opt": {"max_rounds": 1, "aggregator": {"kind": kind, "beta": 0.3}}}))
+    beta = 0.3 if kind == "trimmed_mean" else 0.0
+    cfg.write_text(json.dumps({"opt": {"max_rounds": 1, "aggregator": {"kind": kind, "beta": beta}}}))
     code, out = _synth(tmp_path / "ok", "--seed", "1", "--config", str(cfg))
     assert code == 0
     assert load_manifest(out).run_id == _BETA_RUN_IDS[kind]
@@ -382,9 +391,9 @@ def test_default_beta_applies_to_trimmed_mean_only(tmp_path):
     assert len(ids) == 1
     # synth's default trimmed mean keeps its beta and its run id
     tm = {"opt": {"aggregator": {"kind": "trimmed_mean"}}}
-    assert _synth_run_id(tmp_path, "default", None) == "24603953d922"
-    assert _synth_run_id(tmp_path, "tm", tm) == "24603953d922"
-    [(_, opt)] = load_manifest(tmp_path / "tm" / "out").grid["optimizers"]
+    assert _synth_run_id(tmp_path, "default", None) == "8a85791f8b5f"
+    assert _synth_run_id(tmp_path, "tm", tm) == "8a85791f8b5f"
+    [opt] = load_manifest(tmp_path / "tm" / "out").grid["optimizers"]
     assert opt["aggregator"]["beta"] == 0.1
 
 
@@ -405,7 +414,7 @@ def test_config_aggregator_without_kind_exits_1(tmp_path, capsys, aggregator):
 def test_beta_flag_alone_sets_the_cli_made_trimmed_mean(tmp_path):
     code, out = _synth(tmp_path, "--seed", "1", "--beta", "0.2")
     assert code == 0
-    [(_, opt)] = load_manifest(out).grid["optimizers"]
+    [opt] = load_manifest(out).grid["optimizers"]
     assert (opt["aggregator"]["kind"], opt["aggregator"]["beta"]) == ("trimmed_mean", 0.2)
 
 
@@ -423,12 +432,15 @@ def test_beta_flag_alone_sets_the_cli_made_trimmed_mean(tmp_path):
     ],
 )
 def test_bad_solver_parameters_exit_1(tmp_path, capsys, solver):
-    # raw JSON text, so 1e400 reaches the parser as written (it reads inf)
+    # raw JSON text, so 1e400 reaches the parser as written (it reads inf).
+    # GD always steps at 1/lambda_max and online GD takes its defaults, so
+    # step, lam and radius are no solver fields, whatever their value
     cfg = tmp_path / "solver.json"
     cfg.write_text('{"solver": {"kind": "gd", %s}}' % solver)
     code, out = _synth(tmp_path, "--config", str(cfg))
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and solver.split(":")[0].strip('"') in err
     assert not (out / "manifest.json").exists()
 
 
@@ -503,11 +515,15 @@ def test_constant_attack_vector_must_match_the_fleet_dimension(tmp_path, capsys,
         ({"opt": {"init": [9, 9, 9, 9, 9]}}, "opt.init"),
         ({"grid": {"clusterers": [{"name": "KM", "method": "lloyd"}],
                    "optimizers": [{"name": "SM", "init": [9, 9, 9, 9, 9]}]}}, "opt.init"),
+        ({"opt": {"step_size": 0.1}}, "opt.step_size"),
+        ({"cluster": {"warm_fraction": 1.0}}, "cluster.warm_fraction"),
     ],
 )
 def test_fields_the_pipeline_derives_exit_1(tmp_path, capsys, config, field):
     # seeds and the Stage-III start are arguments the pipeline derives from
-    # seed and Stage II; no config class has a field for them
+    # seed and Stage II, and the steps and the warm start are its own; no
+    # config class has a field for them (Stage I's: test_bad_solver_parameters_exit_1,
+    # the aggregators': test_bad_aggregator_parameters_exit_1)
     cfg = tmp_path / "derived.json"
     cfg.write_text(json.dumps(config))
     code, out = _synth(tmp_path, "--config", str(cfg))
@@ -563,13 +579,25 @@ def test_replay_rejects_non_integer_trials_and_threads(tmp_path, capsys, manifes
         (("config", "fleet"), "seed", 7),
         (("config", "fleet"), "adversary_kind", "corrupt_coefficients"),
         (("config", "attack"), "seed", 0),
-        (("grid", "optimizers", 0, 1), "init", None),
+        (("grid", "optimizers", 0), "init", None),
+        (("config", "solver"), "step", None),
+        (("config", "solver"), "lam", 1.0),
+        (("config", "solver"), "radius", None),
+        (("grid", "optimizers", 0), "step_size", None),
+        (("grid", "clusterers", 0), "warm_fraction", 0.6),
+        (("grid", "optimizers", 0, "aggregator"), "tol", 1e-7),
+        (("grid", "optimizers", 0, "aggregator"), "max_iter", 500),
+        (("grid", "optimizers", 0, "aggregator"), "variance_bound", None),
+        (("grid", "optimizers", 0, "aggregator"), "max_rounds", 20),
     ],
-    ids=["seed", "fleet.seed", "fleet.adversary_kind", "attack.seed", "opt.init"],
+    ids=["seed", "fleet.seed", "fleet.adversary_kind", "attack.seed", "opt.init", "solver.step",
+         "solver.lam", "solver.radius", "opt.step_size", "cluster.warm_fraction",
+         "aggregator.tol", "aggregator.max_iter", "aggregator.variance_bound",
+         "aggregator.max_rounds"],
 )
 def test_replay_refuses_a_manifest_with_a_removed_field(tmp_path, capsys, where, field, value):
-    # manifests written before seeds and starts became arguments carry
-    # these fields; no config class or manifest field takes them now
+    # older manifests carry these fields, at the values every run used; no
+    # config class or manifest field takes them now
     _, out = _synth(tmp_path, "--seed", "1")
     manifest = json.loads((out / "manifest.json").read_text())
     section = manifest
@@ -924,6 +952,49 @@ def test_replay_of_changed_points_exits_2_before_any_file(tmp_path, rng, capsys)
     assert not re_dir.exists()
 
 
+def test_replay_from_another_directory_finds_the_points(tmp_path, rng, monkeypatch, capsys):
+    # the manifest records the absolute path of a relative --csv
+    run_dir, elsewhere = tmp_path / "run", tmp_path / "elsewhere"
+    run_dir.mkdir()
+    elsewhere.mkdir()
+    csv = _blob_csv(run_dir, rng)
+    monkeypatch.chdir(run_dir)
+    assert main(["ingest", "--csv", csv.name, "--gamma", "10", "--shard-size", "5",
+                 "--n-adv", "1", "--out-dir", "out"]) == 0
+    path = load_manifest(run_dir / "out").config["fleet"]["path"]
+    assert os.path.isabs(path) and os.path.samefile(path, csv)
+    monkeypatch.chdir(elsewhere)
+    capsys.readouterr()
+    assert main(["replay", "--manifest", str(run_dir / "out"), "--out-dir", "re"]) == 0
+    printed = capsys.readouterr().out
+    for name in RESULT_FILES:
+        assert f"{name}: identical" in printed
+
+
+def test_replay_without_out_dir_leaves_no_directory_when_it_exits_early(tmp_path, rng,
+                                                                        monkeypatch):
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    csv = _blob_csv(tmp_path, rng)
+    out, _ = _ingest_run_id(tmp_path, csv, "out")
+    _, synth_out = _synth(tmp_path / "synth", "--seed", "1")
+    manifest = json.loads((synth_out / "manifest.json").read_text())
+    manifest["config"]["solver"]["step"] = 0.1
+    (synth_out / "manifest.json").write_text(json.dumps(manifest))
+    pts = np.loadtxt(csv, delimiter=",")
+    pts[3, 1] += 0.001
+    np.savetxt(csv, pts, delimiter=",")
+    assert main(["replay", "--manifest", str(out)]) == 2  # input changed
+    assert main(["replay", "--manifest", str(synth_out)]) == 1  # a bad config
+    assert list(temp.iterdir()) == []
+    # a replay that runs keeps its directory
+    _, synth_out = _synth(tmp_path / "synth2", "--seed", "1")
+    assert main(["replay", "--manifest", str(synth_out)]) == 0
+    [kept] = temp.iterdir()
+    assert kept.name.startswith("byzfed_replay_") and (kept / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("gamma_flag", [[], ["--gamma", "10"]])
 def test_ingest_reads_points_and_builds_components_once(tmp_path, rng, capsys, monkeypatch,
                                                         gamma_flag):
@@ -1028,6 +1099,30 @@ def test_replay_of_ingest_run_is_identical(tmp_path, rng, capsys):
         assert f"{name}: identical" in printed
 
 
+@pytest.mark.parametrize("command", ["synth", "ingest"])
+def test_manifest_config_and_grid_are_a_config_file(tmp_path, rng, command):
+    # manifest.json writes its grid entries as a config does, {"name": ...,
+    # **fields}, so its config and grid run again as a --config file
+    if command == "synth":
+        _, out = _synth(tmp_path, "--seed", "4", "--alpha", "0.1", "--aggregator", "gm")
+    else:
+        out, _ = _ingest_run_id(tmp_path, _blob_csv(tmp_path, rng), "out")
+    manifest = json.loads((out / "manifest.json").read_text())
+    cfg = tmp_path / "from_manifest.json"
+    cfg.write_text(json.dumps({**manifest["config"], "grid": manifest["grid"]}))
+    again = tmp_path / "again"
+    assert main(["grid", "--config", str(cfg), "--out-dir", str(again)]) == 0
+    assert load_manifest(again).run_id == manifest["run_id"]
+    for name in RESULT_FILES:
+        assert (again / name).read_bytes() == (out / name).read_bytes(), name
+    # a [name, fields] pair is not a grid entry
+    [entry] = manifest["grid"]["optimizers"]
+    pair = [entry.pop("name"), entry]
+    cfg.write_text(json.dumps({**manifest["config"], "grid": {**manifest["grid"], "optimizers": [pair]}}))
+    assert main(["grid", "--config", str(cfg), "--out-dir", str(tmp_path / "pair")]) == 1
+    assert not (tmp_path / "pair" / "manifest.json").exists()
+
+
 def test_replay_reproduces_and_detects_tampering(tmp_path):
     _, out = _synth(tmp_path, "--seed", "6", "--alpha", "0.1", "--sigma", "0.5")
     replay_dir = tmp_path / "replayed"
@@ -1055,7 +1150,7 @@ def test_replay_refuses_to_overwrite_the_run_it_checks(tmp_path, capsys):
 def test_replay_of_edited_config_names_both_run_ids(tmp_path, capsys):
     _, out = _synth(tmp_path, "--seed", "1")
     manifest = json.loads((out / "manifest.json").read_text())
-    manifest["grid"]["optimizers"][0][1]["max_rounds"] = 7
+    manifest["grid"]["optimizers"][0]["max_rounds"] = 7
     (out / "manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
     re_dir = tmp_path / "re"
@@ -1095,7 +1190,7 @@ def test_replay_of_manifest_naming_removed_cluster_fields_exits_1(tmp_path, caps
     # knobs; ClusterSpec no longer has them, so the replay is a bad config
     _, out = _synth(tmp_path, "--seed", "1")
     manifest = json.loads((out / "manifest.json").read_text())
-    manifest["grid"]["clusterers"][0][1].update(T=5, variance_bound=None)
+    manifest["grid"]["clusterers"][0].update(T=5, variance_bound=None)
     (out / "manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
     re_dir = tmp_path / "re"
@@ -1109,8 +1204,9 @@ def test_replay_of_manifest_with_cells_in_its_config_exits_1(tmp_path, capsys):
     # store the cell in config too; beside the grid, those sections exit 1
     _, out = _synth(tmp_path, "--seed", "1")
     manifest = json.loads((out / "manifest.json").read_text())
-    manifest["config"]["cluster"] = manifest["grid"]["clusterers"][0][1]
-    manifest["config"]["opt"] = manifest["grid"]["optimizers"][0][1]
+    [cluster], [opt] = manifest["grid"]["clusterers"], manifest["grid"]["optimizers"]
+    manifest["config"]["cluster"] = {k: v for k, v in cluster.items() if k != "name"}
+    manifest["config"]["opt"] = {k: v for k, v in opt.items() if k != "name"}
     (out / "manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
     re_dir = tmp_path / "re"

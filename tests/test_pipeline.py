@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from byzfed.clustering import run_lloyd_variant, warm_start_init
-from byzfed.datagen import FleetConfig, generate_fleet
+from byzfed.datagen import FleetConfig, WorkerShard, generate_fleet
 from byzfed.distopt import AttackSpec, OptConfig, robust_gd
 from byzfed.errors import ConfigError, DataError, NumericError
 from byzfed.localsolve import LossSpec
@@ -36,7 +36,7 @@ def _clean_config(seed=0):
     return PipelineConfig(fleet=FleetConfig(m=12, n=30, d=6, K=2, alpha=0.0, sigma=0.0), seed=seed)
 
 
-_CLEAN_CLUSTER = ClusterSpec(method="trimmed_kmeans", warm_fraction=1.0)
+_CLEAN_CLUSTER = ClusterSpec(method="trimmed_kmeans")
 
 
 def _adversarial_config(seed=3):
@@ -44,7 +44,7 @@ def _adversarial_config(seed=3):
 
 
 # the cell _adversarial_config runs in
-_ADV_CLUSTER = ClusterSpec(method="trimmed_kmeans", C=2.0, sigma_hat=0.55, warm_fraction=0.6)
+_ADV_CLUSTER = ClusterSpec(method="trimmed_kmeans", C=2.0, sigma_hat=0.55)
 _ADV_OPT = OptConfig(max_rounds=100, aggregator=AggregatorSpec("trimmed_mean", beta=0.25))
 
 
@@ -63,15 +63,15 @@ def test_clean_problem_is_solved_exactly():
 
 def test_pipeline_composes_documented_stages():
     """run_pipeline must equal the three stages chained by hand with the
-    derived seeds it documents: fleet at (seed, 0), the warm start at
-    (seed, 1), the cluster-k attack at (seed, 2, k)."""
+    derived seeds it documents: fleet at (seed, 0), the warm start (60%
+    of the honest machines labelled correctly) at (seed, 1), the
+    cluster-k attack at (seed, 2, k)."""
     cfg = _adversarial_config(seed=77)
     got = run_pipeline(cfg, _ADV_CLUSTER, _ADV_OPT)
 
     fleet, truth = generate_fleet(cfg.fleet, seed=derive_seed(cfg.seed, 0))
     erms = stage1_erms(fleet, cfg.solver, LossSpec("squared_error"))
-    init = warm_start_init(erms, truth, _ADV_CLUSTER.warm_fraction,
-                           seed=derive_seed(cfg.seed, 1))
+    init = warm_start_init(erms, truth, 0.6, seed=derive_seed(cfg.seed, 1))
     state, _ = run_lloyd_variant(erms, init, _ADV_CLUSTER, ground_truth=truth)
     w_hats = np.empty_like(state.centers)
     for k in range(state.K):
@@ -166,6 +166,12 @@ def test_ingest_pipeline_end_to_end(tmp_path, rng):
 
 def test_stage1_batched_gd_matches_per_machine(rng):
     fleet, _ = generate_fleet(FleetConfig(m=6, n=20, d=5, K=2, sigma=0.4), seed=1)
+    # a rank-deficient shard, n = 4 < d with a zero column: A_i is diagonal
+    # with eigenvalues 4, 1, 1, 1/16 and an exact 0, and the step 1/4 puts
+    # step * lambda_max at exactly 1
+    X = np.zeros((4, 5))
+    X[np.arange(4), np.arange(4)] = [4.0, 2.0, 2.0, 0.5]
+    fleet.append(WorkerShard(machine_id=6, X=X, y=rng.standard_normal(4), true_cluster=0))
     solver = SolverSpec(kind="gd", iters=80)
     batched = stage1_erms(fleet, solver, LossSpec("squared_error"))
     for i, s in enumerate(fleet):
@@ -195,7 +201,7 @@ def test_match_centers_rejects_a_non_finite_estimate():
 
 def test_stage1_online_solver_runs(rng):
     fleet, _ = generate_fleet(FleetConfig(m=4, n=25, d=3, K=2, sigma=0.2), seed=2)
-    out = stage1_erms(fleet, SolverSpec(kind="ogd", lam=0.5), LossSpec("squared_error"))
+    out = stage1_erms(fleet, SolverSpec(kind="ogd"), LossSpec("squared_error"))
     assert out.shape == (4, 3)
     assert np.all(np.isfinite(out))
 
@@ -451,7 +457,7 @@ def test_grid_stage3_failure_fails_its_cell_alone():
     Stage III; the SM cell after it, on the same clusters and statistics,
     equals SM on its own."""
     base = PipelineConfig(fleet=FleetConfig(m=3, n=30, d=4, K=2, alpha=0.0, sigma=0.0))
-    cluster = ClusterSpec(method="lloyd", warm_fraction=1.0)
+    cluster = ClusterSpec(method="lloyd")
     optimizers = [
         ("IF", OptConfig(max_rounds=20, aggregator=AggregatorSpec("iter_filter"))),
         ("SM", OptConfig(max_rounds=20)),
@@ -479,11 +485,15 @@ def test_grid_statistics_failure_fails_every_cell_of_its_clusterer(monkeypatch):
     assert all(o.error == "NumericError('stage3: no statistics')" for o in outcomes)
 
 
-def test_grid_stage1_failure_fails_every_cell_of_its_trial():
-    # a diverging Stage-I step fails every trial; the error keeps its stage
+def test_grid_stage1_failure_fails_every_cell_of_its_trial(monkeypatch):
+    # a failed Stage-I solve fails every trial; the error keeps its stage
     base, clusterers, optimizers = _grid_inputs()
-    bad = replace(base, solver=SolverSpec(kind="gd", step=10.0, iters=500))
-    outcomes, summary = run_grid(replace(bad, seed=3), clusterers, optimizers, n_trials=2)
+
+    def failing(shard, loss):
+        raise NumericError("no local solution")
+
+    monkeypatch.setattr(pipeline, "local_erm", failing)
+    outcomes, summary = run_grid(replace(base, seed=3), clusterers, optimizers, n_trials=2)
     assert all(o.result is None and o.error.startswith("NumericError('stage1: ") for o in outcomes)
     assert all(r["n_failed"] == 2 for r in summary)
 
@@ -580,7 +590,7 @@ def test_ingest_spec_rejects_bad_label_column(label_column):
 def _fancy_config(tmp_path):
     return PipelineConfig(
         fleet=FleetConfig(m=10, n=5, d=3, K=2, alpha=0.2, sigma=1.5),
-        solver=SolverSpec(kind="gd", step=0.05, iters=20),
+        solver=SolverSpec(kind="gd", iters=20),
         attack=AttackSpec("constant", vector=np.array([9.0, 9.0, 9.0])),
         seed=31,
     )

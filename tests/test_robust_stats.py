@@ -393,7 +393,6 @@ def test_aggregate_dispatch_matches_functions(rng):
         (AggregatorSpec("trimmed_mean", beta=0.25), trimmed_mean(P, 0.25)),
         (AggregatorSpec("coord_median"), coord_median(P)),
         (AggregatorSpec("geo_median"), geometric_median(P)),
-        (AggregatorSpec("iter_filter", variance_bound=5.0), iter_filter_mean(P, variance_bound=5.0)),
         (AggregatorSpec("iter_filter"), iter_filter_mean(P)),
     ]
     for spec, expected in cases:
@@ -405,6 +404,11 @@ def test_aggregator_spec_validation():
         AggregatorSpec("nonsense")
     with pytest.raises(ConfigError):
         AggregatorSpec("trimmed_mean", beta=0.7)
+    # only the trimmed mean reads beta; the other kinds keep 0.0
+    for kind in ("sample_mean", "coord_median", "geo_median", "iter_filter"):
+        with pytest.raises(ConfigError, match="takes no beta"):
+            AggregatorSpec(kind, beta=0.3)
+        assert AggregatorSpec(kind, beta=0.0) == AggregatorSpec(kind)
 
 
 @pytest.mark.parametrize(
@@ -427,15 +431,23 @@ def test_aggregator_spec_validation():
     ],
 )
 def test_aggregator_spec_rejects_bad_parameter(kind, field, value):
-    with pytest.raises(ConfigError, match=field):
+    # aggregate runs these estimators at their defaults, so the spec has no
+    # field for their parameters; the estimator that reads one checks it
+    with pytest.raises(TypeError, match=f"'{field}'"):
         AggregatorSpec(kind, **{field: value})
+    estimator = geometric_median if kind == "geo_median" else iter_filter_mean
+    with pytest.raises(ConfigError, match=field):
+        estimator(np.zeros((3, 2)), **{field: value})
 
 
 def test_aggregator_spec_accepts_edge_parameters():
-    AggregatorSpec("geo_median", tol=0.0, max_iter=1)
-    AggregatorSpec("iter_filter", variance_bound=None, max_rounds=1)
-    AggregatorSpec("iter_filter", variance_bound=0.0)
-    AggregatorSpec("iter_filter", max_rounds=np.int64(3))
+    AggregatorSpec("trimmed_mean", beta=0.0)
+    AggregatorSpec("trimmed_mean", beta=0.49)
+    P = np.arange(6.0).reshape(3, 2)
+    geometric_median(P, tol=0.0, max_iter=1)
+    iter_filter_mean(P, variance_bound=None, max_rounds=1)
+    iter_filter_mean(P, variance_bound=0.0)
+    iter_filter_mean(P, max_rounds=np.int64(3))
 
 
 def test_aggregate_accepts_1d_input():
