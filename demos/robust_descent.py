@@ -15,7 +15,6 @@ import numpy as np
 
 from byzfed.datagen import WorkerShard
 from byzfed.distopt import AttackSpec, OptConfig, robust_gd
-from byzfed.localsolve import LossSpec
 from byzfed.robust_stats import AggregatorSpec
 
 
@@ -42,7 +41,6 @@ def main():
 
     rng = np.random.default_rng(args.seed)
     shards, theta = build_cluster(rng, m_honest=14, m_byz=6, n=50, d=20, sigma=0.5)
-    loss = LossSpec("squared_error")
     # only sign_flip and random_gauss read a scale
     scale = 2.0 if args.attack in ("sign_flip", "random_gauss") else 1.0
     attack = AttackSpec(args.attack, scale=scale)
@@ -59,7 +57,7 @@ def main():
     trajs = {}
     for name, agg in aggregators:
         cfg = OptConfig(max_rounds=args.rounds, aggregator=agg, stop_tol=0.0)
-        _, traj = robust_gd(shards, loss, cfg, attack, seed=args.seed)
+        _, traj = robust_gd(shards, cfg, attack, seed=args.seed)
         trajs[name] = np.linalg.norm(traj - theta, axis=1)
 
     checkpoints = [0, 5, 10, 20, 40, args.rounds]

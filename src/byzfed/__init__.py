@@ -46,7 +46,6 @@ from .errors import (
     NumericError,
 )
 from .localsolve import (
-    LossSpec,
     local_erm,
     local_gradient,
     online_to_batch,
@@ -108,7 +107,6 @@ __all__ = [
     "geometric_median",
     "iter_filter_mean",
     # local solving
-    "LossSpec",
     "local_erm",
     "online_to_batch",
     "shard_stats",

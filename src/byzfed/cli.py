@@ -46,6 +46,7 @@ import traceback
 from dataclasses import asdict, replace
 from pathlib import Path
 
+from . import __version__
 from .datagen import percentile_gamma, read_points_csv
 from .errors import ByzfedError, ConfigError, DataError, require_int, require_real
 from .pipeline import (
@@ -64,6 +65,7 @@ from .reporting import (
     emit_grid_outputs,
     file_sha256,
     load_manifest,
+    run_environment,
     write_manifest,
 )
 
@@ -84,11 +86,6 @@ _AGGREGATORS = {
     "geo_median": "GM",
     "iter_filter": "IF",
 }
-
-# the CLI's own default: its kind names the aggregator the CLI creates
-# when the config has none, and its beta fills a top-level trimmed mean's;
-# every other field defaults in its config class
-_DEFAULT_AGGREGATOR = {"kind": "trimmed_mean", "beta": 0.1}
 
 _SYNTHETIC_FLEET = {"type": "synthetic", "m": 20, "n": 20, "d": 5, "K": 2}
 
@@ -211,16 +208,15 @@ def _apply_overrides(data: dict, args) -> dict:
     if not ingest and args.gamma is not None:  # edge_cut's threshold
         cluster["gamma"] = args.gamma
     opt = data.setdefault("opt", {})
-    # a config's aggregator needs a kind, as a grid optimizer's does
-    agg = opt.setdefault("aggregator", {"kind": _DEFAULT_AGGREGATOR["kind"]})
+    # a config's aggregator needs a kind, as a grid optimizer's does; the
+    # CLI's own default is a trimmed mean, whose beta AggregatorSpec sets
+    agg = opt.setdefault("aggregator", {"kind": "trimmed_mean"})
     if not isinstance(agg, dict):  # opt_from_dict rejects it
         return data
     if args.aggregator is not None:
         agg["kind"] = _alias(_AGGREGATORS, args.aggregator, "aggregator")
     if args.beta is not None:
         agg["beta"] = args.beta
-    if agg.get("kind") == "trimmed_mean":
-        opt["aggregator"] = {**_DEFAULT_AGGREGATOR, **agg}
     return data
 
 
@@ -254,15 +250,6 @@ def _grid_specs(data: dict):
     trials = (grid or {}).get("trials", data.get("trials", 1))
     require_int("trials", trials, 1)
     return clusterers, optimizers, trials
-
-
-def _version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("byzfed")
-    except Exception:
-        return "unknown"
 
 
 def _execute(data: dict, command: str, out_dir, threads, points=None,
@@ -310,7 +297,8 @@ def _execute(data: dict, command: str, out_dir, threads, points=None,
         grid=grid_dict,
         points_sha256=points_sha256,
         command=command,
-        version=_version(),
+        version=__version__,
+        environment=run_environment(),
         threads=threads,
     )
     write_manifest(out_dir, manifest)
@@ -414,6 +402,11 @@ def cmd_replay(args) -> int:
             print(f"[byzfed] {name}: DIFFERS", flush=True)
             all_match = False
     if not all_match:
+        now = run_environment()
+        for key, value in sorted(manifest.environment.items()):
+            if now.get(key) != value:
+                print(f"[byzfed] environment: {key} was {value!r} in the original run, "
+                      f"is {now.get(key)!r} now", flush=True)
         raise ByzfedError("replay mismatch")
     return 0
 

@@ -91,14 +91,16 @@ class FleetConfig:
 class WorkerShard:
     """One machine's local dataset.
 
-    true_cluster is None for Byzantine machines. It is ground-truth
-    metadata only; no clustering or optimization operation may read it
-    (the attack layer in the optimizer is the single sanctioned reader).
+    y holds the regression targets, or is None for a shard of raw points;
+    the data fixes the loss (see localsolve). true_cluster is None for
+    Byzantine machines. It is ground-truth metadata only; no clustering
+    or optimization operation may read it (the attack layer in the
+    optimizer is the single sanctioned reader).
     """
 
     machine_id: int
     X: np.ndarray
-    y: np.ndarray
+    y: np.ndarray | None
     true_cluster: int | None = None
 
     @property
@@ -308,7 +310,7 @@ def shard_components(
                 WorkerShard(
                     machine_id=len(shards),
                     X=P[idx].copy(),
-                    y=np.zeros(len(idx)),
+                    y=None,
                     true_cluster=k,
                 )
             )
@@ -329,7 +331,7 @@ def shard_components(
             WorkerShard(
                 machine_id=len(shards),
                 X=P[idx] + shift[None, :],
-                y=np.zeros(shard_size),
+                y=None,
                 true_cluster=None,
             )
         )
@@ -357,10 +359,11 @@ def ingest_threshold_graph(
     by an adv_noise vector (default: elementwise Bernoulli(1/2) - 0.5),
     which shifts each such shard's mean by exactly that vector.
 
-    Shards produced here carry raw feature points in X (y is zero); pair
-    them with the location loss, under which a shard's local minimizer is
-    its mean. This is layout_components followed by shard_components;
-    call the two apart to shard one layout under many seeds.
+    Shards produced here carry raw feature points in X and no targets
+    (y is None), so they carry the location loss, under which a shard's
+    local minimizer is its mean. This is layout_components followed by
+    shard_components; call the two apart to shard one layout under many
+    seeds.
     """
     layout = layout_components(points, gamma, min_cluster, shard_size)
     return shard_components(layout, n_adv, adv_noise, seed)

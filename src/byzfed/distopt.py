@@ -8,9 +8,10 @@ run several local descent steps and the center aggregates the returned
 models instead of gradients.
 
 Both optimizers run on the cluster's stacked shard statistics
-(localsolve.shard_stats) and compute every machine's report of a round in
-one batched step; Byzantine rows are then overwritten with the attacked
-report. robust_gd's reports are localsolve.local_gradient.
+(localsolve.shard_stats; the shards' data fixes the loss) and compute
+every machine's report of a round in one batched step; Byzantine rows
+are then overwritten with the attacked report. robust_gd's reports are
+localsolve.local_gradient.
 fed_avg_robust's local steps run on a quadratic local risk, so L of them
 are one affine map w -> P_i w + q_i per machine, built once per call; a
 round is then one batched matvec instead of L.
@@ -38,7 +39,7 @@ import numpy as np
 
 from .datagen import WorkerShard
 from .errors import ConfigError, require_int, require_real
-from .localsolve import LossSpec, ShardStats, local_gradient, shard_stats
+from .localsolve import ShardStats, local_gradient, shard_stats
 from .numerics import RngStream, derive_seed, top_eigenpair
 from .robust_stats import AggregatorSpec, aggregate
 
@@ -121,8 +122,8 @@ class OptConfig:
 
 @dataclass
 class ClusterTable:
-    """Work shared by optimizer calls on one cluster's machines under one
-    loss (see the module docstring).
+    """Work shared by optimizer calls on one cluster's machines (see the
+    module docstring).
 
     reports maps (seed, attack scale, machine id, round) to a read-only
     random_gauss report. stats and step are the cluster's ShardStats and
@@ -135,11 +136,11 @@ class ClusterTable:
     step: float | None = None
 
 
-def pooled_auto_step(stats: ShardStats, loss: LossSpec) -> float:
+def pooled_auto_step(stats: ShardStats) -> float:
     """1 / lambda_max of the pooled second-moment matrix over the cluster,
-    the n-weighted mean of the shards' A_i (the location-loss Hessian is
-    the identity)."""
-    if loss.kind == "location":
+    the n-weighted mean of the shards' A_i; 1 for raw points, whose
+    Hessian is the identity."""
+    if stats.A is None:
         return 1.0
     # accumulate n_i A_i in machine order, then divide once, as the pooled
     # sum X'X / N would; no (m, d, d) temporary
@@ -174,18 +175,18 @@ def _attacked_report(row, shard, attack, seed, round_idx, d, reports):
     return attack.vector.copy()
 
 
-def _local_steps_map(stats, loss, step, local_steps):
+def _local_steps_map(stats, step, local_steps):
     """Every machine's local_steps GD steps from one global model w, as
     one affine map per machine: w -> P_i w + q_i with
     P_i = (I - step A_i)^L and q_i = sum_{l<L} (I - step A_i)^l step b_i.
 
     Returns a function of w giving the stacked (m, d) local models. P_i
     overwrites A_i in stats, one machine at a time, so the caller must own
-    the buffer and no longer need A. For the location loss A is the
-    identity and P the scalar (1 - step)^L.
+    the buffer and no longer need A. For raw points A is the identity and
+    P the scalar (1 - step)^L.
     """
     L = local_steps
-    if loss.kind == "location":
+    if stats.A is None:
         r = 1.0 - step
         p = r**L
         q = sum(step * r**l for l in range(L)) * stats.b
@@ -203,17 +204,17 @@ def _local_steps_map(stats, loss, step, local_steps):
     return lambda w: A @ w + q
 
 
-def _descend(shards, loss, cfg, attack, local_steps, init, seed, table):
+def _descend(shards, cfg, attack, local_steps, init, seed, table):
     """Shared round loop; local_steps=None is robust_gd (aggregate
     gradients, then step), an int is fed_avg_robust (aggregate models)."""
     attack = attack or AttackSpec()
     table = ClusterTable() if table is None else table
     if table.stats is None:
-        table.stats = shard_stats(shards, loss)
+        table.stats = shard_stats(shards)
     stats = table.stats
     d = stats.b.shape[1]
     if table.step is None:
-        table.step = pooled_auto_step(stats, loss)
+        table.step = pooled_auto_step(stats)
     step = table.step
     w = np.zeros(d) if init is None else np.array(init, dtype=float)
     if w.shape != (d,):
@@ -223,7 +224,7 @@ def _descend(shards, loss, cfg, attack, local_steps, init, seed, table):
         reports_at = partial(local_gradient, stats)
     else:  # P overwrites A, so the table no longer holds the statistics
         table.stats = None
-        reports_at = _local_steps_map(stats, loss, step, local_steps)
+        reports_at = _local_steps_map(stats, step, local_steps)
     # none and own_corrupt_data report the honest row
     byzantine = (
         [] if attack.kind in ("none", "own_corrupt_data")
@@ -256,7 +257,6 @@ def _descend(shards, loss, cfg, attack, local_steps, init, seed, table):
 
 def robust_gd(
     shards: list[WorkerShard],
-    loss: LossSpec,
     cfg: OptConfig,
     attack: AttackSpec | None = None,
     *,
@@ -278,12 +278,11 @@ def robust_gd(
     """
     if cfg.local_steps > 1:
         raise ConfigError(f"robust_gd takes local_steps=1, got {cfg.local_steps}; use fed_avg_robust")
-    return _descend(shards, loss, cfg, attack, None, init, seed, table)
+    return _descend(shards, cfg, attack, None, init, seed, table)
 
 
 def fed_avg_robust(
     shards: list[WorkerShard],
-    loss: LossSpec,
     cfg: OptConfig,
     attack: AttackSpec | None = None,
     *,
@@ -306,4 +305,4 @@ def fed_avg_robust(
     on the same machines (see the module docstring); None builds and
     draws privately.
     """
-    return _descend(shards, loss, cfg, attack, cfg.local_steps, init, seed, table)
+    return _descend(shards, cfg, attack, cfg.local_steps, init, seed, table)

@@ -1,18 +1,21 @@
 """Local empirical risk minimization on a single machine's shard.
 
-Two loss families cover the pipeline:
+A shard's data fixes its loss:
 
-* ``squared_error``: f(w; (x, y)) = (1/2) (x'w - y)^2, the mixture-of-
-  regressions loss. The exact ERM is ordinary least squares.
-* ``location``: f(w; p) = (1/2) ||w - p||^2 over raw points p, whose ERM
-  is the shard mean. Ingested fleets use this loss.
+* a shard with targets y carries the squared error
+  f(w; (x, y)) = (1/2) (x'w - y)^2, the mixture-of-regressions loss. The
+  exact ERM is ordinary least squares.
+* a shard without targets (y is None) holds raw points p and carries the
+  location loss f(w; p) = (1/2) ||w - p||^2, whose ERM is the shard mean.
+  Ingested fleets are such shards.
 
 Both local risks are quadratic, F_i(w) = (1/2) w'A_i w - b_i'w + const,
 so a shard enters gradient descent only through its sufficient
-statistics: A_i = X'X/n and b_i = X'y/n for the regression loss, A_i = I
+statistics: A_i = X'X/n and b_i = X'y/n for the squared error, A_i = I
 and b_i = the shard mean for the location loss. shard_stats stacks them
-for a list of shards, and local_gradient evaluates A_i w_i - b_i for all
-machines in one batched matmul; it is the only shard-gradient kernel,
+for a list of shards (A is None for raw points, whose A_i is I), and
+local_gradient evaluates A_i w_i - b_i for all machines in one batched
+matmul, or W - b for raw points; it is the only shard-gradient kernel,
 used by Stage-III robust gradient descent. The other two descents run in
 closed form on the same statistics: Stage-I GD from one eigendecomposition
 of A_i per machine (pipeline.stage1_erms), and FedAvg's local steps as
@@ -25,7 +28,6 @@ Raw rows are read only where a solver needs them: the exact solver
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +37,6 @@ from .errors import ConfigError, require_real
 from .numerics import least_squares
 
 __all__ = [
-    "LossSpec",
     "ShardStats",
     "shard_stats",
     "loss_grad",
@@ -44,60 +45,47 @@ __all__ = [
     "online_to_batch",
 ]
 
-_KINDS = ("squared_error", "location")
-
-
-@dataclass(frozen=True)
-class LossSpec:
-    """Loss family tag; see the module docstring for the two kinds."""
-
-    kind: str = "squared_error"
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ConfigError(f"unknown loss kind {self.kind!r}; expected one of {_KINDS}")
-
-    @property
-    def uses_targets(self) -> bool:
-        return self.kind == "squared_error"
-
-
-def loss_grad(loss: LossSpec, w: np.ndarray, x: np.ndarray, y: float | None = None) -> np.ndarray:
-    """Single-sample gradient of f(w; point) in w."""
-    if loss.kind == "squared_error":
-        if y is None:
-            raise ConfigError("squared_error loss needs a target value")
-        return x * float(x @ w - y)
-    return w - x
+def loss_grad(w: np.ndarray, x: np.ndarray, y: float | None = None) -> np.ndarray:
+    """Single-sample gradient of f(w; point) in w: the squared error's for
+    a target y, the location loss's for y None."""
+    if y is None:
+        return w - x
+    return x * float(x @ w - y)
 
 
 class ShardStats(NamedTuple):
-    """Stacked sufficient statistics of m shards: A (m, d, d), b (m, d)
-    and the sample counts n (m,)."""
+    """Stacked sufficient statistics of m shards: A (m, d, d), or None for
+    raw-point shards, whose A_i is the identity; b (m, d) and the sample
+    counts n (m,)."""
 
-    A: np.ndarray
+    A: np.ndarray | None
     b: np.ndarray
     n: np.ndarray
 
 
-def shard_stats(shards: list[WorkerShard], loss: LossSpec) -> ShardStats:
+def shard_stats(shards: list[WorkerShard]) -> ShardStats:
     """Sufficient statistics of every shard's local risk, stacked.
 
-    For the location loss A is a read-only broadcast view of the identity,
-    so A_i w - b_i equals w - mean exactly.
+    Raw-point shards (y None) give A None and b the shard means. Shards
+    with and without targets carry different losses and cannot be stacked:
+    mixing them raises ConfigError.
     """
     if not shards:
         raise ConfigError("need at least one shard")
     d = shards[0].X.shape[1]
     if any(s.X.shape[1] != d for s in shards):
         raise ConfigError("shards disagree on dimension")
+    raw = shards[0].y is None
+    if any((s.y is None) != raw for s in shards):
+        raise ConfigError("shards with targets and shards without them carry different "
+                          "losses and cannot be mixed")
     m = len(shards)
     n = np.array([s.n for s in shards])
     b = np.empty((m, d))
-    if loss.kind == "location":
+    if raw:
         for i, s in enumerate(shards):
             b[i] = s.X.mean(axis=0)
-        return ShardStats(np.broadcast_to(np.eye(d), (m, d, d)), b, n)
+        return ShardStats(None, b, n)
     A = np.empty((m, d, d))
     for i, s in enumerate(shards):
         np.matmul(s.X.T, s.X, out=A[i])
@@ -116,14 +104,16 @@ def local_gradient(stats: ShardStats, W: np.ndarray) -> np.ndarray:
     m, d = stats.b.shape
     if W.shape not in ((d,), (m, d)):
         raise ConfigError(f"W has shape {W.shape}, expected ({d},) or ({m}, {d})")
+    if stats.A is None:  # raw points: A_i = I
+        return W - stats.b
     return (stats.A @ W[..., None])[..., 0] - stats.b
 
 
-def local_erm(shard: WorkerShard, loss: LossSpec) -> np.ndarray:
+def local_erm(shard: WorkerShard) -> np.ndarray:
     """Exact local empirical risk minimizer.
 
-    Least squares for the regression loss (minimum-norm solution when the
-    shard is rank-deficient), shard mean for the location loss. At n close
+    Least squares for a shard with targets (minimum-norm solution when the
+    shard is rank-deficient), the shard mean for raw points. At n close
     to d the least-squares problem is ill-conditioned and the solution lands
     far from its cluster's center, so Stage II may not separate the
     clusters: on an m = n = d = 100 fleet at sigma 1, trimmed k-means ends
@@ -131,14 +121,13 @@ def local_erm(shard: WorkerShard, loss: LossSpec) -> np.ndarray:
     """
     if shard.n < 1:
         raise ConfigError("cannot solve an empty shard")
-    if loss.kind == "squared_error":
-        return least_squares(shard.X, shard.y)
-    return shard.X.mean(axis=0)
+    if shard.y is None:
+        return shard.X.mean(axis=0)
+    return least_squares(shard.X, shard.y)
 
 
 def online_to_batch(
     shard: WorkerShard,
-    loss: LossSpec,
     lam: float = 1.0,
     radius: float | None = None,
 ) -> np.ndarray:
@@ -164,9 +153,9 @@ def online_to_batch(
         total += w
         # one read of sample l, never revisited
         x = shard.X[l]
-        yl = float(shard.y[l]) if loss.uses_targets else None
+        yl = None if shard.y is None else float(shard.y[l])
         eta = 1.0 / (lam * (l + 1))
-        w = w - eta * loss_grad(loss, w, x, yl)
+        w = w - eta * loss_grad(w, x, yl)
         nw = np.linalg.norm(w)
         if nw > R:
             w = w * (R / nw)

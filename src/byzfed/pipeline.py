@@ -59,7 +59,7 @@ from .datagen import (
 )
 from .distopt import AttackSpec, ClusterTable, OptConfig, fed_avg_robust, robust_gd
 from .errors import ByzfedError, ConfigError, NumericError, require_int, require_real
-from .localsolve import LossSpec, local_erm, online_to_batch, shard_stats
+from .localsolve import local_erm, online_to_batch, shard_stats
 from .numerics import derive_seed, min_cost_assignment
 from .numerics import top_eigenpair  # noqa: F401  (not called here; bench/tracer.py wraps this name)
 from .robust_stats import AggregatorSpec
@@ -107,7 +107,8 @@ class IngestSpec:
     """External dataset: CSV of points, threshold-graph clustering into
     shards plus synthetic adversarial shards. Two points are joined iff
     ||p_i - p_j|| < gamma, decided exactly on the float inputs
-    (components.threshold_components). Pairs with the location loss."""
+    (components.threshold_components). Its shards hold raw points without
+    targets, so they carry the location loss."""
 
     path: str
     gamma: float
@@ -146,11 +147,6 @@ class PipelineConfig:
         require_int("seed", self.seed, 0)
         if isinstance(self.fleet, FleetConfig):  # an ingest fleet's d comes with its layout
             self.attack.require_dim(self.fleet.d)
-
-    @property
-    def loss(self) -> LossSpec:
-        """The fleet's local loss: location for raw points, else squared error."""
-        return LossSpec("location" if isinstance(self.fleet, IngestSpec) else "squared_error")
 
 
 @dataclass
@@ -215,33 +211,33 @@ def _gd_from_origin(lam, c, step, iters):
     return gain * c
 
 
-def stage1_erms(shards: list[WorkerShard], solver: SolverSpec, loss: LossSpec) -> np.ndarray:
+def stage1_erms(shards: list[WorkerShard], solver: SolverSpec) -> np.ndarray:
     """Local model estimates for every machine, stacked (m, d).
 
     GD returns the solver.iters-th iterate of w <- w - step_i (A_i w - b_i)
-    from the origin, with step_i = 1/lambda_max(A_i) (exactly 1 for the
-    location loss). The local risk is quadratic, so the iterate has a
-    closed form in the eigenbasis of A_i (_gd_from_origin): one LAPACK
+    from the origin, with step_i = 1/lambda_max(A_i) (exactly 1 for raw
+    points). The local risk is quadratic, so the iterate has a closed
+    form in the eigenbasis of A_i (_gd_from_origin): one LAPACK
     eigendecomposition per machine and no iteration. fl(fl(1/L) L) <= 1
     for any L > 0, so no step_i lam_j exceeds 1 and the iterate cannot
-    grow. For the location loss A_i = I, so GD returns the shard mean b_i
+    grow. For raw points A_i = I, so GD returns the shard mean b_i
     exactly. Each machine's row depends on its own shard only, and GD
     builds one machine's A_i, b_i at a time (_gd_erm). Raises
     NumericError if an iterate is not finite.
     """
     if solver.kind == "erm":
-        return np.stack([local_erm(s, loss) for s in shards])
+        return np.stack([local_erm(s) for s in shards])
     if solver.kind == "ogd":
-        return np.stack([online_to_batch(s, loss) for s in shards])
-    return np.stack([_gd_erm(s, loss, solver.iters, i) for i, s in enumerate(shards)])
+        return np.stack([online_to_batch(s) for s in shards])
+    return np.stack([_gd_erm(s, solver.iters, i) for i, s in enumerate(shards)])
 
 
-def _gd_erm(shard: WorkerShard, loss: LossSpec, iters: int, i: int) -> np.ndarray:
+def _gd_erm(shard: WorkerShard, iters: int, i: int) -> np.ndarray:
     """Machine i's Stage-I GD iterate (stage1_erms), from its own A_i, b_i
     only, so no stack of every machine's statistics is held."""
-    stats = shard_stats([shard], loss)
+    stats = shard_stats([shard])
     d = stats.b.shape[1]
-    if loss.kind == "location":
+    if stats.A is None:
         lam, V = np.ones(d), np.eye(d)  # products with I are exact
     else:
         lam, V = eigh(stats.A[0], overwrite_a=True, driver="evd")
@@ -296,7 +292,7 @@ def _local_models(cfg: PipelineConfig, layout: ComponentLayout | None, times):
     """Stage I: the fleet named by cfg, its ground truth and its ERMs."""
     with _stage(times, "stage1"):
         fleet, truth = materialize_fleet(cfg, layout)
-        return fleet, truth, stage1_erms(fleet, cfg.solver, cfg.loss)
+        return fleet, truth, stage1_erms(fleet, cfg.solver)
 
 
 def _cell_results(cfg: PipelineConfig, optimizers, fleet, truth, clustered, times) -> list:
@@ -310,7 +306,6 @@ def _cell_results(cfg: PipelineConfig, optimizers, fleet, truth, clustered, time
     on. times holds the stages before Stage III.
     """
     state, history = clustered
-    loss = cfg.loss
     n = len(optimizers)
     w_hats = [np.empty_like(state.centers) for _ in range(n)]
     trajectories: list[list[np.ndarray]] = [[] for _ in range(n)]
@@ -328,7 +323,7 @@ def _cell_results(cfg: PipelineConfig, optimizers, fleet, truth, clustered, time
                 optimize = fed_avg_robust if opt.local_steps > 1 else robust_gd
                 try:
                     with _stage(cell_times[j], "stage3"):
-                        w, traj = optimize(members, loss, opt, cfg.attack, init=state.centers[k],
+                        w, traj = optimize(members, opt, cfg.attack, init=state.centers[k],
                                            seed=derive_seed(cfg.seed, 2, k), table=table)
                 except Exception as exc:
                     results[j] = exc

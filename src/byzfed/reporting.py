@@ -6,7 +6,9 @@ included), the grid layout, and the expected output file names. Result
 CSVs use a fixed schema and deterministic float formatting, so a
 repeated run with the same seed produces byte-identical files at any
 `--threads`, with the same BLAS build and BLAS thread count; CI and the
-bench pin one BLAS thread.
+bench pin one BLAS thread. So the manifest also records what besides the
+config the bytes depend on (run_environment): the numpy and scipy
+versions and the BLAS thread variables.
 
 Schemas (version 1):
   results.csv        run_id,cell,trial,metric,value
@@ -28,6 +30,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .errors import ConfigError, DataError
 from .pipeline import TrialOutcome
@@ -41,18 +44,22 @@ __all__ = [
     "compute_run_id",
     "file_sha256",
     "array_sha256",
+    "run_environment",
 ]
 
 SCHEMA_VERSION = 1
 
 RESULT_FILES = ("results.csv", "misclustering.csv", "optimization.csv", "summary.csv")
 
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 @dataclass
 class RunManifest:
     """Replayable description of one invocation. points_sha256 is the
     digest of an ingest fleet's parsed points (array_sha256), None for a
-    synthetic fleet."""
+    synthetic fleet. environment is run_environment() of the process that
+    ran it."""
 
     run_id: str
     config: dict
@@ -60,6 +67,7 @@ class RunManifest:
     points_sha256: str | None = None
     command: str = ""
     version: str = ""
+    environment: dict = field(default_factory=dict)
     created_at: str = ""
     threads: int = 1
     files: list[str] = field(default_factory=lambda: list(RESULT_FILES))
@@ -68,6 +76,17 @@ class RunManifest:
     def __post_init__(self):
         if not self.created_at:
             self.created_at = datetime.now(timezone.utc).isoformat()
+
+
+def run_environment() -> dict:
+    """The numpy and scipy versions and the BLAS thread variables of this
+    process, None for an unset variable: the result bytes of a config
+    depend on these too."""
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        **{name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
+    }
 
 
 def compute_run_id(payload: dict) -> str:

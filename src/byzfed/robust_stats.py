@@ -143,19 +143,10 @@ def _geometric_median(P, tol, max_iter):
     return y
 
 
-def _median(values: np.ndarray) -> float:
-    """np.median of a finite 1-D array from one partition: the middle
-    element, or the mean of the two middle ones."""
-    half, odd = divmod(len(values), 2)
-    if odd:
-        return np.partition(values, half)[half]
-    part = np.partition(values, (half - 1, half))
-    return (part[half - 1] + part[half]) / 2.0
-
-
 def _mad_scale(values: np.ndarray) -> float:
-    med = _median(values)
-    return 1.4826 * float(_median(np.abs(values - med)))
+    """1.4826 times the median absolute deviation of a 1-D array."""
+    med = _coord_median(values[:, None])[0]
+    return 1.4826 * float(_coord_median(np.abs(values - med)[:, None])[0])
 
 
 def iter_filter_mean(
@@ -233,18 +224,21 @@ class AggregatorSpec:
 
     kind is one of sample_mean, trimmed_mean, coord_median, geo_median,
     iter_filter. beta is the trimmed mean's trim fraction, in [0, 0.5);
-    the other kinds never read it, and it stays 0.0 for them. The
-    geometric median and the filter run at their functions' defaults.
+    the other kinds never read it, and it stays 0.0 for them. An unset
+    beta (None) is 0.1 for the trimmed mean and 0.0 for the other kinds.
+    The geometric median and the filter run at their functions' defaults.
     """
 
     kind: str
-    beta: float = 0.0
+    beta: float | None = None
 
     _KINDS = ("sample_mean", "trimmed_mean", "coord_median", "geo_median", "iter_filter")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ConfigError(f"unknown aggregator kind {self.kind!r}; expected one of {self._KINDS}")
+        if self.beta is None:
+            object.__setattr__(self, "beta", 0.1 if self.kind == "trimmed_mean" else 0.0)
         require_real("beta", self.beta)  # every kind: manifest.json records it
         if self.kind == "trimmed_mean" and self.beta >= 0.5:
             raise ConfigError(f"trim fraction must be in [0, 0.5), got {self.beta}")

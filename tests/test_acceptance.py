@@ -20,7 +20,6 @@ from byzfed.cli import main as cli_main
 from byzfed.clustering import iterfilter_2cluster, run_lloyd_variant, warm_start_init
 from byzfed.datagen import BYZANTINE, FleetConfig, GroundTruth, generate_fleet, generate_symmetric_mixture
 from byzfed.distopt import OptConfig
-from byzfed.localsolve import LossSpec
 from byzfed.numerics import RngStream, derive_seed
 from byzfed.pipeline import ClusterSpec, IngestSpec, PipelineConfig, SolverSpec, run_grid, stage1_erms
 from byzfed.reporting import RESULT_FILES
@@ -43,7 +42,7 @@ def test_acceptance_1_misclustering_decay(capsys):
     def trial(seed):
         fleet = FleetConfig(m=100, n=100, d=100, K=5, alpha=0.3, sigma=3.0)
         shards, truth = generate_fleet(fleet, seed=derive_seed(seed, 0))
-        erms = stage1_erms(shards, SolverSpec(kind="gd", iters=1000), LossSpec("squared_error"))
+        erms = stage1_erms(shards, SolverSpec(kind="gd", iters=1000))
         init = warm_start_init(erms, truth, 0.6, seed=derive_seed(seed, 1))
         _, rep_t = run_lloyd_variant(
             erms, init, ClusterSpec(method="trimmed_kmeans", C=2.0, sigma_hat=0.55, max_iter=15),

@@ -61,6 +61,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import byzfed
 from byzfed.cli import main
@@ -395,6 +396,21 @@ def test_default_beta_applies_to_trimmed_mean_only(tmp_path):
     assert _synth_run_id(tmp_path, "tm", tm) == "8a85791f8b5f"
     [opt] = load_manifest(tmp_path / "tm" / "out").grid["optimizers"]
     assert opt["aggregator"]["beta"] == 0.1
+
+
+def test_grid_trimmed_mean_without_beta_takes_the_one_default(tmp_path):
+    # AggregatorSpec holds the one trimmed-mean default: a grid optimizer
+    # that names no beta trims 0.1, as the CLI's top-level one does, and
+    # so runs under the run id of the same grid with beta 0.1
+    def grid(aggregator):
+        return {"grid": {"clusterers": [{"name": "TKM", "method": "trimmed_kmeans"}],
+                         "optimizers": [{"name": "TM", "aggregator": aggregator}]}}
+
+    unset = _synth_run_id(tmp_path, "unset", grid({"kind": "trimmed_mean"}))
+    [opt] = load_manifest(tmp_path / "unset" / "out").grid["optimizers"]
+    assert opt["aggregator"]["beta"] == 0.1
+    assert unset == _synth_run_id(tmp_path, "set", grid({"kind": "trimmed_mean", "beta": 0.1}))
+    assert unset != _synth_run_id(tmp_path, "zero", grid({"kind": "trimmed_mean", "beta": 0.0}))
 
 
 @pytest.mark.parametrize(
@@ -1133,6 +1149,48 @@ def test_replay_reproduces_and_detects_tampering(tmp_path):
     results.write_bytes(results.read_bytes() + b"x")
     replay2 = tmp_path / "replayed2"
     assert main(["replay", "--manifest", str(out), "--out-dir", str(replay2)]) == 2
+
+
+def test_manifest_records_the_package_version(tmp_path):
+    code, out = _synth(tmp_path, "--seed", "1")
+    assert code == 0
+    assert load_manifest(out).version == byzfed.__version__
+
+
+def test_pyproject_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    assert pyproject["project"]["version"] == byzfed.__version__
+
+
+def test_manifest_records_the_environment_the_bytes_depend_on(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    code, out = _synth(tmp_path, "--seed", "1")
+    assert code == 0
+    recorded = json.loads((out / "manifest.json").read_text())["environment"]
+    assert recorded == {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"],
+        "OMP_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": None,  # unset
+    }
+
+
+def test_replay_mismatch_names_the_environment_that_changed(tmp_path, capsys):
+    _, out = _synth(tmp_path, "--seed", "6")
+    results = out / "results.csv"
+    results.write_bytes(results.read_bytes() + b"x")
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["environment"]["OPENBLAS_NUM_THREADS"] = "7"
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["replay", "--manifest", str(out), "--out-dir", str(tmp_path / "re")]) == 2
+    printed = capsys.readouterr().out
+    assert "OPENBLAS_NUM_THREADS was '7'" in printed
+    # values that did not change are not named
+    assert "OMP_NUM_THREADS" not in printed and "numpy" not in printed
 
 
 def test_replay_refuses_to_overwrite_the_run_it_checks(tmp_path, capsys):

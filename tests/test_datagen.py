@@ -173,7 +173,7 @@ def test_ingest_two_blobs_full_shards():
     assert [s.true_cluster for s in shards] == [0] * 4 + [1] * 3
     for s in shards:
         assert s.X.shape == (5, 3)
-        np.testing.assert_array_equal(s.y, np.zeros(5))
+        assert s.y is None  # raw points: no targets
     # cluster centers are component means
     np.testing.assert_allclose(truth.centers[0], P[:23].mean(axis=0), atol=1e-12)
     np.testing.assert_allclose(truth.centers[1], P[23:].mean(axis=0), atol=1e-12)
@@ -262,8 +262,7 @@ def _ingest_oracle(points, gamma, min_cluster=1, shard_size=1, n_adv=0, adv_nois
         for s in range(n_full):
             idx = np.sort(order[s * shard_size : (s + 1) * shard_size])
             shards.append(
-                WorkerShard(machine_id=len(shards), X=P[idx].copy(), y=np.zeros(len(idx)),
-                            true_cluster=k)
+                WorkerShard(machine_id=len(shards), X=P[idx].copy(), y=None, true_cluster=k)
             )
             label_list.append(k)
         rem = order[n_full * shard_size :]
@@ -278,8 +277,8 @@ def _ingest_oracle(points, gamma, min_cluster=1, shard_size=1, n_adv=0, adv_nois
         idx = rng.choice(pool, size=shard_size, replace=replace)
         shift = np.asarray(adv_noise(rng, P.shape[1]), dtype=float)
         shards.append(
-            WorkerShard(machine_id=len(shards), X=P[idx] + shift[None, :],
-                        y=np.zeros(shard_size), true_cluster=None)
+            WorkerShard(machine_id=len(shards), X=P[idx] + shift[None, :], y=None,
+                        true_cluster=None)
         )
         label_list.append(BYZANTINE)
 
@@ -294,7 +293,7 @@ def _assert_same_fleet(got, want):
         assert s.machine_id == r.machine_id
         assert s.true_cluster == r.true_cluster
         assert np.array_equal(s.X, r.X)
-        assert np.array_equal(s.y, r.y)
+        assert s.y is None and r.y is None
     assert np.array_equal(truth.centers, ref_truth.centers)
     assert np.array_equal(truth.labels, ref_truth.labels)
 

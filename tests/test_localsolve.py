@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from byzfed.datagen import WorkerShard
 from byzfed.errors import ConfigError
 from byzfed.localsolve import (
-    LossSpec,
     local_erm,
     local_gradient,
     loss_grad,
@@ -17,9 +17,6 @@ from byzfed.localsolve import (
 )
 from byzfed.numerics import least_squares
 from byzfed.pipeline import SolverSpec, stage1_erms
-
-SQ = LossSpec("squared_error")
-LOC = LossSpec("location")
 
 
 def _sq_loss(w, x, y):
@@ -37,20 +34,18 @@ def _shard(rng, n=30, d=4, sigma=0.1, w=None):
     return WorkerShard(machine_id=0, X=X, y=y, true_cluster=0), w
 
 
-def test_loss_spec_validation():
-    with pytest.raises(ConfigError):
-        LossSpec("huber")
-    assert SQ.uses_targets and not LOC.uses_targets
+def _points(shard):
+    """The shard's rows as raw points: no targets, so the location loss."""
+    return replace(shard, y=None)
 
 
 def test_single_sample_value_and_grad(rng):
     w = rng.standard_normal(3)
     x = rng.standard_normal(3)
     y = 0.7
-    np.testing.assert_allclose(loss_grad(SQ, w, x, y), x * (x @ w - y))
-    np.testing.assert_allclose(loss_grad(LOC, w, x), w - x)
-    with pytest.raises(ConfigError):
-        loss_grad(SQ, w, x)  # missing target
+    np.testing.assert_allclose(loss_grad(w, x, y), x * (x @ w - y))
+    # no target: the location loss
+    np.testing.assert_allclose(loss_grad(w, x), w - x)
 
 
 def test_gradients_match_finite_differences(rng):
@@ -58,8 +53,8 @@ def test_gradients_match_finite_differences(rng):
     x = rng.standard_normal(4)
     y = -1.2
     eps = 1e-6
-    for loss, f, args in ((SQ, _sq_loss, (x, y)), (LOC, _loc_loss, (x,))):
-        g = loss_grad(loss, w, *args)
+    for f, args in ((_sq_loss, (x, y)), (_loc_loss, (x,))):
+        g = loss_grad(w, *args)
         num = np.empty(4)
         for j in range(4):
             e = np.zeros(4)
@@ -72,33 +67,41 @@ def test_batch_objective_and_gradient_consistent(rng):
     shard, _ = _shard(rng)
     w = rng.standard_normal(4)
     # gradient equals the average single-sample gradient
-    manual_g = np.mean([loss_grad(SQ, w, shard.X[i], shard.y[i]) for i in range(shard.n)], axis=0)
-    np.testing.assert_allclose(local_gradient(shard_stats([shard], SQ), w)[0], manual_g, atol=1e-12)
+    manual_g = np.mean([loss_grad(w, shard.X[i], shard.y[i]) for i in range(shard.n)], axis=0)
+    np.testing.assert_allclose(local_gradient(shard_stats([shard]), w)[0], manual_g, atol=1e-12)
 
 
 def test_location_objective_minimized_at_mean(rng):
     shard, _ = _shard(rng)
     mu = shard.X.mean(axis=0)
-    np.testing.assert_allclose(local_gradient(shard_stats([shard], LOC), mu), 0, atol=1e-12)
+    np.testing.assert_allclose(local_gradient(shard_stats([_points(shard)]), mu), 0, atol=1e-12)
 
 
 def test_local_erm_squared_error_is_least_squares(rng):
     shard, _ = _shard(rng)
-    np.testing.assert_array_equal(local_erm(shard, SQ), least_squares(shard.X, shard.y))
+    np.testing.assert_array_equal(local_erm(shard), least_squares(shard.X, shard.y))
 
 
 def test_local_erm_location_is_mean(rng):
     shard, _ = _shard(rng)
-    np.testing.assert_array_equal(local_erm(shard, LOC), shard.X.mean(axis=0))
+    np.testing.assert_array_equal(local_erm(_points(shard)), shard.X.mean(axis=0))
 
 
 def test_gradient_shape_validation(rng):
     shard, _ = _shard(rng)
-    stats = shard_stats([shard], SQ)
-    with pytest.raises(ConfigError):
-        local_gradient(stats, np.zeros(5))
-    with pytest.raises(ConfigError):
-        local_gradient(stats, np.zeros((2, 4)))
+    for stats in (shard_stats([shard]), shard_stats([_points(shard)])):
+        with pytest.raises(ConfigError):
+            local_gradient(stats, np.zeros(5))
+        with pytest.raises(ConfigError):
+            local_gradient(stats, np.zeros((2, 4)))
+
+
+def test_shards_with_and_without_targets_do_not_mix(rng):
+    shard, _ = _shard(rng)
+    points = replace(_points(shard), machine_id=1)
+    for shards in ([shard, points], [points, shard]):
+        with pytest.raises(ConfigError, match="targets"):
+            shard_stats(shards)
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +126,14 @@ def test_kernel_matches_raw_row_gradients(sizes, d, seed):
     gen = np.random.default_rng(seed)
     shards = _ragged_shards(gen, sizes, d)
     W = gen.standard_normal((len(shards), d))
-    got = local_gradient(shard_stats(shards, SQ), W)
+    got = local_gradient(shard_stats(shards), W)
     for i, s in enumerate(shards):
         raw = s.X.T @ (s.X @ W[i] - s.y) / s.n
         np.testing.assert_allclose(got[i], raw, rtol=1e-12, atol=1e-12 * (1 + np.abs(raw).max()))
-    # location loss: A is a read-only identity view, and the gradient is
-    # exactly w - mean, also for one model shared by all machines
-    loc = shard_stats(shards, LOC)
-    assert not loc.A.flags.writeable
+    # raw points: A is None (the identity), and the gradient is exactly
+    # w - mean, also for one model shared by all machines
+    loc = shard_stats([_points(s) for s in shards])
+    assert loc.A is None
     np.testing.assert_array_equal(loc.n, sizes)
     got = local_gradient(loc, W)
     shared = local_gradient(loc, W[0])
@@ -145,14 +148,14 @@ def test_kernel_matches_raw_row_gradients(sizes, d, seed):
 
 def test_gd_erm_converges_to_exact_solution(rng):
     shard, _ = _shard(rng, n=50, d=5)
-    w_gd = stage1_erms([shard], SolverSpec(kind="gd", iters=4000), SQ)[0]
-    w_exact = local_erm(shard, SQ)
+    w_gd = stage1_erms([shard], SolverSpec(kind="gd", iters=4000))[0]
+    w_exact = local_erm(shard)
     assert np.linalg.norm(w_gd - w_exact) < 1e-6
 
 
 def test_gd_erm_location_converges_to_mean(rng):
     shard, _ = _shard(rng)
-    w = stage1_erms([shard], SolverSpec(kind="gd", iters=60), LOC)[0]
+    w = stage1_erms([_points(shard)], SolverSpec(kind="gd", iters=60))[0]
     np.testing.assert_allclose(w, shard.X.mean(axis=0), atol=1e-9)
 
 
@@ -163,8 +166,8 @@ def test_gd_erm_on_a_tiny_scale_shard_returns_the_least_squares_solution():
     X = 1e-7 * gen.standard_normal((50, 3))
     shard = WorkerShard(machine_id=0, X=X, y=X @ np.array([1e13, -2e13, 5e12]), true_cluster=0)
     with np.errstate(all="raise"):
-        got = stage1_erms([shard], SolverSpec(kind="gd", iters=1000), SQ)[0]
-    np.testing.assert_allclose(got, local_erm(shard, SQ), rtol=1e-9)
+        got = stage1_erms([shard], SolverSpec(kind="gd", iters=1000))[0]
+    np.testing.assert_allclose(got, local_erm(shard), rtol=1e-9)
 
 
 def test_gd_erm_validation(rng):
@@ -179,15 +182,15 @@ def test_gd_erm_validation(rng):
             SolverSpec(kind="gd", **{removed: 1.0})
 
 
-def _raw_row_gd(shard, loss, step, iters):
+def _raw_row_gd(shard, step, iters):
     """Stage-I recursion w <- w - step grad F_i(w) from the origin, with
     the gradient taken over the raw rows, written independently."""
     w = np.zeros(shard.X.shape[1])
     for _ in range(iters):
-        if loss.uses_targets:
-            g = shard.X.T @ (shard.X @ w - shard.y) / shard.n
-        else:
+        if shard.y is None:
             g = np.mean(w - shard.X, axis=0)
+        else:
+            g = shard.X.T @ (shard.X @ w - shard.y) / shard.n
         w = w - step * g
     return w
 
@@ -207,54 +210,55 @@ def _diagonal_shard(gen, d):
     st.integers(min_value=1, max_value=6),
     st.integers(min_value=0, max_value=10**6),
     st.sampled_from(["random", "exact"]),
-    st.sampled_from(["squared_error", "location"]),
+    st.booleans(),
 )
-def test_stage1_gd_closed_form_matches_raw_row_recursion(n, d, seed, mode, loss_kind):
+def test_stage1_gd_closed_form_matches_raw_row_recursion(n, d, seed, mode, targets):
     # n < d gives singular shards; "exact" has step*lam_max == 1 exactly
     gen = np.random.default_rng(seed)
-    loss = LossSpec(loss_kind)
     if mode == "exact":
         shard = _diagonal_shard(gen, d)
     else:
         shard = _ragged_shards(gen, [n], d)[0]
-    if loss.uses_targets:
+    if targets:
         lam_max = np.linalg.eigvalsh(shard.X.T @ shard.X / shard.n)[-1]
     else:
-        lam_max = 1.0
+        shard, lam_max = _points(shard), 1.0
     iters = int(gen.integers(1, 81))
     with np.errstate(all="raise"):
-        got = stage1_erms([shard], SolverSpec(kind="gd", iters=iters), loss)
-        ref = _raw_row_gd(shard, loss, 1.0 / lam_max, iters)
+        got = stage1_erms([shard], SolverSpec(kind="gd", iters=iters))
+        ref = _raw_row_gd(shard, 1.0 / lam_max, iters)
     assert np.linalg.norm(got[0] - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_stage1_gd_location_auto_step_returns_the_mean_exactly(rng):
-    shards = _ragged_shards(rng, [7, 30, 1], 5)
+    shards = [_points(s) for s in _ragged_shards(rng, [7, 30, 1], 5)]
     with np.errstate(all="raise"):
-        got = stage1_erms(shards, SolverSpec(kind="gd", iters=1000), LOC)
-    np.testing.assert_array_equal(got, shard_stats(shards, LOC).b)
+        got = stage1_erms(shards, SolverSpec(kind="gd", iters=1000))
+    np.testing.assert_array_equal(got, shard_stats(shards).b)
 
 
 def test_gd_erm_deterministic(rng):
     shard, _ = _shard(rng)
     solver = SolverSpec(kind="gd", iters=100)
-    np.testing.assert_array_equal(stage1_erms([shard], solver, SQ), stage1_erms([shard], solver, SQ))
+    np.testing.assert_array_equal(stage1_erms([shard], solver), stage1_erms([shard], solver))
 
 
 @settings(max_examples=15, deadline=None)
 @given(
     st.lists(st.integers(min_value=2, max_value=30), min_size=2, max_size=6),
     st.integers(min_value=0, max_value=10**6),
-    st.sampled_from(["squared_error", "location"]),
+    st.booleans(),
 )
-def test_stage1_gd_machine_independent_of_its_stack(sizes, seed, loss):
+def test_stage1_gd_machine_independent_of_its_stack(sizes, seed, targets):
     gen = np.random.default_rng(seed)
     shards = _ragged_shards(gen, sizes, 3)
-    solver, loss = SolverSpec(kind="gd", iters=30), LossSpec(loss)
-    stacked = stage1_erms(shards, solver, loss)
-    reversed_stack = stage1_erms(shards[::-1], solver, loss)[::-1]
+    if not targets:
+        shards = [_points(s) for s in shards]
+    solver = SolverSpec(kind="gd", iters=30)
+    stacked = stage1_erms(shards, solver)
+    reversed_stack = stage1_erms(shards[::-1], solver)[::-1]
     for i, s in enumerate(shards):
-        alone = stage1_erms([s], solver, loss)[0]
+        alone = stage1_erms([s], solver)[0]
         np.testing.assert_array_equal(stacked[i], alone)
         np.testing.assert_array_equal(reversed_stack[i], alone)
 
@@ -267,7 +271,7 @@ def test_stage1_gd_holds_one_machine_statistics_at_a_time(rng):
     solver = SolverSpec(kind="gd")
     tracemalloc.start()
     try:
-        W = stage1_erms(shards, solver, SQ)
+        W = stage1_erms(shards, solver)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -279,7 +283,7 @@ def test_stage1_gd_holds_one_machine_statistics_at_a_time(rng):
 # online-to-batch
 
 
-def _otb_reference(shard, loss, lam, radius):
+def _otb_reference(shard, lam, radius):
     """Documented recursion, written independently: single ordered pass,
     projection onto the radius ball, average of iterates w_1..w_n."""
     d = shard.X.shape[1]
@@ -288,10 +292,10 @@ def _otb_reference(shard, loss, lam, radius):
     for l in range(shard.n):
         iterates.append(w.copy())
         eta = 1.0 / (lam * (l + 1))
-        if loss.uses_targets:
-            g = shard.X[l] * (shard.X[l] @ w - shard.y[l])
-        else:
+        if shard.y is None:
             g = w - shard.X[l]
+        else:
+            g = shard.X[l] * (shard.X[l] @ w - shard.y[l])
         w = w - eta * g
         nw = np.linalg.norm(w)
         if nw > radius:
@@ -301,42 +305,42 @@ def _otb_reference(shard, loss, lam, radius):
 
 def test_online_to_batch_matches_reference_recursion(rng):
     shard, _ = _shard(rng, n=25, d=3)
-    got = online_to_batch(shard, SQ, lam=2.0, radius=5.0)
-    ref = _otb_reference(shard, SQ, 2.0, 5.0)
+    got = online_to_batch(shard, lam=2.0, radius=5.0)
+    ref = _otb_reference(shard, 2.0, 5.0)
     np.testing.assert_allclose(got, ref, atol=1e-12)
 
 
 def test_online_to_batch_default_radius_and_schedule(rng):
     shard, _ = _shard(rng, n=20, d=4)
-    got = online_to_batch(shard, SQ)
-    ref = _otb_reference(shard, SQ, 1.0, 2.0 * np.sqrt(4))
+    got = online_to_batch(shard)
+    ref = _otb_reference(shard, 1.0, 2.0 * np.sqrt(4))
     np.testing.assert_allclose(got, ref, atol=1e-12)
 
 
 def test_online_to_batch_first_iterate_is_zero(rng):
     # with a single sample the average is w_1 = 0 by construction
     shard = WorkerShard(machine_id=0, X=rng.standard_normal((1, 3)), y=rng.standard_normal(1), true_cluster=0)
-    np.testing.assert_array_equal(online_to_batch(shard, SQ), np.zeros(3))
+    np.testing.assert_array_equal(online_to_batch(shard), np.zeros(3))
 
 
 def test_online_to_batch_projection_keeps_iterates_bounded(rng):
     shard, _ = _shard(rng, n=40, d=4, sigma=0.0)
     R = 0.05
-    got = online_to_batch(shard, SQ, radius=R)
+    got = online_to_batch(shard, radius=R)
     assert np.linalg.norm(got) <= R + 1e-12
 
 
 def test_online_to_batch_location_estimates_mean(rng):
     X = np.array([2.0, 3.0]) + 0.01 * rng.standard_normal((400, 2))
-    shard = WorkerShard(machine_id=0, X=X, y=np.zeros(400), true_cluster=0)
+    shard = WorkerShard(machine_id=0, X=X, y=None, true_cluster=0)
     # default radius 2*sqrt(d) would clip this mean, so widen the ball
-    got = online_to_batch(shard, LOC, lam=1.0, radius=10.0)
+    got = online_to_batch(shard, lam=1.0, radius=10.0)
     assert np.linalg.norm(got - [2.0, 3.0]) < 0.1
 
 
 def test_online_to_batch_validation(rng):
     shard, _ = _shard(rng)
     with pytest.raises(ConfigError):
-        online_to_batch(shard, SQ, lam=0.0)
+        online_to_batch(shard, lam=0.0)
     with pytest.raises(ConfigError):
-        online_to_batch(shard, SQ, radius=-1.0)
+        online_to_batch(shard, radius=-1.0)

@@ -5,7 +5,6 @@ from byzfed.clustering import run_lloyd_variant, warm_start_init
 from byzfed.datagen import FleetConfig, WorkerShard, generate_fleet
 from byzfed.distopt import AttackSpec, OptConfig, robust_gd
 from byzfed.errors import ConfigError, DataError, NumericError
-from byzfed.localsolve import LossSpec
 from byzfed.numerics import derive_seed
 from byzfed import distopt, pipeline
 from byzfed.pipeline import (
@@ -70,13 +69,13 @@ def test_pipeline_composes_documented_stages():
     got = run_pipeline(cfg, _ADV_CLUSTER, _ADV_OPT)
 
     fleet, truth = generate_fleet(cfg.fleet, seed=derive_seed(cfg.seed, 0))
-    erms = stage1_erms(fleet, cfg.solver, LossSpec("squared_error"))
+    erms = stage1_erms(fleet, cfg.solver)
     init = warm_start_init(erms, truth, 0.6, seed=derive_seed(cfg.seed, 1))
     state, _ = run_lloyd_variant(erms, init, _ADV_CLUSTER, ground_truth=truth)
     w_hats = np.empty_like(state.centers)
     for k in range(state.K):
         members = [fleet[i] for i in np.flatnonzero(state.labels == k)]
-        w_hats[k], _ = robust_gd(members, LossSpec("squared_error"), _ADV_OPT, cfg.attack,
+        w_hats[k], _ = robust_gd(members, _ADV_OPT, cfg.attack,
                                  init=state.centers[k], seed=derive_seed(cfg.seed, 2, k))
 
     np.testing.assert_array_equal(got.per_cluster_w_hat, w_hats)
@@ -129,12 +128,19 @@ def test_unmatched_cluster_records_no_distance(tmp_path):
     ]
 
 
-def test_loss_follows_the_fleet():
-    # ingested machines hold raw points, synthetic ones regression shards;
+def test_loss_follows_the_fleet(tmp_path):
+    # ingested machines hold raw points (no targets, so the location
+    # loss), synthetic ones regression shards; no config names a loss, and
     # a cell's clusterer and optimizer are arguments, not config fields
-    ingest = PipelineConfig(fleet=IngestSpec(path="p.csv", gamma=1.0))
+    f = tmp_path / "p.csv"
+    np.savetxt(f, np.vstack([np.zeros((6, 2)), np.full((6, 2), 9.0)]), delimiter=",")
+    ingest = PipelineConfig(fleet=IngestSpec(path=str(f), gamma=1.0, shard_size=3, n_adv=1))
     synthetic = PipelineConfig(fleet=FleetConfig(m=4, n=5, d=2, K=2))
-    assert (ingest.loss, synthetic.loss) == (LossSpec("location"), LossSpec("squared_error"))
+    shards, _ = materialize_fleet(ingest)
+    assert len(shards) == 5 and all(s.y is None for s in shards)
+    shards, _ = materialize_fleet(synthetic)
+    assert all(s.y.shape == (5,) for s in shards)
+    assert not hasattr(ingest, "loss")
     assert [f.name for f in fields(PipelineConfig)] == ["fleet", "solver", "attack", "seed"]
     assert "loss" not in [f.name for f in fields(SolverSpec)]
     with pytest.raises(ConfigError, match="'loss'"):
@@ -173,7 +179,7 @@ def test_stage1_batched_gd_matches_per_machine(rng):
     X[np.arange(4), np.arange(4)] = [4.0, 2.0, 2.0, 0.5]
     fleet.append(WorkerShard(machine_id=6, X=X, y=rng.standard_normal(4), true_cluster=0))
     solver = SolverSpec(kind="gd", iters=80)
-    batched = stage1_erms(fleet, solver, LossSpec("squared_error"))
+    batched = stage1_erms(fleet, solver)
     for i, s in enumerate(fleet):
         # raw-row recursion from the origin at step 1/lambda_max(X'X/n)
         lam = np.linalg.eigvalsh(s.X.T @ s.X / s.n)[-1]
@@ -201,7 +207,7 @@ def test_match_centers_rejects_a_non_finite_estimate():
 
 def test_stage1_online_solver_runs(rng):
     fleet, _ = generate_fleet(FleetConfig(m=4, n=25, d=3, K=2, sigma=0.2), seed=2)
-    out = stage1_erms(fleet, SolverSpec(kind="ogd"), LossSpec("squared_error"))
+    out = stage1_erms(fleet, SolverSpec(kind="ogd"))
     assert out.shape == (4, 3)
     assert np.all(np.isfinite(out))
 
@@ -477,7 +483,7 @@ def test_grid_stage3_failure_fails_its_cell_alone():
 def test_grid_statistics_failure_fails_every_cell_of_its_clusterer(monkeypatch):
     base, clusterers, optimizers = _grid_inputs()
 
-    def failing(shards, loss):
+    def failing(shards):
         raise NumericError("no statistics")
 
     monkeypatch.setattr(distopt, "shard_stats", failing)
@@ -489,7 +495,7 @@ def test_grid_stage1_failure_fails_every_cell_of_its_trial(monkeypatch):
     # a failed Stage-I solve fails every trial; the error keeps its stage
     base, clusterers, optimizers = _grid_inputs()
 
-    def failing(shard, loss):
+    def failing(shard):
         raise NumericError("no local solution")
 
     monkeypatch.setattr(pipeline, "local_erm", failing)
