@@ -46,23 +46,22 @@ from .errors import (
     NumericError,
 )
 from .localsolve import (
+    SolverSpec,
     local_erm,
     local_gradient,
-    online_to_batch,
     shard_stats,
+    stage1_erms,
 )
 from .numerics import RngStream, derive_seed, least_squares, top_eigenpair
 from .pipeline import (
     IngestSpec,
     PipelineConfig,
     RunResult,
-    SolverSpec,
     TrialOutcome,
     config_from_dict,
     config_to_dict,
     run_grid,
     run_pipeline,
-    stage1_erms,
 )
 from .robust_stats import (
     AggregatorSpec,
@@ -106,9 +105,10 @@ __all__ = [
     "coord_median",
     "geometric_median",
     "iter_filter_mean",
-    # local solving
+    # local solving (Stage I)
+    "SolverSpec",
     "local_erm",
-    "online_to_batch",
+    "stage1_erms",
     "shard_stats",
     "local_gradient",
     # clustering
@@ -128,14 +128,12 @@ __all__ = [
     "pooled_auto_step",
     "ClusterTable",
     # pipeline
-    "SolverSpec",
     "IngestSpec",
     "PipelineConfig",
     "RunResult",
     "TrialOutcome",
     "run_pipeline",
     "run_grid",
-    "stage1_erms",
     "config_to_dict",
     "config_from_dict",
 ]

@@ -1,4 +1,5 @@
-"""Local empirical risk minimization on a single machine's shard.
+"""Stage I, local empirical risk minimization, and the shard statistics
+every descent runs on.
 
 A shard's data fixes its loss:
 
@@ -18,39 +19,52 @@ local_gradient evaluates A_i w_i - b_i for all machines in one batched
 matmul, or W - b for raw points; it is the only shard-gradient kernel,
 used by Stage-III robust gradient descent. The other two descents run in
 closed form on the same statistics: Stage-I GD from one eigendecomposition
-of A_i per machine (pipeline.stage1_erms), and FedAvg's local steps as
-one affine map per machine (distopt.fed_avg_robust).
+of A_i per machine (stage1_erms), and FedAvg's local steps as one
+affine map per machine (distopt.fed_avg_robust).
 
-Raw rows are read only where a solver needs them: the exact solver
-(local_erm) and the one-pass online solver with iterate averaging
-(online_to_batch).
+Stage I computes one local model per machine (stage1_erms) with the
+solver SolverSpec names: the exact ERM (local_erm), the only code that
+reads raw rows, or that closed-form GD.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .datagen import WorkerShard
-from .errors import ConfigError, require_real
-from .numerics import least_squares
+from .errors import ConfigError, NumericError, require_int
+from .numerics import eigh_evd, least_squares
 
 __all__ = [
+    "SolverSpec",
     "ShardStats",
     "shard_stats",
-    "loss_grad",
     "local_gradient",
     "local_erm",
-    "online_to_batch",
+    "stage1_erms",
 ]
 
-def loss_grad(w: np.ndarray, x: np.ndarray, y: float | None = None) -> np.ndarray:
-    """Single-sample gradient of f(w; point) in w: the squared error's for
-    a target y, the location loss's for y None."""
-    if y is None:
-        return w - x
-    return x * float(x @ w - y)
+_SOLVER_KINDS = ("erm", "gd")
+
+
+@dataclass(frozen=True)
+class SolverSpec:
+    """Stage-I solver: exact ERM or batch GD.
+
+    GD runs iters steps, an integer >= 1, at 1/lambda_max of each
+    machine's own Hessian.
+    """
+
+    kind: str = "erm"
+    iters: int = 100
+
+    def __post_init__(self):
+        if self.kind not in _SOLVER_KINDS:
+            raise ConfigError(f"unknown solver {self.kind!r}; expected one of {_SOLVER_KINDS}")
+        require_int("iters", self.iters, 1)
 
 
 class ShardStats(NamedTuple):
@@ -126,37 +140,54 @@ def local_erm(shard: WorkerShard) -> np.ndarray:
     return least_squares(shard.X, shard.y)
 
 
-def online_to_batch(
-    shard: WorkerShard,
-    lam: float = 1.0,
-    radius: float | None = None,
-) -> np.ndarray:
-    """Projected online gradient descent with iterate averaging.
+def _gd_from_origin(lam, c, step, iters):
+    """Eigen-coordinates of the iters-th iterate of w <- w - step (A w - b)
+    from the origin, where A = V diag(lam) V' and c = V'b, for a step with
+    every x_j = step lam_j <= 1.
 
-    Starting from w_1 = 0, each sample is visited exactly once in shard
-    order: w_{l+1} = Proj_B(R) [ w_l - eta_l grad f(w_l; point_l) ], and
-    the returned estimate is the average of w_1 .. w_n. The default
-    schedule is eta_l = 1/(lam*l) (l is 1-based) and the default ball
-    radius is 2*sqrt(d).
+    Coordinate j is c_j (1 - (1 - x_j)^T) / lam_j with T = iters, and
+    1 - (1 - x)^T is -expm1(T log1p(-x)) to full precision; it is T step c_j
+    where lam_j = 0 and c_j / lam_j where x_j = 1.
     """
-    if shard.n < 1:
-        raise ConfigError("cannot solve an empty shard")
-    require_real("lam", lam, positive=True)
-    d = shard.X.shape[1]
-    R = 2.0 * np.sqrt(d) if radius is None else float(radius)
-    if R <= 0:
-        raise ConfigError("radius must be > 0")
+    gain = np.full_like(lam, iters * step)
+    x = step * lam
+    land = x == 1.0
+    gain[land] = 1.0 / lam[land]
+    j = (lam != 0.0) & ~land
+    gain[j] = -np.expm1(iters * np.log1p(-x[j])) / lam[j]
+    return gain * c
 
-    w = np.zeros(d)
-    total = np.zeros(d)
-    for l in range(shard.n):
-        total += w
-        # one read of sample l, never revisited
-        x = shard.X[l]
-        yl = None if shard.y is None else float(shard.y[l])
-        eta = 1.0 / (lam * (l + 1))
-        w = w - eta * loss_grad(w, x, yl)
-        nw = np.linalg.norm(w)
-        if nw > R:
-            w = w * (R / nw)
-    return total / shard.n
+
+def stage1_erms(shards: list[WorkerShard], solver: SolverSpec) -> np.ndarray:
+    """Local model estimates for every machine, stacked (m, d).
+
+    GD returns the solver.iters-th iterate of w <- w - step_i (A_i w - b_i)
+    from the origin, with step_i = 1/lambda_max(A_i) (exactly 1 for raw
+    points). The local risk is quadratic, so the iterate has a closed
+    form in the eigenbasis of A_i (_gd_from_origin): one LAPACK
+    eigendecomposition per machine and no iteration. fl(fl(1/L) L) <= 1
+    for any L > 0, so no step_i lam_j exceeds 1 and the iterate cannot
+    grow. For raw points A_i = I, so GD returns the shard mean b_i
+    exactly. Each machine's row depends on its own shard only, and GD
+    builds one machine's A_i, b_i at a time (_gd_erm). Raises
+    NumericError if an iterate is not finite.
+    """
+    if solver.kind == "erm":
+        return np.stack([local_erm(s) for s in shards])
+    return np.stack([_gd_erm(s, solver.iters, i) for i, s in enumerate(shards)])
+
+
+def _gd_erm(shard: WorkerShard, iters: int, i: int) -> np.ndarray:
+    """Machine i's Stage-I GD iterate (stage1_erms), from its own A_i, b_i
+    only, so no stack of every machine's statistics is held."""
+    stats = shard_stats([shard])
+    d = stats.b.shape[1]
+    if stats.A is None:
+        lam, V = np.ones(d), np.eye(d)  # products with I are exact
+    else:
+        lam, V = eigh_evd(stats.A[0])
+    step = 1.0 / lam[-1] if lam[-1] > 0 else 1.0
+    w = V @ _gd_from_origin(lam, V.T @ stats.b[0], step, iters)
+    if not np.all(np.isfinite(w)):
+        raise NumericError(f"stage-I gradient descent on machine {i} reached a non-finite iterate")
+    return w

@@ -1,12 +1,14 @@
 """Dense linear algebra, cluster matching and reproducible random streams.
 
-least_squares wraps numpy's lstsq; top_eigenpair is one call of LAPACK's
-syevr restricted to the largest eigenvalue, so every step size
-1/lambda_max and every spectral-filter test uses the top eigenvalue to
-LAPACK accuracy. min_cost_assignment is the one rectangular assignment
-solver: it matches estimated clusters to true ones, both for est_error
-(pipeline._match_centers) and for misclustering rates
-(clustering._match_labels).
+This is the one byzfed module that imports scipy, for LAPACK.
+least_squares wraps numpy's lstsq; eigh_evd is LAPACK's syevd, the full
+eigendecomposition Stage-I GD takes of every machine's A_i; top_eigenpair
+is one call of LAPACK's syevr restricted to the largest eigenvalue, so
+every step size 1/lambda_max and every spectral-filter test uses the top
+eigenvalue to LAPACK accuracy. min_cost_assignment is the one
+rectangular assignment solver: it matches estimated clusters to true
+ones, both for est_error (pipeline._match_centers) and for
+misclustering rates (clustering._match_labels).
 
 Model vectors are plain 1-D float64 numpy arrays; a fixed dimension d is
 shared by every vector in a run. All functions here are pure and
@@ -20,13 +22,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
+from scipy.linalg import LinAlgError, eigh, get_lapack_funcs
 from scipy.linalg.lapack import _compute_lwork
 
 from .errors import ConfigError, NumericError
 
 __all__ = [
     "least_squares",
+    "eigh_evd",
     "top_eigenpair",
     "min_cost_assignment",
     "RngStream",
@@ -52,6 +55,16 @@ def least_squares(X, y) -> np.ndarray:
         raise ConfigError("least_squares input contains NaN or Inf")
     w, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
     return w
+
+
+def eigh_evd(A):
+    """Every eigenpair of a symmetric matrix: (eigenvalues ascending,
+    orthonormal eigenvectors as columns), from the lower triangle.
+
+    This is scipy.linalg.eigh(A, driver="evd"), LAPACK's divide-and-conquer
+    syevd. A non-finite A raises eigh's ValueError.
+    """
+    return eigh(A, driver="evd")
 
 
 def top_eigenpair(M):

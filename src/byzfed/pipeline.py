@@ -1,9 +1,10 @@
 """End-to-end three-stage pipeline and the seeded experiment grid.
 
-Stage I computes every machine's local ERM (exactly or by a configured
-inexact solver), Stage II clusters the ERM vectors, Stage III runs
-Byzantine-robust distributed optimization inside each estimated cluster,
-initialized at that cluster's Stage-II center. The headline metric is
+Stage I computes every machine's local ERM, exactly or by closed-form
+GD; it lives in localsolve (stage1_erms and its SolverSpec). Stage II
+clusters the ERM vectors, and Stage III runs Byzantine-robust
+distributed optimization inside each estimated cluster, initialized at
+that cluster's Stage-II center. The headline metric is
 est_error = max over matched clusters of ||w_hat - w*|| / sqrt(d).
 
 In a grid, Stage II depends only on (clusterer, trial) and Stage III on
@@ -35,7 +36,6 @@ from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .clustering import (
     ClusterSpec,
@@ -58,8 +58,8 @@ from .datagen import (
     shard_components,
 )
 from .distopt import AttackSpec, ClusterTable, OptConfig, fed_avg_robust, robust_gd
-from .errors import ByzfedError, ConfigError, NumericError, require_int, require_real
-from .localsolve import local_erm, online_to_batch, shard_stats
+from .errors import ByzfedError, ConfigError, require_int, require_real
+from .localsolve import SolverSpec, stage1_erms
 from .numerics import derive_seed, min_cost_assignment
 from .numerics import top_eigenpair  # noqa: F401  (not called here; bench/tracer.py wraps this name)
 from .robust_stats import AggregatorSpec
@@ -80,26 +80,8 @@ __all__ = [
     "opt_from_dict",
 ]
 
-_SOLVER_KINDS = ("erm", "gd", "ogd")
 # the share of honest machines the Lloyd-family warm start labels correctly
 _WARM_FRACTION = 0.6
-
-
-@dataclass(frozen=True)
-class SolverSpec:
-    """Stage-I solver: exact ERM, batch GD, or one-pass online GD.
-
-    GD runs iters steps, an integer >= 1, at 1/lambda_max of each
-    machine's own Hessian; online GD takes online_to_batch's defaults.
-    """
-
-    kind: str = "erm"
-    iters: int = 100
-
-    def __post_init__(self):
-        if self.kind not in _SOLVER_KINDS:
-            raise ConfigError(f"unknown solver {self.kind!r}; expected one of {_SOLVER_KINDS}")
-        require_int("iters", self.iters, 1)
 
 
 @dataclass(frozen=True)
@@ -187,65 +169,6 @@ class TrialOutcome:
     seed: int
     result: RunResult | None
     error: str | None = None
-
-
-# ---------------------------------------------------------------------------
-# stage I
-
-
-def _gd_from_origin(lam, c, step, iters):
-    """Eigen-coordinates of the iters-th iterate of w <- w - step (A w - b)
-    from the origin, where A = V diag(lam) V' and c = V'b, for a step with
-    every x_j = step lam_j <= 1.
-
-    Coordinate j is c_j (1 - (1 - x_j)^T) / lam_j with T = iters, and
-    1 - (1 - x)^T is -expm1(T log1p(-x)) to full precision; it is T step c_j
-    where lam_j = 0 and c_j / lam_j where x_j = 1.
-    """
-    gain = np.full_like(lam, iters * step)
-    x = step * lam
-    land = x == 1.0
-    gain[land] = 1.0 / lam[land]
-    j = (lam != 0.0) & ~land
-    gain[j] = -np.expm1(iters * np.log1p(-x[j])) / lam[j]
-    return gain * c
-
-
-def stage1_erms(shards: list[WorkerShard], solver: SolverSpec) -> np.ndarray:
-    """Local model estimates for every machine, stacked (m, d).
-
-    GD returns the solver.iters-th iterate of w <- w - step_i (A_i w - b_i)
-    from the origin, with step_i = 1/lambda_max(A_i) (exactly 1 for raw
-    points). The local risk is quadratic, so the iterate has a closed
-    form in the eigenbasis of A_i (_gd_from_origin): one LAPACK
-    eigendecomposition per machine and no iteration. fl(fl(1/L) L) <= 1
-    for any L > 0, so no step_i lam_j exceeds 1 and the iterate cannot
-    grow. For raw points A_i = I, so GD returns the shard mean b_i
-    exactly. Each machine's row depends on its own shard only, and GD
-    builds one machine's A_i, b_i at a time (_gd_erm). Raises
-    NumericError if an iterate is not finite.
-    """
-    if solver.kind == "erm":
-        return np.stack([local_erm(s) for s in shards])
-    if solver.kind == "ogd":
-        return np.stack([online_to_batch(s) for s in shards])
-    return np.stack([_gd_erm(s, solver.iters, i) for i, s in enumerate(shards)])
-
-
-def _gd_erm(shard: WorkerShard, iters: int, i: int) -> np.ndarray:
-    """Machine i's Stage-I GD iterate (stage1_erms), from its own A_i, b_i
-    only, so no stack of every machine's statistics is held."""
-    stats = shard_stats([shard])
-    d = stats.b.shape[1]
-    if stats.A is None:
-        lam, V = np.ones(d), np.eye(d)  # products with I are exact
-    else:
-        lam, V = eigh(stats.A[0], overwrite_a=True, driver="evd")
-    step = 1.0 / lam[-1] if lam[-1] > 0 else 1.0
-    w = V @ _gd_from_origin(lam, V.T @ stats.b[0], step, iters)
-    if not np.all(np.isfinite(w)):
-        raise NumericError(f"stage-I gradient descent on machine {i} reached a non-finite iterate")
-    return w
 
 
 # ---------------------------------------------------------------------------

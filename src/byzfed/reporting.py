@@ -24,13 +24,13 @@ import csv
 import hashlib
 import json
 import os
+import sys
 import tempfile
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .errors import ConfigError, DataError
 from .pipeline import TrialOutcome
@@ -81,10 +81,11 @@ class RunManifest:
 def run_environment() -> dict:
     """The numpy and scipy versions and the BLAS thread variables of this
     process, None for an unset variable: the result bytes of a config
-    depend on these too."""
+    depend on these too. scipy's version is read from the loaded module
+    (byzfed.numerics loads it), None if scipy is not loaded."""
     return {
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
         **{name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
     }
 

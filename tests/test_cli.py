@@ -449,8 +449,8 @@ def test_beta_flag_alone_sets_the_cli_made_trimmed_mean(tmp_path):
 )
 def test_bad_solver_parameters_exit_1(tmp_path, capsys, solver):
     # raw JSON text, so 1e400 reaches the parser as written (it reads inf).
-    # GD always steps at 1/lambda_max and online GD takes its defaults, so
-    # step, lam and radius are no solver fields, whatever their value
+    # GD always steps at 1/lambda_max, so step, lam and radius are no
+    # solver fields, whatever their value
     cfg = tmp_path / "solver.json"
     cfg.write_text('{"solver": {"kind": "gd", %s}}' % solver)
     code, out = _synth(tmp_path, "--config", str(cfg))
@@ -458,6 +458,27 @@ def test_bad_solver_parameters_exit_1(tmp_path, capsys, solver):
     err = capsys.readouterr().err
     assert "error:" in err and solver.split(":")[0].strip('"') in err
     assert not (out / "manifest.json").exists()
+
+
+def test_ogd_solver_exits_1_in_a_config_and_in_a_replayed_manifest(tmp_path, capsys):
+    # Stage I has no online solver: "ogd" is an unknown solver, in a new
+    # config and in a manifest written while Stage I offered it
+    cfg = tmp_path / "ogd.json"
+    cfg.write_text('{"solver": {"kind": "ogd"}}')
+    code, out = _synth(tmp_path / "run", "--config", str(cfg))
+    assert code == 1
+    assert "unknown solver 'ogd'" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+    _, out = _synth(tmp_path, "--seed", "1")
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["config"]["solver"] = {"kind": "ogd", "iters": 100}
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    re_dir = tmp_path / "re"
+    assert main(["replay", "--manifest", str(out), "--out-dir", str(re_dir)]) == 1
+    assert "unknown solver 'ogd'" in capsys.readouterr().err
+    assert not re_dir.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,14 @@
 """Bit-equality of the robust-round kernels with their earlier forms.
 
-The references below are verbatim copies of top_eigenpair (a call of
-scipy.linalg.eigh), geometric_median, _mad_scale and iter_filter_mean as
-they were before top_eigenpair called LAPACK's syevr directly and the
-estimators split into a validating wrapper and a kernel, and of
-trimmed_mean and coord_median (np.median) as they were before their
-kernels sorted or partitioned one transposed copy. The current code must
-return the same bits and raise the same errors.
+eigh_evd, Stage I's eigendecomposition, is compared with the
+scipy.linalg.eigh call it stands for. The references below are verbatim
+copies of top_eigenpair (a call of scipy.linalg.eigh), geometric_median,
+_mad_scale and iter_filter_mean as they were before top_eigenpair called
+LAPACK's syevr directly and the estimators split into a validating
+wrapper and a kernel, and of trimmed_mean and coord_median (np.median)
+as they were before their kernels sorted or partitioned one transposed
+copy. The current code must return the same bits and raise the same
+errors.
 """
 
 import math
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh
 
 from byzfed.errors import ConfigError, require_int
-from byzfed.numerics import top_eigenpair
+from byzfed.numerics import eigh_evd, top_eigenpair
 from byzfed.robust_stats import (
     AggregatorSpec,
     _mad_scale,
@@ -151,6 +153,20 @@ def _ref_iter_filter_mean(points, variance_bound=None, max_rounds=20):
 
 def _same_pair(got, want):
     return got[0] == want[0] and np.array_equal(got[1], want[1])
+
+
+# ---------------------------------------------------------------------------
+# full eigendecomposition
+
+
+@pytest.mark.parametrize("n, d", [(1, 100), (30, 100), (100, 100), (400, 20), (3, 7)])
+def test_eigh_evd_equals_scipy_eigh(n, d):
+    # Stage I's A_i = X'X/n, rank-deficient where n < d
+    X = np.random.default_rng(n * d).standard_normal((n, d))
+    for A in (X.T @ X / n, np.zeros((d, d)), np.eye(d)):
+        lam, V = eigh(A, driver="evd")
+        got_lam, got_V = eigh_evd(A)
+        assert np.array_equal(got_lam, lam) and np.array_equal(got_V, V)
 
 
 # ---------------------------------------------------------------------------

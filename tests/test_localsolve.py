@@ -8,23 +8,9 @@ from hypothesis import strategies as st
 
 from byzfed.datagen import WorkerShard
 from byzfed.errors import ConfigError
-from byzfed.localsolve import (
-    local_erm,
-    local_gradient,
-    loss_grad,
-    online_to_batch,
-    shard_stats,
-)
+from byzfed.localsolve import local_erm, local_gradient, shard_stats
 from byzfed.numerics import least_squares
 from byzfed.pipeline import SolverSpec, stage1_erms
-
-
-def _sq_loss(w, x, y):
-    return 0.5 * float(x @ w - y) ** 2
-
-
-def _loc_loss(w, x):
-    return 0.5 * float(np.sum((w - x) ** 2))
 
 
 def _shard(rng, n=30, d=4, sigma=0.1, w=None):
@@ -39,35 +25,11 @@ def _points(shard):
     return replace(shard, y=None)
 
 
-def test_single_sample_value_and_grad(rng):
-    w = rng.standard_normal(3)
-    x = rng.standard_normal(3)
-    y = 0.7
-    np.testing.assert_allclose(loss_grad(w, x, y), x * (x @ w - y))
-    # no target: the location loss
-    np.testing.assert_allclose(loss_grad(w, x), w - x)
-
-
-def test_gradients_match_finite_differences(rng):
-    w = rng.standard_normal(4)
-    x = rng.standard_normal(4)
-    y = -1.2
-    eps = 1e-6
-    for f, args in ((_sq_loss, (x, y)), (_loc_loss, (x,))):
-        g = loss_grad(w, *args)
-        num = np.empty(4)
-        for j in range(4):
-            e = np.zeros(4)
-            e[j] = eps
-            num[j] = (f(w + e, *args) - f(w - e, *args)) / (2 * eps)
-        np.testing.assert_allclose(g, num, atol=1e-5)
-
-
 def test_batch_objective_and_gradient_consistent(rng):
     shard, _ = _shard(rng)
     w = rng.standard_normal(4)
-    # gradient equals the average single-sample gradient
-    manual_g = np.mean([loss_grad(w, shard.X[i], shard.y[i]) for i in range(shard.n)], axis=0)
+    # gradient equals the average single-sample gradient x (x'w - y)
+    manual_g = np.mean([x * (x @ w - y) for x, y in zip(shard.X, shard.y)], axis=0)
     np.testing.assert_allclose(local_gradient(shard_stats([shard]), w)[0], manual_g, atol=1e-12)
 
 
@@ -175,8 +137,7 @@ def test_gd_erm_validation(rng):
         with pytest.raises(ConfigError):
             SolverSpec(kind="gd", **bad)
     SolverSpec(kind="gd", iters=np.int64(3))
-    # Stage I always steps at 1/lambda_max(A_i); online GD takes
-    # online_to_batch's defaults
+    # Stage I always steps at 1/lambda_max(A_i)
     for removed in ("step", "lam", "radius"):
         with pytest.raises(TypeError, match=f"'{removed}'"):
             SolverSpec(kind="gd", **{removed: 1.0})
@@ -277,70 +238,3 @@ def test_stage1_gd_holds_one_machine_statistics_at_a_time(rng):
         tracemalloc.stop()
     assert W.shape == (m, d)
     assert peak < m * d * d * 8 / 4
-
-
-# ---------------------------------------------------------------------------
-# online-to-batch
-
-
-def _otb_reference(shard, lam, radius):
-    """Documented recursion, written independently: single ordered pass,
-    projection onto the radius ball, average of iterates w_1..w_n."""
-    d = shard.X.shape[1]
-    w = np.zeros(d)
-    iterates = []
-    for l in range(shard.n):
-        iterates.append(w.copy())
-        eta = 1.0 / (lam * (l + 1))
-        if shard.y is None:
-            g = w - shard.X[l]
-        else:
-            g = shard.X[l] * (shard.X[l] @ w - shard.y[l])
-        w = w - eta * g
-        nw = np.linalg.norm(w)
-        if nw > radius:
-            w = w * (radius / nw)
-    return np.mean(iterates, axis=0)
-
-
-def test_online_to_batch_matches_reference_recursion(rng):
-    shard, _ = _shard(rng, n=25, d=3)
-    got = online_to_batch(shard, lam=2.0, radius=5.0)
-    ref = _otb_reference(shard, 2.0, 5.0)
-    np.testing.assert_allclose(got, ref, atol=1e-12)
-
-
-def test_online_to_batch_default_radius_and_schedule(rng):
-    shard, _ = _shard(rng, n=20, d=4)
-    got = online_to_batch(shard)
-    ref = _otb_reference(shard, 1.0, 2.0 * np.sqrt(4))
-    np.testing.assert_allclose(got, ref, atol=1e-12)
-
-
-def test_online_to_batch_first_iterate_is_zero(rng):
-    # with a single sample the average is w_1 = 0 by construction
-    shard = WorkerShard(machine_id=0, X=rng.standard_normal((1, 3)), y=rng.standard_normal(1), true_cluster=0)
-    np.testing.assert_array_equal(online_to_batch(shard), np.zeros(3))
-
-
-def test_online_to_batch_projection_keeps_iterates_bounded(rng):
-    shard, _ = _shard(rng, n=40, d=4, sigma=0.0)
-    R = 0.05
-    got = online_to_batch(shard, radius=R)
-    assert np.linalg.norm(got) <= R + 1e-12
-
-
-def test_online_to_batch_location_estimates_mean(rng):
-    X = np.array([2.0, 3.0]) + 0.01 * rng.standard_normal((400, 2))
-    shard = WorkerShard(machine_id=0, X=X, y=None, true_cluster=0)
-    # default radius 2*sqrt(d) would clip this mean, so widen the ball
-    got = online_to_batch(shard, lam=1.0, radius=10.0)
-    assert np.linalg.norm(got - [2.0, 3.0]) < 0.1
-
-
-def test_online_to_batch_validation(rng):
-    shard, _ = _shard(rng)
-    with pytest.raises(ConfigError):
-        online_to_batch(shard, lam=0.0)
-    with pytest.raises(ConfigError):
-        online_to_batch(shard, radius=-1.0)

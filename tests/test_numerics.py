@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from byzfed.errors import ConfigError, NumericError
 from byzfed.numerics import (
     RngStream,
     derive_seed,
+    eigh_evd,
     least_squares,
     min_cost_assignment,
     top_eigenpair,
@@ -243,3 +247,39 @@ def test_least_squares_residual_orthogonality(d, seed):
     w = least_squares(X, y)
     scale = max(1.0, float(np.abs(X).max() * np.abs(y).max()))
     assert np.linalg.norm(X.T @ (y - X @ w)) <= 1e-7 * scale
+
+
+# ---------------------------------------------------------------------------
+# the scipy seam
+
+
+def _imported_modules(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+def test_only_numerics_imports_scipy():
+    # every LAPACK call goes through byzfed.numerics, so replacing scipy
+    # there changes one module
+    package = Path(__file__).parents[1] / "src" / "byzfed"
+    importers = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if any(m == "scipy" or m.startswith("scipy.") for m in _imported_modules(path))
+    )
+    assert importers == ["numerics.py"]
+
+
+def test_eigh_evd_is_an_eigendecomposition(rng):
+    X = rng.standard_normal((5, 8))
+    A = X.T @ X / 5  # rank 5
+    lam, V = eigh_evd(A)
+    assert np.all(np.diff(lam) >= 0)
+    np.testing.assert_allclose(V @ np.diag(lam) @ V.T, A, atol=1e-12)
+    np.testing.assert_allclose(V.T @ V, np.eye(8), atol=1e-12)
+    np.testing.assert_allclose(lam[:3], 0.0, atol=1e-12)

@@ -6,7 +6,7 @@ from byzfed.datagen import FleetConfig, WorkerShard, generate_fleet
 from byzfed.distopt import AttackSpec, OptConfig, robust_gd
 from byzfed.errors import ConfigError, DataError, NumericError
 from byzfed.numerics import derive_seed
-from byzfed import distopt, pipeline
+from byzfed import distopt, localsolve, pipeline
 from byzfed.pipeline import (
     ClusterSpec,
     IngestSpec,
@@ -203,13 +203,6 @@ def test_match_centers_rejects_a_non_finite_estimate():
     for bad in (np.nan, np.inf):
         with pytest.raises(NumericError):
             _match_centers(np.array([[1.0], [bad]]), centers)
-
-
-def test_stage1_online_solver_runs(rng):
-    fleet, _ = generate_fleet(FleetConfig(m=4, n=25, d=3, K=2, sigma=0.2), seed=2)
-    out = stage1_erms(fleet, SolverSpec(kind="ogd"))
-    assert out.shape == (4, 3)
-    assert np.all(np.isfinite(out))
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +491,7 @@ def test_grid_stage1_failure_fails_every_cell_of_its_trial(monkeypatch):
     def failing(shard):
         raise NumericError("no local solution")
 
-    monkeypatch.setattr(pipeline, "local_erm", failing)
+    monkeypatch.setattr(localsolve, "local_erm", failing)
     outcomes, summary = run_grid(replace(base, seed=3), clusterers, optimizers, n_trials=2)
     assert all(o.result is None and o.error.startswith("NumericError('stage1: ") for o in outcomes)
     assert all(r["n_failed"] == 2 for r in summary)
