@@ -35,7 +35,7 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--attack", default="sign_flip",
-                    choices=["none", "own_corrupt_data", "sign_flip", "random_gauss"])
+                    choices=["own_corrupt_data", "sign_flip", "random_gauss"])
     ap.add_argument("--rounds", type=int, default=60)
     args = ap.parse_args()
 

@@ -4,8 +4,8 @@ Commands:
   synth   run the config's fleet (synthetic by default, or an ingest
           fleet) as a single cell or the config's grid
   grid    like synth, but requires an explicit grid section in the config
-  ingest  build an ingest fleet from a points CSV and the flags, then run
-          the experiment grid
+  ingest  run the config's fleet section as an ingest fleet of a points
+          CSV, flags on top, as a single cell or the config's grid
   replay  rerun a manifest's config and grid under its command, into a
           directory other than the manifest's, and compare the result
           files; a recomputed run id that differs from the manifest's
@@ -19,12 +19,16 @@ draws its own shards. The run id names an ingest fleet by the digest of
 its parsed points, not by its path; manifest.json records the absolute
 path, so replay finds the points from any directory, and replay of
 points that changed exits 2 before writing any file.
-Configs are JSON; flags override file values. A grid section holds the
-cells, so a top-level cluster or opt beside it, or a per-cell flag,
-would reach no cell and exits 1. A method is named
-by its full or short name, in any case, underscores optional: lloyd/KM,
-kgeomedian/KGM, trimmed_kmeans/TKM, edge_cut/EC; sample_mean/SM,
-trimmed_mean/TM, coord_median/CM, geo_median/GM, iter_filter/IF.
+Configs are JSON; flags override file values, by one rule for every
+command (_apply_overrides). An input reaches the run or exits 1 before
+manifest.json: ingest's whole fleet section reaches its fleet, and a
+spec field its kind does not read must hold its default. A grid section
+holds the cells, with distinct names, and their trials, so a top-level
+cluster, opt or trials beside it, or a per-cell flag, exits 1. A method
+is named by its full or short name, in any case, underscores optional:
+lloyd/KM, kgeomedian/KGM, trimmed_kmeans/TKM, edge_cut/EC;
+sample_mean/SM, trimmed_mean/TM, coord_median/CM, geo_median/GM,
+iter_filter/IF.
 Every command, replay too, writes a manifest.json
 (atomically, before any result file) plus four result CSVs into
 --out-dir. Progress goes to stdout, diagnostics to stderr; results live
@@ -52,6 +56,7 @@ from .errors import ByzfedError, ConfigError, DataError, require_int, require_re
 from .pipeline import (
     ClusterSpec,
     IngestSpec,
+    check_cells,
     config_from_dict,
     config_to_dict,
     ingest_layout,
@@ -92,6 +97,7 @@ _SYNTHETIC_FLEET = {"type": "synthetic", "m": 20, "n": 20, "d": 5, "K": 2}
 # the object-valued sections of a config, then its plain values
 _SECTIONS = ("fleet", "solver", "cluster", "opt", "attack", "grid")
 _CONFIG_KEYS = (*_SECTIONS, "trials", "seed")
+_GRID_KEYS = ("clusterers", "optimizers", "trials")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -119,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ingest = sub.add_parser("ingest", parents=[common], help="experiment on an ingested points CSV")
     p_ingest.add_argument("--csv", required=True, help="points CSV file")
-    # absent flags fall back to the config's fleet section, then to IngestSpec's defaults
+    # each sets its fleet field over the config's fleet section (_apply_overrides)
     p_ingest.add_argument("--shard-size", type=int)
     p_ingest.add_argument("--n-adv", type=int, help="adversarial shard count")
     p_ingest.add_argument("--min-cluster", type=int)
@@ -142,16 +148,21 @@ def _load_config(args) -> dict:
 
 
 def _check_keys(data: dict) -> None:
-    """A config names only known keys, and each section present is an
-    object."""
-    unknown = sorted(key for key in data if key not in _CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config key {unknown[0]!r}; expected one of {list(_CONFIG_KEYS)}")
+    """A config and its grid section name only known keys, and each
+    section present is an object."""
+    _require_known(data, _CONFIG_KEYS, "config key")
     for section in _SECTIONS:
         if section in data and not isinstance(data[section], dict):
             raise ConfigError(
                 f"config section {section!r} must be an object, got {json.dumps(data[section])}"
             )
+    _require_known(data.get("grid", {}), _GRID_KEYS, "grid key")
+
+
+def _require_known(data: dict, known: tuple, what: str) -> None:
+    unknown = sorted(key for key in data if key not in known)
+    if unknown:
+        raise ConfigError(f"unknown {what} {unknown[0]!r}; expected one of {list(known)}")
 
 
 def _load_config_file(path) -> dict:
@@ -190,16 +201,12 @@ def _apply_overrides(data: dict, args) -> dict:
                               "set them in its clusterers or optimizers")
     if args.seed is not None:
         data["seed"] = args.seed
-    if args.trials is not None:
-        data["trials"] = args.trials
-        if "grid" in data:
-            data["grid"]["trials"] = args.trials
-    if args.alpha is not None:
-        fleet["alpha"] = args.alpha
-    if args.sigma is not None:
-        fleet["sigma"] = args.sigma
-    if ingest and args.gamma is not None:
-        fleet["gamma"] = args.gamma
+    if args.trials is not None:  # trials live in the grid when there is one
+        data.get("grid", data)["trials"] = args.trials
+    # the fleet flags; only the ingest command has the last four
+    keys = ("alpha", "sigma", *(("gamma", "shard_size", "n_adv", "min_cluster", "label_column")
+                                if ingest else ()))
+    fleet.update((key, getattr(args, key)) for key in keys if getattr(args, key, None) is not None)
     if "grid" in data:  # only a config without one names its cell at top level
         return data
     cluster = data.setdefault("cluster", {})
@@ -227,14 +234,15 @@ def _cell(entry) -> tuple[str, dict]:
 
 
 def _grid_specs(data: dict):
-    """(clusterers, optimizers, trials) of the config's grid section, which
-    must name both, or the one cell of its top-level cluster and opt.
-    Every cell's config is checked here, before any output exists."""
+    """(clusterers, optimizers, trials) of the config's grid section, or
+    the one cell of its top-level cluster and opt and its top-level
+    trials. Every cell's config is checked here, before any output
+    exists."""
     grid = data.get("grid")
-    stray = [key for key in ("cluster", "opt") if key in data and grid is not None]
+    stray = [key for key in ("cluster", "opt", "trials") if key in data and grid is not None]
     if stray:
         raise ConfigError(f"top-level {' and '.join(stray)} cannot sit beside a grid section; "
-                          "set them in its clusterers or optimizers")
+                          "set them in the grid: its clusterers, optimizers and trials")
     try:
         if grid is not None:
             clusterers = [(name, ClusterSpec(**f)) for name, f in map(_cell, grid["clusterers"])]
@@ -245,9 +253,8 @@ def _grid_specs(data: dict):
             clusterers, optimizers = [(_CLUSTERERS[cluster.method], cluster)], [(oname, opt)]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad {'config' if grid is None else 'grid section'}: {exc}") from exc
-    if not clusterers or not optimizers:
-        raise ConfigError("a grid section must name clusterers and optimizers")
-    trials = (grid or {}).get("trials", data.get("trials", 1))
+    check_cells(clusterers, optimizers)
+    trials = (data if grid is None else grid).get("trials", 1)
     require_int("trials", trials, 1)
     return clusterers, optimizers, trials
 
@@ -339,13 +346,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    """ingest: each fleet field comes from its flag, else from the config's
-    fleet section, else from IngestSpec's default."""
+    """ingest: the config's whole fleet section as an ingest fleet of the
+    --csv points, with the flags on top (_apply_overrides); a field set by
+    neither takes IngestSpec's default, and gamma the points' percentile."""
     data = _load_config(args)
-    flags = {"gamma": args.gamma, "shard_size": args.shard_size, "n_adv": args.n_adv,
-             "min_cluster": args.min_cluster, "label_column": args.label_column}
-    fleet = {key: value for key, value in data.get("fleet", {}).items() if key in flags}
-    fleet.update((key, value) for key, value in flags.items() if value is not None)
+    data["fleet"] = {**data.get("fleet", {}), "type": "ingest", "path": str(args.csv)}
+    _apply_overrides(data, args)
+    fleet = data["fleet"]
     points = read_points_csv(args.csv, label_column=fleet.get("label_column"))
     gamma = fleet.get("gamma")
     if gamma is None:
@@ -358,8 +365,6 @@ def cmd_ingest(args) -> int:
               "(10th percentile of sampled pairwise distances)", flush=True)
     require_real("gamma", gamma, positive=True, finite=False)
     fleet["gamma"] = float(gamma)  # an int gamma keeps the run id of its float
-    data["fleet"] = {"type": "ingest", "path": str(args.csv), **fleet}
-    _apply_overrides(data, args)
     return _execute(data, "ingest", args.out_dir, args.threads, points)[0]
 
 

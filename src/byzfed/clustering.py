@@ -30,7 +30,7 @@ import numpy as np
 
 from .components import threshold_components
 from .datagen import BYZANTINE, GroundTruth
-from .errors import ClusteringError, ConfigError, require_int, require_real
+from .errors import ClusteringError, ConfigError, require_int, require_read, require_real
 from .numerics import RngStream, min_cost_assignment
 from .robust_stats import geometric_median, iter_filter_mean
 
@@ -48,6 +48,15 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _CLUSTER_METHODS = ("edge_cut", "lloyd", "kgeomedian", "trimmed_kmeans")
+
+# ClusterSpec's method-dependent fields and the methods that read them
+_READERS = {
+    "C": ("trimmed_kmeans",),
+    "sigma_hat": ("trimmed_kmeans",),
+    "max_iter": ("lloyd", "kgeomedian", "trimmed_kmeans"),
+    "gamma": ("edge_cut",),
+    "min_cluster": ("edge_cut",),
+}
 
 
 @dataclass(frozen=True)
@@ -131,7 +140,8 @@ class ClusterSpec:
     radius multiplier; infinite = no trimming) and sigma_hat (positive;
     None = per-bucket estimate 1.4826 * median ||x - geomedian|| /
     sqrt(d)). gamma/min_cluster belong to edge_cut. The counts are
-    integers.
+    integers. A field the method does not read (_READERS) must keep its
+    default, so it cannot change the run id of a run it never reaches.
     """
 
     method: str = "trimmed_kmeans"
@@ -153,6 +163,7 @@ class ClusterSpec:
         require_real("gamma", self.gamma, positive=True, finite=False, optional=True)
         require_int("max_iter", self.max_iter, 0)
         require_int("min_cluster", self.min_cluster, 1)
+        require_read(self, self.method, "cluster method", _READERS)
 
 
 # ---------------------------------------------------------------------------

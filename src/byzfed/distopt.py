@@ -38,7 +38,7 @@ from functools import partial
 import numpy as np
 
 from .datagen import WorkerShard
-from .errors import ConfigError, require_int, require_real
+from .errors import ConfigError, require_int, require_read, require_real
 from .localsolve import ShardStats, local_gradient, shard_stats
 from .numerics import RngStream, derive_seed, top_eigenpair
 from .robust_stats import AggregatorSpec, aggregate
@@ -52,7 +52,7 @@ __all__ = [
     "ClusterTable",
 ]
 
-_ATTACK_KINDS = ("none", "own_corrupt_data", "sign_flip", "random_gauss", "constant")
+_ATTACK_KINDS = ("own_corrupt_data", "sign_flip", "random_gauss", "constant")
 
 # a run whose iterate passes this norm has diverged and stops
 _DIVERGENCE_NORM = 1e12
@@ -79,17 +79,14 @@ class AttackSpec:
     def __post_init__(self):
         if self.kind not in _ATTACK_KINDS:
             raise ConfigError(f"unknown attack kind {self.kind!r}; expected one of {_ATTACK_KINDS}")
+        if isinstance(self.scale, bool) or not math.isfinite(self.scale):  # TypeError if not real
+            raise ConfigError(f"attack scale must be a finite number, got {self.scale!r}")
+        require_read(self, self.kind, "attack kind",
+                     {"vector": ("constant",), "scale": ("sign_flip", "random_gauss")})
         if self.kind == "constant":
             if self.vector is None:
                 raise ConfigError("constant attack needs a vector")
             object.__setattr__(self, "vector", np.asarray(self.vector, dtype=float))
-        elif self.vector is not None:
-            raise ConfigError(f"attack kind {self.kind!r} takes no vector; only 'constant' does")
-        if isinstance(self.scale, bool) or not math.isfinite(self.scale):  # TypeError if not real
-            raise ConfigError(f"attack scale must be a finite number, got {self.scale!r}")
-        if self.scale != 1.0 and self.kind not in ("sign_flip", "random_gauss"):
-            raise ConfigError(f"attack kind {self.kind!r} takes no scale; only 'sign_flip' "
-                              "and 'random_gauss' do")
 
     def require_dim(self, d: int) -> None:
         """Raise ConfigError unless a constant attack's vector has d entries."""
@@ -225,9 +222,9 @@ def _descend(shards, cfg, attack, local_steps, init, seed, table):
     else:  # P overwrites A, so the table no longer holds the statistics
         table.stats = None
         reports_at = _local_steps_map(stats, step, local_steps)
-    # none and own_corrupt_data report the honest row
+    # own_corrupt_data reports the honest row
     byzantine = (
-        [] if attack.kind in ("none", "own_corrupt_data")
+        [] if attack.kind == "own_corrupt_data"
         else [i for i, s in enumerate(shards) if s.is_byzantine]
     )
     traj = np.empty((cfg.max_rounds + 1, d))

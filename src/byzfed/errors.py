@@ -4,6 +4,7 @@ The CLI maps ConfigError to exit code 1 and every other ByzfedError
 (and unexpected exceptions) to exit code 2.
 """
 
+import dataclasses
 import math
 import numbers
 
@@ -47,3 +48,17 @@ def require_real(name, value, *, positive=False, finite=True, optional=False) ->
     ):
         bound = "> 0" if positive else ">= 0"
         raise ConfigError(f"{name} must be {'finite and ' if finite else ''}{bound}, got {value!r}")
+
+
+def require_read(spec, kind: str, what: str, readers: dict) -> None:
+    """Raise ConfigError if a field of the dataclass spec is not at its
+    default while kind is not among readers[field], the kinds that read it,
+    as in "cluster method 'lloyd' takes no C; only 'trimmed_kmeans' does"."""
+    defaults = {f.name: f.default for f in dataclasses.fields(spec)}
+    for name, kinds in readers.items():
+        value, default = getattr(spec, name), defaults[name]
+        if kind not in kinds and value is not default and (default is None or value != default):
+            *rest, last = map(repr, kinds)
+            listed = f"{', '.join(rest)} and {last}" if rest else last
+            raise ConfigError(f"{what} {kind!r} takes no {name}; only {listed} "
+                              f"{'do' if rest else 'does'}")

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .datagen import WorkerShard
-from .errors import ConfigError, NumericError, require_int
+from .errors import ConfigError, NumericError, require_int, require_read
 from .numerics import eigh_evd, least_squares
 
 __all__ = [
@@ -55,7 +55,7 @@ class SolverSpec:
     """Stage-I solver: exact ERM or batch GD.
 
     GD runs iters steps, an integer >= 1, at 1/lambda_max of each
-    machine's own Hessian.
+    machine's own Hessian. Only gd reads iters; erm keeps its default.
     """
 
     kind: str = "erm"
@@ -65,6 +65,7 @@ class SolverSpec:
         if self.kind not in _SOLVER_KINDS:
             raise ConfigError(f"unknown solver {self.kind!r}; expected one of {_SOLVER_KINDS}")
         require_int("iters", self.iters, 1)
+        require_read(self, self.kind, "solver", {"iters": ("gd",)})
 
 
 class ShardStats(NamedTuple):

@@ -73,6 +73,7 @@ __all__ = [
     "TrialOutcome",
     "run_pipeline",
     "run_grid",
+    "check_cells",
     "ingest_layout",
     "stage1_erms",
     "config_to_dict",
@@ -392,6 +393,19 @@ def _trial_outcomes(base_cfg, clusterers, optimizers, layout, t: int, seed: int)
     return outcomes
 
 
+def check_cells(clusterers, optimizers) -> None:
+    """Raise ConfigError unless a grid names clusterers and optimizers and
+    its cells, "{clusterer}+{optimizer}", have distinct names (the tables
+    key their rows by the cell name)."""
+    if not clusterers or not optimizers:
+        raise ConfigError("a grid section must name clusterers and optimizers")
+    seen = set()
+    for cell in (f"{c}+{o}" for c, _ in clusterers for o, _ in optimizers):
+        if cell in seen:
+            raise ConfigError(f"two grid cells are named {cell!r}; cell names must differ")
+        seen.add(cell)
+
+
 def run_grid(
     base_cfg: PipelineConfig,
     clusterers: list[tuple[str, ClusterSpec]],
@@ -413,8 +427,7 @@ def run_grid(
     outcomes are ordered cell-major then by trial, independent of
     thread count.
     """
-    if not clusterers or not optimizers:
-        raise ConfigError("clusterers and optimizers must be nonempty")
+    check_cells(clusterers, optimizers)
     require_int("n_trials", n_trials, 1)
     require_int("threads", threads, 1)
     trial_seeds = [derive_seed(base_cfg.seed, t) for t in range(n_trials)]
@@ -430,7 +443,8 @@ def run_grid(
 
 def summarize_grid(outcomes: list[TrialOutcome]) -> list[dict]:
     """Per-cell mean and sample standard deviation of est_error over the
-    trials that ended with a finite one; the rest count as failed."""
+    trials that ended with a finite one; the rest count as failed. The
+    mean of no finite est_error and the sd of fewer than two are nan."""
     cells: dict[str, list[TrialOutcome]] = {}
     for o in outcomes:
         cells.setdefault(o.cell, []).append(o)
@@ -446,7 +460,7 @@ def summarize_grid(outcomes: list[TrialOutcome]) -> list[dict]:
                 "n_trials": len(outs),
                 "n_failed": len(outs) - len(errs),
                 "est_error_mean": float(np.mean(errs)) if errs else float("nan"),
-                "est_error_sd": float(np.std(errs, ddof=1)) if len(errs) > 1 else 0.0,
+                "est_error_sd": float(np.std(errs, ddof=1)) if len(errs) > 1 else float("nan"),
             }
         )
     return rows

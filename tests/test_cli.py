@@ -584,6 +584,37 @@ def test_unread_attack_scale_of_1_keeps_the_run_id(tmp_path):
     assert run_ids[0] == run_ids[1]
 
 
+def test_unread_cluster_field_exits_1_before_the_manifest(tmp_path, capsys):
+    # trimmed k-means never reads gamma: --gamma 1.0 would rerun --seed 1's
+    # trial under a run id of its own
+    code, out = _synth(tmp_path, "--gamma", "1.0", "--seed", "1")
+    assert code == 1
+    assert "cluster method 'trimmed_kmeans' takes no gamma" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_unread_field_at_its_default_keeps_the_run_id(tmp_path):
+    base = {"cluster": {"method": "edge_cut", "gamma": 1.0}, "opt": {"max_rounds": 1}}
+    spelled = {**base, "cluster": {**base["cluster"], "C": 2.0},
+               "solver": {"kind": "erm", "iters": 100}}
+    assert _synth_run_id(tmp_path, "base", base) == _synth_run_id(tmp_path, "spelled", spelled)
+
+
+@pytest.mark.parametrize("config, named", [
+    ({"attack": {"kind": "none"}}, "'none'"),  # own_corrupt_data has one spelling
+    ({"solver": {"kind": "erm", "iters": 500}}, "iters"),
+    ({"grid": {"clusterers": [{"name": "KM", "method": "lloyd"}],
+               "optimizers": [{"name": "SM"}], "trails": 3}}, "'trails'"),
+])
+def test_input_that_reaches_no_run_exits_1(tmp_path, capsys, config, named):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    code, out = _synth(tmp_path, "--config", str(cfg))
+    assert code == 1
+    assert named in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize(
     "manifest_edit, flags",
     [
@@ -806,6 +837,25 @@ def test_grid_command_runs_all_cells(tmp_path):
     assert cells == {"KM+SM", "KM+TM", "TKM+SM", "TKM+TM"}
 
 
+@pytest.mark.parametrize("grid_edit", [
+    {"clusterers": [{"name": "A", "method": "lloyd"}, {"name": "A", "method": "kgeomedian"}]},
+    # distinct clusterer and optimizer names can still spell one cell name
+    {"clusterers": [{"name": "A+B", "method": "lloyd"}, {"name": "A", "method": "kgeomedian"}],
+     "optimizers": [{"name": "C"}, {"name": "B+C"}]},
+])
+def test_duplicate_cell_names_exit_1(tmp_path, capsys, grid_edit):
+    # the tables key their rows by cell name: two cells of one name would
+    # pool their trials into one summary row
+    cfg = _write_grid_config(tmp_path)
+    data = json.loads(cfg.read_text())
+    data["grid"].update(grid_edit)
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["grid", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    assert "cell names must differ" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_cli_trials_flag_overrides_grid_section(tmp_path):
     cfg = _write_grid_config(tmp_path)
     out = tmp_path / "out"
@@ -832,7 +882,7 @@ def test_cell_flags_with_grid_section_exit_1(tmp_path, capsys, command, flag):
 @pytest.mark.parametrize("command", ["grid", "synth"])
 @pytest.mark.parametrize(
     "extra", [{"cluster": {"C": 5.0}}, {"opt": {"max_rounds": 7}},
-              {"cluster": {}, "opt": {"aggregator": {"kind": "geo_median"}}}]
+              {"cluster": {}, "opt": {"aggregator": {"kind": "geo_median"}}}, {"trials": 5}]
 )
 def test_top_level_cell_sections_beside_a_grid_exit_1(tmp_path, capsys, command, extra):
     # a grid's cells carry their own clusterer and optimizer, so a top-level
@@ -1092,6 +1142,20 @@ def _ingest_fleet_config(tmp_path, csv, **fleet):
     path = tmp_path / "ingest_grid.json"
     path.write_text(json.dumps({"fleet": fleet, "grid": grid}))
     return path
+
+
+@pytest.mark.parametrize("key", ["shard_sise", "m"])
+def test_ingest_fleet_key_that_reaches_no_fleet_exits_1(tmp_path, rng, capsys, key):
+    # ingest runs the config's whole fleet section, so a misspelled or a
+    # synthetic-only key is refused, not dropped
+    csv = _blob_csv(tmp_path, rng)
+    cfg = tmp_path / "ingest.json"
+    cfg.write_text(json.dumps({"fleet": {"type": "synthetic", key: 7}}))
+    out = tmp_path / "out"
+    assert main(["ingest", "--csv", str(csv), "--gamma", "10", "--config", str(cfg),
+                 "--out-dir", str(out)]) == 1
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_grid_with_ingest_fleet_matches_ingest_command(tmp_path, rng):

@@ -70,6 +70,31 @@ def test_variant_validation():
     ClusterSpec(method="trimmed_kmeans", sigma_hat=None)
 
 
+# a non-default value of every ClusterSpec field a method may read, and the
+# fields each method reads
+_FIELD_VALUES = {"C": 3.0, "sigma_hat": 0.5, "max_iter": 4, "gamma": 1.0, "min_cluster": 2}
+_METHOD_READS = {
+    "edge_cut": ("gamma", "min_cluster"),
+    "lloyd": ("max_iter",),
+    "kgeomedian": ("max_iter",),
+    "trimmed_kmeans": ("max_iter", "C", "sigma_hat"),
+}
+
+
+@pytest.mark.parametrize("field", list(_FIELD_VALUES))
+@pytest.mark.parametrize("method", list(_METHOD_READS))
+def test_a_field_holds_its_default_unless_its_method_reads_it(method, field):
+    # an unread value would reach no run but still change the run id
+    base = {"gamma": 1.0} if method == "edge_cut" else {}
+    value = _FIELD_VALUES[field]
+    if field in _METHOD_READS[method]:
+        assert getattr(ClusterSpec(method, **{**base, field: value}), field) == value
+    else:
+        with pytest.raises(ConfigError, match=f"cluster method '{method}' takes no {field}; only "):
+            ClusterSpec(method, **{**base, field: value})
+        ClusterSpec(method, **base)
+
+
 def test_assign_tie_goes_to_lowest_index():
     centers = np.array([[0.0], [1.0]])
     np.testing.assert_array_equal(_assign(np.array([[0.5]]), centers), [0])

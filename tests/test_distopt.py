@@ -295,13 +295,6 @@ def test_constant_attack_vector_must_have_the_model_dimension(rng, descend, vect
         descend(shards, OptConfig(max_rounds=1), attack=AttackSpec("constant", vector=vector))
 
 
-def test_none_attack_means_honest_protocol(rng):
-    shards = _one_byz_setup(rng)
-    w_none, _ = robust_gd(shards, OptConfig(max_rounds=20), attack=AttackSpec("none"))
-    w_own, _ = robust_gd(shards, OptConfig(max_rounds=20), attack=AttackSpec("own_corrupt_data"))
-    np.testing.assert_array_equal(w_none, w_own)
-
-
 def test_random_gauss_attack_is_reproducible(rng):
     shards = _one_byz_setup(rng)
     atk = AttackSpec("random_gauss", scale=2.0)
@@ -409,7 +402,7 @@ def test_attack_spec_validation():
         with pytest.raises(ConfigError, match="takes no vector"):
             AttackSpec(kind="sign_flip", vector=vector)
     # only sign_flip and random_gauss read a scale; the rest keep 1.0
-    for kind, extra in (("none", {}), ("own_corrupt_data", {}), ("constant", {"vector": [1.0]})):
+    for kind, extra in (("own_corrupt_data", {}), ("constant", {"vector": [1.0]})):
         with pytest.raises(ConfigError, match="takes no scale"):
             AttackSpec(kind, scale=5.0, **extra)
         assert AttackSpec(kind, scale=1.0, **extra).scale == 1.0

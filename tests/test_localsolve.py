@@ -132,6 +132,13 @@ def test_gd_erm_on_a_tiny_scale_shard_returns_the_least_squares_solution():
     np.testing.assert_allclose(got, local_erm(shard), rtol=1e-9)
 
 
+def test_erm_takes_no_iters():
+    # only gd reads iters, so erm's must stay at its default
+    with pytest.raises(ConfigError, match="solver 'erm' takes no iters; only 'gd' does"):
+        SolverSpec("erm", iters=500)
+    assert SolverSpec("erm", iters=100) == SolverSpec("erm")
+
+
 def test_gd_erm_validation(rng):
     for bad in (dict(iters=0), dict(iters=2.5), dict(iters=True)):
         with pytest.raises(ConfigError):

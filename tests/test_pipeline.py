@@ -233,6 +233,16 @@ def test_grid_shape_and_cell_names():
     assert all(np.isfinite(r["est_error_mean"]) for r in summary)
 
 
+def test_grid_cells_must_exist_and_have_distinct_names():
+    # the tables key their rows by cell name, so two cells of one name would
+    # pool their trials into one summary row
+    base, clusterers, optimizers = _grid_inputs()
+    with pytest.raises(ConfigError, match="must name clusterers and optimizers"):
+        run_grid(base, [], optimizers, n_trials=1)
+    with pytest.raises(ConfigError, match="'KM\\+SM'"):
+        run_grid(base, [("KM", clusterers[1][1]), *clusterers], optimizers, n_trials=1)
+
+
 def test_grid_single_cell_equals_run_pipeline():
     base, clusterers, optimizers = _grid_inputs()
     outcomes, _ = run_grid(replace(base, seed=21), clusterers[:1], optimizers[:1], n_trials=1)
@@ -293,7 +303,10 @@ def test_summary_counts_a_non_finite_est_error_as_failed():
     assert row["est_error_mean"] == 1.0
     assert row["est_error_sd"] == pytest.approx(np.sqrt(0.5))
     (row,) = summarize_grid([outcome(0, -np.inf)])
-    assert row["n_failed"] == 1 and np.isnan(row["est_error_mean"]) and row["est_error_sd"] == 0.0
+    assert row["n_failed"] == 1 and np.isnan(row["est_error_mean"]) and np.isnan(row["est_error_sd"])
+    # one finite est_error has a mean but no sample sd
+    (row,) = summarize_grid([outcome(0, 0.5), outcome(1)])
+    assert row["est_error_mean"] == 0.5 and np.isnan(row["est_error_sd"])
 
 
 def _ingest_grid_inputs(tmp_path, rng, **spec):
