@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Commands:
-  synth   run the config's fleet (synthetic by default, or an ingest
-          fleet) as a single cell or the config's grid
+  synth   run the config's fleet (synthetic when it has no type, or an
+          ingest fleet) as a single cell or the config's grid
   grid    like synth, but requires an explicit grid section in the config
   ingest  run the config's fleet section as an ingest fleet of a points
           CSV, flags on top, as a single cell or the config's grid
@@ -11,16 +11,19 @@ Commands:
           files; a recomputed run id that differs from the manifest's
           exits 2
 
-An ingest fleet's points are read and their threshold-graph components
-computed once per run, before manifest.json is written, so a bad points
-file exits 2 with no manifest, and a constant attack vector whose length
-is not the points' dimension exits 1 with no manifest; each trial only
-draws its own shards. The run id names an ingest fleet by the digest of
-its parsed points, not by its path; manifest.json records the absolute
-path, so replay finds the points from any directory, and replay of
-points that changed exits 2 before writing any file.
-Configs are JSON; flags override file values, by one rule for every
-command (_apply_overrides). An input reaches the run or exits 1 before
+synth, grid and ingest are one command function, cmd_run: it merges the
+config and the flags by one rule (_apply_overrides), ingest only sets
+the fleet's type and path, and a value neither sets takes its spec's
+default. _execute alone parses and checks the config, then reads an
+ingest fleet's points and computes their threshold-graph components,
+once per run, before manifest.json: a bad config exits 1 before the
+points are read, and a bad points file exits 2, or a constant attack
+vector not of the points' dimension exits 1, with no manifest; each
+trial only draws its own shards. The run id names an ingest fleet by the
+digest of its parsed points, not by its path; manifest.json records the
+absolute path, so replay finds the points from any directory, and replay
+of points that changed exits 2 before writing any file.
+Configs are JSON. An input reaches the run or exits 1 before
 manifest.json: ingest's whole fleet section reaches its fleet, and a
 spec field its kind does not read must hold its default. A grid section
 holds the cells, with distinct names, and their trials, so a top-level
@@ -51,8 +54,8 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
-from .datagen import percentile_gamma, read_points_csv
-from .errors import ByzfedError, ConfigError, DataError, require_int, require_real
+from .datagen import read_points_csv
+from .errors import ByzfedError, ConfigError, DataError, require_int
 from .pipeline import (
     ClusterSpec,
     IngestSpec,
@@ -92,8 +95,6 @@ _AGGREGATORS = {
     "iter_filter": "IF",
 }
 
-_SYNTHETIC_FLEET = {"type": "synthetic", "m": 20, "n": 20, "d": 5, "K": 2}
-
 # the object-valued sections of a config, then its plain values
 _SECTIONS = ("fleet", "solver", "cluster", "opt", "attack", "grid")
 _CONFIG_KEYS = (*_SECTIONS, "trials", "seed")
@@ -118,10 +119,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", parents=[common], help="synthetic fleet experiment")
-    p_synth.set_defaults(func=cmd_synth)
+    p_synth.set_defaults(func=cmd_run)
 
     p_grid = sub.add_parser("grid", parents=[common], help="explicit clusterer x optimizer grid")
-    p_grid.set_defaults(func=cmd_synth)
+    p_grid.set_defaults(func=cmd_run)
 
     p_ingest = sub.add_parser("ingest", parents=[common], help="experiment on an ingested points CSV")
     p_ingest.add_argument("--csv", required=True, help="points CSV file")
@@ -130,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--n-adv", type=int, help="adversarial shard count")
     p_ingest.add_argument("--min-cluster", type=int)
     p_ingest.add_argument("--label-column", type=int, help="column index to drop")
-    p_ingest.set_defaults(func=cmd_ingest)
+    p_ingest.set_defaults(func=cmd_run)
 
     p_replay = sub.add_parser("replay", help="rerun from a manifest and compare outputs")
     p_replay.add_argument("--manifest", required=True, help="manifest.json or its directory")
@@ -259,14 +260,12 @@ def _grid_specs(data: dict):
     return clusterers, optimizers, trials
 
 
-def _execute(data: dict, command: str, out_dir, threads, points=None,
+def _execute(data: dict, command: str, out_dir, threads,
              replaying: RunManifest | None = None) -> tuple[int, str]:
     """Run the grid the config describes into out_dir; return the exit
-    code and the run id. An ingest fleet's points (read here unless the
-    caller already holds them) are hashed and their component layout is
-    built here, so a bad points file fails before manifest.json exists,
-    and so does the replay of a manifest whose points digest they no
-    longer match."""
+    code and the run id. The config is checked first, then an ingest
+    fleet's points are read, hashed and laid out, all before manifest.json
+    exists; a replay stops there if their digest no longer matches."""
     base_cfg = config_from_dict(data)
     clusterers, optimizers, trials = _grid_specs(data)
     require_int("threads", threads, 1)
@@ -277,13 +276,15 @@ def _execute(data: dict, command: str, out_dir, threads, points=None,
         # from any working directory; the run id does not depend on it
         spec = replace(base_cfg.fleet, path=os.path.abspath(base_cfg.fleet.path))
         base_cfg = replace(base_cfg, fleet=spec)
-        if points is None:
-            points = read_points_csv(spec.path, label_column=spec.label_column)
+        points = read_points_csv(spec.path, label_column=spec.label_column)
         points_sha256 = array_sha256(points)
         if replaying is not None and points_sha256 != replaying.points_sha256:
             raise DataError(f"input changed: the points of {spec.path} have digest "
                             f"{points_sha256}, the manifest records {replaying.points_sha256}")
         layout = ingest_layout(spec, points)
+        if spec.gamma is None:
+            print(f"[byzfed] gamma defaulted to {layout.gamma:.6g} "
+                  "(10th percentile of sampled pairwise distances)", flush=True)
         base_cfg.attack.require_dim(layout.points.shape[1])
 
     grid_dict = {
@@ -332,40 +333,17 @@ def _execute(data: dict, command: str, out_dir, threads, points=None,
     return 0, run_id
 
 
-def cmd_synth(args) -> int:
-    """synth, and grid, which is synth that insists on a grid section. A
-    fleet that is synthetic or has no type takes the synthetic defaults."""
+def cmd_run(args) -> int:
+    """synth, grid and ingest: the config, flags on top (_apply_overrides).
+    grid needs a grid section; ingest runs the config's whole fleet
+    section as an ingest fleet of the --csv points."""
     data = _load_config(args)
-    fleet = data.setdefault("fleet", {})
-    if fleet.get("type", "synthetic") == "synthetic":
-        data["fleet"] = {**_SYNTHETIC_FLEET, **fleet}
     if args.command == "grid" and "grid" not in data:
         raise ConfigError("the grid command needs a 'grid' section in the config")
+    if args.command == "ingest":
+        data["fleet"] = {**data.get("fleet", {}), "type": "ingest", "path": str(args.csv)}
     _apply_overrides(data, args)
     return _execute(data, args.command, args.out_dir, args.threads)[0]
-
-
-def cmd_ingest(args) -> int:
-    """ingest: the config's whole fleet section as an ingest fleet of the
-    --csv points, with the flags on top (_apply_overrides); a field set by
-    neither takes IngestSpec's default, and gamma the points' percentile."""
-    data = _load_config(args)
-    data["fleet"] = {**data.get("fleet", {}), "type": "ingest", "path": str(args.csv)}
-    _apply_overrides(data, args)
-    fleet = data["fleet"]
-    points = read_points_csv(args.csv, label_column=fleet.get("label_column"))
-    gamma = fleet.get("gamma")
-    if gamma is None:
-        gamma = percentile_gamma(points)
-        if gamma == 0:
-            raise DataError(f"no default gamma for {args.csv}: at least 10% of the sampled "
-                            "point pairs are coincident points, so the 10th percentile of "
-                            "their distances is 0; set --gamma")
-        print(f"[byzfed] gamma defaulted to {gamma:.6g} "
-              "(10th percentile of sampled pairwise distances)", flush=True)
-    require_real("gamma", gamma, positive=True, finite=False)
-    fleet["gamma"] = float(gamma)  # an int gamma keeps the run id of its float
-    return _execute(data, "ingest", args.out_dir, args.threads, points)[0]
 
 
 def cmd_replay(args) -> int:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .components import threshold_components
 from .datagen import BYZANTINE, GroundTruth
-from .errors import ClusteringError, ConfigError, require_int, require_read, require_real
+from .errors import ClusteringError, ConfigError, real_field, require_int, require_read
 from .numerics import RngStream, min_cost_assignment
 from .robust_stats import geometric_median, iter_filter_mean
 
@@ -158,9 +158,9 @@ class ClusterSpec:
             )
         if self.method == "edge_cut" and self.gamma is None:
             raise ConfigError("edge_cut needs gamma")
-        require_real("C", self.C, positive=True, finite=False)
-        require_real("sigma_hat", self.sigma_hat, positive=True, finite=False, optional=True)
-        require_real("gamma", self.gamma, positive=True, finite=False, optional=True)
+        real_field(self, "C", positive=True, finite=False)
+        real_field(self, "sigma_hat", positive=True, finite=False, optional=True)
+        real_field(self, "gamma", positive=True, finite=False, optional=True)
         require_int("max_iter", self.max_iter, 0)
         require_int("min_cluster", self.min_cluster, 1)
         require_read(self, self.method, "cluster method", _READERS)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .components import threshold_components
-from .errors import ConfigError, DataError, require_int, require_real
+from .errors import ConfigError, DataError, real_field, require_int
 from .numerics import RngStream
 
 __all__ = [
@@ -59,20 +59,23 @@ _GAMMA_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class FleetConfig:
-    m: int
-    n: int
-    d: int
-    K: int
+    """The synthetic fleet; its field defaults are the fleet of a config
+    that sets none of them."""
+
+    m: int = 20
+    n: int = 20
+    d: int = 5
+    K: int = 2
     alpha: float = 0.0
     sigma: float = 0.0
 
     def __post_init__(self):
         for name in ("m", "n", "d", "K"):
             require_int(name, getattr(self, name), 1)
-        require_real("alpha", self.alpha)
+        real_field(self, "alpha")
         if self.alpha >= 0.5:
             raise ConfigError(f"alpha must be in [0, 0.5), got {self.alpha}")
-        require_real("sigma", self.sigma)
+        real_field(self, "sigma")
         if self.K > self.n_honest:
             raise ConfigError(
                 f"K={self.K} exceeds the honest machine count {self.n_honest}"
@@ -231,9 +234,10 @@ class ComponentLayout:
     cluster (at least max(min_cluster, shard_size) points), in component
     order; dropped holds the smaller components, whose points feed the
     unused-point pool. centers are the surviving components' means.
-    source records what the points came from, so a caller handed a layout
-    can check it against its own spec. Trials share one layout and only
-    read it.
+    gamma is the threshold they were computed at, given or defaulted by
+    layout_components. source records what the points came from, so a
+    caller handed a layout can check it against its own spec. Trials share
+    one layout and only read it.
     """
 
     points: np.ndarray
@@ -241,6 +245,7 @@ class ComponentLayout:
     surviving: tuple[np.ndarray, ...]
     dropped: tuple[np.ndarray, ...]
     centers: np.ndarray
+    gamma: float
     source: object = None
 
     @property
@@ -250,19 +255,25 @@ class ComponentLayout:
 
 def layout_components(
     points,
-    gamma: float,
+    gamma: float | None,
     min_cluster: int = 1,
     shard_size: int = 1,
     source=None,
 ) -> ComponentLayout:
     """Threshold-graph components of a point set, filtered to those that
-    can fill a shard, with their means. Draws nothing, so one layout
-    serves every seed."""
+    can fill a shard, with their means. A gamma of None defaults to the
+    points' percentile_gamma, a DataError if 0. Draws nothing, so one
+    layout serves every seed."""
     P = np.asarray(points, dtype=float)
     if P.ndim != 2:
         raise ConfigError(f"expected points of shape (N, d), got {P.shape}")
     if shard_size < 1 or min_cluster < 1:
         raise ConfigError("shard_size and min_cluster must be >= 1")
+    if gamma is None:
+        gamma = percentile_gamma(P)
+        if gamma == 0:
+            raise DataError("no default gamma: at least 10% of the sampled point pairs are coincident "
+                            "points, so the 10th percentile of their distances is 0; set gamma")
     comps = threshold_components(P, gamma)
     # a surviving component must also fill at least one shard, else its
     # cluster would exist with zero machines
@@ -281,7 +292,7 @@ def layout_components(
             len(dropped),
         )
     centers = np.stack([P[c].mean(axis=0) for c in surviving])
-    return ComponentLayout(P, shard_size, surviving, dropped, centers, source)
+    return ComponentLayout(P, shard_size, surviving, dropped, centers, gamma, source)
 
 
 def shard_components(

@@ -38,7 +38,7 @@ from functools import partial
 import numpy as np
 
 from .datagen import WorkerShard
-from .errors import ConfigError, require_int, require_read, require_real
+from .errors import ConfigError, real_field, require_int, require_read
 from .localsolve import ShardStats, local_gradient, shard_stats
 from .numerics import RngStream, derive_seed, top_eigenpair
 from .robust_stats import AggregatorSpec, aggregate
@@ -81,6 +81,7 @@ class AttackSpec:
             raise ConfigError(f"unknown attack kind {self.kind!r}; expected one of {_ATTACK_KINDS}")
         if isinstance(self.scale, bool) or not math.isfinite(self.scale):  # TypeError if not real
             raise ConfigError(f"attack scale must be a finite number, got {self.scale!r}")
+        object.__setattr__(self, "scale", float(self.scale))
         require_read(self, self.kind, "attack kind",
                      {"vector": ("constant",), "scale": ("sign_flip", "random_gauss")})
         if self.kind == "constant":
@@ -114,7 +115,7 @@ class OptConfig:
     def __post_init__(self):
         require_int("max_rounds", self.max_rounds, 1)
         require_int("local_steps", self.local_steps, 1)
-        require_real("stop_tol", self.stop_tol)
+        real_field(self, "stop_tol")
 
 
 @dataclass

@@ -50,6 +50,14 @@ def require_real(name, value, *, positive=False, finite=True, optional=False) ->
         raise ConfigError(f"{name} must be {'finite and ' if finite else ''}{bound}, got {value!r}")
 
 
+def real_field(spec, name, **checks) -> None:
+    """require_real on field name of the frozen dataclass spec, which then
+    holds float(value) or None: 2 and 2.0 give one spec and one run id."""
+    value = getattr(spec, name)
+    require_real(name, value, **checks)
+    object.__setattr__(spec, name, None if value is None else float(value))
+
+
 def require_read(spec, kind: str, what: str, readers: dict) -> None:
     """Raise ConfigError if a field of the dataclass spec is not at its
     default while kind is not among readers[field], the kinds that read it,

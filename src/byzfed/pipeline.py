@@ -58,7 +58,7 @@ from .datagen import (
     shard_components,
 )
 from .distopt import AttackSpec, ClusterTable, OptConfig, fed_avg_robust, robust_gd
-from .errors import ByzfedError, ConfigError, require_int, require_real
+from .errors import ByzfedError, ConfigError, real_field, require_int
 from .localsolve import SolverSpec, stage1_erms
 from .numerics import derive_seed, min_cost_assignment
 from .numerics import top_eigenpair  # noqa: F401  (not called here; bench/tracer.py wraps this name)
@@ -90,18 +90,20 @@ class IngestSpec:
     """External dataset: CSV of points, threshold-graph clustering into
     shards plus synthetic adversarial shards. Two points are joined iff
     ||p_i - p_j|| < gamma, decided exactly on the float inputs
-    (components.threshold_components). Its shards hold raw points without
-    targets, so they carry the location loss."""
+    (components.threshold_components); a gamma of None is the points' own,
+    the 10th percentile of their sampled pairwise distances, which
+    layout_components takes and records. Its shards hold raw points
+    without targets, so they carry the location loss."""
 
     path: str
-    gamma: float
+    gamma: float | None = None
     shard_size: int = 50
     n_adv: int = 0
     min_cluster: int = 1
     label_column: int | None = None
 
     def __post_init__(self):
-        require_real("gamma", self.gamma, positive=True, finite=False)
+        real_field(self, "gamma", positive=True, finite=False, optional=True)
         require_int("shard_size", self.shard_size, 1)
         require_int("min_cluster", self.min_cluster, 1)
         require_int("n_adv", self.n_adv, 0)
@@ -500,7 +502,7 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
 def config_from_dict(data: dict) -> PipelineConfig:
     try:
         fleet_data = dict(data["fleet"])
-        kind = fleet_data.pop("type")
+        kind = fleet_data.pop("type", "synthetic")
         if kind == "synthetic":
             fleet = FleetConfig(**fleet_data)
         elif kind == "ingest":

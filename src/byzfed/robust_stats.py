@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, require_int, require_real
+from .errors import ConfigError, real_field, require_int, require_real
 from .numerics import top_eigenpair
 
 __all__ = [
@@ -239,7 +239,7 @@ class AggregatorSpec:
             raise ConfigError(f"unknown aggregator kind {self.kind!r}; expected one of {self._KINDS}")
         if self.beta is None:
             object.__setattr__(self, "beta", 0.1 if self.kind == "trimmed_mean" else 0.0)
-        require_real("beta", self.beta)  # every kind: manifest.json records it
+        real_field(self, "beta")  # every kind: manifest.json records it
         if self.kind == "trimmed_mean" and self.beta >= 0.5:
             raise ConfigError(f"trim fraction must be in [0, 0.5), got {self.beta}")
         if self.kind != "trimmed_mean" and self.beta != 0.0:

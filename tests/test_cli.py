@@ -66,7 +66,7 @@ import scipy
 import byzfed
 from byzfed.cli import main
 from byzfed.components import threshold_components
-from byzfed.datagen import read_points_csv
+from byzfed.datagen import FleetConfig, read_points_csv
 from byzfed.pipeline import config_from_dict
 from byzfed.reporting import RESULT_FILES, load_manifest
 
@@ -600,6 +600,57 @@ def test_unread_field_at_its_default_keeps_the_run_id(tmp_path):
     assert _synth_run_id(tmp_path, "base", base) == _synth_run_id(tmp_path, "spelled", spelled)
 
 
+@pytest.mark.parametrize("path, value, config", [
+    (("fleet", "alpha"), 0, {}),
+    (("fleet", "sigma"), 1, {}),
+    (("cluster", "C"), 3, {}),
+    (("cluster", "sigma_hat"), 1, {}),
+    (("cluster", "gamma"), 1, {"cluster": {"method": "edge_cut"}}),
+    (("opt", "stop_tol"), 0, {}),
+    (("opt", "aggregator", "beta"), 0, {"opt": {"aggregator": {"kind": "trimmed_mean"}}}),
+    (("attack", "scale"), 2, {"attack": {"kind": "sign_flip"}}),
+], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
+def test_int_and_float_spelling_of_a_real_field_give_one_run_id(tmp_path, path, value, config):
+    # a real field holds a float, so manifest.json records 2.0 for 2 and
+    # the two spellings of one run share its run id
+    run_ids = []
+    for spelling in (value, float(value)):
+        data = json.loads(json.dumps({"opt": {"max_rounds": 5}, **config}))
+        node = data
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = spelling
+        run_ids.append(_synth_run_id(tmp_path, type(spelling).__name__, data))
+    assert run_ids[0] == run_ids[1]
+
+
+def test_ingest_gamma_flag_int_and_float_give_one_run_id(tmp_path):
+    csv = str(DATA_DIR / "two_blobs.csv")
+    run_ids = set()
+    for name, flags, fleet in [("flag", ["--gamma", "5"], {}), ("int", [], {"gamma": 5}),
+                               ("float", [], {"gamma": 5.0})]:
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"fleet": fleet}))
+        out = tmp_path / name
+        assert main(["ingest", "--csv", csv, "--shard-size", "5", *flags, "--config", str(cfg),
+                     "--out-dir", str(out)]) == 0
+        manifest = load_manifest(out)
+        assert repr(manifest.config["fleet"]["gamma"]) == "5.0"
+        run_ids.add(manifest.run_id)
+    assert len(run_ids) == 1
+
+
+def test_synthetic_fleet_defaults_are_fleet_configs(tmp_path):
+    # synth without a fleet section runs FleetConfig(), as does a fleet
+    # section that names no type and no field
+    code, out = _synth(tmp_path, "--seed", "1")
+    assert code == 0
+    manifest = load_manifest(out)
+    assert config_from_dict(manifest.config).fleet == FleetConfig()
+    assert config_from_dict({"fleet": {}}).fleet == FleetConfig()
+    assert _synth_run_id(tmp_path, "empty", {"fleet": {}}) == manifest.run_id
+
+
 @pytest.mark.parametrize("config, named", [
     ({"attack": {"kind": "none"}}, "'none'"),  # own_corrupt_data has one spelling
     ({"solver": {"kind": "erm", "iters": 500}}, "iters"),
@@ -721,7 +772,7 @@ def test_unexpected_exception_exits_2(tmp_path, monkeypatch, capsys):
     def boom(args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("byzfed.cli.cmd_synth", boom)
+    monkeypatch.setattr("byzfed.cli.cmd_run", boom)
     assert main(["synth", "--out-dir", str(tmp_path / "out")]) == 2
     assert "error: RuntimeError: boom" in capsys.readouterr().err
 
@@ -978,7 +1029,7 @@ def test_ingest_default_gamma_of_0_is_a_data_error(tmp_path, rng, capsys):
     out = tmp_path / "out"
     assert main(["ingest", "--csv", str(path), "--shard-size", "5", "--out-dir", str(out)]) == 2
     captured = capsys.readouterr()
-    assert "coincident points" in captured.err and "--gamma" in captured.err
+    assert "coincident points" in captured.err and "set gamma" in captured.err
     assert "gamma defaulted" not in captured.out
     assert not (out / "manifest.json").exists()
 
@@ -1156,6 +1207,39 @@ def test_ingest_fleet_key_that_reaches_no_fleet_exits_1(tmp_path, rng, capsys, k
                  "--out-dir", str(out)]) == 1
     assert f"'{key}'" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("csv", ["missing.csv", "two_blobs.csv"])
+def test_ingest_fleet_typo_exits_1_before_the_points_are_read(tmp_path, capsys, csv):
+    # the config is checked before the points are read and their gamma
+    # defaulted, so a missing CSV does not hide the config error
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({"fleet": {"shard_sise": 7}}))
+    out = tmp_path / "out"
+    assert main(["ingest", "--csv", str(DATA_DIR / csv), "--config", str(cfg),
+                 "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "'shard_sise'" in captured.err
+    assert "gamma defaulted" not in captured.out
+    assert not (out / "manifest.json").exists()
+
+
+def test_ingest_fleet_without_gamma_runs_alike_under_synth_and_ingest(tmp_path, capsys):
+    # the default gamma comes with the points under every command; the
+    # manifest records null, so its replay defaults it again
+    csv = str(DATA_DIR / "two_blobs.csv")
+    cfg = tmp_path / "fleet.json"
+    cfg.write_text(json.dumps({"fleet": {"type": "ingest", "path": csv, "shard_size": 5}}))
+    ingest_out, synth_out = tmp_path / "ingest", tmp_path / "synth"
+    assert main(["ingest", "--csv", csv, "--shard-size", "5", "--out-dir", str(ingest_out)]) == 0
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(synth_out)]) == 0
+    assert capsys.readouterr().out.count("gamma defaulted") == 2
+    manifest = load_manifest(synth_out)
+    assert manifest.config["fleet"]["gamma"] is None
+    assert manifest.run_id == load_manifest(ingest_out).run_id
+    for name in RESULT_FILES:
+        assert (synth_out / name).read_bytes() == (ingest_out / name).read_bytes(), name
+    assert main(["replay", "--manifest", str(synth_out), "--out-dir", str(tmp_path / "re")]) == 0
 
 
 def test_grid_with_ingest_fleet_matches_ingest_command(tmp_path, rng):

@@ -332,6 +332,17 @@ def test_layout_counts_and_drops():
     assert layout.source is None
 
 
+def test_layout_without_gamma_takes_and_records_the_points_percentile():
+    layout = layout_components(_THREE_BLOBS, None, shard_size=4)
+    assert layout.gamma == percentile_gamma(_THREE_BLOBS)
+    given = layout_components(_THREE_BLOBS, layout.gamma, shard_size=4)
+    assert [c.tolist() for c in layout.surviving] == [c.tolist() for c in given.surviving]
+    assert layout_components(_THREE_BLOBS, 10.0).gamma == 10.0
+    # over a tenth of the pairs coincide: no default, and no components
+    with pytest.raises(DataError, match="coincident"):
+        layout_components(np.zeros((6, 2)), None)
+
+
 # ---------------------------------------------------------------------------
 # gamma default
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from byzfed.clustering import run_lloyd_variant, warm_start_init
-from byzfed.datagen import FleetConfig, WorkerShard, generate_fleet
+from byzfed.datagen import FleetConfig, WorkerShard, generate_fleet, percentile_gamma, read_points_csv
 from byzfed.distopt import AttackSpec, OptConfig, robust_gd
 from byzfed.errors import ConfigError, DataError, NumericError
 from byzfed.numerics import derive_seed
@@ -28,6 +28,7 @@ from byzfed.reporting import compute_run_id, emit_grid_outputs
 from byzfed.robust_stats import AggregatorSpec
 
 from dataclasses import fields, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 
@@ -545,6 +546,20 @@ def test_layout_from_another_spec_is_rejected(tmp_path, rng):
     synth, _, _ = _grid_inputs()
     with pytest.raises(ConfigError):
         run_grid(synth, clusterers, optimizers, n_trials=1, layout=ingest_layout(base.fleet))
+
+
+def test_ingest_grid_without_gamma_is_the_grid_at_the_points_percentile():
+    # a gamma of None is the points' own; the layout records which
+    path = str(Path(__file__).parent / "data" / "two_blobs.csv")
+    gamma = percentile_gamma(read_points_csv(path))
+    _, clusterers, optimizers = _grid_inputs()
+    spec = IngestSpec(path, shard_size=5)
+    assert spec.gamma is None and ingest_layout(spec).gamma == gamma
+    a, _ = run_grid(PipelineConfig(fleet=spec), clusterers, optimizers, n_trials=2)
+    b, _ = run_grid(PipelineConfig(fleet=replace(spec, gamma=gamma)), clusterers, optimizers,
+                    n_trials=2)
+    assert all(o.result is not None for o in a)
+    _assert_same_outcomes(a, b)
 
 
 def test_ingest_grid_raises_when_no_component_survives(tmp_path, rng):
