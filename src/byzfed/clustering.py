@@ -171,8 +171,12 @@ class ClusterSpec:
 
 
 def _assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Nearest-center labels; equidistant points go to the lowest index."""
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    """Nearest-center labels; equidistant points go to the lowest index.
+    The squared distances are filled one center at a time, each the same
+    contiguous sum over d as a broadcast (m, K, d) difference would give."""
+    d2 = np.empty((len(points), len(centers)))
+    for g, c in enumerate(centers):
+        d2[:, g] = ((points - c) ** 2).sum(axis=1)
     return np.argmin(d2, axis=1)
 
 

@@ -5,10 +5,13 @@ GD; it lives in localsolve (stage1_erms and its SolverSpec). Stage II
 clusters the ERM vectors, and Stage III runs Byzantine-robust
 distributed optimization inside each estimated cluster, initialized at
 that cluster's Stage-II center. The headline metric is
-est_error = max over matched clusters of ||w_hat - w*|| / sqrt(d).
+est_error = max over the true clusters of ||w_hat - w*|| / sqrt(d), where
+w_hat is the matched estimate, or the nearest one for a true cluster the
+matching leaves without an estimate.
 
 In a grid, Stage II depends only on (clusterer, trial) and Stage III on
-the cell, so run_grid makes one pool task per trial: the fleet and Stage I
+the cell, so run_grid makes one task per trial (on a pool of workers, or
+in the calling thread when there is one worker): the fleet and Stage I
 once, Stage II once per clusterer, then Stage III cluster by cluster. For
 each cluster, the optimizer cells of the clusterer run in config order on
 one distopt.ClusterTable: the cluster's shard statistics and pooled step,
@@ -17,10 +20,11 @@ cell, which writes over them), and its Byzantine reports, each drawn
 once. The table is dropped before the next cluster.
 
 So a trial holds its fleet plus one stage's working set: Stage I builds
-one machine's statistics at a time, Stage III at most one cluster's,
-and a cell's trajectories live only until its clusters are matched,
-when each is reduced to its per-round records (RunResult). run_pipeline
-is the one-cell composition of the same stage helpers.
+one machine's statistics at a time, Stage III at most one cluster's, and
+each Stage-III trajectory is reduced to its per-round records
+(RunResult) as soon as its cluster's run returns, before the next run
+starts. run_pipeline is the one-cell composition of the same stage
+helpers.
 
 All randomness is derived from PipelineConfig.seed before any parallel
 dispatch, so results are independent of scheduling and thread count.
@@ -28,7 +32,6 @@ dispatch, so results are independent of scheduling and thread count.
 
 from __future__ import annotations
 
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -138,13 +141,17 @@ class PipelineConfig:
 class RunResult:
     """Outputs of one pipeline run.
 
-    matched_pairs lists (estimated cluster, true cluster) index pairs used
-    for est_error; estimated clusters beyond the matching are counted in
-    n_unmatched and excluded from the metric. Stage III keeps per-round
-    records, not iterates: update_norm[k][r - 1] is ||w_r - w_{r-1}|| of
-    estimated cluster k in round r, and dist_to_truth[k][r - 1] is
-    ||w_r - w*|| to its matched true center, empty when k is unmatched.
-    wall_times has the seconds of stage1..3; in a grid, stage1 is shared
+    matched_pairs lists (estimated cluster, true cluster) index pairs;
+    est_error is the max over all K true clusters of ||w_hat - w*|| /
+    sqrt(d), where w_hat is the matched estimate, and for a true cluster
+    the matching leaves without one (K' < K estimates) the estimated model
+    nearest its center. Estimated clusters beyond the matching (K' > K)
+    are counted in n_unmatched and excluded from the metric.
+
+    Stage III keeps per-round records, not iterates: update_norm[k][r - 1]
+    is ||w_r - w_{r-1}|| of estimated cluster k in round r, and
+    dist_to_truth[k][r - 1] is ||w_r - w*|| to its matched true center,
+    empty when k is unmatched. wall_times has the seconds of stage1..3; in a grid, stage1 is shared
     by the cells of a trial and stage2 (like the Stage-II state and
     history) by the cells of a clusterer. A cell's stage3 is the sum of
     its own optimizer calls, over the clusters.
@@ -226,15 +233,17 @@ def _cell_results(cfg: PipelineConfig, optimizers, fleet, truth, clustered, time
     each cluster, then the metric.
 
     Stage III runs cluster by cluster; the optimizers run in order on one
-    ClusterTable per cluster, dropped before the next cluster. Returns each
-    cell's RunResult, or the exception that failed the cell: a cell whose
-    optimizer raises on one cluster skips the rest, and the other cells go
-    on. times holds the stages before Stage III.
+    ClusterTable per cluster, dropped before the next cluster. Each run's
+    trajectory is reduced to its per-round records (_round_records) as
+    soon as the optimizer returns, and dropped before the next call.
+    Returns each cell's RunResult, or the exception that failed the cell:
+    a cell whose optimizer raises on one cluster skips the rest, and the
+    other cells go on. times holds the stages before Stage III.
     """
     state, history = clustered
     n = len(optimizers)
     w_hats = [np.empty_like(state.centers) for _ in range(n)]
-    trajectories: list[list[np.ndarray]] = [[] for _ in range(n)]
+    records: list[list[tuple]] = [[] for _ in range(n)]
     cell_times = [{**times, "stage3": 0.0} for _ in range(n)]
     results: list = [None] * n  # an exception once a cell has failed
     for k in range(state.K):
@@ -255,14 +264,13 @@ def _cell_results(cfg: PipelineConfig, optimizers, fleet, truth, clustered, time
                     results[j] = exc
                     continue
             w_hats[j][k] = w
-            trajectories[j].append(traj)
+            records[j].append(_round_records(traj, truth.centers))
+            del traj  # not kept alive through the next optimizer call
 
     for j in range(n):
         if results[j] is None:
             try:
-                results[j] = _cell_result(
-                    truth, clustered, w_hats[j], trajectories[j], cell_times[j]
-                )
+                results[j] = _cell_result(truth, clustered, w_hats[j], records[j], cell_times[j])
             except Exception as exc:  # a non-finite estimate fails its cell
                 results[j] = exc
     return results
@@ -270,30 +278,44 @@ def _cell_results(cfg: PipelineConfig, optimizers, fleet, truth, clustered, time
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """||x|| of each row as math.sqrt(x.dot(x)), np.linalg.norm's
-    arithmetic for a 1-D float64 row."""
-    return np.array([math.sqrt(x.dot(x)) for x in rows], dtype=float)
+    arithmetic for a 1-D float64 row. The rows go through one batched
+    matmul of 1 x d by d x 1 slices, which numpy runs through the same
+    BLAS ddot as x.dot(x), so each norm keeps its bits."""
+    return np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0])
 
 
-def _cell_result(truth, clustered, w_hats, trajectories, times) -> RunResult:
+def _round_records(traj: np.ndarray, centers: np.ndarray) -> tuple:
+    """The per-round records of one Stage-III trajectory: its update norms
+    ||w_r - w_{r-1}||, and for each true center c its distances
+    ||w_r - c||, one center at a time (no (K, rounds, d) temporary)."""
+    rounds = traj[1:]
+    return _row_norms(np.diff(traj, axis=0)), [_row_norms(rounds - c) for c in centers]
+
+
+def _cell_result(truth, clustered, w_hats, records, times) -> RunResult:
     """The metric and per-round records of one cell's Stage-III estimates;
-    the trajectories are not kept."""
+    records[k] is estimated cluster k's _round_records."""
     state, history = clustered
     pairs = _match_centers(w_hats, truth.centers)
     d = w_hats.shape[1]
-    est_error = max(
-        float(np.linalg.norm(w_hats[i] - truth.centers[j])) / np.sqrt(d) for i, j in pairs
-    )
     matched = dict(pairs)
-    dists = [
-        _row_norms(traj[1:] - truth.centers[matched[k]]) if k in matched else np.empty(0)
-        for k, traj in enumerate(trajectories)
+    errors = [np.linalg.norm(w_hats[i] - truth.centers[j]) for i, j in pairs]
+    # a true cluster the matching leaves without an estimate is charged
+    # its center's distance to the nearest estimated model
+    errors += [
+        min(np.linalg.norm(w - c) for w in w_hats)
+        for j, c in enumerate(truth.centers)
+        if j not in matched.values()
     ]
     return RunResult(
         per_cluster_w_hat=w_hats,
-        est_error=est_error,
+        est_error=max(float(e) / np.sqrt(d) for e in errors),
         clustering_history=history,
-        update_norm=[_row_norms(np.diff(traj, axis=0)) for traj in trajectories],
-        dist_to_truth=dists,
+        update_norm=[upd for upd, _ in records],
+        dist_to_truth=[
+            dists[matched[k]] if k in matched else np.empty(0)
+            for k, (_, dists) in enumerate(records)
+        ],
         wall_times=times,
         cluster_state=state,
         matched_pairs=pairs,
@@ -420,7 +442,8 @@ def run_grid(
 
     Trial t uses the same derived seed in every cell, so cells are paired:
     they see identical fleets and Stage-I ERMs. Each trial is one task
-    on a pool of `threads` workers (see _trial_outcomes), so stage1 and
+    (see _trial_outcomes) on a pool of `threads` workers, or, at one
+    worker, run in the calling thread without a pool; so stage1 and
     stage2 wall times are shared by the cells of a trial and clusterer.
     An ingest fleet's component layout is seed-free: it is built once,
     before any trial (or injected, see ingest_layout), and a failure to
@@ -436,8 +459,11 @@ def run_grid(
     layout = _resolve_layout(base_cfg.fleet, layout)
 
     task = partial(_trial_outcomes, base_cfg, clusterers, optimizers, layout)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        by_trial = list(pool.map(task, range(n_trials), trial_seeds))
+    if threads == 1:
+        by_trial = list(map(task, range(n_trials), trial_seeds))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            by_trial = list(pool.map(task, range(n_trials), trial_seeds))
     n_cells = len(clusterers) * len(optimizers)
     outcomes = [trial[j] for j in range(n_cells) for trial in by_trial]
     return outcomes, summarize_grid(outcomes)

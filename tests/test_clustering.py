@@ -100,6 +100,29 @@ def test_assign_tie_goes_to_lowest_index():
     np.testing.assert_array_equal(_assign(np.array([[0.5]]), centers), [0])
 
 
+def _broadcast_assign(points, centers):
+    return np.argmin(((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1)
+
+
+@pytest.mark.parametrize("m, K, d", [(1, 1, 1), (7, 3, 1), (40, 5, 8), (100, 5, 100), (33, 9, 130)])
+def test_assign_equals_the_broadcast_formula(m, K, d, rng):
+    points = rng.standard_normal((m, d)) * 10.0 ** rng.integers(-8, 9)
+    centers = points[rng.integers(0, m, K)] + rng.standard_normal((K, d)) * 1e-3
+    np.testing.assert_array_equal(_assign(points, centers), _broadcast_assign(points, centers))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_assign_equals_the_broadcast_formula_on_exact_ties(seed):
+    # small-integer coordinates and repeated centers give many exact ties,
+    # which both forms break toward the lowest index
+    gen = np.random.default_rng(seed)
+    d = int(gen.integers(1, 6))
+    points = gen.integers(-2, 3, (30, d)).astype(float)
+    centers = gen.integers(-1, 2, (int(gen.integers(2, 7)), d)).astype(float)
+    centers[-1] = centers[0]
+    np.testing.assert_array_equal(_assign(points, centers), _broadcast_assign(points, centers))
+
+
 # ---------------------------------------------------------------------------
 # trimmed step
 

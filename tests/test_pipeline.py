@@ -1,5 +1,10 @@
+import math
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from byzfed.clustering import run_lloyd_variant, warm_start_init
 from byzfed.datagen import FleetConfig, WorkerShard, generate_fleet, percentile_gamma, read_points_csv
@@ -27,7 +32,7 @@ from byzfed.pipeline import (
 from byzfed.reporting import compute_run_id, emit_grid_outputs
 from byzfed.robust_stats import AggregatorSpec
 
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -115,7 +120,8 @@ def test_unmatched_cluster_records_no_distance(tmp_path):
         np.array([[50.0, 50.0], [51.0, 50.0]]),
     ]
     w_hats = np.array([t[-1] for t in trajectories])
-    result = pipeline._cell_result(truth, (None, []), w_hats, trajectories, {})
+    records = [pipeline._round_records(t, truth.centers) for t in trajectories]
+    result = pipeline._cell_result(truth, (None, []), w_hats, records, {})
     assert result.matched_pairs == [(0, 0), (1, 1)] and result.n_unmatched == 1
     assert [u.tolist() for u in result.update_norm] == [[0.5, 0.25], [1.0], [1.0]]
     assert [t.tolist() for t in result.dist_to_truth] == [[0.5, 0.25], [0.0], []]
@@ -127,6 +133,80 @@ def test_unmatched_cluster_records_no_distance(tmp_path):
         "C+O,0,1,1,1.0,0.0",
         "C+O,0,2,1,1.0,",
     ]
+
+
+def test_stage3_drops_each_trajectory_when_its_run_returns(monkeypatch):
+    # every earlier trajectory is dead by the time the next optimizer call
+    # starts, in the same cluster, in the next cluster and the next clusterer
+    refs, alive_at_call = [], []
+
+    def weakly_recording(*args, **kwargs):
+        alive_at_call.append(sum(r() is not None for r in refs))
+        w, traj = robust_gd(*args, **kwargs)
+        refs.append(weakref.ref(traj))
+        return w, traj
+
+    monkeypatch.setattr(pipeline, "robust_gd", weakly_recording)
+    base, clusterers, optimizers = _grid_inputs()
+    outcomes, _ = run_grid(replace(base, seed=5), clusterers, optimizers, n_trials=1)
+    assert all(o.error is None for o in outcomes)
+    assert alive_at_call == [0] * 8  # 2 clusterers x 2 clusters x 2 optimizers
+
+
+def _outcome_fields(outcome):
+    """Every field of a TrialOutcome but the wall times, as plain data."""
+    data = asdict(outcome)
+    if data["result"] is not None:
+        data["result"].pop("wall_times")
+    return data
+
+
+def test_one_worker_grid_runs_without_a_pool(monkeypatch):
+    base, clusterers, optimizers = _grid_inputs()
+    pooled, pooled_summary = run_grid(replace(base, seed=5), clusterers, optimizers,
+                                      n_trials=2, threads=2)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-worker grid made an executor")
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
+    serial, serial_summary = run_grid(replace(base, seed=5), clusterers, optimizers,
+                                      n_trials=2, threads=1)
+    assert len(serial) == len(pooled) == 8
+    for a, b in zip(serial, pooled):
+        np.testing.assert_equal(_outcome_fields(a), _outcome_fields(b))
+    assert serial_summary == pooled_summary
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(0, 12),
+    d=st.integers(1, 160),
+    exponent=st.integers(-150, 150),
+    zero_row=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_norms_keep_ddots_bits(rows, d, exponent, zero_row, seed):
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, (rows, d)) * 10.0**exponent
+    if zero_row and rows:
+        x[rows // 2] = 0.0
+    want = np.array([math.sqrt(r.dot(r)) for r in x], dtype=float).reshape(rows)
+    got = pipeline._row_norms(x)
+    assert got.shape == (rows,) and got.tobytes() == want.tobytes()
+
+
+def test_est_error_charges_a_true_cluster_left_without_an_estimate():
+    # gamma 100 joins every ERM, so edge_cut returns one model for two true
+    # clusters; the cluster the matching leaves out is charged the model's
+    # distance to its center
+    cfg = PipelineConfig(fleet=FleetConfig(m=12, n=30, d=4, K=2, alpha=0.0, sigma=0.5), seed=3)
+    result = run_pipeline(cfg, ClusterSpec(method="edge_cut", gamma=100.0), OptConfig(max_rounds=40))
+    _, truth = materialize_fleet(cfg)
+    (w,) = result.per_cluster_w_hat
+    assert len(result.matched_pairs) == 1 and result.n_unmatched == 0
+    charges = [np.linalg.norm(w - c) / np.sqrt(4) for c in truth.centers]
+    assert result.est_error == max(charges)
+    assert all(result.est_error >= c for c in charges)
 
 
 def test_loss_follows_the_fleet(tmp_path):
