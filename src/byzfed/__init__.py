@@ -58,8 +58,6 @@ from .pipeline import (
     PipelineConfig,
     RunResult,
     TrialOutcome,
-    config_from_dict,
-    config_to_dict,
     run_grid,
     run_pipeline,
 )
@@ -134,6 +132,4 @@ __all__ = [
     "TrialOutcome",
     "run_pipeline",
     "run_grid",
-    "config_to_dict",
-    "config_from_dict",
 ]

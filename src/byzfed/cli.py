@@ -14,7 +14,10 @@ Commands:
 synth, grid and ingest are one command function, cmd_run: it merges the
 config and the flags by one rule (_apply_overrides), ingest only sets
 the fleet's type and path, and a value neither sets takes its spec's
-default. _execute alone parses and checks the config, then reads an
+default. The config file's grammar lives here alone: _check_keys
+checks its keys and sections, _parse reads it into specs and _snapshot
+writes them back as manifest.json's config and grid, which _parse reads
+again. _execute parses and checks the config, then reads an
 ingest fleet's points and computes their threshold-graph components,
 once per run, before manifest.json: a bad config exits 1 before the
 points are read, and a bad points file exits 2, or a constant attack
@@ -54,16 +57,16 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
-from .datagen import read_points_csv
+from .datagen import FleetConfig, read_points_csv
+from .distopt import AttackSpec, OptConfig
 from .errors import ByzfedError, ConfigError, DataError, require_int
 from .pipeline import (
     ClusterSpec,
     IngestSpec,
+    PipelineConfig,
+    SolverSpec,
     check_cells,
-    config_from_dict,
-    config_to_dict,
     ingest_layout,
-    opt_from_dict,
     run_grid,
 )
 from .reporting import (
@@ -76,6 +79,7 @@ from .reporting import (
     run_environment,
     write_manifest,
 )
+from .robust_stats import AggregatorSpec
 
 __all__ = ["main"]
 
@@ -94,6 +98,9 @@ _AGGREGATORS = {
     "geo_median": "GM",
     "iter_filter": "IF",
 }
+
+# a fleet section's type -> its spec
+_FLEETS = {"synthetic": FleetConfig, "ingest": IngestSpec}
 
 # the object-valued sections of a config, then its plain values
 _SECTIONS = ("fleet", "solver", "cluster", "opt", "attack", "grid")
@@ -219,7 +226,7 @@ def _apply_overrides(data: dict, args) -> dict:
     # a config's aggregator needs a kind, as a grid optimizer's does; the
     # CLI's own default is a trimmed mean, whose beta AggregatorSpec sets
     agg = opt.setdefault("aggregator", {"kind": "trimmed_mean"})
-    if not isinstance(agg, dict):  # opt_from_dict rejects it
+    if not isinstance(agg, dict):  # _opt rejects it
         return data
     if args.aggregator is not None:
         agg["kind"] = _alias(_AGGREGATORS, args.aggregator, "aggregator")
@@ -234,11 +241,35 @@ def _cell(entry) -> tuple[str, dict]:
     return str(fields.pop("name")), fields
 
 
-def _grid_specs(data: dict):
-    """(clusterers, optimizers, trials) of the config's grid section, or
-    the one cell of its top-level cluster and opt and its top-level
-    trials. Every cell's config is checked here, before any output
-    exists."""
+def _opt(fields: dict) -> OptConfig:
+    """An optimizer cell's fields, its aggregator an object, as an OptConfig."""
+    if "aggregator" in fields:
+        agg = fields["aggregator"]
+        if not isinstance(agg, dict):
+            raise ConfigError(f"aggregator must be an object, got {agg!r}")
+        fields = {**fields, "aggregator": AggregatorSpec(**agg)}
+    return OptConfig(**fields)
+
+
+def _parse(data: dict):
+    """(config, clusterers, optimizers, trials) of a config dict that
+    _check_keys passed: the shared sections, then the cells of its grid
+    section, or the one cell of its top-level cluster and opt, then its
+    trials. Every spec is checked here, before any output exists, and
+    _snapshot writes the dicts back."""
+    try:
+        fleet = dict(data["fleet"])
+        kind = fleet.pop("type", "synthetic")
+        if not (isinstance(kind, str) and kind in _FLEETS):
+            raise ConfigError(f"unknown fleet type {kind!r}")
+        config = PipelineConfig(
+            fleet=_FLEETS[kind](**fleet),
+            solver=SolverSpec(**data.get("solver", {})),
+            attack=AttackSpec(**data.get("attack", {})),
+            seed=data.get("seed", 0),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad config: {exc}") from exc
     grid = data.get("grid")
     stray = [key for key in ("cluster", "opt", "trials") if key in data and grid is not None]
     if stray:
@@ -247,9 +278,9 @@ def _grid_specs(data: dict):
     try:
         if grid is not None:
             clusterers = [(name, ClusterSpec(**f)) for name, f in map(_cell, grid["clusterers"])]
-            optimizers = [(name, opt_from_dict(f)) for name, f in map(_cell, grid["optimizers"])]
+            optimizers = [(name, _opt(f)) for name, f in map(_cell, grid["optimizers"])]
         else:
-            cluster, opt = ClusterSpec(**data.get("cluster", {})), opt_from_dict(data.get("opt", {}))
+            cluster, opt = ClusterSpec(**data.get("cluster", {})), _opt(data.get("opt", {}))
             oname = "FA" if opt.local_steps > 1 else _AGGREGATORS[opt.aggregator.kind]
             clusterers, optimizers = [(_CLUSTERERS[cluster.method], cluster)], [(oname, opt)]
     except (KeyError, TypeError, ValueError) as exc:
@@ -257,7 +288,28 @@ def _grid_specs(data: dict):
     check_cells(clusterers, optimizers)
     trials = (data if grid is None else grid).get("trials", 1)
     require_int("trials", trials, 1)
-    return clusterers, optimizers, trials
+    return config, clusterers, optimizers, trials
+
+
+def _snapshot(config: PipelineConfig, clusterers, optimizers, trials) -> tuple[dict, dict]:
+    """The JSON-safe (config, grid) dicts of a run, as manifest.json
+    records them; their union is a config that _parse reads back to the
+    same specs."""
+    kind = next(name for name, cls in _FLEETS.items() if isinstance(config.fleet, cls))
+    vector = config.attack.vector
+    config_dict = {
+        "fleet": {"type": kind, **asdict(config.fleet)},
+        "solver": asdict(config.solver),
+        "attack": {**asdict(config.attack),
+                   "vector": None if vector is None else [float(v) for v in vector]},
+        "seed": config.seed,
+    }
+    grid_dict = {
+        "clusterers": [{"name": name, **asdict(cluster)} for name, cluster in clusterers],
+        "optimizers": [{"name": name, **asdict(opt)} for name, opt in optimizers],
+        "trials": trials,
+    }
+    return config_dict, grid_dict
 
 
 def _execute(data: dict, command: str, out_dir, threads,
@@ -266,8 +318,7 @@ def _execute(data: dict, command: str, out_dir, threads,
     code and the run id. The config is checked first, then an ingest
     fleet's points are read, hashed and laid out, all before manifest.json
     exists; a replay stops there if their digest no longer matches."""
-    base_cfg = config_from_dict(data)
-    clusterers, optimizers, trials = _grid_specs(data)
+    base_cfg, clusterers, optimizers, trials = _parse(data)
     require_int("threads", threads, 1)
     out_dir = Path(out_dir)
     layout = points_sha256 = None
@@ -287,12 +338,7 @@ def _execute(data: dict, command: str, out_dir, threads,
                   "(10th percentile of sampled pairwise distances)", flush=True)
         base_cfg.attack.require_dim(layout.points.shape[1])
 
-    grid_dict = {
-        "clusterers": [{"name": name, **asdict(cluster)} for name, cluster in clusterers],
-        "optimizers": [{"name": name, **asdict(opt)} for name, opt in optimizers],
-        "trials": trials,
-    }
-    config_dict = config_to_dict(base_cfg)
+    config_dict, grid_dict = _snapshot(base_cfg, clusterers, optimizers, trials)
     identity = {"config": config_dict, "grid": grid_dict}
     if points_sha256 is not None:  # an ingest run is named by its points, not their path
         fleet = {key: value for key, value in config_dict["fleet"].items() if key != "path"}

@@ -80,6 +80,8 @@ class FleetConfig:
             raise ConfigError(
                 f"K={self.K} exceeds the honest machine count {self.n_honest}"
             )
+        if self.d < 64 and self.K > 2**self.d:  # the centers are distinct points of {0,1}^d
+            raise ConfigError(f"cannot draw {self.K} distinct centers in {{0,1}}^{self.d}")
 
     @property
     def n_byzantine(self) -> int:
@@ -143,8 +145,6 @@ class GroundTruth:
 
 
 def _draw_distinct_centers(K: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    if d < 64 and K > 2**d:
-        raise ConfigError(f"cannot draw {K} distinct centers in {{0,1}}^{d}")
     for _ in range(200):
         C = rng.integers(0, 2, size=(K, d)).astype(float)
         if len({tuple(row) for row in C}) == K:

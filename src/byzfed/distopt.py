@@ -88,6 +88,10 @@ class AttackSpec:
             if self.vector is None:
                 raise ConfigError("constant attack needs a vector")
             object.__setattr__(self, "vector", np.asarray(self.vector, dtype=float))
+            if not np.isfinite(self.vector).all():
+                raise ConfigError(
+                    f"constant attack vector must be finite, got {self.vector.tolist()}"
+                )
 
     def require_dim(self, d: int) -> None:
         """Raise ConfigError unless a constant attack's vector has d entries."""

@@ -35,7 +35,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -65,7 +65,6 @@ from .errors import ByzfedError, ConfigError, real_field, require_int
 from .localsolve import SolverSpec, stage1_erms
 from .numerics import derive_seed, min_cost_assignment
 from .numerics import top_eigenpair  # noqa: F401  (not called here; bench/tracer.py wraps this name)
-from .robust_stats import AggregatorSpec
 
 __all__ = [
     "SolverSpec",
@@ -79,9 +78,6 @@ __all__ = [
     "check_cells",
     "ingest_layout",
     "stage1_erms",
-    "config_to_dict",
-    "config_from_dict",
-    "opt_from_dict",
 ]
 
 # the share of honest machines the Lloyd-family warm start labels correctly
@@ -493,54 +489,3 @@ def summarize_grid(outcomes: list[TrialOutcome]) -> list[dict]:
         )
     return rows
 
-
-# ---------------------------------------------------------------------------
-# config (de)serialization
-
-
-def opt_from_dict(data: dict) -> OptConfig:
-    d = dict(data)
-    if "aggregator" in d:
-        if not isinstance(d["aggregator"], dict):
-            raise ConfigError(f"aggregator must be an object, got {d['aggregator']!r}")
-        d["aggregator"] = AggregatorSpec(**d["aggregator"])
-    return OptConfig(**d)
-
-
-def config_to_dict(cfg: PipelineConfig) -> dict:
-    """JSON-safe snapshot; round-trips through config_from_dict."""
-    if isinstance(cfg.fleet, FleetConfig):
-        fleet = {"type": "synthetic", **asdict(cfg.fleet)}
-    else:
-        fleet = {"type": "ingest", **asdict(cfg.fleet)}
-    attack = asdict(cfg.attack)
-    attack["vector"] = (
-        None if cfg.attack.vector is None else [float(v) for v in cfg.attack.vector]
-    )
-    return {
-        "fleet": fleet,
-        "solver": asdict(cfg.solver),
-        "attack": attack,
-        "seed": cfg.seed,
-    }
-
-
-def config_from_dict(data: dict) -> PipelineConfig:
-    try:
-        fleet_data = dict(data["fleet"])
-        kind = fleet_data.pop("type", "synthetic")
-        if kind == "synthetic":
-            fleet = FleetConfig(**fleet_data)
-        elif kind == "ingest":
-            fleet = IngestSpec(**fleet_data)
-        else:
-            raise ConfigError(f"unknown fleet type {kind!r}")
-        attack_data = dict(data.get("attack", {}))
-        return PipelineConfig(
-            fleet=fleet,
-            solver=SolverSpec(**data.get("solver", {})),
-            attack=AttackSpec(**attack_data),
-            seed=data.get("seed", 0),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config: {exc}") from exc

@@ -178,8 +178,6 @@ def iter_filter_mean(
 
 def _iter_filter_mean(P, variance_bound, max_rounds):
     t, d = P.shape
-    if t < 2:
-        raise ConfigError("iterative filtering needs at least 2 points")
     drop_per_round = math.ceil(0.05 * t)
     min_survivors = math.ceil(t / 2)
     alive = np.arange(t)

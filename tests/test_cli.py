@@ -53,10 +53,12 @@ manifest.json files.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -64,11 +66,14 @@ import pytest
 import scipy
 
 import byzfed
-from byzfed.cli import main
+from byzfed.cli import _check_keys, _parse, _snapshot, main
 from byzfed.components import threshold_components
 from byzfed.datagen import FleetConfig, read_points_csv
-from byzfed.pipeline import config_from_dict
-from byzfed.reporting import RESULT_FILES, load_manifest
+from byzfed.distopt import AttackSpec, OptConfig
+from byzfed.errors import ConfigError
+from byzfed.pipeline import ClusterSpec, IngestSpec, PipelineConfig, SolverSpec
+from byzfed.reporting import RESULT_FILES, compute_run_id, load_manifest
+from byzfed.robust_stats import AggregatorSpec
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -200,7 +205,7 @@ def test_manifest_config_round_trips(tmp_path):
     code, out = _synth(tmp_path, "--seed", "2", "--aggregator", "tm", "--beta", "0.2")
     assert code == 0
     manifest = load_manifest(out)
-    cfg = config_from_dict(manifest.config)
+    cfg, *_ = _parse(manifest.config)
     assert cfg.seed == 2
     # a one-cell run stores its cell once, in the grid
     assert sorted(manifest.config) == ["attack", "fleet", "seed", "solver"]
@@ -646,8 +651,8 @@ def test_synthetic_fleet_defaults_are_fleet_configs(tmp_path):
     code, out = _synth(tmp_path, "--seed", "1")
     assert code == 0
     manifest = load_manifest(out)
-    assert config_from_dict(manifest.config).fleet == FleetConfig()
-    assert config_from_dict({"fleet": {}}).fleet == FleetConfig()
+    assert _parse(manifest.config)[0].fleet == FleetConfig()
+    assert _parse({"fleet": {}})[0].fleet == FleetConfig()
     assert _synth_run_id(tmp_path, "empty", {"fleet": {}}) == manifest.run_id
 
 
@@ -656,6 +661,13 @@ def test_synthetic_fleet_defaults_are_fleet_configs(tmp_path):
     ({"solver": {"kind": "erm", "iters": 500}}, "iters"),
     ({"grid": {"clusterers": [{"name": "KM", "method": "lloyd"}],
                "optimizers": [{"name": "SM"}], "trails": 3}}, "'trails'"),
+    # configs no trial could run: the true centers are distinct points of
+    # {0,1}^d, and json writes and reads NaN and Infinity
+    ({"fleet": {"m": 20, "d": 2, "K": 5}}, "cannot draw 5 distinct centers in {0,1}^2"),
+    ({"fleet": {"d": 3, "alpha": 0.2}, "attack": {"kind": "constant", "vector": [math.nan, 1, 2]}},
+     "constant attack vector must be finite"),
+    ({"fleet": {"d": 3, "alpha": 0.2}, "attack": {"kind": "constant", "vector": [1, math.inf, 2]}},
+     "constant attack vector must be finite"),
 ])
 def test_input_that_reaches_no_run_exits_1(tmp_path, capsys, config, named):
     cfg = tmp_path / "c.json"
@@ -664,6 +676,16 @@ def test_input_that_reaches_no_run_exits_1(tmp_path, capsys, config, named):
     assert code == 1
     assert named in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+def test_iterative_filter_runs_a_one_machine_cluster(tmp_path):
+    # edge cut at gamma 0.3 leaves clusters of one machine; the filter
+    # aggregates a lone report as every other aggregator does
+    code, out = _synth(tmp_path, "--clusterer", "edge_cut", "--gamma", "0.3", "--seed", "9",
+                       "--trials", "3", "--aggregator", "if", "--alpha", "0.1")
+    assert code == 0
+    _, row = (out / "summary.csv").read_text().splitlines()
+    assert row.split(",")[:5] == ["EC+IF", "EC", "IF", "3", "0"]
 
 
 @pytest.mark.parametrize(
@@ -973,6 +995,85 @@ def test_unknown_top_level_config_key_exits_1(tmp_path, rng, capsys, command):
     assert main([command, "--config", str(cfg), "--out-dir", str(out), *flags]) == 1
     assert "unknown config key 'atack'" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# the config grammar: _check_keys, _parse and _snapshot
+
+
+def _fancy_specs():
+    config = PipelineConfig(
+        fleet=FleetConfig(m=10, n=5, d=3, K=2, alpha=0.2, sigma=1.5),
+        solver=SolverSpec(kind="gd", iters=20),
+        attack=AttackSpec("constant", vector=np.array([9.0, 9.0, 9.0])),
+        seed=31,
+    )
+    clusterers = [("TKM", ClusterSpec(method="trimmed_kmeans", C=2.0, sigma_hat=0.55))]
+    optimizers = [("SM", OptConfig(max_rounds=40)),
+                  ("TM", OptConfig(aggregator=AggregatorSpec("trimmed_mean", beta=0.2)))]
+    return config, clusterers, optimizers, 3
+
+
+def _reparsed(config: dict, grid: dict) -> tuple[dict, dict]:
+    """The snapshot of the specs that the config file {**config, "grid":
+    grid} parses to, as replay reads a manifest."""
+    data = json.loads(json.dumps({**config, "grid": grid}))  # must be JSON-serializable
+    _check_keys(data)
+    return _snapshot(*_parse(data))
+
+
+def test_config_round_trip():
+    snapshot = _snapshot(*_fancy_specs())
+    assert _reparsed(*snapshot) == snapshot
+
+
+def test_config_round_trip_ingest():
+    config = PipelineConfig(fleet=IngestSpec(path="pts.csv", gamma=2.5, shard_size=10, n_adv=1),
+                            seed=7)
+    snapshot = _snapshot(config, [("KM", ClusterSpec())], [("SM", OptConfig())], 1)
+    assert _reparsed(*snapshot) == snapshot
+
+
+@pytest.mark.parametrize("name, fleet", [
+    ("golden_attack", {}),
+    # the fleet the ingest command of the golden_ingest files gives it
+    ("golden_ingest", {"fleet": {"type": "ingest", "path": str(DATA_DIR / "two_blobs.csv"),
+                                 "gamma": 5.0, "shard_size": 5, "n_adv": 6, "min_cluster": 5}}),
+])
+def test_golden_config_round_trips(name, fleet):
+    data = {**json.loads((DATA_DIR / name / "config.json").read_text()), **fleet}
+    _check_keys(data)
+    config, clusterers, optimizers, trials = _parse(data)
+    assert [c for c, _ in clusterers] == [c["name"] for c in data["grid"]["clusterers"]]
+    assert [o for o, _ in optimizers] == [o["name"] for o in data["grid"]["optimizers"]]
+    snapshot = _snapshot(config, clusterers, optimizers, trials)
+    assert _reparsed(*snapshot) == snapshot
+
+
+def test_parse_rejects_garbage():
+    with pytest.raises(ConfigError, match="bad config: unknown fleet type 'martian'"):
+        _parse({"fleet": {"type": "martian"}})
+    with pytest.raises(ConfigError, match=r"bad config: unknown fleet type \['ingest'\]"):
+        _parse({"fleet": {"type": ["ingest"]}})
+    with pytest.raises(ConfigError, match="bad config"):
+        _parse({})
+    # the shards' data fixes the loss, so no config names one
+    ingest, _ = _snapshot(PipelineConfig(fleet=IngestSpec(path="p.csv", gamma=1.0)), [], [], 1)
+    with pytest.raises(ConfigError, match="'loss'"):
+        _parse({**ingest, "solver": {"loss": "location"}})
+
+
+def test_run_id_identity():
+    config, clusterers, optimizers, trials = _fancy_specs()
+
+    def run_id(config, trials=trials):
+        config_dict, grid = _snapshot(config, clusterers, optimizers, trials)
+        return compute_run_id({"config": config_dict, "grid": grid})
+
+    assert run_id(config) == run_id(config)
+    assert len(run_id(config)) == 12
+    assert run_id(config) != run_id(replace(config, seed=32))
+    assert run_id(config) != run_id(config, trials=4)
 
 
 # ---------------------------------------------------------------------------

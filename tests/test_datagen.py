@@ -41,6 +41,11 @@ def test_fleet_config_validation():
     with pytest.raises(ConfigError):
         # 4 honest machines cannot host K=5 clusters
         FleetConfig(m=5, n=5, d=4, K=5, alpha=0.1)
+    # the true centers are distinct points of {0,1}^d, so K <= 2^d
+    with pytest.raises(ConfigError, match=r"cannot draw 5 distinct centers in \{0,1\}\^2"):
+        FleetConfig(m=20, d=2, K=5)
+    _, truth = generate_fleet(FleetConfig(m=20, d=2, K=4), seed=1)
+    assert len({tuple(c) for c in truth.centers}) == 4
 
 
 def test_ground_truth_rejects_duplicate_centers():

@@ -397,6 +397,9 @@ def test_attack_spec_validation():
         AttackSpec(kind="constant")
     with pytest.raises(ConfigError):
         AttackSpec(kind="sign_flip", scale=np.nan)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError, match="constant attack vector must be finite"):
+            AttackSpec(kind="constant", vector=[bad, 1.0, 2.0])
     # only the constant attack reads a vector
     for vector in ([1, 2], "abc"):
         with pytest.raises(ConfigError, match="takes no vector"):

@@ -117,8 +117,6 @@ def _ref_mad_scale(values):
 def _ref_iter_filter_mean(points, variance_bound=None, max_rounds=20):
     P = _ref_as_points(points)
     t, d = P.shape
-    if t < 2:
-        raise ConfigError("iterative filtering needs at least 2 points")
     require_int("max_rounds", max_rounds, 1)
     drop_per_round = math.ceil(0.05 * t)
     min_survivors = math.ceil(t / 2)
@@ -364,7 +362,7 @@ def test_mad_scale_equals_median_form_on_odd_and_even_lengths(n):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    t=st.integers(2, 60),
+    t=st.integers(1, 60),
     d=st.integers(1, 40),
     outliers=st.floats(0.0, 0.4),
     copies=st.integers(1, 2),

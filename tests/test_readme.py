@@ -5,8 +5,7 @@ import json
 import re
 from pathlib import Path
 
-from byzfed.cli import _grid_specs
-from byzfed.pipeline import config_from_dict
+from byzfed.cli import _check_keys, _parse, _snapshot
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,9 +23,14 @@ def test_readme_quick_tour_runs(capsys):
 def test_readme_example_grid_config_builds():
     text = README.read_text(encoding="utf-8")
     data = json.loads(re.search(r"```json\n(.*?)```", text, re.DOTALL).group(1))
-    config_from_dict(data)
-    clusterers, optimizers, trials = _grid_specs(data)
+    _check_keys(data)  # a misspelled key fails here
+    config, clusterers, optimizers, trials = _parse(data)
     grid = data["grid"]
     assert [name for name, _ in clusterers] == [c["name"] for c in grid["clusterers"]]
     assert [name for name, _ in optimizers] == [o["name"] for o in grid["optimizers"]]
     assert trials == grid["trials"]
+    # its snapshot, as manifest.json records it, parses back to itself
+    config_dict, grid_dict = _snapshot(config, clusterers, optimizers, trials)
+    again = json.loads(json.dumps({**config_dict, "grid": grid_dict}))
+    _check_keys(again)
+    assert _snapshot(*_parse(again)) == (config_dict, grid_dict)

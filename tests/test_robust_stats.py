@@ -372,9 +372,15 @@ def test_iter_filter_identical_points_gram_side(variance_bound):
     assert np.array_equal(got, _covariance_filter_oracle(P, variance_bound))
 
 
-def test_iter_filter_needs_two_points():
-    with pytest.raises(ConfigError):
-        iter_filter_mean(np.zeros((1, 2)))
+def test_iter_filter_returns_a_lone_point():
+    # one report is its own mean with zero covariance, so the filter
+    # returns it, as the other aggregators do a one-machine cluster's
+    for d in (1, 2, 5):
+        P = np.random.default_rng(d).standard_normal((1, d))
+        for variance_bound in (None, 0.0, 3.0):
+            with np.errstate(all="raise"):
+                assert np.array_equal(iter_filter_mean(P, variance_bound=variance_bound), P[0])
+        assert np.array_equal(aggregate(P, AggregatorSpec("iter_filter")), P[0])
     with pytest.raises(ConfigError):
         iter_filter_mean(np.zeros((3, 2)), max_rounds=0)
 
