@@ -1,14 +1,19 @@
 """Dense linear algebra, cluster matching and reproducible random streams.
 
-This is the one byzfed module that imports scipy, for LAPACK.
-least_squares wraps numpy's lstsq; eigh_evd is LAPACK's syevd, the full
-eigendecomposition Stage-I GD takes of every machine's A_i; top_eigenpair
-is one call of LAPACK's syevr restricted to the largest eigenvalue, so
-every step size 1/lambda_max and every spectral-filter test uses the top
-eigenvalue to LAPACK accuracy. min_cost_assignment is the one
-rectangular assignment solver: it matches estimated clusters to true
-ones, both for est_error (pipeline._match_centers) and for
-misclustering rates (clustering._match_labels).
+This is the one byzfed module that imports scipy, and only for LAPACK:
+it loads scipy's compiled LAPACK wrapper, scipy/linalg/_flapack, from
+its file, without the scipy.linalg package (which would also load
+numpy.f2py and array_api_compat). least_squares wraps numpy's lstsq;
+eigh_evd is LAPACK's syevd, the full eigendecomposition Stage-I GD takes
+of every machine's A_i; top_eigenpair is one call of LAPACK's syevr
+restricted to the largest eigenvalue, so every step size 1/lambda_max
+and every spectral-filter test uses the top eigenvalue to LAPACK
+accuracy. Both make the LAPACK calls scipy.linalg.eigh makes, with its
+arguments and workspace sizes, so their bits are eigh's.
+min_cost_assignment is the one rectangular assignment solver: it matches
+estimated clusters to true ones, both for est_error
+(pipeline._match_centers) and for misclustering rates
+(clustering._match_labels).
 
 Model vectors are plain 1-D float64 numpy arrays; a fixed dimension d is
 shared by every vector in a run. All functions here are pure and
@@ -18,12 +23,16 @@ from by two threads.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh, get_lapack_funcs
-from scipy.linalg.lapack import _compute_lwork
+import numpy.random  # noqa: F401  (loaded with byzfed, so a run's first draw does not pay for it)
+import scipy
 
 from .errors import ConfigError, NumericError
 
@@ -35,6 +44,39 @@ __all__ = [
     "RngStream",
     "derive_seed",
 ]
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrapper, loaded from its file under
+    scipy/linalg and registered as scipy.linalg._flapack, so a later
+    import of scipy.linalg uses the same module; a loaded one is reused."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    directory = os.path.join(scipy.__path__[0], "linalg")
+    finder = importlib.machinery.FileFinder(
+        directory, (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    )
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"scipy's compiled LAPACK module _flapack is not in {directory}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_flapack = _load_flapack()
+
+
+def _workspace(query, **kwargs):
+    """(lwork, liwork) from a LAPACK workspace query, rounded as
+    scipy.linalg.lapack._compute_lwork rounds them for float64: another
+    lwork can change LAPACK's blocking, and with it the bits."""
+    work, iwork, info = query(**kwargs)
+    if info != 0:
+        raise ValueError(f"Internal work array size computation failed: {info}")
+    return int(work), int(iwork)
 
 
 def least_squares(X, y) -> np.ndarray:
@@ -61,10 +103,23 @@ def eigh_evd(A):
     """Every eigenpair of a symmetric matrix: (eigenvalues ascending,
     orthonormal eigenvectors as columns), from the lower triangle.
 
-    This is scipy.linalg.eigh(A, driver="evd"), LAPACK's divide-and-conquer
-    syevd. A non-finite A raises eigh's ValueError.
+    This is scipy.linalg.eigh(A, driver="evd") on a float64 A: LAPACK's
+    divide-and-conquer syevd with the workspace size LAPACK asks for. A
+    non-finite A raises eigh's ValueError.
     """
-    return eigh(A, driver="evd")
+    A = np.asarray_chkfinite(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError('expected square "a" matrix')
+    n = A.shape[0]
+    lwork, liwork = _workspace(_flapack.dsyevd_lwork, n=n, lower=True, compute_v=1)
+    w, V, info = _flapack.dsyevd(A, compute_v=1, lower=True, lwork=lwork, liwork=liwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"Illegal value in argument {-info} of internal dsyevd" if info < -1
+            else "The algorithm failed to compute an eigenvalue while working on the "
+            f"submatrix lying in rows and columns {info}/{n + 1} through mod({info},{n + 1})."
+        )
+    return w, V
 
 
 def top_eigenpair(M):
@@ -88,15 +143,12 @@ def top_eigenpair(M):
     if not math.isfinite(amax):
         raise ValueError("array must not contain infs or NaNs")
     d = M.shape[0]
-    syevr, syevr_lwork = get_lapack_funcs(("syevr", "syevr_lwork"), (M,))
-    # eigh's own workspace query: another lwork can change LAPACK's
-    # blocking, and with it the bits
-    lwork, liwork = _compute_lwork(syevr_lwork, n=d, lower=1)
-    w, V, _, _, info = syevr(
-        M, compute_v=1, range="I", lower=1, il=d, iu=d, lwork=lwork, liwork=liwork
+    lwork, liwork = _workspace(_flapack.dsyevr_lwork, n=d, lower=True)
+    w, V, _, _, info = _flapack.dsyevr(
+        M, compute_v=1, range="I", lower=True, il=d, iu=d, lwork=lwork, liwork=liwork
     )
     if info != 0:
-        raise LinAlgError(
+        raise np.linalg.LinAlgError(
             f"Illegal value in argument {-info} of internal dsyevr" if info < -1
             else "Internal Error."
         )

@@ -8,7 +8,7 @@ repeated run with the same seed produces byte-identical files at any
 `--threads`, with the same BLAS build and BLAS thread count; CI and the
 bench pin one BLAS thread. So the manifest also records what besides the
 config the bytes depend on (run_environment): the numpy and scipy
-versions and the BLAS thread variables.
+versions, the BLAS build each links and the BLAS thread variables.
 
 Schemas (version 1):
   results.csv        run_id,cell,trial,metric,value
@@ -78,14 +78,28 @@ class RunManifest:
             self.created_at = datetime.now(timezone.utc).isoformat()
 
 
+def _blas_build(config_module) -> str | None:
+    """'name version' of the BLAS a numpy or scipy build links, read from
+    its __config__.CONFIG (show_config costs scipy about 17 ms), None if
+    the build does not record it."""
+    try:
+        blas = config_module.CONFIG["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (AttributeError, KeyError, TypeError):
+        return None
+
+
 def run_environment() -> dict:
-    """The numpy and scipy versions and the BLAS thread variables of this
-    process, None for an unset variable: the result bytes of a config
-    depend on these too. scipy's version is read from the loaded module
-    (byzfed.numerics loads it), None if scipy is not loaded."""
+    """The numpy and scipy versions, the BLAS build each links and the BLAS
+    thread variables of this process, None for an unset variable: the
+    result bytes of a config depend on these too. scipy is read from the
+    loaded module (byzfed.numerics loads it), None if scipy is not loaded."""
+    scipy = sys.modules.get("scipy")
     return {
         "numpy": np.__version__,
-        "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
+        "numpy_blas": _blas_build(getattr(np, "__config__", None)),
+        "scipy": getattr(scipy, "__version__", None),
+        "scipy_blas": _blas_build(getattr(scipy, "__config__", None)),
         **{name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
     }
 

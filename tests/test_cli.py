@@ -103,6 +103,50 @@ def test_cli_process_does_not_import_scipy_spatial_or_sparse(prefix):
     assert out.stdout.strip() == "[]"
 
 
+_LAPACK_RUN_PROBE = """
+import collections, json, sys
+import byzfed.cli, byzfed.numerics as numerics
+
+calls = collections.Counter()
+
+class Counting:  # counts the LAPACK drivers the run reaches
+    def __init__(self, module):
+        self.module = module
+    def __getattr__(self, name):
+        f = getattr(self.module, name)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return counted
+
+numerics._flapack = Counting(numerics._flapack)
+code = byzfed.cli.main(["synth", "--config", sys.argv[1], "--aggregator", "if", "--trials", "1",
+                        "--out-dir", sys.argv[2]])
+print(json.dumps({"code": code, "calls": calls,
+                  "loaded": sorted(m for m in ("scipy.linalg", "numpy.f2py") if m in sys.modules)}))
+"""
+
+
+def test_a_run_calling_lapack_loads_neither_scipy_linalg_nor_f2py(tmp_path):
+    # numerics loads scipy's compiled _flapack from its file; the
+    # scipy.linalg package would bring numpy.f2py and array_api_compat,
+    # about 0.13 s and 17 MB of every command
+    src = str(Path(byzfed.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg = tmp_path / "gd.json"
+    cfg.write_text('{"solver": {"kind": "gd", "iters": 20}}')
+    out = subprocess.run(
+        [sys.executable, "-c", _LAPACK_RUN_PROBE, str(cfg), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    report = json.loads(out.stdout.strip().splitlines()[-1])
+    assert report["code"] == 0
+    # Stage-I GD's eigh_evd and the iterative filter's top_eigenpair
+    assert report["calls"]["dsyevd"] > 0 and report["calls"]["dsyevr"] > 0
+    assert report["loaded"] == []
+    assert load_manifest(tmp_path / "out").environment["scipy"] == scipy.__version__
+
+
 def _synth(tmp_path, *extra):
     out = tmp_path / "out"
     code = main(["synth", "--out-dir", str(out), *extra])
@@ -1441,11 +1485,44 @@ def test_manifest_records_the_environment_the_bytes_depend_on(tmp_path, monkeypa
     recorded = json.loads((out / "manifest.json").read_text())["environment"]
     assert recorded == {
         "numpy": np.__version__,
+        "numpy_blas": _shown_blas(np),
         "scipy": scipy.__version__,
+        "scipy_blas": _shown_blas(scipy),
         "OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"],
         "OMP_NUM_THREADS": "1",
         "MKL_NUM_THREADS": None,  # unset
     }
+
+
+def _shown_blas(package):
+    blas = package.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas['name']} {blas['version']}"
+
+
+def test_replay_mismatch_names_a_differing_blas_build(tmp_path, capsys):
+    _, out = _synth(tmp_path, "--seed", "6")
+    results = out / "results.csv"
+    results.write_bytes(results.read_bytes() + b"x")
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["environment"]["scipy_blas"] = "openblas 0.3.21"
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["replay", "--manifest", str(out), "--out-dir", str(tmp_path / "re")]) == 2
+    printed = capsys.readouterr().out
+    assert f"scipy_blas was 'openblas 0.3.21' in the original run, is {_shown_blas(scipy)!r} now" in printed
+    assert "numpy_blas" not in printed
+
+
+def test_manifest_without_blas_builds_still_loads_and_replays(tmp_path, capsys):
+    # manifests written before the BLAS builds were recorded
+    _, out = _synth(tmp_path, "--seed", "6")
+    manifest = json.loads((out / "manifest.json").read_text())
+    for key in ("numpy_blas", "scipy_blas"):
+        del manifest["environment"][key]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert "scipy_blas" not in load_manifest(out).environment
+    assert main(["replay", "--manifest", str(out), "--out-dir", str(tmp_path / "re")]) == 0
+    assert "DIFFERS" not in capsys.readouterr().out
 
 
 def test_replay_mismatch_names_the_environment_that_changed(tmp_path, capsys):

@@ -1,5 +1,8 @@
 import ast
+import re
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment  # the reference solver
 
+from byzfed import numerics
 from byzfed.errors import ConfigError, NumericError
 from byzfed.numerics import (
     RngStream,
@@ -283,3 +287,56 @@ def test_eigh_evd_is_an_eigendecomposition(rng):
     np.testing.assert_allclose(V @ np.diag(lam) @ V.T, A, atol=1e-12)
     np.testing.assert_allclose(V.T @ V, np.eye(8), atol=1e-12)
     np.testing.assert_allclose(lam[:3], 0.0, atol=1e-12)
+
+
+def test_flapack_is_the_module_scipy_linalg_draws_from():
+    # numerics registers the _flapack it loads, so scipy.linalg imported
+    # after it (or before it) shares the one module
+    from scipy.linalg import get_lapack_funcs
+
+    syevd, syevr = get_lapack_funcs(("syevd", "syevr"), (np.eye(2),))
+    assert sys.modules["scipy.linalg._flapack"] is numerics._flapack
+    assert syevd is numerics._flapack.dsyevd and syevr is numerics._flapack.dsyevr
+    assert numerics._load_flapack() is numerics._flapack
+
+
+def test_missing_flapack_raises_import_error_naming_its_directory(tmp_path, monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(numerics, "scipy", SimpleNamespace(__path__=[str(tmp_path)]))
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+        numerics._load_flapack()
+
+
+class _Recorder:
+    """Stands in for _flapack and records the keyword arguments of each driver call."""
+
+    def __init__(self, module):
+        self.module, self.kwargs = module, {}
+
+    def __getattr__(self, name):
+        f = getattr(self.module, name)
+
+        def recorded(*args, **kwargs):
+            self.kwargs[name] = kwargs
+            return f(*args, **kwargs)
+
+        return recorded
+
+
+def test_workspace_sizes_are_scipy_eighs(monkeypatch):
+    # another lwork can change LAPACK's blocking, and with it the bits
+    from scipy.linalg import get_lapack_funcs
+    from scipy.linalg.lapack import _compute_lwork
+
+    recorder = _Recorder(numerics._flapack)
+    monkeypatch.setattr(numerics, "_flapack", recorder)
+    for n in range(1, 129):
+        M = np.eye(n)
+        evd_lwork, evr_lwork = get_lapack_funcs(("syevd_lwork", "syevr_lwork"), (M,))
+        eigh_evd(M)
+        top_eigenpair(M)
+        passed = {k: (recorder.kwargs[k]["lwork"], recorder.kwargs[k]["liwork"]) for k in ("dsyevd", "dsyevr")}
+        assert passed == {
+            "dsyevd": _compute_lwork(evd_lwork, n=n, lower=True, compute_v=1),
+            "dsyevr": _compute_lwork(evr_lwork, n=n, lower=True),
+        }
